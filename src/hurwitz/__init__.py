@@ -13,7 +13,6 @@ from .algebra import (
     Rational,
     TruncSeries,
     bernoulli,
-    gen_bernoulli,
     s_power_series,
     sigma_series,
 )
@@ -31,7 +30,7 @@ from .oracle import (
     count_factorizations,
     sweep,
 )
-from .partitions import SizeMismatch, partitions, compositions
+from .partitions import Signature, SizeMismatch, partitions, compositions
 from .wallcross import (
     InvalidSplit,
     WallCrossingProblem,
@@ -77,6 +76,7 @@ __all__ = [
     "PolyRing",
     "Rational",
     "SigmaProduct",
+    "Signature",
     "SizeMismatch",
     "SumMismatch",
     "TruncSeries",
@@ -90,7 +90,6 @@ __all__ = [
     "compositions",
     "count_factorizations",
     "evaluate",
-    "gen_bernoulli",
     "hurwitz_connected_simple",
     "hurwitz_disconnected",
     "johnson_expand",

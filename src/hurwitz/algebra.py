@@ -32,14 +32,11 @@ __all__ = [
     "exact_divide",
     "sigma_of",
     "s_of",
-    "ratio_of",
     "sigma_series",
     "s_power_series",
-    "sigma_ratio_series",
     "rising_factorial",
     "falling_factorial",
     "bernoulli",
-    "gen_bernoulli",
 ]
 
 Rational = Fraction
@@ -560,10 +557,17 @@ class TruncSeries:
             e[pos[v]] = k
         return self.data.get(tuple(e), self._czero())
 
-    def set_var_zero(self, name: str) -> "TruncSeries":
-        i = self.vars.index(name)
-        out = {e: c for e, c in self.data.items() if e[i] == 0}
-        return TruncSeries(self.vars, self.caps, self.ring, out, self.blocks)
+    def lift(self, vars, caps, blocks=()) -> "TruncSeries":
+        """The same series inside a larger space whose variables include ours."""
+        vars = tuple(vars)
+        pos = [vars.index(v) for v in self.vars]
+        data = {}
+        for e, c in self.data.items():
+            key = [0] * len(vars)
+            for i, x in zip(pos, e):
+                key[i] = x
+            data[tuple(key)] = c
+        return TruncSeries(vars, caps, self.ring, data, blocks)
 
     def is_zero(self) -> bool:
         return not self.data
@@ -618,16 +622,6 @@ def s_of(arg: TruncSeries) -> TruncSeries:
     return out
 
 
-def ratio_of(a, arg: TruncSeries) -> TruncSeries:
-    """The regularized ratio sigma(a*W)/sigma(W) = a * S(a*W) / S(W).
-
-    `a` is a coefficient (Fraction, or MultiPoly over the series' ring); the
-    result is a Taylor series with constant term a.
-    """
-    scaled = arg.scalar_mul(a)
-    return s_of(scaled).scalar_mul(a) * s_of(arg).inverse()
-
-
 def sigma_series(a, var: str, order: int, ring=None) -> TruncSeries:
     """Single-variable sigma(a*v) truncated at v^order.
 
@@ -670,18 +664,6 @@ def s_power_series(c, var: str, order: int, ring=None) -> TruncSeries:
     return out
 
 
-def sigma_ratio_series(a, var: str, order: int, ring=None) -> TruncSeries:
-    """sigma(a*v)/sigma(v) as a Taylor series in v, truncated at v^order."""
-    if isinstance(a, LinearForm):
-        if ring is None:
-            ring = PolyRing(sorted(a.coeffs))
-        a = a.as_poly(ring)
-    if isinstance(a, MultiPoly) and ring is None:
-        ring = a.ring
-    arg = TruncSeries.from_linear((var,), (order,), {var: 1}, ring)
-    return ratio_of(a if ring is None else a, arg)
-
-
 # -- factorial-type helpers ----------------------------------------------------
 
 
@@ -719,78 +701,3 @@ def bernoulli(k: int) -> Fraction:
             acc += comb(m + 1, j) * _BERNOULLI[j]
         _BERNOULLI.append(-acc / (m + 1))
     return _BERNOULLI[k]
-
-
-def _conv_trunc(a: list, b: list, k: int):
-    """Truncated convolution of coefficient lists (entries: Fraction/MultiPoly)."""
-    out = [None] * (k + 1)
-    for i, ai in enumerate(a):
-        if ai is None or not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > k:
-                break
-            if bj is None or not bj:
-                continue
-            p = ai * bj
-            out[i + j] = p if out[i + j] is None else out[i + j] + p
-    return out
-
-
-def gen_bernoulli(k: int, n, x):
-    """Generalized Bernoulli polynomial value B_k^(n)(x).
-
-    Defined by (t/(e^t - 1))^n * e^(x t) = sum_k B_k^(n)(x) t^k / k!.
-    Both n and x may be numbers or polynomials; with polynomial inputs the
-    power (t/(e^t-1))^n is read as exp(n * log(t/(e^t-1))), so the result is
-    the polynomial B_k^(n)(x) in n and x.
-    """
-    if k < 0:
-        raise ValueError("gen_bernoulli needs k >= 0")
-    ring = None
-    for val in (n, x):
-        if isinstance(val, MultiPoly):
-            ring = val.ring
-    if ring is None and isinstance(n, int) and n < 0:
-        raise ValueError("gen_bernoulli needs n >= 0 (or a polynomial n)")
-    one = ring.one() if ring is not None else Fraction(1)
-
-    base = [bernoulli(i) / factorial(i) for i in range(k + 1)]
-    u = list(base)
-    u[0] = Fraction(0)
-    # log(t/(e^t-1)) as a series in t with rational coefficients
-    log_base = [Fraction(0)] * (k + 1)
-    upow = [Fraction(1)] + [Fraction(0)] * k
-    for j in range(1, k + 1):
-        upow = [c if c is not None else Fraction(0) for c in _conv_trunc(upow, u, k)]
-        if not any(upow):
-            break
-        for i, c in enumerate(upow):
-            log_base[i] += Fraction((-1) ** (j + 1), j) * c
-    # exp(n * log_base), coefficients in the ring of n when n is a polynomial
-    nlog = [n * c if c else None for c in log_base]
-    p = [one] + [None] * k
-    term = [one] + [None] * k  # running (n*log_base)^j / j!
-    for j in range(1, k + 1):
-        term = _conv_trunc(term, nlog, k)
-        term = [c * Fraction(1, j) if c is not None else None for c in term]
-        if not any(c is not None and c for c in term):
-            break
-        for i, c in enumerate(term):
-            if c is None or not c:
-                continue
-            p[i] = c if p[i] is None else p[i] + c
-
-    total = None
-    for i in range(k + 1):
-        ci = p[i]
-        if ci is None or not ci:
-            continue
-        xp = one
-        for _ in range(k - i):
-            xp = xp * x
-        piece = ci * xp * Fraction(1, factorial(k - i))
-        total = piece if total is None else total + piece
-    if total is None:
-        total = (ring.zero() if ring is not None else Fraction(0))
-    return total * factorial(k)

@@ -20,6 +20,7 @@ from itertools import combinations
 from math import comb, prod
 
 from .partitions import (
+    Signature,
     SizeMismatch,
     centralizer_size,
     character,
@@ -31,11 +32,6 @@ from .partitions import (
     multiplicity_factor,
     partitions,
 )
-
-
-def _genus_ok(m: int, n: int, b: int) -> bool:
-    twice = b + 2 - m - n
-    return twice >= 0 and twice % 2 == 0
 
 
 @lru_cache(maxsize=None)
@@ -66,9 +62,8 @@ def hurwitz_disconnected(mu, nu, p: int = 0, q: int = 0, r: int = 0) -> Fraction
     nu = tuple(sorted(check_composition(nu), reverse=True))
     if sum(mu) != sum(nu):
         raise SizeMismatch(f"|mu|={sum(mu)} != |nu|={sum(nu)}")
-    if min(p, q, r) < 0:
-        raise ValueError("p, q, r must be >= 0")
-    if not _genus_ok(len(mu), len(nu), p + q + r):
+    m, n = len(mu), len(nu)
+    if Signature.of("mixed", (p, q, r), m, n).genus(m, n) is None:
         return Fraction(0)
     return _disc_sum(mu, nu, p, q, r)
 
@@ -123,16 +118,13 @@ def hurwitz_connected_simple(mu, nu, g: int) -> Fraction:
         raise SizeMismatch(f"|mu|={sum(mu)} != |nu|={sum(nu)}")
     if g < 0:
         return Fraction(0)
-    b = 2 * g - 2 + len(mu) + len(nu)
-    if b < 0:
-        return Fraction(0)
-    return _connected_simple(mu, nu, b)
+    return _connected_simple(mu, nu, Signature.of("simple", g, len(mu), len(nu)).b)
 
 
 # -- hypergeometric tau coefficients --------------------------------------------
 
 
-def _box_product(lam: tuple, wcaps: tuple, zcaps: tuple) -> dict:
+def box_product(lam: tuple, wcaps: tuple, zcaps: tuple) -> dict:
     """Expand prod over boxes of prod_a (1 + content*w_a) / prod_b (1 - content*z_b).
 
     Truncated at the given per-variable caps; keys are (w-exponents,
@@ -183,7 +175,7 @@ def tau_coefficient(n: int, mu, nu, c, d) -> Fraction:
         ch = character(lam, mu) * character(lam, nu)
         if not ch:
             continue
-        box = _box_product(lam, c, d).get((c, d), 0)
+        box = box_product(lam, c, d).get((c, d), 0)
         if box:
             total += Fraction(ch * box, centralizer_size(mu) * centralizer_size(nu))
     return total

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .charactereval import hurwitz_connected_simple, hurwitz_disconnected
 from .oracle import BoundExceeded, FactorizationSpec, count_factorizations
-from .partitions import SizeMismatch
+from .partitions import PURE_KINDS, Signature, SizeMismatch
 from .wedge import (
     DegenerateSignature,
     OnWall,
@@ -36,8 +36,6 @@ EXIT_USAGE = 2
 EXIT_ON_WALL = 3
 EXIT_BOUND = 4
 EXIT_DEGENERATE = 5
-
-PURE_KINDS = ("simple", "monotone", "strict")
 
 
 class _UsageError(Exception):
@@ -59,26 +57,18 @@ def _parts(text: str) -> tuple:
     return out
 
 
-def _signature(args) -> tuple:
-    """(p, q, r) from --g or --p/--q/--r, depending on the type."""
+def _signature(args, m: int, n: int) -> Signature:
+    """The budgets from --g or --p/--q/--r, depending on the type."""
     has_pqr = any(v is not None for v in (args.p, args.q, args.r))
     if args.type == "mixed":
         if args.g is not None or not has_pqr:
             raise _UsageError("mixed type takes --p/--q/--r, not --g")
-        p, q, r = args.p or 0, args.q or 0, args.r or 0
-        if min(p, q, r) < 0:
-            raise _UsageError("--p/--q/--r must be >= 0")
-        return p, q, r
-    if has_pqr or args.g is None:
-        raise _UsageError(f"type {args.type} takes --g, not --p/--q/--r")
-    if args.g < 0:
-        raise _UsageError("--g must be >= 0")
-    return args.g, None, None
-
-
-def _pure_pqr(kind: str, g: int, m: int, n: int) -> tuple:
-    b = 2 * g - 2 + m + n  # >= 0 whenever g >= 0 and the profiles are nonempty
-    return {"simple": (b, 0, 0), "monotone": (0, b, 0), "strict": (0, 0, b)}[kind]
+        given = (args.p or 0, args.q or 0, args.r or 0)
+    else:
+        if has_pqr or args.g is None:
+            raise _UsageError(f"type {args.type} takes --g, not --p/--q/--r")
+        given = args.g
+    return Signature.of(args.type, given, m, n)  # ValueError exits 2
 
 
 def _emit(payload: dict, out_path) -> None:
@@ -91,12 +81,8 @@ def _emit(payload: dict, out_path) -> None:
 
 def cmd_compute(args) -> int:
     mu, nu = _parts(args.mu), _parts(args.nu)
-    sig = _signature(args)
-    if args.type == "mixed":
-        p, q, r = sig
-    else:
-        g = sig[0]
-        p, q, r = _pure_pqr(args.type, g, len(mu), len(nu))
+    sig = _signature(args, len(mu), len(nu))
+    p, q, r = sig
     if args.connected:
         if args.method == "chamber":
             raise _UsageError("--connected is not available for --method chamber")
@@ -108,17 +94,13 @@ def cmd_compute(args) -> int:
         value = count_factorizations(spec).value
     elif args.method == "character":
         if args.connected:
-            b = p + q + r
-            if (b - len(mu) - len(nu)) % 2 or b < len(mu) + len(nu) - 2:
-                value = Fraction(0)
-            else:
-                g = (b - len(mu) - len(nu) + 2) // 2
-                value = hurwitz_connected_simple(mu, nu, g)
+            g = sig.genus(len(mu), len(nu))
+            value = Fraction(0) if g is None else hurwitz_connected_simple(mu, nu, g)
         else:
             value = hurwitz_disconnected(mu, nu, p, q, r)
     else:  # chamber
         ch = chamber_of(mu, nu)
-        poly = chamber_polynomial("mixed", (p, q, r), ch)
+        poly = chamber_polynomial("mixed", sig, ch)
         value = evaluate(poly, mu, nu)
 
     payload = {
@@ -157,10 +139,9 @@ def cmd_chamber_poly(args) -> int:
         raise _UsageError(
             f"--sample has shape ({len(mu)},{len(nu)}), flags say ({args.m},{args.n})"
         )
-    sig = _signature(args)
-    signature = sig if args.type == "mixed" else sig[0]
+    sig = _signature(args, args.m, args.n)
     ch = chamber_of(mu, nu)
-    poly = chamber_polynomial(args.type, signature, ch)
+    poly = chamber_polynomial("mixed", sig, ch)
     payload = {
         "chamber": {
             "sample": {"mu": list(mu), "nu": list(nu)},
@@ -176,14 +157,24 @@ def cmd_chamber_poly(args) -> int:
     return EXIT_OK
 
 
+# the flags each suite reads; any other flag given is an error
+_SUITE_FLAGS = {
+    "equality": ("dmax", "bmax"),
+    "conventions": ("dmax", "bmax"),
+    "tau": ("dmax", "bmax"),
+    "constant-term": ("g",),
+}
+
+
 def cmd_verify(args) -> int:
-    kwargs = {}
-    if args.suite in ("equality", "conventions"):
-        kwargs = {"dmax": args.dmax, "bmax": args.bmax}
-    elif args.suite == "tau":
-        kwargs = {"nmax": min(args.dmax, 4), "emax": min(args.bmax, 3)}
-    elif args.suite == "constant-term" and args.g is not None:
-        kwargs = {"g": args.g}
+    takes = _SUITE_FLAGS.get(args.suite, ())
+    given = {f: getattr(args, f) for f in ("dmax", "bmax", "g") if getattr(args, f) is not None}
+    ignored = [f"--{f}" for f in given if f not in takes]
+    if ignored:
+        raise _UsageError(f"suite {args.suite} does not take {', '.join(ignored)}")
+    kwargs = given
+    if args.suite == "tau":
+        kwargs = {k: min(given[f], cap) for f, k, cap in (("dmax", "nmax", 4), ("bmax", "emax", 3)) if f in given}
     report = verify_mod.run_suite(args.suite, **kwargs)
     status = "PASS" if report["ok"] else "FAIL"
     print(f"suite {args.suite}: {status} ({report['count']} instances, "
@@ -228,8 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run one verification suite")
     pv.add_argument("--suite", required=True, choices=sorted(verify_mod.SUITES))
-    pv.add_argument("--dmax", type=int, default=5)
-    pv.add_argument("--bmax", type=int, default=4)
+    pv.add_argument("--dmax", type=int)
+    pv.add_argument("--bmax", type=int)
     pv.add_argument("--g", type=int)
     pv.add_argument("--out")
     pv.set_defaults(func=cmd_verify)

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import permutations as _all_perms
 from math import factorial
 
-from .partitions import SizeMismatch, check_composition, multiplicity_factor, partitions
+from .partitions import SizeMismatch, Signature, check_composition, multiplicity_factor, partitions
 
 
 class BoundExceeded(ValueError):
@@ -115,10 +115,7 @@ class FactorizationSpec:
 
     def genus(self):
         """Integer genus g with b = 2g-2+m+n, or None when no valid g exists."""
-        twice = self.b + 2 - len(self.mu) - len(self.nu)
-        if twice < 0 or twice % 2:
-            return None
-        return twice // 2
+        return Signature(self.p, self.q, self.r).genus(len(self.mu), len(self.nu))
 
 
 @dataclass(frozen=True)

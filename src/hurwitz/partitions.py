@@ -6,10 +6,15 @@ integers) because the parts carry labels; characters only depend on the
 underlying partition and sort internally.  Characters use the
 Murnaghan-Nakayama recursion on beta-numbers (first-column hook lengths),
 memoized over (shape, remaining cycle lengths).
+
+`Signature` is the one place where a kind and its genus or budgets become
+the transposition budgets (p, q, r) and where a genus is read back from
+b = p + q + r = 2g - 2 + m + n.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -17,6 +22,52 @@ from math import factorial
 
 class SizeMismatch(ValueError):
     """Two profiles/shapes that must have equal size do not."""
+
+
+PURE_KINDS = ("simple", "monotone", "strict")
+
+
+@dataclass(frozen=True)
+class Signature:
+    """Budgets of free (p), weakly monotone (q) and strictly monotone (r)
+    transpositions.  The pure kinds are the triples with one nonzero budget."""
+
+    p: int
+    q: int
+    r: int
+
+    @classmethod
+    def of(cls, kind: str, signature, m: int, n: int) -> "Signature":
+        """Read a genus for a pure kind, or a triple (p, q, r) for "mixed"."""
+        if kind == "mixed":
+            p, q, r = signature
+            if min(p, q, r) < 0:
+                raise ValueError("p, q, r must be >= 0")
+            return cls(p, q, r)
+        if kind not in PURE_KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        if signature < 0:
+            raise ValueError("genus must be >= 0")
+        b = 2 * signature - 2 + m + n
+        return cls(*(b if k == kind else 0 for k in PURE_KINDS))
+
+    def __iter__(self):
+        return iter((self.p, self.q, self.r))
+
+    @property
+    def b(self) -> int:
+        return self.p + self.q + self.r
+
+    def genus(self, m: int, n: int):
+        """Integer genus g with b = 2g-2+m+n, or None when no valid g exists."""
+        twice = self.b + 2 - m - n
+        if twice < 0 or twice % 2:
+            return None
+        return twice // 2
+
+    def degenerate(self, m: int, n: int) -> bool:
+        """(g, m+n) = (0, 2): the count is 1/d, not polynomial in the parts."""
+        return self.b == 0 and m + n == 2
 
 
 def check_composition(parts) -> tuple:

@@ -21,11 +21,11 @@ from .charactereval import (
     hurwitz_disconnected,
     tau_coefficient,
     tau_dictionary_value,
-    _box_product,
+    box_product,
     tau_series_factored,
 )
 from .oracle import BoundExceeded, FactorizationSpec, count_factorizations
-from .partitions import compositions, partitions
+from .partitions import Signature, compositions, partitions
 from .wallcross import WallCrossingProblem, verify_wallcrossing
 from .wedge import (
     DegenerateSignature,
@@ -61,10 +61,6 @@ def _report(suite: str, instances, failures) -> dict:
     }
 
 
-def _valid_genus(d: int, m: int, n: int, b: int) -> bool:
-    return (b - m - n) % 2 == 0 and b >= m + n - 2
-
-
 def suite_equality(dmax: int = 5, bmax: int = 4) -> dict:
     """Oracle, character sums, and chamber polynomials agree pointwise."""
     _guard(dmax, bmax)
@@ -82,7 +78,7 @@ def suite_equality(dmax: int = 5, bmax: int = 4) -> dict:
             for nu in parts:
                 m, n = len(mu), len(nu)
                 for p, q, r in splits:
-                    if not _valid_genus(d, m, n, p + q + r):
+                    if Signature(p, q, r).genus(m, n) is None:
                         continue
                     a = count_factorizations(FactorizationSpec(mu, nu, p, q, r)).value
                     c = hurwitz_disconnected(mu, nu, p, q, r)
@@ -99,11 +95,9 @@ def suite_equality(dmax: int = 5, bmax: int = 4) -> dict:
                 except OnWall:
                     continue
                 for p, q, r in splits:
-                    b = p + q + r
-                    if not _valid_genus(d, m, n, b):
-                        continue
-                    if b == 0 and m + n == 2:
-                        continue  # no polynomial for this signature
+                    sig = Signature(p, q, r)
+                    if sig.genus(m, n) is None or sig.degenerate(m, n):
+                        continue  # a zero count, or no polynomial
                     c = hurwitz_disconnected(mu, nu, p, q, r)
                     v = evaluate(chamber_polynomial("mixed", (p, q, r), ch), mu, nu)
                     line = f"d={d} mu={mu} nu={nu} pqr=({p},{q},{r}): character={c} chamber={v}"
@@ -136,7 +130,7 @@ def suite_degree() -> dict:
     cases = [(0, 1, 2), (0, 1, 3), (0, 2, 2), (1, 1, 1), (1, 1, 2), (1, 2, 1)]
     instances, failures = [], []
     for g, m, n in cases:
-        b = 2 * g - 2 + m + n
+        b = Signature.of("simple", g, m, n).b
         bound = 4 * g - 3 + m + n
         sigs = [("simple", g), ("monotone", g), ("strict", g)]
         sigs += [
@@ -156,7 +150,7 @@ def suite_degree() -> dict:
 def _closed_form_constant(g: int, m: int, n: int) -> Fraction | None:
     """-(2g-3+m+n)! (2g-1) B_{2g} / (2g)!, that is (2g-3+m+n)! [z^{2g}] S(z)^{-2};
     None where the factorial is undefined, (g, m+n) = (0, 2)."""
-    k = 2 * g - 3 + m + n
+    k = Signature.of("monotone", g, m, n).b - 1  # 2g - 3 + m + n
     if k < 0:
         return None
     return -factorial(k) * (2 * g - 1) * bernoulli(2 * g) / factorial(2 * g)
@@ -236,7 +230,7 @@ def suite_tau(nmax: int = 4, emax: int = 3) -> dict:
     instances, failures = [], []
     for nn in range(1, nmax + 1):
         for lam in partitions(nn):
-            a = _box_product(lam, (emax,), (emax,))
+            a = box_product(lam, (emax,), (emax,))
             bseries = tau_series_factored(lam, (emax,), (emax,))
             ok = a == bseries
             line = f"lambda={lam}: per-box product == factored-moment series ({'ok' if ok else 'MISMATCH'})"
@@ -248,7 +242,7 @@ def suite_tau(nmax: int = 4, emax: int = 3) -> dict:
                 m, n = len(mu), len(nu)
                 for qq in range(emax + 1):
                     for rr in range(emax + 1 - qq):
-                        if not _valid_genus(nn, m, n, qq + rr):
+                        if Signature(0, qq, rr).genus(m, n) is None:
                             continue
                         lhs = tau_dictionary_value(mu, nu, qq, rr)
                         rhs = hurwitz_disconnected(mu, nu, 0, qq, rr)
@@ -270,7 +264,7 @@ def suite_conventions(dmax: int = 5, bmax: int = 4) -> dict:
             for nu in parts:
                 m, n = len(mu), len(nu)
                 for q in range(1, bmax + 1):
-                    if not _valid_genus(d, m, n, q):
+                    if Signature(0, q, 0).genus(m, n) is None:
                         continue
                     spec = FactorizationSpec(mu, nu, 0, q, 0)
                     a = count_factorizations(spec, convention="smaller").value

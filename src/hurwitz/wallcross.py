@@ -12,27 +12,38 @@ mu_I - nu_J joining one profile on each side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 from typing import Optional, Union
 
 from .algebra import TruncSeries, falling_factorial, rising_factorial, s_of, s_power_series
-from .partitions import check_composition
+from .partitions import Signature, check_composition
 from .wedge import (
     Chamber,
     OnWall,
     Wall,
     chamber_of,
     chamber_polynomial,
+    commutation_patterns,
+    materialize,
     walls,
-    _materialize,
-    _patterns,
 )
 
 
 class InvalidSplit(ValueError):
     """delta = mu_I - nu_J is not positive where it has to be."""
+
+
+# The refined series of each kind, per nu-part j of value v: each marker
+# variable (letter + j) carries sum_k f(v, k) * marker^k with f the rising or
+# falling factorial, and each expansion variable carries S^(sign * v - 1) and
+# the operator argument 1.  The mixed kind also has the variable X.
+_SERIES = {
+    "monotone": ({"u": rising_factorial}, {"z": 1}),
+    "strict": ({"u": falling_factorial}, {"z": -1}),
+    "mixed": ({"t": rising_factorial, "u": falling_factorial}, {"y": 1, "z": -1}),
+}
 
 
 @dataclass
@@ -42,10 +53,12 @@ class WallCrossingProblem:
     c2: Chamber
     kind: str  # monotone | strict | mixed
     signature: Union[int, tuple]  # genus, or (p, q, r) for mixed
+    budgets: Signature = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in ("monotone", "strict", "mixed"):
+        if self.kind not in _SERIES:
             raise ValueError(f"unknown kind {self.kind!r}")
+        self.budgets = Signature.of(self.kind, self.signature, self.c1.m, self.c1.n)
         if (self.c1.m, self.c1.n) != (self.c2.m, self.c2.n):
             raise ValueError("chambers live in different arrangements")
         if (self.wall.m, self.wall.n) != (self.c1.m, self.c1.n):
@@ -56,18 +69,6 @@ class WallCrossingProblem:
         if self.c1.key() != self.c2.key():
             if self.c2.sign(self.wall) != 1 or self.c1.sign(self.wall) != -1:
                 raise InvalidSplit("need delta < 0 on c1 and delta > 0 on c2")
-
-    @property
-    def b(self) -> int:
-        if self.kind == "mixed":
-            return sum(self.signature)
-        return 2 * self.signature - 2 + self.c1.m + self.c1.n
-
-    def pqr(self) -> tuple:
-        if self.kind == "mixed":
-            return tuple(self.signature)
-        b = self.b
-        return {"monotone": (0, b, 0), "strict": (0, 0, b)}[self.kind]
 
 
 def wallcrossing_polynomial(problem: WallCrossingProblem):
@@ -81,21 +82,13 @@ def wallcrossing_polynomial(problem: WallCrossingProblem):
 
 
 def _space(kind: str, n: int, order: int):
-    if kind == "monotone" or kind == "strict":
-        names = tuple([f"u{j}" for j in range(1, n + 1)] + [f"z{j}" for j in range(1, n + 1)])
-    elif kind == "mixed":
-        names = tuple(
-            [f"t{j}" for j in range(1, n + 1)]
-            + [f"u{j}" for j in range(1, n + 1)]
-            + ["X"]
-            + [f"y{j}" for j in range(1, n + 1)]
-            + [f"z{j}" for j in range(1, n + 1)]
-        )
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    markers, expansions = _SERIES[kind]
+    names = [f"{x}{j}" for x in markers for j in range(1, n + 1)]
+    names += ["X"] if kind == "mixed" else []
+    names += [f"{x}{j}" for x in expansions for j in range(1, n + 1)]
     caps = (order,) * len(names)
     blocks = ((tuple(range(len(names))), order),)
-    return names, caps, blocks
+    return tuple(names), caps, blocks
 
 
 @dataclass(frozen=True)
@@ -122,72 +115,35 @@ def _h_series(kind, mu_parts, slots, space, order, delta=None, chamber=None):
     mu_vals = tuple(int(x) for x in mu_parts)
     ch = chamber if chamber is not None else chamber_of(mu_vals, nu_vals)
 
+    markers, expansions = _SERIES[kind]
     energies = {("mu", i + 1): Fraction(v) for i, v in enumerate(mu_vals)}
     energies.update({("nu", j + 1): Fraction(s.value) for j, s in enumerate(slots)})
     args = {}
     for jj, s in enumerate(slots, start=1):
         if s.index is None:
             args[("nu", jj)] = {"X": Fraction(delta)} if kind == "mixed" else {}
-        elif kind == "mixed":
-            args[("nu", jj)] = {"X": Fraction(s.value), f"y{s.index}": 1, f"z{s.index}": 1}
-        else:
-            args[("nu", jj)] = {f"z{s.index}": 1}
+            continue
+        args[("nu", jj)] = {f"{x}{s.index}": 1 for x in expansions}
+        if kind == "mixed":
+            args[("nu", jj)]["X"] = Fraction(s.value)
 
-    _, _, vec = ch.key()
-    corr = _materialize(_patterns(ch.m, ch.n, vec), space, None, energies, args)
-
-    out = corr
+    out = materialize(commutation_patterns(ch), space, None, energies, args)
     for s in slots:
         if s.index is None:
             continue  # extraction at marker power 0 with zero argument
         v = Fraction(s.value)
-        if kind == "monotone":
-            marker = {(0,) * len(names): Fraction(1)}
-            uix = names.index(f"u{s.index}")
-            for k in range(1, order + 1):
+        for x, fact in markers.items():
+            ix = names.index(f"{x}{s.index}")
+            marker = {}
+            for k in range(order + 1):
                 e = [0] * len(names)
-                e[uix] = k
-                marker[tuple(e)] = rising_factorial(v, k)
+                e[ix] = k
+                marker[tuple(e)] = fact(v, k)
             out = out * TruncSeries(names, caps, None, marker, blocks)
-            out = out * _lift_single(s_power_series(v - 1, f"z{s.index}", order), space)
-        elif kind == "strict":
-            marker = {(0,) * len(names): Fraction(1)}
-            uix = names.index(f"u{s.index}")
-            for k in range(1, order + 1):
-                e = [0] * len(names)
-                e[uix] = k
-                marker[tuple(e)] = falling_factorial(v, k)
-            out = out * TruncSeries(names, caps, None, marker, blocks)
-            out = out * _lift_single(s_power_series(-v - 1, f"z{s.index}", order), space)
-        else:
-            marker = {(0,) * len(names): Fraction(1)}
-            tix, uix = names.index(f"t{s.index}"), names.index(f"u{s.index}")
-            for k in range(1, order + 1):
-                e = [0] * len(names)
-                e[tix] = k
-                marker[tuple(e)] = rising_factorial(v, k)
-            out = out * TruncSeries(names, caps, None, marker, blocks)
-            marker = {(0,) * len(names): Fraction(1)}
-            for k in range(1, order + 1):
-                e = [0] * len(names)
-                e[uix] = k
-                marker[tuple(e)] = falling_factorial(v, k)
-            out = out * TruncSeries(names, caps, None, marker, blocks)
-            out = out * _lift_single(s_power_series(v - 1, f"y{s.index}", order), space)
-            out = out * _lift_single(s_power_series(-v - 1, f"z{s.index}", order), space)
+        for x, sign in expansions.items():
+            out = out * s_power_series(sign * v - 1, f"{x}{s.index}", order).lift(*space)
     norm = prod(mu_vals) * prod(int(s.value) for s in slots)
     return out.scalar_mul(Fraction(1, norm))
-
-
-def _lift_single(single: TruncSeries, space) -> TruncSeries:
-    names, caps, blocks = space
-    i = names.index(single.vars[0])
-    data = {}
-    for e, c in single.data.items():
-        key = [0] * len(names)
-        key[i] = e[0]
-        data[tuple(key)] = c
-    return TruncSeries(names, caps, None, data, blocks)
 
 
 def refined_series(kind: str, mu, nu, order: int, chamber: Optional[Chamber] = None) -> TruncSeries:
@@ -222,26 +178,21 @@ def _crossing_prefactor(kind, problem, mu, nu, delta, space) -> TruncSeries:
     J = set(problem.wall.J)
     Jc = [j for j in range(1, n + 1) if j not in J]
 
+    _, expansions = _SERIES[kind]
+
     def argmap(ixs, scale=1, xshift=0):
-        out = {}
-        for j in ixs:
-            if kind == "mixed":
-                out["X"] = out.get("X", Fraction(0)) + Fraction(nu[j - 1]) * scale
-                out[f"y{j}"] = Fraction(scale)
-                out[f"z{j}"] = Fraction(scale)
-            else:
-                out[f"z{j}"] = Fraction(scale)
-        if xshift:
-            out["X"] = out.get("X", Fraction(0)) + Fraction(xshift) * scale
+        out = {f"{x}{j}": Fraction(scale) for j in ixs for x in expansions}
+        if kind == "mixed":
+            out["X"] = (xshift + sum(Fraction(nu[j - 1]) for j in ixs)) * scale
         return out
 
     num = (
-        _s_of_map(space, argmap(sorted(J), 1, delta if kind == "mixed" else 0))
+        _s_of_map(space, argmap(sorted(J), 1, delta))
         * _s_of_map(space, argmap(Jc, 1))
         * _s_of_map(space, argmap(range(1, n + 1), delta))
     )
     den = (
-        _s_of_map(space, argmap(sorted(J), delta, delta if kind == "mixed" else 0))
+        _s_of_map(space, argmap(sorted(J), delta, delta))
         * _s_of_map(space, argmap(Jc, delta))
         * _s_of_map(space, argmap(range(1, n + 1), 1))
     )
@@ -258,7 +209,7 @@ def verify_wallcrossing(problem: WallCrossingProblem, samples, order: Optional[i
     by the pole-free prefactor.
     """
     if order is None:
-        order = problem.b
+        order = problem.budgets.b
     kind = problem.kind
     wall = problem.wall
     report = {"wall": str(wall), "kind": kind, "order": order, "samples": [], "ok": True}

@@ -36,7 +36,7 @@ from .algebra import (
     sigma_of,
     s_of,
 )
-from .partitions import check_composition
+from .partitions import Signature, check_composition
 
 
 class SumMismatch(ValueError):
@@ -192,17 +192,17 @@ def _label_signs(m: int, n: int, signs_by_wall: dict) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def _patterns(m: int, n: int, sign_vector: tuple) -> tuple:
-    signs_by_wall = dict(zip(walls(m, n), sign_vector))
-    lsign = _label_signs(m, n, signs_by_wall)
-    word0 = tuple(
-        [(frozenset([i]), frozenset()) for i in range(1, m + 1)]
-        + [(frozenset(), frozenset([j])) for j in range(1, n + 1)]
-    )
+def _walk(word: tuple, lsign: dict) -> list:
+    """Johnson's commutation walk on a word of labels, as a pattern list.
+
+    The leftmost negative label is commuted one step left: a swap, and a
+    merge that records the factor (left label, right label).  A branch
+    that brings it to the left end dies against the covacuum; the last
+    merge of two labels ends a pattern and records its left label.
+    """
     out = []
 
-    def walk(word, factors):
+    def step(word, factors):
         pos = None
         for k, lab in enumerate(word):
             if lsign[lab] < 0:
@@ -221,11 +221,21 @@ def _patterns(m: int, n: int, sign_vector: tuple) -> tuple:
         else:
             if lsign[merged] == 0:
                 raise ZeroEnergyIntermediate(f"operator {merged} has zero energy")
-            walk(word[: pos - 1] + (merged,) + word[pos + 1 :], factors + ((A, B),))
-        walk(word[: pos - 1] + (B, A) + word[pos + 1 :], factors)
+            step(word[: pos - 1] + (merged,) + word[pos + 1 :], factors + ((A, B),))
+        step(word[: pos - 1] + (B, A) + word[pos + 1 :], factors)
 
-    walk(word0, ())
-    return tuple(out)
+    step(word, ())
+    return out
+
+
+@lru_cache(maxsize=None)
+def _patterns(m: int, n: int, sign_vector: tuple) -> tuple:
+    lsign = _label_signs(m, n, dict(zip(walls(m, n), sign_vector)))
+    word0 = tuple(
+        [(frozenset([i]), frozenset()) for i in range(1, m + 1)]
+        + [(frozenset(), frozenset([j])) for j in range(1, n + 1)]
+    )
+    return tuple(_walk(word0, lsign))
 
 
 def commutation_patterns(chamber: Chamber) -> tuple:
@@ -318,6 +328,8 @@ def johnson_expand(chamber: Chamber, word) -> list:
     word = tuple(word)
     seen_mu, seen_nu = set(), set()
     for op in word:
+        if not op.mu_indices and not op.nu_indices:
+            raise ValueError("operator without indices")
         if op.mu_indices & seen_mu or op.nu_indices & seen_nu:
             raise ValueError("operator word reuses an index")
         if max(op.mu_indices, default=1) > chamber.m or max(op.nu_indices, default=1) > chamber.n:
@@ -330,70 +342,50 @@ def johnson_expand(chamber: Chamber, word) -> list:
         return []
 
     _, _, vec = chamber.key()
-    signs_by_wall = dict(zip(walls(chamber.m, chamber.n), vec))
-    lsign = _label_signs(chamber.m, chamber.n, signs_by_wall)
-    total_arg = ()
-    for op in word:
-        total_arg = _merge_args(total_arg, op.arg)
+    lsign = _label_signs(chamber.m, chamber.n, dict(zip(walls(chamber.m, chamber.n), vec)))
+    labels = tuple((op.mu_indices, op.nu_indices) for op in word)
 
+    def op_of(lab):
+        # a walk label is a union of word labels; its argument is their sum
+        arg = ()
+        for op in word:
+            if op.mu_indices <= lab[0] and op.nu_indices <= lab[1]:
+                arg = _merge_args(arg, op.arg)
+        return EOp(lab[0], lab[1], arg)
+
+    total_arg = op_of((frozenset(seen_mu), frozenset(seen_nu))).arg
     out = []
-
-    def walk(ops, factors):
-        pos = None
-        for k, op in enumerate(ops):
-            if lsign[(op.mu_indices, op.nu_indices)] < 0:
-                pos = k
-                break
-        if pos is None:
-            if len(ops) == 1:
-                raise AssertionError("complete pattern escaped the merge step")
-            raise ZeroEnergyIntermediate(f"no negative operator among {ops}")
-        if pos == 0:
-            return
-        A, B = ops[pos - 1], ops[pos]
-        merged = EOp(
-            A.mu_indices | B.mu_indices,
-            A.nu_indices | B.nu_indices,
-            _merge_args(A.arg, B.arg),
-        )
-        if len(ops) == 2:
-            # the last commutation is carried by final_energy, not factors
-            out.append(SigmaProduct(factors, A.energy(), total_arg))
-        else:
-            if lsign[(merged.mu_indices, merged.nu_indices)] == 0:
-                raise ZeroEnergyIntermediate(f"operator {merged} has zero energy")
-            walk(
-                ops[: pos - 1] + (merged,) + ops[pos + 1 :],
-                factors + ((A.energy(), A.arg, B.energy(), B.arg),),
-            )
-        walk(ops[: pos - 1] + (B, A) + ops[pos + 1 :], factors)
-
-    walk(word, ())
+    for factors, final in _walk(labels, lsign):
+        pairs = tuple((op_of(A), op_of(B)) for A, B in factors)
+        terms = tuple((A.energy(), A.arg, B.energy(), B.arg) for A, B in pairs)
+        # the last commutation is carried by final_energy, not factors
+        out.append(SigmaProduct(terms, op_of(final).energy(), total_arg))
     return out
 
 
 # -- series assembly --------------------------------------------------------------
 
 
-def _space_for(kind: str, m: int, n: int, p: int, q: int, r: int, pad: int = 0):
+def _space_for(sig: Signature, n: int, pad: int = 0):
+    """Series variables of the budgets: X for p, y1..yn for q, z1..zn for r.
+
+    A variable block exists only when its budget is positive; every
+    monomial of an absent block would be dropped by the extraction anyway.
+    """
     names, caps, blocks = [], [], []
-    if kind in ("simple", "mixed"):
+    if sig.p:
         names.append("X")
-        caps.append(p + pad)
-    if kind in ("monotone", "mixed"):
-        ix = len(names)
-        names += [f"y{j}" for j in range(1, n + 1)]
-        caps += [q + pad] * n
-        blocks.append((tuple(range(ix, ix + n)), q + pad))
-    if kind in ("strict", "mixed"):
-        ix = len(names)
-        names += [f"z{j}" for j in range(1, n + 1)]
-        caps += [r + pad] * n
-        blocks.append((tuple(range(ix, ix + n)), r + pad))
+        caps.append(sig.p + pad)
+    for letter, budget in (("y", sig.q), ("z", sig.r)):
+        if budget:
+            ix = len(names)
+            names += [f"{letter}{j}" for j in range(1, n + 1)]
+            caps += [budget + pad] * n
+            blocks.append((tuple(range(ix, ix + n)), budget + pad))
     return tuple(names), tuple(caps), tuple(blocks)
 
 
-def _materialize(patterns, space, ring, energies, args):
+def materialize(patterns, space, ring, energies, args):
     """Sum the sigma-products over all patterns in the given series space.
 
     `energies` maps an operator label to its energy coefficient (MultiPoly
@@ -456,58 +448,50 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber, pad: int = 0) -> 
     """The polynomial giving the count on this chamber, on the weight shell.
 
     `signature` is the genus g for the pure kinds, or a triple (p, q, r) for
-    kind "mixed".  The returned polynomial lives in mu2..mum, nu1..nun; the
+    kind "mixed"; a pure kind is the same polynomial as its budgets spelt as
+    a mixed triple.  The returned polynomial lives in mu2..mum, nu1..nun; the
     first part is eliminated through mu1 = sum(nu) - (mu2 + ... + mum).
     `pad` raises every truncation order (the result must not change).
     """
     m, n = chamber.m, chamber.n
-    if kind == "mixed":
-        p, q, r = signature
-        if min(p, q, r) < 0:
-            raise ValueError("p, q, r must be >= 0")
-    else:
-        g = signature
-        if g < 0:
-            raise ValueError("genus must be >= 0")
-        b = 2 * g - 2 + m + n
-        p, q, r = {"simple": (b, 0, 0), "monotone": (0, b, 0), "strict": (0, 0, b)}[kind]
-    b = p + q + r
-    if b == 0 and m + n == 2:
+    sig = Signature.of(kind, signature, m, n)
+    if sig.degenerate(m, n):
         raise DegenerateSignature("(g, m+n) = (0, 2) counts are 1/d, not polynomial")
 
-    key = (kind, p, q, r, chamber.key(), pad)
+    key = (sig, chamber.key(), pad)
     got = _POLY_CACHE.get(key)
     if got is not None:
         return got
 
+    p, q, r = sig
     names = tuple([f"mu{i}" for i in range(1, m + 1)] + [f"nu{j}" for j in range(1, n + 1)])
     ring = PolyRing(names)
     muv = {i: ring.var(f"mu{i}") for i in range(1, m + 1)}
     nuv = {j: ring.var(f"nu{j}") for j in range(1, n + 1)}
 
-    space = _space_for(kind, m, n, p, q, r, pad)
+    space = _space_for(sig, n, pad)
     vars_, caps, blocks = space
     energies = {("mu", i): muv[i] for i in muv}
     energies.update({("nu", j): nuv[j] for j in nuv})
     args = {}
     for j in range(1, n + 1):
         a = {}
-        if kind in ("simple", "mixed"):
+        if p:
             a["X"] = nuv[j]
-        if kind in ("monotone", "mixed"):
+        if q:
             a[f"y{j}"] = ring.one()
-        if kind in ("strict", "mixed"):
+        if r:
             a[f"z{j}"] = ring.one()
         args[("nu", j)] = a
 
-    corr = _materialize(commutation_patterns(chamber), space, ring, energies, args)
+    corr = materialize(commutation_patterns(chamber), space, ring, energies, args)
 
     pref = TruncSeries.one(vars_, caps, ring, blocks)
     for j in range(1, n + 1):
-        if kind in ("monotone", "mixed"):
-            pref = pref * _embed(s_power_series(nuv[j] - ring.one(), f"y{j}", q + pad, ring), space, ring)
-        if kind in ("strict", "mixed"):
-            pref = pref * _embed(s_power_series(-nuv[j] - ring.one(), f"z{j}", r + pad, ring), space, ring)
+        if q:
+            pref = pref * s_power_series(nuv[j] - ring.one(), f"y{j}", q + pad, ring).lift(*space)
+        if r:
+            pref = pref * s_power_series(-nuv[j] - ring.one(), f"z{j}", r + pad, ring).lift(*space)
     corr = corr * pref
 
     total = ring.zero()
@@ -546,18 +530,6 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber, pad: int = 0) -> 
 
     _POLY_CACHE[key] = total
     return total
-
-
-def _embed(single: TruncSeries, space, ring) -> TruncSeries:
-    """Lift a one-variable series into the joint series space."""
-    vars_, caps, blocks = space
-    i = vars_.index(single.vars[0])
-    data = {}
-    for e, c in single.data.items():
-        key = [0] * len(vars_)
-        key[i] = e[0]
-        data[tuple(key)] = c
-    return TruncSeries(vars_, caps, ring, data, blocks)
 
 
 def evaluate(poly: MultiPoly, mu, nu) -> Fraction:

@@ -14,8 +14,6 @@ from hurwitz.algebra import (
     TruncSeries,
     bernoulli,
     falling_factorial,
-    gen_bernoulli,
-    ratio_of,
     rising_factorial,
     s_of,
     s_power_series,
@@ -129,14 +127,6 @@ def test_s_power_at_zero_exponent_matches_bernoulli(g, expected):
     assert got == -(2 * g - 3) * bernoulli(2 * g - 2) / factorial(2 * g - 2)
 
 
-def test_ratio_of_is_scaled_s_quotient():
-    # sigma(a v)/sigma(v) = a*S(a v)/S(v) with exact coefficients
-    v = TruncSeries.from_linear(("v",), (6,), {"v": 1})
-    got = ratio_of(Fraction(2), v)
-    want = s_of(v.scalar_mul(Fraction(2))) * s_of(v).inverse()
-    assert got == want.scalar_mul(Fraction(2))
-
-
 def test_bernoulli_numbers():
     assert [bernoulli(k) for k in range(7)] == [
         Fraction(1),
@@ -147,11 +137,6 @@ def test_bernoulli_numbers():
         Fraction(0),
         Fraction(1, 42),
     ]
-
-
-def test_gen_bernoulli_reduces_to_plain():
-    for k in range(6):
-        assert gen_bernoulli(k, 1, Fraction(0)) == bernoulli(k)
 
 
 def test_factorial_helpers():

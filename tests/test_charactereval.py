@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hurwitz.charactereval import (
-    _box_product,
+    box_product,
     hurwitz_connected_simple,
     hurwitz_disconnected,
     tau_coefficient,
@@ -93,12 +93,12 @@ def test_tau_degree_one():
 def test_tau_series_two_routes_agree():
     for d in range(1, 5):
         for lam in partitions(d):
-            assert _box_product(lam, (3,), (3,)) == tau_series_factored(lam, (3,), (3,))
+            assert box_product(lam, (3,), (3,)) == tau_series_factored(lam, (3,), (3,))
 
 
 def test_tau_multi_parameter_box_product():
     # two w-parameters: the series must be symmetric under swapping them
-    series = _box_product((2, 1), (2, 2), (1,))
+    series = box_product((2, 1), (2, 2), (1,))
     for (we, ze), cf in series.items():
         swapped = ((we[1], we[0]), ze)
         assert series.get(swapped, 0) == cf

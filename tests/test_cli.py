@@ -183,6 +183,20 @@ def test_verify_constant_term_reports_mismatch(capsys, monkeypatch):
     assert "FAIL" in err
 
 
+def test_verify_rejects_size_flags_the_suite_ignores(capsys):
+    code, out, err = run(capsys, ["verify", "--suite", "degree", "--dmax", "3"])
+    assert code == 2 and "--dmax" in err and not out
+    code, _, err = run(capsys, ["verify", "--suite", "constant-term", "--bmax", "3"])
+    assert code == 2 and "--bmax" in err
+
+
+def test_verify_rejects_genus_flag_the_suite_ignores(capsys):
+    code, out, err = run(capsys, ["verify", "--suite", "equality", "--g", "1"])
+    assert code == 2 and "--g" in err and not out
+    code, _, err = run(capsys, ["verify", "--suite", "wallcross", "--g", "0"])
+    assert code == 2 and "--g" in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, doc, _ = run_json(

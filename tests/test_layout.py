@@ -1,0 +1,70 @@
+"""Package layout rules, read from the source with `ast`.
+
+The three computation routes stay independent, so that their agreement in
+criterion 1 means something: enumeration (`oracle`), character sums
+(`charactereval`) and the commutation walk (`wedge`, `wallcross`) never
+import one another, directly or through another module of the package.
+And no module reaches into another module's private (underscore) names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hurwitz"
+
+ROUTES = {
+    "oracle": {"charactereval", "wedge", "wallcross"},
+    "charactereval": {"oracle", "wedge", "wallcross"},
+    "wedge": {"oracle", "charactereval"},
+    "wallcross": {"oracle", "charactereval"},
+}
+
+
+def _package_imports(module: str):
+    """(imported module, imported name or None) for each in-package import."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:  # from . import x
+                    yield alias.name, None
+                else:
+                    yield node.module, alias.name
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hurwitz"):
+            for alias in node.names:
+                yield node.module.removeprefix("hurwitz").lstrip("."), alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("hurwitz."):
+                    yield alias.name.removeprefix("hurwitz."), None
+
+
+def _modules():
+    return sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+def _reachable(module: str) -> set:
+    seen, todo = set(), [module]
+    while todo:
+        for dep, _ in _package_imports(todo.pop()):
+            if dep and dep not in seen:
+                seen.add(dep)
+                todo.append(dep)
+    return seen
+
+
+def test_package_is_found():
+    assert set(ROUTES) <= set(_modules())
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_routes_stay_independent(route):
+    assert not _reachable(route) & ROUTES[route]
+
+
+@pytest.mark.parametrize("module", _modules())
+def test_no_private_names_cross_modules(module):
+    private = [f"{dep}.{name}" for dep, name in _package_imports(module) if name and name.startswith("_")]
+    assert not private

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitz.partitions import (
+    Signature,
     SizeMismatch,
     centralizer_size,
     character,
@@ -150,3 +151,35 @@ def test_partitions_weakly_decreasing(d):
     for lam in partitions(d):
         assert sum(lam) == d
         assert all(a >= b for a, b in zip(lam, lam[1:]))
+
+
+def test_signature_genus_gate():
+    assert Signature(0, 2, 0).b == 2
+    assert Signature(0, 2, 0).genus(2, 2) == 0
+    assert Signature(1, 1, 2).genus(2, 2) == 1
+    assert Signature(1, 0, 0).genus(2, 2) is None  # odd parity
+    assert Signature(0, 0, 1).genus(2, 3) is None  # negative genus
+    assert Signature(0, 0, 0).degenerate(1, 1)
+    assert not Signature(0, 0, 2).degenerate(1, 1)
+    assert not Signature(0, 0, 1).degenerate(1, 2)
+
+
+def test_signature_of_each_kind():
+    # b = 2g - 2 + m + n goes to the budget of the kind
+    assert Signature.of("simple", 1, 2, 1) == Signature(3, 0, 0)
+    assert Signature.of("monotone", 0, 2, 2) == Signature(0, 2, 0)
+    assert Signature.of("strict", 2, 1, 1) == Signature(0, 0, 4)
+    assert Signature.of("mixed", (1, 1, 0), 2, 2) == Signature(1, 1, 0)
+    assert Signature.of("mixed", Signature(1, 1, 0), 2, 2) == Signature(1, 1, 0)
+    for kind in ("simple", "monotone", "strict"):
+        assert Signature.of(kind, 2, 1, 2).genus(1, 2) == 2
+    assert tuple(Signature(3, 1, 2)) == (3, 1, 2)
+
+
+def test_signature_of_rejects():
+    with pytest.raises(ValueError):
+        Signature.of("monotone", -1, 1, 1)  # negative genus
+    with pytest.raises(ValueError):
+        Signature.of("mixed", (1, -1, 0), 1, 1)  # negative budget
+    with pytest.raises(ValueError):
+        Signature.of("double", 0, 1, 1)  # unknown kind

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from hurwitz.charactereval import hurwitz_disconnected
+from hurwitz.partitions import Signature
 from hurwitz.wallcross import (
     InvalidSplit,
     WallCrossingProblem,
@@ -38,7 +39,7 @@ def _diag_pure(kind, mu, nu, b):
 
 def test_problem_validation():
     prob = WallCrossingProblem(WALL, C1, C2, "monotone", 0)
-    assert prob.b == 2 and prob.pqr() == (0, 2, 0)
+    assert prob.budgets.b == 2 and prob.budgets == Signature(0, 2, 0)
     with pytest.raises(InvalidSplit):
         WallCrossingProblem(WALL, C2, C1, "monotone", 0)  # orientation flipped
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from hurwitz.charactereval import hurwitz_disconnected
+from hurwitz.partitions import Signature
 from hurwitz.wedge import (
     ArityMismatch,
     Chamber,
@@ -181,3 +182,36 @@ def test_parity_invalid_signature_gives_zero():
     ch = chamber_of((3, 1), (2, 2))
     poly = chamber_polynomial("mixed", (1, 0, 0), ch)
     assert poly.is_zero()
+
+
+def test_pure_kind_is_a_spelling_of_its_budgets():
+    ch = chamber_of((3, 1), (2, 2))
+    for kind in ("simple", "monotone", "strict"):
+        for g in (0, 1):
+            pqr = tuple(Signature.of(kind, g, 2, 2))
+            assert chamber_polynomial(kind, g, ch) is chamber_polynomial("mixed", pqr, ch)
+
+
+def test_johnson_expand_permuted_word_with_merged_operator():
+    # nu3 ahead of nu1, and mu1 merged with nu2 into one operator
+    ch = chamber_of((3, 3), (4, 1, 1))
+    word = (
+        EOp.make([2], []),
+        EOp.make([1], [2], {"z2": 1}),
+        EOp.make([], [3], {"z3": 1}),
+        EOp.make([], [1], {"z1": 1}),
+    )
+    assert [str(s) for s in johnson_expand(ch, word)] == [
+        "sigma((mu1 - nu2)*[(1)*z3] - (-nu3)*[(1)*z2]) * "
+        "sigma((mu1 - nu2 - nu3)*[(1)*z1] - (-nu1)*[(1)*z2 + (1)*z3]) * "
+        "sigma((mu2)*[(1)*z1 + (1)*z2 + (1)*z3]) / sigma((1)*z1 + (1)*z2 + (1)*z3)",
+        "sigma((mu2)*[(1)*z3] - (-nu3)*[0]) * "
+        "sigma((mu1 - nu2)*[(1)*z1] - (-nu1)*[(1)*z2]) * "
+        "sigma((mu2 - nu3)*[(1)*z1 + (1)*z2 + (1)*z3]) / sigma((1)*z1 + (1)*z2 + (1)*z3)",
+    ]
+
+
+def test_johnson_expand_rejects_operator_without_indices():
+    ch = chamber_of((3,), (1, 2))
+    with pytest.raises(ValueError):
+        johnson_expand(ch, (EOp.make([], [], {"z9": 1}),) + standard_word(1, 2))
