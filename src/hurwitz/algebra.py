@@ -29,7 +29,6 @@ __all__ = [
     "MultiPoly",
     "LinearForm",
     "TruncSeries",
-    "exact_divide",
     "sigma_of",
     "s_of",
     "sigma_series",
@@ -190,14 +189,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- queries -----------------------------------------------------------
 
     def total_degree(self) -> int:
@@ -307,11 +298,6 @@ class MultiPoly:
         return out.replace("+ -", "- ")
 
     __repr__ = __str__
-
-
-def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Functional alias for MultiPoly.exact_divide."""
-    return p.exact_divide(q)
 
 
 class LinearForm:
@@ -524,14 +510,6 @@ class TruncSeries:
         if not c:
             return self.zero_like()
         return TruncSeries(self.vars, self.caps, self.ring, {e: cf * c for e, cf in self.data.items()}, self.blocks)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative series power; use inverse() first")
-        out = self.one_like()
-        for _ in range(k):
-            out = out * self
-        return out
 
     def inverse(self) -> "TruncSeries":
         """Inverse of a unit series whose constant term is exactly 1."""

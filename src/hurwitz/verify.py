@@ -13,13 +13,11 @@ conventions agree on symmetric-group counts).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
 from math import factorial
 
 from .algebra import bernoulli
 from .charactereval import (
     hurwitz_disconnected,
-    tau_coefficient,
     tau_dictionary_value,
     box_product,
     tau_series_factored,

@@ -17,15 +17,15 @@ from fractions import Fraction
 from math import prod
 from typing import Optional, Union
 
-from .algebra import TruncSeries, falling_factorial, rising_factorial, s_of, s_power_series
+from .algebra import LinearForm, TruncSeries, falling_factorial, rising_factorial, s_of, s_power_series
 from .partitions import Signature, check_composition
 from .wedge import (
     Chamber,
-    OnWall,
+    EOp,
     Wall,
     chamber_of,
     chamber_polynomial,
-    commutation_patterns,
+    johnson_expand,
     materialize,
     walls,
 )
@@ -103,12 +103,13 @@ class _Slot:
     index: Optional[int]
 
 
-def _h_series(kind, mu_parts, slots, space, order, delta=None, chamber=None):
+def _h_series(kind, mu_parts, slots, space, order, chamber=None):
     """The refined series of one (possibly split) profile, in ambient vars.
 
     mu_parts: the mu-side parts (Fractions; may include the delta part).
     slots: nu-side _Slot list, in profile order.
-    For kind "mixed" a delta slot contributes the operator argument X*delta.
+    For kind "mixed" every slot, the delta slot included, carries the
+    operator argument X * (its value).
     """
     names, caps, blocks = space
     nu_vals = tuple(int(s.value) for s in slots)
@@ -116,18 +117,16 @@ def _h_series(kind, mu_parts, slots, space, order, delta=None, chamber=None):
     ch = chamber if chamber is not None else chamber_of(mu_vals, nu_vals)
 
     markers, expansions = _SERIES[kind]
-    energies = {("mu", i + 1): Fraction(v) for i, v in enumerate(mu_vals)}
-    energies.update({("nu", j + 1): Fraction(s.value) for j, s in enumerate(slots)})
-    args = {}
+    word = [EOp.make([i], []) for i in range(1, len(mu_vals) + 1)]
     for jj, s in enumerate(slots, start=1):
-        if s.index is None:
-            args[("nu", jj)] = {"X": Fraction(delta)} if kind == "mixed" else {}
-            continue
-        args[("nu", jj)] = {f"{x}{s.index}": 1 for x in expansions}
-        if kind == "mixed":
-            args[("nu", jj)]["X"] = Fraction(s.value)
+        arg = {"X": LinearForm.unit(f"nu{jj}")} if kind == "mixed" else {}
+        if s.index is not None:
+            arg.update({f"{x}{s.index}": 1 for x in expansions})
+        word.append(EOp.make([], [jj], arg))
+    point = {f"mu{i}": v for i, v in enumerate(mu_vals, start=1)}
+    point.update({f"nu{j}": v for j, v in enumerate(nu_vals, start=1)})
 
-    out = materialize(commutation_patterns(ch), space, None, energies, args)
+    out = materialize(johnson_expand(ch, word), space, None, point)
     for s in slots:
         if s.index is None:
             continue  # extraction at marker power 0 with zero argument
@@ -233,8 +232,8 @@ def verify_wallcrossing(problem: WallCrossingProblem, samples, order: Optional[i
         mu_Ic = [Fraction(mu[i - 1]) for i in range(1, len(mu) + 1) if i not in I]
         slots_J = [_Slot(Fraction(nu[j - 1]), j) for j in sorted(J)] + [_Slot(Fraction(delta), None)]
         slots_Jc = [_Slot(Fraction(nu[j - 1]), j) for j in range(1, len(nu) + 1) if j not in J]
-        f1 = _h_series(kind, mu_I, slots_J, space, order, delta=delta)
-        f2 = _h_series(kind, mu_Ic + [Fraction(delta)], slots_Jc, space, order, delta=delta)
+        f1 = _h_series(kind, mu_I, slots_J, space, order)
+        f2 = _h_series(kind, mu_Ic + [Fraction(delta)], slots_Jc, space, order)
         rhs = _crossing_prefactor(kind, problem, mu, nu, delta, space) * f1 * f2
 
         entry = {

@@ -1,9 +1,9 @@
-"""Chambers, operator commutation patterns, and chamber polynomials.
+"""Chambers, Johnson's commutation walk, and chamber polynomials.
 
 The parameter space of profile pairs (mu, nu) with equal weight is cut by
 the hyperplanes mu_I = nu_J into chambers.  On each chamber the counts are
-polynomial in the parts, and the polynomial is assembled from a finite set
-of commutation patterns: starting from the operator word
+polynomial in the parts, and every count is computed from the sigma-products
+of Johnson's commutation algorithm: starting from an operator word such as
 
     E(mu_1) ... E(mu_m) E(-nu_1) ... E(-nu_n)
 
@@ -11,8 +11,11 @@ the leftmost negative-energy operator is commuted toward the left end,
 branching into a swap (no factor) and a merge (one recorded factor) at
 every step, until it either hits the left end (the branch dies against the
 covacuum) or everything has merged into a single zero-energy operator.
-Which operators count as negative is determined purely by the chamber's
-wall signs, so the pattern set is a function of the sign vector alone.
+An operator absorbing mu_I and nu_J has energy mu_I - nu_J, so which
+operators count as negative is read off the chamber's sample point, and the
+pattern set is the same throughout the chamber.  `johnson_expand` turns the
+patterns into sigma-products of linear forms, and `materialize` turns those
+into a series, with polynomial or numeric coefficients.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .algebra import (
     MultiPoly,
     PolyRing,
     TruncSeries,
-    exact_divide,
     falling_factorial,
     rising_factorial,
     s_power_series,
@@ -130,11 +132,20 @@ class Chamber:
     sample: tuple
     signs: dict = field(repr=False)
 
+    def __post_init__(self):
+        self._key = (self.m, self.n, tuple(self.signs[w] for w in walls(self.m, self.n)))
+
     def sign(self, wall: Wall) -> int:
         return self.signs[wall]
 
+    def label_sign(self, label) -> int:
+        """The sign of mu_I - nu_J at the sample, for a label (I, J)."""
+        mu, nu = self.sample
+        v = sum(mu[i - 1] for i in label[0]) - sum(nu[j - 1] for j in label[1])
+        return (v > 0) - (v < 0)
+
     def key(self) -> tuple:
-        return (self.m, self.n, tuple(self.signs[w] for w in walls(self.m, self.n)))
+        return self._key
 
     def __eq__(self, other):
         return isinstance(other, Chamber) and self.key() == other.key()
@@ -166,51 +177,24 @@ def chamber_of(mu, nu) -> Chamber:
 # factors (left label, right label) plus the left label of the final merge.
 
 
-def _label_signs(m: int, n: int, signs_by_wall: dict) -> dict:
-    full = (frozenset(range(1, m + 1)), frozenset(range(1, n + 1)))
-    out = {}
-    for ki in range(0, m + 1):
-        for I in combinations(range(1, m + 1), ki):
-            for kj in range(0, n + 1):
-                for J in combinations(range(1, n + 1), kj):
-                    lab = (frozenset(I), frozenset(J))
-                    if lab == full:
-                        out[lab] = 0
-                    elif not I and not J:
-                        out[lab] = 0
-                    elif not J and 1 in lab[0]:
-                        out[lab] = 1
-                    elif 1 in lab[0]:
-                        out[lab] = signs_by_wall[Wall(I, J, m, n)]
-                    else:
-                        Ic = tuple(i for i in range(1, m + 1) if i not in lab[0])
-                        Jc = tuple(j for j in range(1, n + 1) if j not in lab[1])
-                        if not Jc:
-                            out[lab] = -1
-                        else:
-                            out[lab] = -signs_by_wall[Wall(Ic, Jc, m, n)]
-    return out
-
-
-def _walk(word: tuple, lsign: dict) -> list:
+def _walk(word: tuple, sign) -> list:
     """Johnson's commutation walk on a word of labels, as a pattern list.
 
-    The leftmost negative label is commuted one step left: a swap, and a
-    merge that records the factor (left label, right label).  A branch
-    that brings it to the left end dies against the covacuum; the last
-    merge of two labels ends a pattern and records its left label.
+    `sign` gives each label's energy sign.  The leftmost negative label is
+    commuted one step left: a swap, and a merge that records the factor
+    (left label, right label).  A branch that brings it to the left end dies
+    against the covacuum; the last merge of two labels ends a pattern and
+    records its left label.
     """
     out = []
 
     def step(word, factors):
         pos = None
         for k, lab in enumerate(word):
-            if lsign[lab] < 0:
+            if sign(lab) < 0:
                 pos = k
                 break
         if pos is None:
-            if len(word) == 1:
-                raise AssertionError("complete pattern escaped the merge step")
             raise ZeroEnergyIntermediate(f"no negative operator in {word}")
         if pos == 0:
             return  # annihilates against the covacuum
@@ -219,7 +203,7 @@ def _walk(word: tuple, lsign: dict) -> list:
         if len(word) == 2:
             out.append((factors, A))
         else:
-            if lsign[merged] == 0:
+            if sign(merged) == 0:
                 raise ZeroEnergyIntermediate(f"operator {merged} has zero energy")
             step(word[: pos - 1] + (merged,) + word[pos + 1 :], factors + ((A, B),))
         step(word[: pos - 1] + (B, A) + word[pos + 1 :], factors)
@@ -229,19 +213,10 @@ def _walk(word: tuple, lsign: dict) -> list:
 
 
 @lru_cache(maxsize=None)
-def _patterns(m: int, n: int, sign_vector: tuple) -> tuple:
-    lsign = _label_signs(m, n, dict(zip(walls(m, n), sign_vector)))
-    word0 = tuple(
-        [(frozenset([i]), frozenset()) for i in range(1, m + 1)]
-        + [(frozenset(), frozenset([j])) for j in range(1, n + 1)]
-    )
-    return tuple(_walk(word0, lsign))
-
-
 def commutation_patterns(chamber: Chamber) -> tuple:
-    """The finite pattern set for this chamber's sign vector."""
-    _, _, vec = chamber.key()
-    return _patterns(chamber.m, chamber.n, vec)
+    """The finite pattern set of `standard_word` on this chamber."""
+    word = tuple((op.mu_indices, op.nu_indices) for op in standard_word(chamber.m, chamber.n))
+    return tuple(_walk(word, chamber.label_sign))
 
 
 # -- public expansion into sigma-products ----------------------------------------
@@ -284,7 +259,7 @@ def standard_word(m: int, n: int) -> tuple:
 
 @dataclass(frozen=True)
 class SigmaProduct:
-    """One commutation pattern, materialized.
+    """One commutation pattern as sigma-factors of linear forms (see `materialize`).
 
     Each entry of `factors` is (energy1, arg1, energy2, arg2), denoting the
     factor sigma(energy1*arg2 - energy2*arg1); `final_energy` pairs with the
@@ -324,8 +299,12 @@ def johnson_expand(chamber: Chamber, word) -> list:
 
     Returns one SigmaProduct per surviving pattern; a word whose total
     energy is not zero has vanishing correlator and yields the empty list.
+    These products are the formula every count is computed from: see
+    `materialize`.  A word needs at least two operators.
     """
     word = tuple(word)
+    if len(word) < 2:
+        raise ValueError("operator word needs at least two operators")
     seen_mu, seen_nu = set(), set()
     for op in word:
         if not op.mu_indices and not op.nu_indices:
@@ -341,21 +320,23 @@ def johnson_expand(chamber: Chamber, word) -> list:
     if seen_mu != set(range(1, chamber.m + 1)) or seen_nu != set(range(1, chamber.n + 1)):
         return []
 
-    _, _, vec = chamber.key()
-    lsign = _label_signs(chamber.m, chamber.n, dict(zip(walls(chamber.m, chamber.n), vec)))
     labels = tuple((op.mu_indices, op.nu_indices) for op in word)
+    ops = {}
 
     def op_of(lab):
         # a walk label is a union of word labels; its argument is their sum
-        arg = ()
-        for op in word:
-            if op.mu_indices <= lab[0] and op.nu_indices <= lab[1]:
-                arg = _merge_args(arg, op.arg)
-        return EOp(lab[0], lab[1], arg)
+        got = ops.get(lab)
+        if got is None:
+            arg = ()
+            for op in word:
+                if op.mu_indices <= lab[0] and op.nu_indices <= lab[1]:
+                    arg = _merge_args(arg, op.arg)
+            got = ops[lab] = EOp(lab[0], lab[1], arg)
+        return got
 
     total_arg = op_of((frozenset(seen_mu), frozenset(seen_nu))).arg
     out = []
-    for factors, final in _walk(labels, lsign):
+    for factors, final in _walk(labels, chamber.label_sign):
         pairs = tuple((op_of(A), op_of(B)) for A, B in factors)
         terms = tuple((A.energy(), A.arg, B.energy(), B.arg) for A, B in pairs)
         # the last commutation is carried by final_energy, not factors
@@ -385,57 +366,42 @@ def _space_for(sig: Signature, n: int, pad: int = 0):
     return tuple(names), tuple(caps), tuple(blocks)
 
 
-def materialize(patterns, space, ring, energies, args):
-    """Sum the sigma-products over all patterns in the given series space.
+def materialize(products, space, ring, point=None):
+    """Sum the sigma-products of `johnson_expand` in the given series space.
 
-    `energies` maps an operator label to its energy coefficient (MultiPoly
-    or Fraction); `args` maps a label to its argument {var: coefficient}.
-    Labels are resolved for merged operators by summing over members.
+    Every linear form of a product becomes a coefficient: an element of
+    `ring` when one is given, else its value at `point`, a map from the
+    symbols mu1.., nu1.. to numbers.  This is where every chamber polynomial
+    and every refined series gets its numbers.
     """
     vars_, caps, blocks = space
 
-    def energy_of(lab):
-        e = None
-        for i in lab[0]:
-            t = energies[("mu", i)]
-            e = t if e is None else e + t
-        for j in lab[1]:
-            t = -energies[("nu", j)]
-            e = t if e is None else e + t
-        return e
+    def coeff(form):
+        return form.as_poly(ring) if ring is not None else form.evaluate(point)
 
-    def arg_of(lab):
-        out = {}
-        for j in lab[1]:
-            for v, c in args[("nu", j)].items():
-                out[v] = out.get(v, 0) + c
-        for i in lab[0]:
-            for v, c in args.get(("mu", i), {}).items():
-                out[v] = out.get(v, 0) + c
-        return out
+    def series(argmap):
+        return TruncSeries.from_linear(vars_, caps, argmap, ring, blocks)
 
-    total_map = {}
-    for key in args:
-        for v, c in args[key].items():
-            total_map[v] = total_map.get(v, 0) + c
-    total_series = TruncSeries.from_linear(vars_, caps, total_map, ring, blocks)
-    inv_s_total = s_of(total_series).inverse()
-
+    totals = {}
     acc = TruncSeries.zero(vars_, caps, ring, blocks)
-    for factors, final_label in patterns:
+    for prod in products:
         term = None
-        for A, B in factors:
-            eA, eB = energy_of(A), energy_of(B)
-            argA, argB = arg_of(A), arg_of(B)
-            combo = {}
-            for v, c in argB.items():
-                combo[v] = combo.get(v, 0) + eA * c
-            for v, c in argA.items():
-                combo[v] = combo.get(v, 0) - eB * c
-            fac = sigma_of(TruncSeries.from_linear(vars_, caps, combo, ring, blocks))
+        for e1, a1, e2, a2 in prod.factors:
+            c1, c2 = coeff(e1), coeff(e2)
+            combo = {v: c1 * coeff(c) for v, c in a2}
+            for v, c in a1:
+                t = -c2 * coeff(c)
+                combo[v] = combo[v] + t if v in combo else t
+            fac = sigma_of(series(combo))
             term = fac if term is None else term * fac
-        eF = energy_of(final_label)
-        tail = s_of(total_series.scalar_mul(eF)).scalar_mul(eF) * inv_s_total
+        # sigma(eF * total) / sigma(total) = eF * S(eF * total) / S(total)
+        got = totals.get(prod.total_arg)
+        if got is None:
+            total = series({v: coeff(c) for v, c in prod.total_arg})
+            got = totals[prod.total_arg] = (total, s_of(total).inverse())
+        total, inv_s_total = got
+        eF = coeff(prod.final_energy)
+        tail = s_of(total.scalar_mul(eF)).scalar_mul(eF) * inv_s_total
         term = tail if term is None else term * tail
         acc = acc + term
     return acc
@@ -471,20 +437,12 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber, pad: int = 0) -> 
 
     space = _space_for(sig, n, pad)
     vars_, caps, blocks = space
-    energies = {("mu", i): muv[i] for i in muv}
-    energies.update({("nu", j): nuv[j] for j in nuv})
-    args = {}
+    word = [EOp.make([i], []) for i in range(1, m + 1)]
     for j in range(1, n + 1):
-        a = {}
-        if p:
-            a["X"] = nuv[j]
-        if q:
-            a[f"y{j}"] = ring.one()
-        if r:
-            a[f"z{j}"] = ring.one()
-        args[("nu", j)] = a
-
-    corr = materialize(commutation_patterns(chamber), space, ring, energies, args)
+        arg = {"X": LinearForm.unit(f"nu{j}")} if p else {}
+        arg.update({f"{x}{j}": 1 for x, budget in (("y", q), ("z", r)) if budget})
+        word.append(EOp.make([], [j], arg))
+    corr = materialize(johnson_expand(chamber, word), space, ring)
 
     pref = TruncSeries.one(vars_, caps, ring, blocks)
     for j in range(1, n + 1):
@@ -523,10 +481,10 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber, pad: int = 0) -> 
         image = image - muv[i]
     total = total.substitute("mu1", image)
     for j in range(1, n + 1):
-        total = exact_divide(total, nuv[j])
+        total = total.exact_divide(nuv[j])
     for i in range(2, m + 1):
-        total = exact_divide(total, muv[i])
-    total = exact_divide(total, image)
+        total = total.exact_divide(muv[i])
+    total = total.exact_divide(image)
 
     _POLY_CACHE[key] = total
     return total

@@ -4,7 +4,9 @@ The three computation routes stay independent, so that their agreement in
 criterion 1 means something: enumeration (`oracle`), character sums
 (`charactereval`) and the commutation walk (`wedge`, `wallcross`) never
 import one another, directly or through another module of the package.
-And no module reaches into another module's private (underscore) names.
+No module reaches into another module's private (underscore) names, and no
+module imports a name it never uses (the package's `__init__`, which
+re-exports, is exempt, and a name listed in `__all__` counts as used).
 """
 
 import ast
@@ -68,3 +70,23 @@ def test_routes_stay_independent(route):
 def test_no_private_names_cross_modules(module):
     private = [f"{dep}.{name}" for dep, name in _package_imports(module) if name and name.startswith("_")]
     assert not private
+
+
+def _unused_imports(module: str) -> list:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= {elt.value for elt in node.value.elts}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("module", [m for m in _modules() if m != "__init__"])
+def test_no_unused_imports(module):
+    assert not _unused_imports(module)

@@ -8,6 +8,8 @@ symmetric-group enumeration) before being pinned.
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hurwitz.charactereval import hurwitz_disconnected
 from hurwitz.partitions import Signature
@@ -215,3 +217,46 @@ def test_johnson_expand_rejects_operator_without_indices():
     ch = chamber_of((3,), (1, 2))
     with pytest.raises(ValueError):
         johnson_expand(ch, (EOp.make([], [], {"z9": 1}),) + standard_word(1, 2))
+
+
+def test_johnson_expand_rejects_a_word_of_fewer_than_two_operators():
+    ch = chamber_of((1,), (1,))
+    with pytest.raises(ValueError):
+        johnson_expand(ch, (EOp.make([1], [1], {"z1": 1}),))
+    with pytest.raises(ValueError):
+        johnson_expand(ch, ())
+
+
+def _composition(draw, d, k):
+    cuts = sorted(draw(st.sets(st.integers(1, d - 1), min_size=k - 1, max_size=k - 1))) if k > 1 else []
+    bounds = [0] + cuts + [d]
+    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+@st.composite
+def _generic_instances(draw):
+    """(mu, nu, (p, q, r)): d <= 10, m + n <= 4, b <= m + n, a valid genus."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4 - m))
+    d = draw(st.integers(max(m, n), 10))
+    mu, nu = _composition(draw, d, m), _composition(draw, d, n)
+    b = draw(st.sampled_from([b for b in range(m + n + 1) if (m + n - b) in (0, 2) and (b, m + n) != (0, 2)]))
+    p = draw(st.integers(0, b))
+    q = draw(st.integers(0, b - p))
+    return mu, nu, (p, q, b - p - q)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_generic_instances())
+def test_chamber_route_on_generic_compositions(instance):
+    # the chamber value is the character sum, and mu <-> nu leaves it fixed
+    mu, nu, pqr = instance
+    sig = Signature(*pqr)
+    assert sig.genus(len(mu), len(nu)) is not None and not sig.degenerate(len(mu), len(nu))
+    try:
+        ch = chamber_of(mu, nu)
+    except OnWall:
+        assume(False)
+    value = evaluate(chamber_polynomial("mixed", pqr, ch), mu, nu)
+    assert value == hurwitz_disconnected(mu, nu, *pqr)
+    assert evaluate(chamber_polynomial("mixed", pqr, chamber_of(nu, mu)), nu, mu) == value
