@@ -10,11 +10,9 @@ from .algebra import (
     MultiPoly,
     NotDivisible,
     PolyRing,
-    Rational,
     TruncSeries,
     bernoulli,
     s_power_series,
-    sigma_series,
 )
 from .charactereval import (
     hurwitz_connected_simple,
@@ -28,7 +26,6 @@ from .oracle import (
     FactorizationSpec,
     MAX_DEGREE,
     count_factorizations,
-    sweep,
 )
 from .partitions import Signature, SizeMismatch, partitions, compositions
 from .wallcross import (
@@ -74,7 +71,6 @@ __all__ = [
     "NotDivisible",
     "OnWall",
     "PolyRing",
-    "Rational",
     "SigmaProduct",
     "Signature",
     "SizeMismatch",
@@ -96,9 +92,7 @@ __all__ = [
     "partitions",
     "refined_series",
     "s_power_series",
-    "sigma_series",
     "standard_word",
-    "sweep",
     "tau_coefficient",
     "tau_dictionary_value",
     "verify_wallcrossing",

@@ -23,7 +23,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 __all__ = [
-    "Rational",
     "NotDivisible",
     "PolyRing",
     "MultiPoly",
@@ -31,15 +30,11 @@ __all__ = [
     "TruncSeries",
     "sigma_of",
     "s_of",
-    "sigma_series",
     "s_power_series",
     "rising_factorial",
     "falling_factorial",
     "bernoulli",
 ]
-
-Rational = Fraction
-
 
 class NotDivisible(ArithmeticError):
     """An exact polynomial division left a remainder."""
@@ -198,12 +193,6 @@ class MultiPoly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.ring.names), Fraction(0))
 
-    def coefficient(self, monomial: dict) -> Fraction:
-        exps = [0] * len(self.ring.names)
-        for name, k in monomial.items():
-            exps[self.ring.index[name]] = k
-        return self.terms.get(tuple(exps), Fraction(0))
-
     def evaluate(self, values) -> Fraction:
         """Evaluate at a mapping from variable name to int/Fraction."""
         point = [None] * len(self.ring.names)
@@ -341,10 +330,6 @@ class LinearForm:
         if not isinstance(other, LinearForm):
             return NotImplemented
         return self + (-other)
-
-    def scaled(self, c) -> "LinearForm":
-        c = _frac(c)
-        return LinearForm({n: cf * c for n, cf in self.coeffs.items()}, self.const * c)
 
     def is_zero(self) -> bool:
         return not self.coeffs and not self.const
@@ -567,53 +552,30 @@ class TruncSeries:
 # -- the odd/even exponential series ------------------------------------------
 
 
-def sigma_of(arg: TruncSeries) -> TruncSeries:
-    """sigma(W) = sum over odd k of W^k / (2^(k-1) k!) for a series W with no
-    constant term."""
+def _half_exp_sum(arg: TruncSeries, parity: int) -> TruncSeries:
+    """sum over k = parity mod 2 of W^k / (2^(k - parity) (k + 1 - parity)!)."""
     if (0,) * len(arg.vars) in arg.data:
-        raise ValueError("sigma_of needs a series without constant term")
-    out = arg.zero_like()
+        raise ValueError("sigma and S need a series without constant term")
+    out = arg.zero_like() if parity else arg.one_like()
     power = arg.one_like()
-    bound = sum(arg.caps)
-    for k in range(1, bound + 1):
+    for k in range(1, sum(arg.caps) + 1):
         power = power * arg
         if not power.data:
             break
-        if k % 2 == 1:
-            out = out + power.scalar_mul(Fraction(1, 2 ** (k - 1) * factorial(k)))
+        if k % 2 == parity:
+            out = out + power.scalar_mul(Fraction(1, 2 ** (k - parity) * factorial(k + 1 - parity)))
     return out
+
+
+def sigma_of(arg: TruncSeries) -> TruncSeries:
+    """sigma(W) = sum over odd k of W^k / (2^(k-1) k!) for a series W with no
+    constant term."""
+    return _half_exp_sum(arg, 1)
 
 
 def s_of(arg: TruncSeries) -> TruncSeries:
     """S(W) = sigma(W)/W = sum over even k of W^k / (2^k (k+1)!); a unit."""
-    if (0,) * len(arg.vars) in arg.data:
-        raise ValueError("s_of needs a series without constant term")
-    out = arg.one_like()
-    power = arg.one_like()
-    bound = sum(arg.caps)
-    for k in range(1, bound + 1):
-        power = power * arg
-        if not power.data:
-            break
-        if k % 2 == 0:
-            out = out + power.scalar_mul(Fraction(1, 2 ** k * factorial(k + 1)))
-    return out
-
-
-def sigma_series(a, var: str, order: int, ring=None) -> TruncSeries:
-    """Single-variable sigma(a*v) truncated at v^order.
-
-    `a` may be an int/Fraction, a MultiPoly (pass its ring), or a LinearForm
-    (a ring over its symbols is created unless one is supplied).
-    """
-    if isinstance(a, LinearForm):
-        if ring is None:
-            ring = PolyRing(sorted(a.coeffs))
-        a = a.as_poly(ring)
-    if isinstance(a, MultiPoly) and ring is None:
-        ring = a.ring
-    arg = TruncSeries.from_linear((var,), (order,), {var: a}, ring)
-    return sigma_of(arg)
+    return _half_exp_sum(arg, 0)
 
 
 def s_power_series(c, var: str, order: int, ring=None) -> TruncSeries:

@@ -13,6 +13,7 @@ signature (no polynomial exists).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -157,25 +158,14 @@ def cmd_chamber_poly(args) -> int:
     return EXIT_OK
 
 
-# the flags each suite reads; any other flag given is an error
-_SUITE_FLAGS = {
-    "equality": ("dmax", "bmax"),
-    "conventions": ("dmax", "bmax"),
-    "tau": ("dmax", "bmax"),
-    "constant-term": ("g",),
-}
-
-
 def cmd_verify(args) -> int:
-    takes = _SUITE_FLAGS.get(args.suite, ())
+    # a suite reads the flags named by its parameters; any other flag is an error
+    takes = inspect.signature(verify_mod.SUITES[args.suite]).parameters
     given = {f: getattr(args, f) for f in ("dmax", "bmax", "g") if getattr(args, f) is not None}
     ignored = [f"--{f}" for f in given if f not in takes]
     if ignored:
         raise _UsageError(f"suite {args.suite} does not take {', '.join(ignored)}")
-    kwargs = given
-    if args.suite == "tau":
-        kwargs = {k: min(given[f], cap) for f, k, cap in (("dmax", "nmax", 4), ("bmax", "emax", 3)) if f in given}
-    report = verify_mod.run_suite(args.suite, **kwargs)
+    report = verify_mod.run_suite(args.suite, **given)
     status = "PASS" if report["ok"] else "FAIL"
     print(f"suite {args.suite}: {status} ({report['count']} instances, "
           f"{len(report['failures'])} failures)", file=sys.stderr)

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import permutations as _all_perms
 from math import factorial
 
-from .partitions import SizeMismatch, Signature, check_composition, multiplicity_factor, partitions
+from .partitions import SizeMismatch, Signature, check_composition, multiplicity_factor
 
 
 class BoundExceeded(ValueError):
@@ -200,11 +200,7 @@ def _is_transitive(cycles, edges, d: int) -> bool:
     return all(find(x) == root for x in range(d))
 
 
-def count_factorizations(
-    spec: FactorizationSpec,
-    convention: str = "smaller",
-    max_degree: int = MAX_DEGREE,
-) -> FactorizationCount:
+def count_factorizations(spec: FactorizationSpec, convention: str = "smaller") -> FactorizationCount:
     """Count factorizations of the given type, exactly.
 
     Returns both the raw labeled count and the count divided by d!.  When
@@ -213,8 +209,8 @@ def count_factorizations(
     also what enumeration yields, the negative-genus half is imposed.
     """
     d = spec.d
-    if d > max_degree:
-        raise BoundExceeded(f"d={d} exceeds bound {max_degree}")
+    if d > MAX_DEGREE:
+        raise BoundExceeded(f"d={d} exceeds bound {MAX_DEGREE}")
     if spec.genus() is None:
         return FactorizationCount(0, Fraction(0))
     classes = _tuple_classes(d, spec.p, spec.q, spec.r, convention)
@@ -231,29 +227,3 @@ def count_factorizations(
     raw = raw_unlabeled * multiplicity_factor(spec.mu) * multiplicity_factor(spec.nu)
     return FactorizationCount(raw, Fraction(raw, factorial(d)))
 
-
-def sweep(
-    d_max: int,
-    b_max: int,
-    connected: bool = False,
-    convention: str = "smaller",
-):
-    """Yield (spec, count) over all partition profiles and valid signatures.
-
-    Deterministic order: d ascending, then mu, nu in partition order, then
-    (p,q,r) lexicographic with p+q+r <= b_max and a valid genus.  Profiles
-    are partitions (weakly decreasing); counts for arbitrary compositions
-    equal the count of the sorted profile.
-    """
-    for d in range(1, d_max + 1):
-        parts = list(partitions(d))
-        for mu in parts:
-            for nu in parts:
-                for b in range(0, b_max + 1):
-                    for p in range(0, b + 1):
-                        for q in range(0, b - p + 1):
-                            r = b - p - q
-                            spec = FactorizationSpec(mu, nu, p, q, r, connected)
-                            if spec.genus() is None:
-                                continue
-                            yield spec, count_factorizations(spec, convention)

@@ -107,13 +107,6 @@ def compositions(d: int):
     yield from gen(d)
 
 
-def conjugate(lam) -> tuple:
-    lam = tuple(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for row in lam if row > i) for i in range(lam[0]))
-
-
 def contents(lam) -> tuple:
     """Multiset of box contents j - i (0-based), row by row."""
     return tuple(j - i for i, row in enumerate(lam) for j in range(row))
@@ -179,10 +172,6 @@ def character(lam, mu) -> int:
     if sum(lam) != sum(mu):
         raise SizeMismatch(f"|{lam}| != |{mu}|")
     return _char_rec(lam, mu)
-
-
-def dimension(lam) -> int:
-    return character(lam, (1,) * sum(lam))
 
 
 @lru_cache(maxsize=None)

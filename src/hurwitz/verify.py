@@ -222,14 +222,14 @@ def suite_wallcross() -> dict:
     return _report("wallcross", instances, failures)
 
 
-def suite_tau(nmax: int = 4, emax: int = 3) -> dict:
+def suite_tau(dmax: int = 4, bmax: int = 3) -> dict:
     """Hypergeometric coefficients two ways, and the Hurwitz dictionary."""
-    _guard(nmax, emax)
+    _guard(dmax, bmax)
     instances, failures = [], []
-    for nn in range(1, nmax + 1):
+    for nn in range(1, dmax + 1):
         for lam in partitions(nn):
-            a = box_product(lam, (emax,), (emax,))
-            bseries = tau_series_factored(lam, (emax,), (emax,))
+            a = box_product(lam, (bmax,), (bmax,))
+            bseries = tau_series_factored(lam, (bmax,), (bmax,))
             ok = a == bseries
             line = f"lambda={lam}: per-box product == factored-moment series ({'ok' if ok else 'MISMATCH'})"
             instances.append(line)
@@ -238,8 +238,8 @@ def suite_tau(nmax: int = 4, emax: int = 3) -> dict:
         for mu in partitions(nn):
             for nu in partitions(nn):
                 m, n = len(mu), len(nu)
-                for qq in range(emax + 1):
-                    for rr in range(emax + 1 - qq):
+                for qq in range(bmax + 1):
+                    for rr in range(bmax + 1 - qq):
                         if Signature(0, qq, rr).genus(m, n) is None:
                             continue
                         lhs = tau_dictionary_value(mu, nu, qq, rr)

@@ -17,18 +17,9 @@ from fractions import Fraction
 from math import prod
 from typing import Optional, Union
 
-from .algebra import LinearForm, TruncSeries, falling_factorial, rising_factorial, s_of, s_power_series
+from .algebra import TruncSeries, falling_factorial, rising_factorial, s_of
 from .partitions import Signature, check_composition
-from .wedge import (
-    Chamber,
-    EOp,
-    Wall,
-    chamber_of,
-    chamber_polynomial,
-    johnson_expand,
-    materialize,
-    walls,
-)
+from .wedge import Chamber, Wall, chamber_of, chamber_polynomial, generating_series, walls
 
 
 class InvalidSplit(ValueError):
@@ -108,8 +99,9 @@ def _h_series(kind, mu_parts, slots, space, order, chamber=None):
 
     mu_parts: the mu-side parts (Fractions; may include the delta part).
     slots: nu-side _Slot list, in profile order.
-    For kind "mixed" every slot, the delta slot included, carries the
-    operator argument X * (its value).
+    The generating series comes from `wedge.generating_series`, with the
+    kind's expansion variables on each slot (none on the delta slot); the
+    markers are multiplied in here.
     """
     names, caps, blocks = space
     nu_vals = tuple(int(s.value) for s in slots)
@@ -117,16 +109,11 @@ def _h_series(kind, mu_parts, slots, space, order, chamber=None):
     ch = chamber if chamber is not None else chamber_of(mu_vals, nu_vals)
 
     markers, expansions = _SERIES[kind]
-    word = [EOp.make([i], []) for i in range(1, len(mu_vals) + 1)]
-    for jj, s in enumerate(slots, start=1):
-        arg = {"X": LinearForm.unit(f"nu{jj}")} if kind == "mixed" else {}
-        if s.index is not None:
-            arg.update({f"{x}{s.index}": 1 for x in expansions})
-        word.append(EOp.make([], [jj], arg))
+    parts = [{} if s.index is None else {f"{x}{s.index}": sign for x, sign in expansions.items()} for s in slots]
     point = {f"mu{i}": v for i, v in enumerate(mu_vals, start=1)}
     point.update({f"nu{j}": v for j, v in enumerate(nu_vals, start=1)})
 
-    out = materialize(johnson_expand(ch, word), space, None, point)
+    out = generating_series(ch, parts, space, None, point)
     for s in slots:
         if s.index is None:
             continue  # extraction at marker power 0 with zero argument
@@ -139,8 +126,6 @@ def _h_series(kind, mu_parts, slots, space, order, chamber=None):
                 e[ix] = k
                 marker[tuple(e)] = fact(v, k)
             out = out * TruncSeries(names, caps, None, marker, blocks)
-        for x, sign in expansions.items():
-            out = out * s_power_series(sign * v - 1, f"{x}{s.index}", order).lift(*space)
     norm = prod(mu_vals) * prod(int(s.value) for s in slots)
     return out.scalar_mul(Fraction(1, norm))
 
@@ -198,17 +183,16 @@ def _crossing_prefactor(kind, problem, mu, nu, delta, space) -> TruncSeries:
     return (num * den.inverse()).scalar_mul(delta)
 
 
-def verify_wallcrossing(problem: WallCrossingProblem, samples, order: Optional[int] = None) -> dict:
+def verify_wallcrossing(problem: WallCrossingProblem, samples) -> dict:
     """Check the product formula at each sample, coefficient by coefficient.
 
     The left side is the jump of the refined series across the wall — the
     c2-chamber series minus the c1-chamber continuation at the same profile.
     The right side multiplies the two split refined series (with the delta
     slot's markers extracted at power zero and its arguments set to zero)
-    by the pole-free prefactor.
+    by the pole-free prefactor, truncated at total order b = p + q + r.
     """
-    if order is None:
-        order = problem.budgets.b
+    order = problem.budgets.b
     kind = problem.kind
     wall = problem.wall
     report = {"wall": str(wall), "kind": kind, "order": order, "samples": [], "ok": True}

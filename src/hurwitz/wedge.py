@@ -14,8 +14,10 @@ covacuum) or everything has merged into a single zero-energy operator.
 An operator absorbing mu_I and nu_J has energy mu_I - nu_J, so which
 operators count as negative is read off the chamber's sample point, and the
 pattern set is the same throughout the chamber.  `johnson_expand` turns the
-patterns into sigma-products of linear forms, and `materialize` turns those
-into a series, with polynomial or numeric coefficients.
+patterns into sigma-products of linear forms, `materialize` turns those
+into a series, with polynomial or numeric coefficients, and
+`generating_series` multiplies in the S-power prefactors: chamber
+polynomials and the refined series of `wallcross` both read that one series.
 """
 
 from __future__ import annotations
@@ -97,11 +99,6 @@ class Wall:
 
     def value(self, mu, nu) -> Fraction:
         return Fraction(sum(mu[i - 1] for i in self.I) - sum(nu[j - 1] for j in self.J))
-
-    def form(self) -> LinearForm:
-        out = {f"mu{i}": Fraction(1) for i in self.I}
-        out.update({f"nu{j}": Fraction(-1) for j in self.J})
-        return LinearForm(out)
 
     def __str__(self):
         return f"mu{{{','.join(map(str, self.I))}}} = nu{{{','.join(map(str, self.J))}}}"
@@ -407,6 +404,33 @@ def materialize(products, space, ring, point=None):
     return acc
 
 
+def generating_series(chamber: Chamber, parts, space, ring=None, point=None) -> TruncSeries:
+    """The mixed generating series of the chamber: the commutation-pattern
+    correlator of E(mu_1) ... E(mu_m) E(-nu_1) ... E(-nu_n) times
+    prod_j prod_x S(x)^(sign * nu_j - 1).
+
+    `parts[j-1]` maps nu_j's expansion variables x to their signs; nu_j's
+    operator carries the argument X * nu_j when the space has X, and 1 on
+    each of its expansion variables.  Coefficients are elements of `ring`,
+    or numbers at `point` when `ring` is None (see `materialize`).
+    """
+    vars_, caps, blocks = space
+    word = [EOp.make([i], []) for i in range(1, chamber.m + 1)]
+    for j, signs in enumerate(parts, start=1):
+        arg = {"X": LinearForm.unit(f"nu{j}")} if "X" in vars_ else {}
+        arg.update({x: 1 for x in signs})
+        word.append(EOp.make([], [j], arg))
+    corr = materialize(johnson_expand(chamber, word), space, ring, point)
+
+    pref = TruncSeries.one(vars_, caps, ring, blocks)
+    for j, signs in enumerate(parts, start=1):
+        nu = ring.var(f"nu{j}") if ring is not None else Fraction(point[f"nu{j}"])
+        for x, sign in signs.items():
+            c = (nu if sign > 0 else -nu) - 1
+            pref = pref * s_power_series(c, x, caps[vars_.index(x)], ring).lift(*space)
+    return corr * pref
+
+
 _POLY_CACHE: dict = {}
 
 
@@ -436,21 +460,10 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber, pad: int = 0) -> 
     nuv = {j: ring.var(f"nu{j}") for j in range(1, n + 1)}
 
     space = _space_for(sig, n, pad)
-    vars_, caps, blocks = space
-    word = [EOp.make([i], []) for i in range(1, m + 1)]
-    for j in range(1, n + 1):
-        arg = {"X": LinearForm.unit(f"nu{j}")} if p else {}
-        arg.update({f"{x}{j}": 1 for x, budget in (("y", q), ("z", r)) if budget})
-        word.append(EOp.make([], [j], arg))
-    corr = materialize(johnson_expand(chamber, word), space, ring)
-
-    pref = TruncSeries.one(vars_, caps, ring, blocks)
-    for j in range(1, n + 1):
-        if q:
-            pref = pref * s_power_series(nuv[j] - ring.one(), f"y{j}", q + pad, ring).lift(*space)
-        if r:
-            pref = pref * s_power_series(-nuv[j] - ring.one(), f"z{j}", r + pad, ring).lift(*space)
-    corr = corr * pref
+    vars_ = space[0]
+    signs = [(x, sign) for x, budget, sign in (("y", q, 1), ("z", r, -1)) if budget]
+    parts = [{f"{x}{j}": sign for x, sign in signs} for j in range(1, n + 1)]
+    corr = generating_series(chamber, parts, space, ring)
 
     total = ring.zero()
     yix = {f"y{j}": j for j in range(1, n + 1)}

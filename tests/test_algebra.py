@@ -18,7 +18,6 @@ from hurwitz.algebra import (
     s_of,
     s_power_series,
     sigma_of,
-    sigma_series,
 )
 
 R = PolyRing(("x", "y"))
@@ -48,7 +47,7 @@ def test_sorted_terms_deterministic():
 
 
 def test_linear_form_basics():
-    a = LinearForm.unit("x") + LinearForm.unit("y").scaled(2)
+    a = LinearForm.unit("x") + LinearForm({"y": 2})
     assert a.evaluate({"x": Fraction(1), "y": Fraction(3)}) == 7
     assert (a - a).is_zero()
     assert a.as_poly(R) == R.var("x") + 2 * R.var("y")
@@ -70,15 +69,6 @@ def test_series_block_truncation():
     assert prod.data == {}  # all degree-3 monomials fall outside the block
     sq = (a + b) * (a + b)
     assert sq.coeff({"a": 1, "b": 1}) == 2
-
-
-def test_sigma_series_coefficients():
-    # sigma(z) = z + z^3/24 + z^5/1920 + ...
-    s = sigma_series(1, "z", 5)
-    assert s.coeff({"z": 1}) == 1
-    assert s.coeff({"z": 2}) == 0
-    assert s.coeff({"z": 3}) == Fraction(1, 24)
-    assert s.coeff({"z": 5}) == Fraction(1, 1920)
 
 
 def test_sigma_of_matches_exponential_difference():

@@ -190,6 +190,18 @@ def test_verify_rejects_size_flags_the_suite_ignores(capsys):
     assert code == 2 and "--bmax" in err
 
 
+def test_verify_tau_honours_size_flags(capsys):
+    code, doc, err = run_json(capsys, ["verify", "--suite", "tau", "--dmax", "5", "--bmax", "4"])
+    assert code == 0 and doc["ok"] is True
+    assert doc["count"] == verify.suite_tau(dmax=5, bmax=4)["count"] == 431
+    assert "431 instances" in err
+
+
+def test_verify_tau_bound_guard(capsys):
+    code, out, err = run(capsys, ["verify", "--suite", "tau", "--dmax", "7"])
+    assert code == 4 and not out and "exceed" in err
+
+
 def test_verify_rejects_genus_flag_the_suite_ignores(capsys):
     code, out, err = run(capsys, ["verify", "--suite", "equality", "--g", "1"])
     assert code == 2 and "--g" in err and not out

@@ -7,6 +7,8 @@ import one another, directly or through another module of the package.
 No module reaches into another module's private (underscore) names, and no
 module imports a name it never uses (the package's `__init__`, which
 re-exports, is exempt, and a name listed in `__all__` counts as used).
+Every module-level function and class is used somewhere in the package
+outside its own definition, or is public API named in `hurwitz.__all__`.
 """
 
 import ast
@@ -90,3 +92,32 @@ def _unused_imports(module: str) -> list:
 @pytest.mark.parametrize("module", [m for m in _modules() if m != "__init__"])
 def test_no_unused_imports(module):
     assert not _unused_imports(module)
+
+
+def _references(node) -> set:
+    """Names and attribute names read anywhere inside `node`."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def test_every_definition_is_used_or_public():
+    trees = {m: ast.parse((PACKAGE / f"{m}.py").read_text()) for m in _modules()}
+    public = set()
+    for node in trees["__init__"].body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            public |= {elt.value for elt in node.value.elts}
+    # the names read by each top-level statement of each module
+    reads = {(m, i): _references(node) for m, tree in trees.items() for i, node in enumerate(tree.body)}
+    unused = []
+    for module, tree in trees.items():
+        for i, node in enumerate(tree.body):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in public:
+                continue
+            if not any(node.name in names for key, names in reads.items() if key != (module, i)):
+                unused.append(f"{module}.{node.name}")
+    assert not unused

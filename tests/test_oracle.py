@@ -18,7 +18,6 @@ from hurwitz.oracle import (
     cycle_type,
     identity,
     permutations_of_type,
-    sweep,
 )
 from hurwitz.partitions import SizeMismatch
 
@@ -126,15 +125,3 @@ def test_bound_guard():
     with pytest.raises(BoundExceeded):
         count_factorizations(FactorizationSpec(big, big, 0, 0, 0))
 
-
-def test_sweep_is_deterministic_and_valid():
-    rows = list(sweep(3, 3))
-    assert rows == list(sweep(3, 3))
-    for spec, value in rows:
-        assert spec.genus() is not None
-        assert spec.d <= 3 and spec.b <= 3
-    # pairs with a valid genus in range appear; ((1,1,1),(1,1,1)) needs b >= 4
-    seen = {(spec.mu, spec.nu) for spec, _ in rows}
-    assert ((2, 1), (3,)) in seen
-    assert ((1, 1, 1), (1, 1, 1)) not in seen
-    assert ((1, 1, 1), (1, 1, 1)) in {(s.mu, s.nu) for s, _ in sweep(3, 4)}

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitz.charactereval import hurwitz_disconnected
 from hurwitz.partitions import Signature
@@ -140,23 +142,29 @@ def test_wallcrossing_sample_validation():
         verify_wallcrossing(prob, [((2, 2), (2, 2))])  # on the wall itself
 
 
-def test_series_jump_matches_polynomial_difference():
+@st.composite
+def _c2_problems(draw):
+    """A kind, a genus and a sample (mu, nu) of C2 with m = n = 2 and d <= 14."""
+    kind = draw(st.sampled_from(["monotone", "strict"]))
+    g = draw(st.integers(0, 1))
+    nu1 = draw(st.integers(2, 12))
+    nu2 = draw(st.integers(2, 14 - nu1))
+    mu1 = draw(st.integers(max(nu1, nu2) + 1, nu1 + nu2 - 1))
+    return kind, g, (mu1, nu1 + nu2 - mu1), (nu1, nu2)
+
+
+@given(_c2_problems())
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_series_jump_matches_polynomial_difference(problem):
     # summing the jump's diagonal coefficients recovers the evaluated
     # wall-crossing polynomial at the sample
-    prob = WallCrossingProblem(WALL, C1, C2, "monotone", 0)
-    wc = wallcrossing_polynomial(prob)
-    mu, nu = (3, 1), (2, 2)
-    b = 2
-    jump_hi = refined_series("monotone", mu, nu, 2 * b, chamber=C2)
-    jump_lo = refined_series("monotone", mu, nu, 2 * b, chamber=C1)
-    jump = jump_hi - jump_lo
+    kind, g, mu, nu = problem
+    assert chamber_of(mu, nu) == C2
+    prob = WallCrossingProblem(WALL, C1, C2, kind, g)
+    b = prob.budgets.b
+    jump = refined_series(kind, mu, nu, 2 * b, chamber=C2) - refined_series(kind, mu, nu, 2 * b, chamber=C1)
     tot = Fraction(0)
     for v in product(range(b + 1), repeat=2):
-        if sum(v) != b:
-            continue
-        mono = {}
-        for j in (1, 2):
-            mono[f"u{j}"] = v[j - 1]
-            mono[f"z{j}"] = v[j - 1]
-        tot += jump.coeff(mono)
-    assert tot == evaluate(wc, mu, nu)
+        if sum(v) == b:
+            tot += jump.coeff({"u1": v[0], "u2": v[1], "z1": v[0], "z2": v[1]})
+    assert tot == evaluate(wallcrossing_polynomial(prob), mu, nu)

@@ -51,7 +51,7 @@ def test_wall_canonicalization():
 def test_wall_value_and_form():
     w = Wall((1,), (2,), 2, 2)
     assert w.value((3, 1), (2, 2)) == 1
-    assert w.form().evaluate({"mu1": 3, "mu2": 1, "nu1": 2, "nu2": 2}) == 1
+    assert w.value((1, 3), (2, 2)) == -1
 
 
 def test_chamber_of_basics():
