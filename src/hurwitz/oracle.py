@@ -10,11 +10,16 @@ consecutive positions and s_i < s_{i+1} on the final block of r positions
 the labeled-parts normalization: the raw tally is multiplied by the number
 of ways to assign labels to equal parts of mu and of nu, then divided by d!.
 
-Everything is enumerated, with one piece of bookkeeping: the constrained
-transposition tuples are generated once per (d, p, q, r) and grouped by
-(product permutation, set of touched pairs), since sigma1 ranges over a full
-conjugacy class independently of the tuple.  This grouping changes nothing
-about what is enumerated.
+Everything is enumerated, with two pieces of bookkeeping.  The constrained
+transposition tuples are counted once per (d, p, q, r), prefix by prefix,
+and grouped by (product permutation, blocks of points the tuple joins),
+since sigma1 ranges over a full conjugacy class independently of the tuple
+and transitivity reads only which points the tuple joins.  For disconnected
+counts the groups are summed further by the cycle type of the product:
+the number of sigma1 of type mu with w sigma1 of type nu is the same for
+every w of one cycle type (conjugating by c maps the sigma1 that work for w
+bijectively onto those that work for c w c^-1), so one word per type is
+scanned against the class of mu.  Neither grouping changes what is counted.
 """
 
 from __future__ import annotations
@@ -132,72 +137,70 @@ def _transpositions(d: int) -> list:
 def _tuple_classes(d: int, p: int, q: int, r: int, convention: str):
     """All constrained transposition tuples, grouped.
 
-    Returns a tuple of ((product, edges), count) where the product is
-    tau_b ... tau_1 as a permutation, edges is the frozenset of {s,r} pairs
-    used, and count is how many constrained tuples produce that pair.
+    Returns a tuple of ((product, blocks), count) where the product is
+    tau_b ... tau_1 as a permutation, blocks labels each point by the least
+    point the tuple's transpositions join it to, and count is how many
+    constrained tuples produce that pair.  The tuples are counted prefix by
+    prefix: a state is (product, blocks, last key) with a multiplicity, and
+    each position extends every state by every transposition its block rule
+    allows, so tuples that agree on the state are never told apart again.
     """
     if convention not in ("smaller", "larger"):
         raise ValueError(f"unknown convention {convention!r}")
     keyidx = 0 if convention == "smaller" else 1
-    trans = _transpositions(d)
-    perms = {}
-    for sr in trans:
-        s, rr = sr
+    steps = []
+    for sr in _transpositions(d):
         img = list(range(d))
-        img[s], img[rr] = img[rr], img[s]
-        perms[sr] = tuple(img)
+        img[sr[0]], img[sr[1]] = img[sr[1]], img[sr[0]]
+        steps.append((sr, sr[keyidx], tuple(img)))
 
-    counter: dict = {}
-
-    def run_block(word, edges, remaining_blocks):
-        if not remaining_blocks:
-            key = (word, frozenset(edges))
-            counter[key] = counter.get(key, 0) + 1
-            return
-        count, mode = remaining_blocks[0]
-        rest = remaining_blocks[1:]
-
-        def step(i, word, edges, last_key):
-            if i == count:
-                run_block(word, edges, rest)
-                return
-            for sr in trans:
-                k = sr[keyidx]
-                if mode == "weak" and last_key is not None and k < last_key:
-                    continue
-                if mode == "strict" and last_key is not None and k <= last_key:
-                    continue
-                step(i + 1, compose(perms[sr], word), edges + [sr], k)
-
-        step(0, word, edges, None)
-
-    blocks = [(p, "free"), (q, "weak"), (r, "strict")]
-    blocks = [blk for blk in blocks if blk[0] > 0]
-    run_block(identity(d), [], blocks)
-    return tuple(counter.items())
+    states = {(identity(d), identity(d), None): 1}
+    for count, mode in ((p, "free"), (q, "weak"), (r, "strict")):
+        # no constraint couples the blocks: each one's first key is free
+        for i in range(count):
+            nxt: dict = {}
+            for (word, blocks, last), cnt in states.items():
+                for (s, rr), k, tau in steps:
+                    if i and (mode == "weak" and k < last or mode == "strict" and k <= last):
+                        continue
+                    key = (compose(tau, word), _join(blocks, s, rr), None if mode == "free" else k)
+                    nxt[key] = nxt.get(key, 0) + cnt
+            states = nxt
+    table: dict = {}
+    for (word, blocks, _), cnt in states.items():
+        table[word, blocks] = table.get((word, blocks), 0) + cnt
+    return tuple(table.items())
 
 
-def _is_transitive(cycles, edges, d: int) -> bool:
-    parent = list(range(d))
+def _join(blocks: tuple, a: int, b: int) -> tuple:
+    """Blocks with the blocks of a and b merged, still labeled by least point."""
+    lo, hi = sorted((blocks[a], blocks[b]))
+    if lo == hi:
+        return blocks
+    return tuple(lo if x == hi else x for x in blocks)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+@lru_cache(maxsize=None)
+def _product_types(d: int, p: int, q: int, r: int, convention: str):
+    """The tuple table summed by the cycle type of the product.
 
+    Returns ((representative product, count), ...) with one entry per cycle
+    type, count being how many constrained tuples have a product of it.
+    """
+    groups: dict = {}
+    for (word, _), cnt in _tuple_classes(d, p, q, r, convention):
+        lam = cycle_type(word)
+        rep, total = groups.get(lam, (word, 0))
+        groups[lam] = (rep, total + cnt)
+    return tuple(groups.values())
+
+
+def _is_transitive(cycles, blocks: tuple) -> bool:
+    """Whether sigma1's cycles, joined to the tuple's blocks, connect every point."""
     for cyc in cycles:
         for x in cyc[1:]:
-            union(cyc[0], x)
-    for s, rr in edges:
-        union(s, rr)
-    root = find(0)
-    return all(find(x) == root for x in range(d))
+            blocks = _join(blocks, cyc[0], x)
+    return not any(blocks)
 
 
 def count_factorizations(spec: FactorizationSpec, convention: str = "smaller") -> FactorizationCount:
@@ -207,23 +210,31 @@ def count_factorizations(spec: FactorizationSpec, convention: str = "smaller") -
     the signature admits no non-negative integer genus (b+2-m-n negative or
     odd) the count is 0 by definition; the parity half of that statement is
     also what enumeration yields, the negative-genus half is imposed.
+
+    Disconnected counts scan the class of mu once per cycle type of the
+    product word, weighted by how many tuples have a product of that type;
+    connected counts scan it once per (product, blocks) class and keep the
+    pairs whose blocks, joined by the cycles of sigma1, are transitive.
+    Both tally exactly the (sigma1, tuple) pairs of the definition.
     """
     d = spec.d
     if d > MAX_DEGREE:
         raise BoundExceeded(f"d={d} exceeds bound {MAX_DEGREE}")
     if spec.genus() is None:
         return FactorizationCount(0, Fraction(0))
-    classes = _tuple_classes(d, spec.p, spec.q, spec.r, convention)
     nu_sorted = tuple(sorted(spec.nu, reverse=True))
     raw_unlabeled = 0
-    for sigma1 in permutations_of_type(d, spec.mu):
-        cyc1 = cycles_of(sigma1) if spec.connected else None
-        for (w, edges), cnt in classes:
-            if cycle_type(compose(w, sigma1)) != nu_sorted:
-                continue
-            if spec.connected and not _is_transitive(cyc1, edges, d):
-                continue
-            raw_unlabeled += cnt
+    if spec.connected:
+        classes = _tuple_classes(d, spec.p, spec.q, spec.r, convention)
+        for sigma1 in permutations_of_type(d, spec.mu):
+            cyc1 = cycles_of(sigma1)
+            for (w, blocks), cnt in classes:
+                if cycle_type(compose(w, sigma1)) == nu_sorted and _is_transitive(cyc1, blocks):
+                    raw_unlabeled += cnt
+    else:
+        sigmas = permutations_of_type(d, spec.mu)
+        for w, cnt in _product_types(d, spec.p, spec.q, spec.r, convention):
+            raw_unlabeled += cnt * sum(cycle_type(compose(w, sigma1)) == nu_sorted for sigma1 in sigmas)
     raw = raw_unlabeled * multiplicity_factor(spec.mu) * multiplicity_factor(spec.nu)
     return FactorizationCount(raw, Fraction(raw, factorial(d)))
 

@@ -414,7 +414,7 @@ def generating_series(chamber: Chamber, parts, space, ring=None, point=None) -> 
     each of its expansion variables.  Coefficients are elements of `ring`,
     or numbers at `point` when `ring` is None (see `materialize`).
     """
-    vars_, caps, blocks = space
+    vars_, caps, _ = space
     word = [EOp.make([i], []) for i in range(1, chamber.m + 1)]
     for j, signs in enumerate(parts, start=1):
         arg = {"X": LinearForm.unit(f"nu{j}")} if "X" in vars_ else {}
@@ -422,13 +422,14 @@ def generating_series(chamber: Chamber, parts, space, ring=None, point=None) -> 
         word.append(EOp.make([], [j], arg))
     corr = materialize(johnson_expand(chamber, word), space, ring, point)
 
-    pref = TruncSeries.one(vars_, caps, ring, blocks)
+    pref = None
     for j, signs in enumerate(parts, start=1):
         nu = ring.var(f"nu{j}") if ring is not None else Fraction(point[f"nu{j}"])
         for x, sign in signs.items():
             c = (nu if sign > 0 else -nu) - 1
-            pref = pref * s_power_series(c, x, caps[vars_.index(x)], ring).lift(*space)
-    return corr * pref
+            fac = s_power_series(c, x, caps[vars_.index(x)], ring).lift(*space)
+            pref = fac if pref is None else pref * fac
+    return corr if pref is None else corr * pref
 
 
 _POLY_CACHE: dict = {}

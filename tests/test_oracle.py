@@ -5,7 +5,9 @@ out as explicit permutation words) or pinned from an earlier run of this
 same enumeration and re-checked against the character-sum route.
 """
 
+import itertools
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -19,7 +21,8 @@ from hurwitz.oracle import (
     identity,
     permutations_of_type,
 )
-from hurwitz.partitions import SizeMismatch
+from hurwitz.partitions import SizeMismatch, partitions
+from hurwitz.wedge import OnWall, chamber_of
 
 
 def test_permutation_helpers():
@@ -125,3 +128,96 @@ def test_bound_guard():
     with pytest.raises(BoundExceeded):
         count_factorizations(FactorizationSpec(big, big, 0, 0, 0))
 
+
+
+# -- the definition, enumerated with no grouping -----------------------------------
+
+
+def _type_of(perm):
+    seen, lens = [False] * len(perm), []
+    for i in range(len(perm)):
+        n = 0
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+            n += 1
+        if n:
+            lens.append(n)
+    return tuple(sorted(lens, reverse=True))
+
+
+def _join_all(label, pairs):
+    """Each point's label after joining every pair: the least point it reaches."""
+    for a, b in pairs:
+        lo, hi = sorted((label[a], label[b]))
+        if lo != hi:
+            label = [lo if x == hi else x for x in label]
+    return label
+
+
+def _definition_tally(d, p, q, r, convention):
+    """{(type of sigma1, type of the product, transitive?): number of pairs}."""
+    trans = list(itertools.combinations(range(d), 2))  # (s, r) with s < r
+    key = 0 if convention == "smaller" else 1
+    sigmas = [(s, _type_of(s), [(i, s[i]) for i in range(d)]) for s in itertools.permutations(range(d))]
+    tally = {}
+    for taus in itertools.product(trans, repeat=p + q + r):
+        keys = [t[key] for t in taus]
+        weak, strict = keys[p : p + q], keys[p + q :]
+        if any(a > b for a, b in zip(weak, weak[1:])) or any(a >= b for a, b in zip(strict, strict[1:])):
+            continue
+        word = list(range(d))
+        for s, rr in taus:  # tau_b ... tau_1, tau_1 applied first
+            word = [rr if x == s else s if x == rr else x for x in word]
+        joined = _join_all(list(range(d)), taus)
+        for sigma, mu, pairs in sigmas:
+            nu = _type_of([word[x] for x in sigma])
+            transitive = not any(_join_all(joined, pairs))
+            tally[mu, nu, transitive] = tally.get((mu, nu, transitive), 0) + 1
+    return tally
+
+
+def _labelings(lam):
+    return prod(factorial(lam.count(k)) for k in set(lam))
+
+
+def test_counts_match_the_definition():
+    cases = [(d, p, q, b - p - q) for d, bmax in [(1, 3), (2, 3), (3, 3), (4, 3), (5, 2)]
+             for b in range(bmax + 1) for p in range(b + 1) for q in range(b - p + 1)]
+    for (d, p, q, r), convention in itertools.product(cases, ("smaller", "larger")):
+        tally = _definition_tally(d, p, q, r, convention)
+        for mu in partitions(d):
+            for nu in partitions(d):
+                conn = tally.get((mu, nu, True), 0)
+                disc = conn + tally.get((mu, nu, False), 0)
+                for connected, want in ((False, disc), (True, conn)):
+                    spec = FactorizationSpec(mu, nu, p, q, r, connected=connected)
+                    if spec.genus() is None:
+                        want = 0
+                    got = count_factorizations(spec, convention=convention).raw
+                    assert got == want * _labelings(mu) * _labelings(nu), (spec, convention)
+
+
+def test_connected_equals_disconnected_off_walls():
+    # a disconnected factorization splits mu and nu into sub-multisets of
+    # equal size, which puts (mu, nu) on a wall: off every wall both agree
+    checked = nonzero = 0
+    for d in range(1, 6):
+        for mu in partitions(d):
+            for nu in partitions(d):
+                try:
+                    chamber_of(mu, nu)
+                except OnWall:
+                    continue
+                for b in range(5):
+                    for p in range(b + 1):
+                        for q in range(b - p + 1):
+                            spec = FactorizationSpec(mu, nu, p, q, b - p - q)
+                            if spec.genus() is None:
+                                continue
+                            disc = count_factorizations(spec)
+                            conn = count_factorizations(FactorizationSpec(mu, nu, p, q, b - p - q, connected=True))
+                            assert conn == disc, (mu, nu, (p, q, b - p - q))
+                            checked += 1
+                            nonzero += disc.raw != 0
+    assert checked > 500 and nonzero > 0
