@@ -1,8 +1,9 @@
 """Exact arithmetic kernel: sparse multivariate polynomials over the rationals,
 linear forms, and truncated multivariate power series.
 
-All numbers are `fractions.Fraction`; nothing in this module (or this package)
-ever touches floating point.  `TruncSeries` implements the quotient ring
+Numbers are `fractions.Fraction`, and a `MultiPoly` keeps integer numerators
+over one exact denominator; nothing in this module (or this package) ever
+touches floating point.  `TruncSeries` implements the quotient ring
 Q[c][[v1, ..., vk]] / (v1^(cap1+1), ..., vk^(capk+1)): every retained
 coefficient of a sum, product, or inverse is exact, and coefficients may
 themselves be `MultiPoly` values so the same series code serves both numeric
@@ -14,13 +15,16 @@ The special series used throughout are the odd exponential difference
 
 and its normalization S(w) = sigma(w)/w = sum_{k even} w^k / (2^k (k+1)!),
 which is a unit (constant term 1) and so admits powers S(w)^c with an
-arbitrary exponent c, rational or polynomial, via exp(c * log S(w)).
+arbitrary exponent c, rational or polynomial, via exp(c * log S(w)).  Both
+take a linear series w, whose powers have a closed form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from heapq import heapify, heappop, heappush
+from math import comb, factorial, gcd, lcm
+from operator import add, le, sub
 
 __all__ = [
     "NotDivisible",
@@ -79,7 +83,7 @@ class PolyRing:
         c = _frac(c)
         if not c:
             return self.zero()
-        return MultiPoly(self, {(0,) * len(self.names): c})
+        return MultiPoly._make(self, {(0,) * len(self.names): c.numerator}, c.denominator)
 
     def one(self) -> "MultiPoly":
         return self.const(1)
@@ -87,7 +91,7 @@ class PolyRing:
     def var(self, name: str) -> "MultiPoly":
         exps = [0] * len(self.names)
         exps[self.index[name]] = 1
-        return MultiPoly(self, {tuple(exps): Fraction(1)})
+        return MultiPoly._make(self, {tuple(exps): 1}, 1)
 
     def from_linear(self, form: "LinearForm") -> "MultiPoly":
         terms = {}
@@ -99,13 +103,46 @@ class PolyRing:
 
 
 class MultiPoly:
-    """A sparse polynomial: dict from exponent tuples to nonzero Fractions."""
+    """A sparse polynomial with rational coefficients.
 
-    __slots__ = ("ring", "terms")
+    `num` maps exponent tuples to nonzero integer numerators over the one
+    positive denominator `den`.  The form is canonical: `den` and all the
+    numerators have gcd 1, and the zero polynomial has `den == 1`, so equal
+    polynomials have equal `(num, den)`.  `MultiPoly(ring, terms)` takes a
+    dict of int/Fraction coefficients; `terms` gives them back as Fractions.
+    """
+
+    __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring: PolyRing, terms: dict):
+        fracs = {e: _frac(c) for e, c in terms.items()}
+        den = lcm(*(c.denominator for c in fracs.values()))
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.num = {e: c.numerator * (den // c.denominator) for e, c in fracs.items() if c}
+        # reduced fractions over the lcm of their denominators are already
+        # in lowest terms
+        self.den = den if self.num else 1
+
+    @classmethod
+    def _make(cls, ring: PolyRing, num: dict, den: int) -> "MultiPoly":
+        """A polynomial from nonzero numerators over den > 0, reduced once."""
+        if not num:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
+        out = object.__new__(cls)
+        out.ring = ring
+        out.num = num
+        out.den = den
+        return out
+
+    @property
+    def terms(self) -> dict:
+        """Exponent tuple -> exact Fraction coefficient (a fresh dict)."""
+        return {e: Fraction(c, self.den) for e, c in self.num.items()}
 
     # -- ring plumbing -----------------------------------------------------
 
@@ -119,19 +156,19 @@ class MultiPoly:
         return None
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.ring.names, frozenset(self.terms.items())))
+        return hash((self.ring.names, frozenset(self.num.items()), self.den))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -139,19 +176,19 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MultiPoly(self.ring, out)
+        d1, d2 = self.den, other.den
+        den = d1 * d2 // gcd(d1, d2)
+        s1, s2 = den // d1, den // d2
+        out = {e: c * s1 for e, c in self.num.items()} if s1 != 1 else dict(self.num)
+        get = out.get
+        for e, c in other.num.items():
+            out[e] = get(e, 0) + c * s2
+        return MultiPoly._make(self.ring, {e: c for e, c in out.items() if c}, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._make(self.ring, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -167,20 +204,19 @@ class MultiPoly:
             c = _frac(other)
             if not c:
                 return self.ring.zero()
-            return MultiPoly(self.ring, {e: cf * c for e, cf in self.terms.items()})
+            a = c.numerator
+            num = {e: cf * a for e, cf in self.num.items()}
+            return MultiPoly._make(self.ring, num, self.den * c.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MultiPoly(self.ring, out)
+        get = out.get
+        for e1, c1 in self.num.items():
+            for e2, c2 in other.num.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return MultiPoly._make(self.ring, {e: c for e, c in out.items() if c}, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -188,24 +224,23 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         """Maximum total degree of a monomial (0 for the zero polynomial)."""
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self.num), default=0)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.ring.names), Fraction(0))
+        return Fraction(self.num.get((0,) * len(self.ring.names), 0), self.den)
 
     def evaluate(self, values) -> Fraction:
         """Evaluate at a mapping from variable name to int/Fraction."""
         point = [None] * len(self.ring.names)
         total = Fraction(0)
-        for e, c in self.terms.items():
-            prod = c
+        for e, c in self.num.items():
             for i, k in enumerate(e):
                 if k:
                     if point[i] is None:
                         point[i] = _frac(values[self.ring.names[i]])
-                    prod *= point[i] ** k
-            total += prod
-        return total
+                    c *= point[i] ** k
+            total += c
+        return total / self.den
 
     def sorted_terms(self):
         """Terms in a deterministic order: by total degree, then exponents."""
@@ -220,51 +255,72 @@ class MultiPoly:
             raise TypeError("replacement must be a polynomial or number")
         i = self.ring.index[name]
         buckets: dict[int, dict] = {}
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
+            bucket = buckets.setdefault(e[i], {})
             stripped = e[:i] + (0,) + e[i + 1:]
-            buckets.setdefault(e[i], {})[stripped] = (
-                buckets.get(e[i], {}).get(stripped, Fraction(0)) + c
-            )
+            bucket[stripped] = bucket.get(stripped, 0) + c
         if not buckets:
             return self.ring.zero()
         acc = self.ring.zero()
         for k in range(max(buckets), -1, -1):
-            acc = acc * repl + MultiPoly(self.ring, buckets.get(k, {}))
+            acc = acc * repl + MultiPoly._make(self.ring, buckets.get(k, {}), self.den)
         return acc
 
     def exact_divide(self, divisor) -> "MultiPoly":
         """Exact division; raises NotDivisible if a remainder survives.
 
-        Single-divisor multivariate long division in lex order.  When the
-        dividend is a true multiple of the divisor the lex-leading term of
-        the running remainder is always divisible by the divisor's, so the
-        loop terminates with zero remainder; otherwise NotDivisible.
+        Single-divisor multivariate long division in lex order, on the
+        numerators.  When the dividend is a true multiple of the divisor the
+        lex-leading term of the running remainder is always divisible by the
+        divisor's, so the loop terminates with zero remainder; otherwise
+        NotDivisible.  A heap hands out the remainder's terms in decreasing
+        lex order.  When the divisor's leading numerator does not divide
+        the remainder's, remainder and quotient are both scaled by the
+        missing factor, which goes into the quotient's denominator.
         """
         divisor = self._coerce(divisor)
         if divisor is None or not divisor:
             raise ZeroDivisionError("division by zero polynomial")
-        dlead = max(divisor.terms)
-        dc = divisor.terms[dlead]
-        rem = dict(self.terms)
-        quot: dict[tuple, Fraction] = {}
+        dterms = divisor.num
+        dlead = max(dterms)
+        dc = dterms[dlead]
+        rem = dict(self.num)
+        quot: dict[tuple, int] = {}
+        scale = 1
+        todo = [tuple(-x for x in e) for e in rem]
+        heapify(todo)
         while rem:
-            e = max(rem)
-            shift = tuple(a - b for a, b in zip(e, dlead))
-            if any(x < 0 for x in shift):
+            e = tuple(-x for x in heappop(todo))
+            if e not in rem:
+                continue
+            shift = tuple(map(sub, e, dlead))
+            if min(shift, default=0) < 0:
                 raise NotDivisible(f"leading term x^{e} not divisible by x^{dlead}")
-            qc = rem[e] / dc
+            c = rem[e]
+            if c % dc:
+                f = abs(dc) // gcd(c, dc)
+                rem = {x: v * f for x, v in rem.items()}
+                quot = {x: v * f for x, v in quot.items()}
+                scale *= f
+                c *= f
+            qc = c // dc
             quot[shift] = qc
-            for de, dcf in divisor.terms.items():
-                ne = tuple(a + b for a, b in zip(shift, de))
-                s = rem.get(ne, Fraction(0)) - qc * dcf
+            for de, dcf in dterms.items():
+                ne = tuple(map(add, shift, de))
+                s = rem.get(ne, 0) - qc * dcf
                 if s:
+                    if ne not in rem:
+                        heappush(todo, tuple(-x for x in ne))
                     rem[ne] = s
                 else:
                     rem.pop(ne, None)
-        return MultiPoly(self.ring, quot)
+        # self / divisor = (num / den) / (dnum / dden) = (quot / scale) * dden / den
+        return MultiPoly._make(
+            self.ring, {e: c * divisor.den for e, c in quot.items()}, scale * self.den
+        )
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         bits = []
         for e, c in self.sorted_terms():
@@ -392,9 +448,12 @@ class TruncSeries:
                 self.data[e] = c
 
     def _admissible(self, e) -> bool:
-        if any(x > cap for x, cap in zip(e, self.caps)):
+        if not all(map(le, e, self.caps)):
             return False
-        return all(sum(e[i] for i in ix) <= cap for ix, cap in self.blocks)
+        for ix, cap in self.blocks:
+            if sum([e[i] for i in ix]) > cap:
+                return False
+        return True
 
     # -- coefficient-ring helpers -------------------------------------------
 
@@ -477,7 +536,7 @@ class TruncSeries:
         out = {}
         for e1, c1 in self.data.items():
             for e2, c2 in other.data.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 if not self._admissible(e):
                     continue
                 p = c1 * c2
@@ -553,28 +612,63 @@ class TruncSeries:
 
 
 def _half_exp_sum(arg: TruncSeries, parity: int) -> TruncSeries:
-    """sum over k = parity mod 2 of W^k / (2^(k - parity) (k + 1 - parity)!)."""
-    if (0,) * len(arg.vars) in arg.data:
+    """sum over k = parity mod 2 of W^k / (2^(k - parity) (k + 1 - parity)!),
+    for a linear series W = sum_v L_v v.
+
+    In closed form, the coefficient at v^e with k = |e| of the right parity
+    is k! / (2^(k - parity) (k + 1 - parity)!) * prod_v L_v^(e_v) / e_v!.
+    Each admissible exponent is built once, its coefficient a product of
+    per-variable cached powers L_v^j / j! shared along the exponent prefix.
+    """
+    zero = (0,) * len(arg.vars)
+    if zero in arg.data:
         raise ValueError("sigma and S need a series without constant term")
-    out = arg.zero_like() if parity else arg.one_like()
-    power = arg.one_like()
-    for k in range(1, sum(arg.caps) + 1):
-        power = power * arg
-        if not power.data:
-            break
-        if k % 2 == parity:
-            out = out + power.scalar_mul(Fraction(1, 2 ** (k - parity) * factorial(k + 1 - parity)))
+    if any(sum(e) != 1 for e in arg.data):
+        raise ValueError("sigma and S need a linear series")
+    out = arg.zero_like()
+    # the nonzero variables, each with its power table and the blocks it sits in
+    slots = []
+    room = [cap for _, cap in arg.blocks]
+    for e, c in arg.data.items():
+        i = e.index(1)
+        blocks = [b for b, (ix, _) in enumerate(arg.blocks) if i in ix]
+        powers = [arg._cone(), c]
+        for j in range(2, min([arg.caps[i]] + [room[b] for b in blocks]) + 1):
+            powers.append(powers[-1] * c * Fraction(1, j))
+        slots.append((i, powers, blocks))
+    exps = list(zero)
+
+    def fill(t, k, coeff):
+        if t == len(slots):
+            if k % 2 == parity:
+                scale = Fraction(factorial(k), 2 ** (k - parity) * factorial(k + 1 - parity))
+                out.data[tuple(exps)] = coeff * scale
+            return
+        i, powers, blocks = slots[t]
+        top = min([len(powers) - 1] + [room[b] for b in blocks])
+        last = t == len(slots) - 1
+        for j in range((k + parity) % 2 if last else 0, top + 1, 2 if last else 1):
+            exps[i] = j
+            for b in blocks:
+                room[b] -= j
+            fill(t + 1, k + j, coeff * powers[j] if j else coeff)
+            for b in blocks:
+                room[b] += j
+        exps[i] = 0
+
+    fill(0, 0, arg._cone())
     return out
 
 
 def sigma_of(arg: TruncSeries) -> TruncSeries:
-    """sigma(W) = sum over odd k of W^k / (2^(k-1) k!) for a series W with no
-    constant term."""
+    """sigma(W) = sum over odd k of W^k / (2^(k-1) k!) for a linear series W
+    (no constant term, no term of degree 2 or more)."""
     return _half_exp_sum(arg, 1)
 
 
 def s_of(arg: TruncSeries) -> TruncSeries:
-    """S(W) = sigma(W)/W = sum over even k of W^k / (2^k (k+1)!); a unit."""
+    """S(W) = sigma(W)/W = sum over even k of W^k / (2^k (k+1)!), for a linear
+    series W; a unit."""
     return _half_exp_sum(arg, 0)
 
 

@@ -181,6 +181,19 @@ def _join(blocks: tuple, a: int, b: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _product_words(d: int, p: int, q: int, r: int, convention: str):
+    """The tuple table grouped by product word.
+
+    Returns ((product, ((blocks, count), ...)), ...) with one entry per
+    distinct product: 60 words for the 199 classes at d = 5, b = 4.
+    """
+    groups: dict = {}
+    for (word, blocks), cnt in _tuple_classes(d, p, q, r, convention):
+        groups.setdefault(word, []).append((blocks, cnt))
+    return tuple((word, tuple(blocks)) for word, blocks in groups.items())
+
+
+@lru_cache(maxsize=None)
 def _product_types(d: int, p: int, q: int, r: int, convention: str):
     """The tuple table summed by the cycle type of the product.
 
@@ -213,8 +226,9 @@ def count_factorizations(spec: FactorizationSpec, convention: str = "smaller") -
 
     Disconnected counts scan the class of mu once per cycle type of the
     product word, weighted by how many tuples have a product of that type;
-    connected counts scan it once per (product, blocks) class and keep the
-    pairs whose blocks, joined by the cycles of sigma1, are transitive.
+    connected counts scan it once per distinct product word and, where the
+    type matches, keep the (product, blocks) classes whose blocks, joined by
+    the cycles of sigma1, are transitive.
     Both tally exactly the (sigma1, tuple) pairs of the definition.
     """
     d = spec.d
@@ -225,12 +239,12 @@ def count_factorizations(spec: FactorizationSpec, convention: str = "smaller") -
     nu_sorted = tuple(sorted(spec.nu, reverse=True))
     raw_unlabeled = 0
     if spec.connected:
-        classes = _tuple_classes(d, spec.p, spec.q, spec.r, convention)
+        words = _product_words(d, spec.p, spec.q, spec.r, convention)
         for sigma1 in permutations_of_type(d, spec.mu):
             cyc1 = cycles_of(sigma1)
-            for (w, blocks), cnt in classes:
-                if cycle_type(compose(w, sigma1)) == nu_sorted and _is_transitive(cyc1, blocks):
-                    raw_unlabeled += cnt
+            for w, classes in words:
+                if cycle_type(compose(w, sigma1)) == nu_sorted:
+                    raw_unlabeled += sum(cnt for blocks, cnt in classes if _is_transitive(cyc1, blocks))
     else:
         sigmas = permutations_of_type(d, spec.mu)
         for w, cnt in _product_types(d, spec.p, spec.q, spec.r, convention):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -152,3 +153,174 @@ def test_series_product_commutes(acoef, bcoef):
 def test_rising_falling_reflection(x, k):
     # (-1)^k * falling(-x, k) == rising(x, k)
     assert rising_factorial(Fraction(x), k) == (-1) ** k * falling_factorial(Fraction(-x), k)
+
+
+# -- the integer kernel against a dict-of-Fraction reference --------------------
+
+NAMES = ("a", "b", "c")
+COEFFS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+def _ref_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _ref_add(x, y):
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return _ref_clean(out)
+
+
+def _ref_scale(x, c):
+    return _ref_clean({e: v * c for e, v in x.items()})
+
+
+def _ref_mul(x, y):
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return _ref_clean(out)
+
+
+def _ref_substitute(x, i, y):
+    out = {}
+    for e, c in x.items():
+        term = {e[:i] + (0,) + e[i + 1:]: c}
+        for _ in range(e[i]):
+            term = _ref_mul(term, y)
+        out = _ref_add(out, term)
+    return out
+
+
+def _ref_evaluate(x, point):
+    total = Fraction(0)
+    for e, c in x.items():
+        for v, k in zip(point, e):
+            c *= v ** k
+        total += c
+    return total
+
+
+def _ref_divide(x, y):
+    lead = max(y)
+    rem, quot = dict(x), {}
+    while rem:
+        e = max(rem)
+        shift = tuple(a - b for a, b in zip(e, lead))
+        if min(shift) < 0:
+            raise NotDivisible
+        quot[shift] = rem[e] / y[lead]
+        rem = _ref_add(rem, _ref_scale(_ref_mul({shift: quot[shift]}, y), -1))
+    return quot
+
+
+@st.composite
+def _terms(draw, nvars):
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    return _ref_clean(draw(st.dictionaries(exps, COEFFS, max_size=6)))
+
+
+def _assert_canonical(poly):
+    assert poly.den > 0
+    assert all(isinstance(c, int) and c for c in poly.num.values())
+    if poly.num:
+        assert math.gcd(poly.den, *poly.num.values()) == 1
+    else:
+        assert poly.den == 1
+    built = MultiPoly(poly.ring, poly.terms)
+    assert built == poly and hash(built) == hash(poly)
+    assert (built.num, built.den) == (poly.num, poly.den)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_integer_kernel_matches_fraction_reference(data):
+    nvars = data.draw(st.integers(2, 3))
+    ring = PolyRing(NAMES[:nvars])
+    tx, ty = data.draw(_terms(nvars)), data.draw(_terms(nvars))
+    c = data.draw(COEFFS)
+    x, y = MultiPoly(ring, tx), MultiPoly(ring, ty)
+    i = data.draw(st.integers(0, nvars - 1))
+    cases = [
+        (x + y, _ref_add(tx, ty)),
+        (x - y, _ref_add(tx, _ref_scale(ty, -1))),
+        (x * y, _ref_mul(tx, ty)),
+        (x * c, _ref_scale(tx, c)),
+        (c * x, _ref_scale(tx, c)),
+        (x.substitute(NAMES[i], y), _ref_substitute(tx, i, ty)),
+    ]
+    for got, want in cases:
+        _assert_canonical(got)
+        assert got.terms == want
+    point = data.draw(st.tuples(*[COEFFS] * nvars))
+    assert x.evaluate(dict(zip(NAMES, point))) == _ref_evaluate(tx, point)
+
+
+@pytest.mark.parametrize("lead", [Fraction(1), Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2)])
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_exact_divide_matches_fraction_reference(lead, data):
+    nvars = data.draw(st.integers(2, 3))
+    ring = PolyRing(NAMES[:nvars])
+    tq = data.draw(_terms(nvars))
+    # the divisor's lex-leading term a^4 lies above every drawn exponent
+    td = dict(data.draw(_terms(nvars)))
+    td[(4,) + (0,) * (nvars - 1)] = lead
+    tp = _ref_mul(tq, td)
+    got = MultiPoly(ring, tp).exact_divide(MultiPoly(ring, td))
+    _assert_canonical(got)
+    assert got.terms == tq == _ref_divide(tp, td)
+    # one more constant term makes a non-multiple of a non-constant divisor
+    with pytest.raises(NotDivisible):
+        MultiPoly(ring, _ref_add(tp, {(0,) * nvars: Fraction(1)})).exact_divide(MultiPoly(ring, td))
+
+
+def test_zero_is_canonical():
+    z = R.var("x") - R.var("x")
+    assert z.is_zero() and z.den == 1 and z == R.zero() and hash(z) == hash(R.zero())
+    assert (R.const(Fraction(1, 3)) * 0).den == 1
+
+
+# -- the closed-form sigma and S against the defining sum -----------------------
+
+
+def _ref_half_exp_sum(arg, parity):
+    out = arg.zero_like() if parity else arg.one_like()
+    power = arg.one_like()
+    for k in range(1, sum(arg.caps) + 1):
+        power = power * arg
+        if k % 2 == parity:
+            out = out + power.scalar_mul(Fraction(1, 2 ** (k - parity) * math.factorial(k + 1 - parity)))
+    return out
+
+
+COEFF_RING = PolyRing(("s", "t"))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_closed_form_sigma_and_s_match_the_defining_sum(data):
+    nvars = data.draw(st.integers(2, 3))
+    names = NAMES[:nvars]
+    caps = data.draw(st.tuples(*[st.integers(1, 4)] * nvars))
+    blocks = data.draw(st.sampled_from([(), (((nvars - 2, nvars - 1), data.draw(st.integers(1, 4))),)]))
+    if data.draw(st.booleans()):
+        ring = COEFF_RING
+        s, t = ring.var("s"), ring.var("t")
+        coeffs = [s * data.draw(COEFFS) + t * data.draw(COEFFS) + data.draw(COEFFS) for _ in names]
+    else:
+        ring = None
+        coeffs = [data.draw(COEFFS) for _ in names]
+    arg = TruncSeries.from_linear(names, caps, dict(zip(names, coeffs)), ring, blocks)
+    assert sigma_of(arg) == _ref_half_exp_sum(arg, 1)
+    assert s_of(arg) == _ref_half_exp_sum(arg, 0)
+
+
+@pytest.mark.parametrize("data", [{(0, 0): 1, (1, 0): 1}, {(1, 0): 1, (1, 1): 2}])
+@pytest.mark.parametrize("fn", [sigma_of, s_of])
+def test_sigma_and_s_need_a_linear_argument(data, fn):
+    with pytest.raises(ValueError):
+        fn(TruncSeries(("a", "b"), (3, 3), None, data))
