@@ -10,13 +10,17 @@ in the labeled-parts normalization, where f2 is the sum of contents and
 h_k, e_k are complete homogeneous / elementary evaluations at the content
 multiset.  Connected counts (simple type only) follow by peeling off the
 component that carries the first part of mu.
+
+Everything below the public functions is integer arithmetic: the sums and
+the peeling recursion are kept multiplied by prod(mu) * prod(nu), and each
+public count divides by that product once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import product
 from math import comb, prod
 
 from .partitions import (
@@ -35,90 +39,114 @@ from .partitions import (
 
 
 @lru_cache(maxsize=None)
-def _disc_sum(mu: tuple, nu: tuple, p: int, q: int, r: int) -> Fraction:
+def _character_table(mu: tuple, nu: tuple) -> tuple:
+    """chi^lam(mu) * chi^lam(nu) for every lam, in `partitions(d)` order."""
+    return tuple(character(lam, mu) * character(lam, nu) for lam in partitions(sum(mu)))
+
+
+@lru_cache(maxsize=None)
+def _disc_sum(mu: tuple, nu: tuple, p: int, q: int, r: int) -> int:
+    """The integer sum chi chi f2^p h_q e_r: the count times prod(mu) * prod(nu)."""
     # Ungated: the parity constraint comes out of the sum on its own, the
     # genus >= 0 constraint does not.  Callers that want the geometric count
     # must gate; the component recursion must not.
-    d = sum(mu)
-    total = Fraction(0)
-    for lam in partitions(d):
-        c = character(lam, mu) * character(lam, nu)
+    total = 0
+    for lam, c in zip(partitions(sum(mu)), _character_table(mu, nu)):
         if not c:
             continue
-        term = Fraction(c)
         if p:
-            term *= f2_eigenvalue(lam) ** p
+            c *= f2_eigenvalue(lam) ** p
         if q:
-            term *= complete_homogeneous_at_contents(lam, q)
+            c *= complete_homogeneous_at_contents(lam, q)
         if r:
-            term *= elementary_at_contents(lam, r)
-        total += term
-    return total / (prod(mu) * prod(nu))
+            c *= elementary_at_contents(lam, r)
+        total += c
+    return total
 
 
-def hurwitz_disconnected(mu, nu, p: int = 0, q: int = 0, r: int = 0) -> Fraction:
-    """Labeled disconnected count, zero outside the valid genus range."""
+def _profiles(mu, nu) -> tuple:
     mu = tuple(sorted(check_composition(mu), reverse=True))
     nu = tuple(sorted(check_composition(nu), reverse=True))
     if sum(mu) != sum(nu):
         raise SizeMismatch(f"|mu|={sum(mu)} != |nu|={sum(nu)}")
+    return mu, nu
+
+
+def hurwitz_disconnected(mu, nu, p: int = 0, q: int = 0, r: int = 0) -> Fraction:
+    """Labeled disconnected count, zero outside the valid genus range."""
+    mu, nu = _profiles(mu, nu)
     m, n = len(mu), len(nu)
     if Signature.of("mixed", (p, q, r), m, n).genus(m, n) is None:
         return Fraction(0)
-    return _disc_sum(mu, nu, p, q, r)
+    return Fraction(_disc_sum(mu, nu, p, q, r), prod(mu) * prod(nu))
+
+
+def _sub_multisets(parts: tuple):
+    """(chosen, rest, ways) for each sub-multiset of the weakly decreasing
+    `parts`: both sorted, and `ways` index subsets that pick it."""
+    values = sorted(set(parts), reverse=True)
+    mults = [parts.count(v) for v in values]
+    for picks in product(*(range(k + 1) for k in mults)):
+        chosen = tuple(v for v, c in zip(values, picks) for _ in range(c))
+        rest = tuple(v for v, c, k in zip(values, picks, mults) for _ in range(k - c))
+        yield chosen, rest, prod(comb(k, c) for k, c in zip(mults, picks))
 
 
 @lru_cache(maxsize=None)
-def _connected_simple(mu: tuple, nu: tuple, b: int) -> Fraction:
-    """Count with transitivity imposed, by removing split contributions.
+def _splits(mu: tuple, nu: tuple) -> tuple:
+    """Proper splits of (mu, nu) whose first block holds part 0 of mu.
+
+    Entries are (muI, nuJ, muC, nuC, mult): the block (muI, nuJ), its
+    complement, each sorted, and the number of index pairs (I, J) with
+    0 in I and sum mu_I = sum nu_J that sort to them.  A full I forces a
+    full J (all parts are positive), so dropping an empty muC drops the one
+    improper split.
+    """
+    blocks = {}
+    for nuJ, nuC, ways in _sub_multisets(nu):
+        blocks.setdefault(sum(nuJ), []).append((nuJ, nuC, ways))
+    out = []
+    for rest, muC, ways in _sub_multisets(mu[1:]):
+        if not muC:
+            continue
+        muI = (mu[0],) + rest
+        for nuJ, nuC, ways_nu in blocks.get(sum(muI), ()):
+            out.append((muI, nuJ, muC, nuC, ways * ways_nu))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _connected_simple(mu: tuple, nu: tuple, b: int) -> int:
+    """Transitive count C(mu, nu, b) times prod(mu) * prod(nu), an integer.
 
     Every (possibly non-transitive) factorization splits uniquely into the
     orbit of the first part of mu and the rest, so with parts and
-    transposition slots both labeled:
+    transposition slots both labeled, A = C + sum over proper splits of
+    binom(b, b1) * C(mu_I, nu_J, b1) * A(rest, b - b1).  The product of the
+    parts factorises over every split, so in the scaled normalization, with
+    S = `_disc_sum`,
 
-        A(mu, nu, b) = sum over proper splits of
-            binom(b, b1) * C(mu_I, nu_J, b1) * A(rest, b - b1)
+        C'(mu, nu, b) = S(mu, nu, b) - sum over grouped splits of
+            mult * binom(b, b1) * C'(mu_I, nu_J, b1) * S(rest, b - b1).
 
-    plus the transitive term C(mu, nu, b) itself.
+    C' vanishes below the Riemann-Hurwitz bound b1 = m1 + n1 - 2 (a block
+    has m1, n1 >= 1) and at the wrong parity, so b1 starts at that bound and
+    steps by 2; only zero terms are skipped.
     """
     total = _disc_sum(mu, nu, b, 0, 0)
-    m, n = len(mu), len(nu)
-    for ksub in range(1, m + 1):
-        for rest_I in combinations(range(1, m), ksub - 1):
-            I = (0,) + rest_I
-            dI = sum(mu[i] for i in I)
-            for jsub in range(0, n + 1):
-                for J in combinations(range(n), jsub):
-                    if sum(nu[j] for j in J) != dI:
-                        continue
-                    if ksub == m and jsub == n:
-                        continue
-                    muI = tuple(sorted((mu[i] for i in I), reverse=True))
-                    nuJ = tuple(sorted((nu[j] for j in J), reverse=True))
-                    muC = tuple(sorted((mu[i] for i in range(m) if i not in I), reverse=True))
-                    nuC = tuple(sorted((nu[j] for j in range(n) if j not in J), reverse=True))
-                    for b1 in range(b + 1):
-                        c1 = _connected_simple(muI, nuJ, b1)
-                        if not c1:
-                            continue
-                        if muC:
-                            a2 = _disc_sum(muC, nuC, b - b1, 0, 0)
-                        else:
-                            a2 = Fraction(1 if b == b1 else 0)
-                        if a2:
-                            total -= comb(b, b1) * c1 * a2
+    for muI, nuJ, muC, nuC, mult in _splits(mu, nu):
+        for b1 in range(len(muI) + len(nuJ) - 2, b + 1, 2):
+            total -= mult * comb(b, b1) * _connected_simple(muI, nuJ, b1) * _disc_sum(muC, nuC, b - b1, 0, 0)
     return total
 
 
 def hurwitz_connected_simple(mu, nu, g: int) -> Fraction:
     """Labeled transitive count with b = 2g - 2 + m + n simple transpositions."""
-    mu = tuple(sorted(check_composition(mu), reverse=True))
-    nu = tuple(sorted(check_composition(nu), reverse=True))
-    if sum(mu) != sum(nu):
-        raise SizeMismatch(f"|mu|={sum(mu)} != |nu|={sum(nu)}")
+    mu, nu = _profiles(mu, nu)
     if g < 0:
         return Fraction(0)
-    return _connected_simple(mu, nu, Signature.of("simple", g, len(mu), len(nu)).b)
+    b = Signature.of("simple", g, len(mu), len(nu)).b
+    return Fraction(_connected_simple(mu, nu, b), prod(mu) * prod(nu))
 
 
 # -- hypergeometric tau coefficients --------------------------------------------
@@ -170,15 +198,11 @@ def tau_coefficient(n: int, mu, nu, c, d) -> Fraction:
     d = tuple(int(x) for x in d)
     if any(x < 0 for x in c + d):
         raise ValueError("exponents must be >= 0")
-    total = Fraction(0)
-    for lam in partitions(n):
-        ch = character(lam, mu) * character(lam, nu)
-        if not ch:
-            continue
-        box = box_product(lam, c, d).get((c, d), 0)
-        if box:
-            total += Fraction(ch * box, centralizer_size(mu) * centralizer_size(nu))
-    return total
+    total = 0
+    for lam, ch in zip(partitions(n), _character_table(mu, nu)):
+        if ch:
+            total += ch * box_product(lam, c, d).get((c, d), 0)
+    return Fraction(total, centralizer_size(mu) * centralizer_size(nu))
 
 
 def tau_series_factored(lam: tuple, wcaps, zcaps) -> dict:
@@ -191,7 +215,7 @@ def tau_series_factored(lam: tuple, wcaps, zcaps) -> dict:
     """
     wcaps = tuple(wcaps)
     zcaps = tuple(zcaps)
-    series = {(tuple([0] * len(wcaps)), tuple([0] * len(zcaps))): Fraction(1)}
+    series = {(tuple([0] * len(wcaps)), tuple([0] * len(zcaps))): 1}
     for a, cap in enumerate(wcaps):
         out = {}
         for v in range(cap + 1):

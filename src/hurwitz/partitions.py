@@ -15,7 +15,6 @@ b = p + q + r = 2g - 2 + m + n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -80,17 +79,43 @@ def check_composition(parts) -> tuple:
 
 
 def partitions(d: int):
-    """All partitions of d as weakly decreasing tuples, in descending lex order."""
+    """All partitions of d as weakly decreasing tuples, in descending lex order.
 
-    def gen(remaining, largest):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, largest), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    yield from gen(d, d)
+    Iterative (algorithm ZS1 of Zoghbi and Stojmenovic): `x[:m]` is the
+    current partition and `h` the index of its last part greater than 1.
+    Each step lowers `x[h]` by one and refills the tail with copies of the
+    lowered value, which gives the lex-next smaller partition.
+    """
+    if d < 0:
+        return
+    if d == 0:
+        yield ()
+        return
+    x = [1] * d
+    x[0] = d
+    m, h = 1, 0
+    yield (d,)
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            m += 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[:m])
 
 
 def compositions(d: int):
@@ -112,9 +137,9 @@ def contents(lam) -> tuple:
     return tuple(j - i for i, row in enumerate(lam) for j in range(row))
 
 
-def f2_eigenvalue(lam) -> Fraction:
+def f2_eigenvalue(lam) -> int:
     """Sum of the contents: the transposition-sum eigenvalue on the shape."""
-    return Fraction(sum(contents(lam)))
+    return sum(row * (row - 1) // 2 - i * row for i, row in enumerate(lam))
 
 
 def multiplicity_factor(mu) -> int:
@@ -178,20 +203,20 @@ def character(lam, mu) -> int:
 def _sym_at_contents(lam: tuple, kmax: int) -> tuple:
     """(h_0..h_kmax, e_0..e_kmax) evaluated at the content multiset of lam."""
     cr = contents(lam)
-    h = [Fraction(0)] * (kmax + 1)
-    h[0] = Fraction(1)
+    h = [0] * (kmax + 1)
+    h[0] = 1
     for x in cr:
         for k in range(1, kmax + 1):
             h[k] += x * h[k - 1]
-    e = [Fraction(0)] * (kmax + 1)
-    e[0] = Fraction(1)
+    e = [0] * (kmax + 1)
+    e[0] = 1
     for x in cr:
         for k in range(min(kmax, len(cr)), 0, -1):
             e[k] += x * e[k - 1]
     return tuple(h), tuple(e)
 
 
-def complete_homogeneous_at_contents(lam, v: int) -> Fraction:
+def complete_homogeneous_at_contents(lam, v: int) -> int:
     """h_v evaluated at the contents of lam."""
     if v < 0:
         raise ValueError("need v >= 0")
@@ -199,11 +224,11 @@ def complete_homogeneous_at_contents(lam, v: int) -> Fraction:
     return _sym_at_contents(lam, v)[0][v]
 
 
-def elementary_at_contents(lam, v: int) -> Fraction:
+def elementary_at_contents(lam, v: int) -> int:
     """e_v evaluated at the contents of lam; vanishes for v > |lam|."""
     if v < 0:
         raise ValueError("need v >= 0")
     lam = tuple(sorted(lam, reverse=True))
     if v > sum(lam):
-        return Fraction(0)
+        return 0
     return _sym_at_contents(lam, v)[1][v]

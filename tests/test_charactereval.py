@@ -5,6 +5,9 @@ the genus gate, the connected recursion, and the hypergeometric coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from math import comb, prod
 
 import pytest
 
@@ -17,7 +20,16 @@ from hurwitz.charactereval import (
     tau_series_factored,
 )
 from hurwitz.oracle import FactorizationSpec, count_factorizations
-from hurwitz.partitions import SizeMismatch, partitions
+from hurwitz.partitions import (
+    SizeMismatch,
+    character,
+    complete_homogeneous_at_contents,
+    compositions,
+    contents,
+    elementary_at_contents,
+    partitions,
+)
+from hurwitz.wedge import OnWall, chamber_of, chamber_polynomial, evaluate
 
 
 def test_size_mismatch():
@@ -81,6 +93,115 @@ def test_connected_matches_transitive_oracle(d):
                     FactorizationSpec(mu, nu, b, 0, 0, connected=True)
                 ).value
                 assert hurwitz_connected_simple(mu, nu, g) == want, (mu, nu, g)
+
+
+# -- a plain Fraction reference for the integer route ----------------------------------
+# The recursion as first written: a Fraction sum divided in every call, every split
+# (I, J) on its own, and every b1 from 0 to b.
+
+
+@lru_cache(maxsize=None)
+def _ref_disconnected(mu, nu, p, q, r):
+    total = Fraction(0)
+    for lam in partitions(sum(mu)):
+        c = character(lam, mu) * character(lam, nu)
+        if c:
+            term = Fraction(c) * Fraction(sum(contents(lam))) ** p
+            total += term * complete_homogeneous_at_contents(lam, q) * elementary_at_contents(lam, r)
+    return total / (prod(mu) * prod(nu))
+
+
+def _desc(parts):
+    return tuple(sorted(parts, reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _ref_splits(mu, nu):
+    """Every proper (I, J) with 0 in I and sum mu_I = sum nu_J, one entry each."""
+    out = []
+    m, n = len(mu), len(nu)
+    for k in range(m):
+        for rest in combinations(range(1, m), k):
+            I = (0,) + rest
+            for jsub in range(n + 1):
+                for J in combinations(range(n), jsub):
+                    if sum(nu[j] for j in J) != sum(mu[i] for i in I) or (k + 1 == m and jsub == n):
+                        continue
+                    muC = _desc(x for i, x in enumerate(mu) if i not in I)
+                    nuC = _desc(x for j, x in enumerate(nu) if j not in J)
+                    out.append((_desc(mu[i] for i in I), _desc(nu[j] for j in J), muC, nuC))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _ref_connected(mu, nu, b):
+    total = _ref_disconnected(mu, nu, b, 0, 0)
+    for muI, nuJ, muC, nuC in _ref_splits(mu, nu):
+        for b1 in range(b + 1):
+            c1 = _ref_connected(muI, nuJ, b1)
+            a2 = _ref_disconnected(muC, nuC, b - b1, 0, 0) if c1 else 0
+            if a2:
+                total -= comb(b, b1) * c1 * a2
+    return total
+
+
+def test_connected_matches_the_fraction_reference():
+    # pins the grouped splits, the parity and genus gate on b1 and the single
+    # division beyond the oracle's reach
+    for d in range(1, 8):
+        for mu in partitions(d):
+            for nu in partitions(d):
+                for g in range(3):
+                    b = 2 * g - 2 + len(mu) + len(nu)
+                    assert hurwitz_connected_simple(mu, nu, g) == _ref_connected(mu, nu, b), (mu, nu, g)
+
+
+def test_disconnected_matches_the_fraction_reference():
+    for d in range(1, 8):
+        for mu in partitions(d):
+            for nu in partitions(d):
+                for p in range(5):
+                    for q in range(5 - p):
+                        for r in range(5 - p - q):
+                            b, m, n = p + q + r, len(mu), len(nu)
+                            gated = (b - m - n) % 2 or b < m + n - 2
+                            want = 0 if gated else _ref_disconnected(mu, nu, p, q, r)
+                            assert hurwitz_disconnected(mu, nu, p, q, r) == want, (mu, nu, (p, q, r))
+
+
+def _adjacent_chambers(mu, nu):
+    """Chambers whose closure holds (mu, nu): from 3·(mu, nu), add 1 to one part on each side."""
+    for i in range(len(mu)):
+        for j in range(len(nu)):
+            a = tuple(3 * x + (k == i) for k, x in enumerate(mu))
+            b = tuple(3 * x + (k == j) for k, x in enumerate(nu))
+            try:
+                yield chamber_of(a, b)
+            except OnWall:
+                continue
+
+
+def test_connected_on_a_wall_is_an_adjacent_chamber_value():
+    # on a wall the chamber polynomial of any adjacent chamber gives the
+    # connected count, which differs from the disconnected one there
+    cases = 0
+    for d in range(1, 8):
+        for mu in compositions(d):
+            for nu in compositions(d):
+                if len(mu) + len(nu) > 4:
+                    continue
+                try:
+                    chamber_of(mu, nu)
+                    continue
+                except OnWall:
+                    pass
+                for chamber in _adjacent_chambers(mu, nu):
+                    for g in range(2):
+                        conn = hurwitz_connected_simple(mu, nu, g)
+                        assert evaluate(chamber_polynomial("simple", g, chamber), mu, nu) == conn, (mu, nu, g)
+                        assert conn != hurwitz_disconnected(mu, nu, 2 * g - 2 + len(mu) + len(nu), 0, 0)
+                        cases += 1
+    assert cases == 144
 
 
 def test_tau_degree_one():

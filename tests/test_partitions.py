@@ -40,6 +40,21 @@ def test_partition_counts():
     assert [len(list(partitions(d))) for d in range(1, 9)] == [1, 2, 3, 5, 7, 11, 15, 22]
 
 
+def test_partitions_come_in_descending_lex_order():
+    # the character route zips per-pair character columns against this order
+    shapes = {()}
+    for d in range(1, 21):
+        # every partition of d is one of d - 1 with a box added to some row
+        shapes = {
+            tuple(sorted(lam[:i] + (lam[i] + 1,) + lam[i + 1:], reverse=True))
+            for lam in shapes
+            for i in range(len(lam))
+        } | {lam + (1,) for lam in shapes}
+        assert list(partitions(d)) == sorted(shapes, reverse=True), d
+    assert len(shapes) == 627
+    assert list(partitions(0)) == [()]
+
+
 def test_compositions_count():
     # 2^(d-1) compositions of d
     for d in range(1, 7):
