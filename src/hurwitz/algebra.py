@@ -7,7 +7,9 @@ touches floating point.  `TruncSeries` implements the quotient ring
 Q[c][[v1, ..., vk]] / (v1^(cap1+1), ..., vk^(capk+1)): every retained
 coefficient of a sum, product, or inverse is exact, and coefficients may
 themselves be `MultiPoly` values so the same series code serves both numeric
-and symbolic evaluations.
+and symbolic evaluations.  A product only multiplies the term pairs it keeps:
+the terms are bucketed by grade (see `_grading`), and only bucket pairs
+whose grades fit together are visited.
 
 The special series used throughout are the odd exponential difference
 
@@ -15,13 +17,16 @@ The special series used throughout are the odd exponential difference
 
 and its normalization S(w) = sigma(w)/w = sum_{k even} w^k / (2^k (k+1)!),
 which is a unit (constant term 1) and so admits powers S(w)^c with an
-arbitrary exponent c, rational or polynomial, via exp(c * log S(w)).  Both
-take a linear series w, whose powers have a closed form.
+arbitrary exponent c, rational or polynomial, via exp(c * log S(w)).  Its
+inverse is w/sigma(w) = sum_{k even} B_k(1/2) w^k / k!, and its logarithm
+log S(w) = sum_{k>=1} B_{2k} w^{2k} / (2k (2k)!).  sigma, S and 1/S take a
+linear series w, whose powers have a closed form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import comb, factorial, gcd, lcm
 from operator import add, le, sub
@@ -34,6 +39,7 @@ __all__ = [
     "TruncSeries",
     "sigma_of",
     "s_of",
+    "s_inverse_of",
     "s_power_series",
     "rising_factorial",
     "falling_factorial",
@@ -455,6 +461,14 @@ class TruncSeries:
                 return False
         return True
 
+    def _with(self, data) -> "TruncSeries":
+        """A series of this space holding `data`, whose exponents are all
+        admissible and whose coefficients are all nonzero (not re-checked)."""
+        out = object.__new__(TruncSeries)
+        out.vars, out.caps, out.ring, out.blocks = self.vars, self.caps, self.ring, self.blocks
+        out.data = data
+        return out
+
     # -- coefficient-ring helpers -------------------------------------------
 
     def _czero(self):
@@ -522,41 +536,58 @@ class TruncSeries:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return TruncSeries(self.vars, self.caps, self.ring, out, self.blocks)
+        return self._with(out)
 
     def __neg__(self):
-        return TruncSeries(self.vars, self.caps, self.ring, {e: -c for e, c in self.data.items()}, self.blocks)
+        return self._with({e: -c for e, c in self.data.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
-        self._same_space(other)
-        caps = self.caps
+    def _graded(self, grades) -> dict:
+        """grade -> this series' (exponent, coefficient) pairs of that grade."""
         out = {}
-        for e1, c1 in self.data.items():
-            for e2, c2 in other.data.items():
-                e = tuple(map(add, e1, e2))
-                if not self._admissible(e):
+        for item in self.data.items():
+            e = item[0]
+            g = tuple([sum([e[i] for i in ix]) for ix in grades])
+            bucket = out.get(g)
+            if bucket is None:
+                out[g] = [item]
+            else:
+                bucket.append(item)
+        return out
+
+    def __mul__(self, other):
+        """The truncated product.  Grades add under the product, so a bucket
+        pair whose grades sum within the grade caps holds only admissible
+        term pairs, and every other bucket pair holds none."""
+        self._same_space(other)
+        grades, gcaps = _grading(self.caps, self.blocks)
+        right = list(other._graded(grades).items())
+        out = {}
+        get = out.get
+        for g1, terms1 in self._graded(grades).items():
+            room = tuple(map(sub, gcaps, g1))
+            for g2, terms2 in right:
+                if not all(map(le, g2, room)):
                     continue
-                p = c1 * c2
-                s = out.get(e)
-                s = p if s is None else s + p
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return TruncSeries(self.vars, self.caps, self.ring, out, self.blocks)
+                for e1, c1 in terms1:
+                    for e2, c2 in terms2:
+                        e = tuple(map(add, e1, e2))
+                        s = get(e)
+                        out[e] = c1 * c2 if s is None else s + c1 * c2
+        return self._with({e: c for e, c in out.items() if c})
 
     def scalar_mul(self, c) -> "TruncSeries":
         if isinstance(c, (int, Fraction)):
             c = self._cconst(c)
         if not c:
             return self.zero_like()
-        return TruncSeries(self.vars, self.caps, self.ring, {e: cf * c for e, cf in self.data.items()}, self.blocks)
+        return self._with({e: cf * c for e, cf in self.data.items()})
 
     def inverse(self) -> "TruncSeries":
-        """Inverse of a unit series whose constant term is exactly 1."""
+        """Inverse of a unit series whose constant term is exactly 1, by
+        repeated products; the S-series have the closed form `s_inverse_of`."""
         const = self.data.get((0,) * len(self.vars), self._czero())
         if const != self._cone():
             raise ValueError("inverse requires constant term 1")
@@ -608,17 +639,35 @@ class TruncSeries:
         return f"TruncSeries({self.vars}, caps={self.caps}, {n} terms)"
 
 
+@lru_cache(maxsize=64)
+def _grading(caps: tuple, blocks: tuple) -> tuple:
+    """(index tuple of each grade, grade caps) of a truncated space.
+
+    A grade is the degree sum of a block, or the exponent of a variable
+    whose own cap is below every block holding it (or that sits in no
+    block).  Any other variable's cap is implied by a block's, so an
+    exponent is admissible exactly when every grade is within its cap.
+    """
+    grades = [ix for ix, _ in blocks]
+    gcaps = [cap for _, cap in blocks]
+    for i, cap in enumerate(caps):
+        if all(cap < bcap for ix, bcap in blocks if i in ix):
+            grades.append((i,))
+            gcaps.append(cap)
+    return tuple(grades), tuple(gcaps)
+
+
 # -- the odd/even exponential series ------------------------------------------
 
 
-def _half_exp_sum(arg: TruncSeries, parity: int) -> TruncSeries:
-    """sum over k = parity mod 2 of W^k / (2^(k - parity) (k + 1 - parity)!),
-    for a linear series W = sum_v L_v v.
+def _half_exp_sum(arg: TruncSeries, parity: int, weight) -> TruncSeries:
+    """sum over k = parity mod 2 of weight(k) W^k / k!, for a linear series
+    W = sum_v L_v v.
 
     In closed form, the coefficient at v^e with k = |e| of the right parity
-    is k! / (2^(k - parity) (k + 1 - parity)!) * prod_v L_v^(e_v) / e_v!.
-    Each admissible exponent is built once, its coefficient a product of
-    per-variable cached powers L_v^j / j! shared along the exponent prefix.
+    is weight(k) * prod_v L_v^(e_v) / e_v!.  Each admissible exponent is
+    built once, its coefficient a product of per-variable cached powers
+    L_v^j / j! shared along the exponent prefix.
     """
     zero = (0,) * len(arg.vars)
     if zero in arg.data:
@@ -637,12 +686,15 @@ def _half_exp_sum(arg: TruncSeries, parity: int) -> TruncSeries:
             powers.append(powers[-1] * c * Fraction(1, j))
         slots.append((i, powers, blocks))
     exps = list(zero)
+    weights = {}
 
     def fill(t, k, coeff):
         if t == len(slots):
             if k % 2 == parity:
-                scale = Fraction(factorial(k), 2 ** (k - parity) * factorial(k + 1 - parity))
-                out.data[tuple(exps)] = coeff * scale
+                w = weights.get(k)
+                if w is None:
+                    w = weights[k] = weight(k)
+                out.data[tuple(exps)] = coeff * w
             return
         i, powers, blocks = slots[t]
         top = min([len(powers) - 1] + [room[b] for b in blocks])
@@ -663,29 +715,33 @@ def _half_exp_sum(arg: TruncSeries, parity: int) -> TruncSeries:
 def sigma_of(arg: TruncSeries) -> TruncSeries:
     """sigma(W) = sum over odd k of W^k / (2^(k-1) k!) for a linear series W
     (no constant term, no term of degree 2 or more)."""
-    return _half_exp_sum(arg, 1)
+    return _half_exp_sum(arg, 1, lambda k: Fraction(1, 2 ** (k - 1)))
 
 
 def s_of(arg: TruncSeries) -> TruncSeries:
     """S(W) = sigma(W)/W = sum over even k of W^k / (2^k (k+1)!), for a linear
     series W; a unit."""
-    return _half_exp_sum(arg, 0)
+    return _half_exp_sum(arg, 0, lambda k: Fraction(1, 2**k * (k + 1)))
+
+
+def s_inverse_of(arg: TruncSeries) -> TruncSeries:
+    """1/S(W) = W/sigma(W) = sum over even k of B_k(1/2) W^k / k!, for a
+    linear series W, with B_k(1/2) = (2^(1-k) - 1) B_k."""
+    return _half_exp_sum(arg, 0, lambda k: (Fraction(2, 2**k) - 1) * bernoulli(k))
 
 
 def s_power_series(c, var: str, order: int, ring=None) -> TruncSeries:
-    """S(v)^c truncated at v^order, c rational or polynomial (via exp(c log S))."""
+    """S(v)^c truncated at v^order, c rational or polynomial, as exp(c log S)
+    with log S(v) = sum_{k>=1} B_{2k} v^{2k} / (2k (2k)!)."""
     if isinstance(c, MultiPoly) and ring is None:
         ring = c.ring
     one = TruncSeries.one((var,), (order,), ring)
-    s_plain = s_of(TruncSeries.from_linear((var,), (order,), {var: 1}, ring))
-    u = s_plain - one  # no constant term, starts at v^2
-    log_s = TruncSeries.zero((var,), (order,), ring)
-    power = one
-    for j in range(1, order // 2 + 1):
-        power = power * u
-        if not power.data:
-            break
-        log_s = log_s + power.scalar_mul(Fraction((-1) ** (j + 1), j))
+    log_s = TruncSeries(
+        (var,),
+        (order,),
+        ring,
+        {(k,): one._cconst(bernoulli(k) / (k * factorial(k))) for k in range(2, order + 1, 2)},
+    )
     out = one
     power = one
     cpow = one._cone()

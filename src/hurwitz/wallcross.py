@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import prod
 from typing import Optional, Union
 
-from .algebra import TruncSeries, falling_factorial, rising_factorial, s_of
+from .algebra import TruncSeries, falling_factorial, rising_factorial, s_inverse_of, s_of
 from .partitions import Signature, check_composition
 from .wedge import Chamber, Wall, chamber_of, chamber_polynomial, generating_series, walls
 
@@ -147,17 +147,14 @@ def refined_series(kind: str, mu, nu, order: int, chamber: Optional[Chamber] = N
 # -- the recursive product formula -------------------------------------------------
 
 
-def _s_of_map(space, argmap) -> TruncSeries:
-    names, caps, blocks = space
-    return s_of(TruncSeries.from_linear(names, caps, argmap, None, blocks))
-
-
-def _crossing_prefactor(kind, problem, mu, nu, delta, space) -> TruncSeries:
+def _crossing_prefactor(kind, problem, nu, delta, space) -> TruncSeries:
     """delta^2 * sigma-ratio, as the pole-free S-series times the scalar delta.
 
     Every sigma(L) is L * S(L); the linear forms of numerator and denominator
     cancel exactly up to one factor of delta, which combines with delta^2.
+    Each S of the denominator is inverted in closed form (`s_inverse_of`).
     """
+    names, caps, blocks = space
     n = len(nu)
     J = set(problem.wall.J)
     Jc = [j for j in range(1, n + 1) if j not in J]
@@ -170,17 +167,17 @@ def _crossing_prefactor(kind, problem, mu, nu, delta, space) -> TruncSeries:
             out["X"] = (xshift + sum(Fraction(nu[j - 1]) for j in ixs)) * scale
         return out
 
-    num = (
-        _s_of_map(space, argmap(sorted(J), 1, delta))
-        * _s_of_map(space, argmap(Jc, 1))
-        * _s_of_map(space, argmap(range(1, n + 1), delta))
-    )
-    den = (
-        _s_of_map(space, argmap(sorted(J), delta, delta))
-        * _s_of_map(space, argmap(Jc, delta))
-        * _s_of_map(space, argmap(range(1, n + 1), 1))
-    )
-    return (num * den.inverse()).scalar_mul(delta)
+    def series(args):
+        return TruncSeries.from_linear(names, caps, args, None, blocks)
+
+    return (
+        s_of(series(argmap(sorted(J), 1, delta)))
+        * s_of(series(argmap(Jc, 1)))
+        * s_of(series(argmap(range(1, n + 1), delta)))
+        * s_inverse_of(series(argmap(sorted(J), delta, delta)))
+        * s_inverse_of(series(argmap(Jc, delta)))
+        * s_inverse_of(series(argmap(range(1, n + 1), 1)))
+    ).scalar_mul(delta)
 
 
 def verify_wallcrossing(problem: WallCrossingProblem, samples) -> dict:
@@ -218,7 +215,7 @@ def verify_wallcrossing(problem: WallCrossingProblem, samples) -> dict:
         slots_Jc = [_Slot(Fraction(nu[j - 1]), j) for j in range(1, len(nu) + 1) if j not in J]
         f1 = _h_series(kind, mu_I, slots_J, space, order)
         f2 = _h_series(kind, mu_Ic + [Fraction(delta)], slots_Jc, space, order)
-        rhs = _crossing_prefactor(kind, problem, mu, nu, delta, space) * f1 * f2
+        rhs = _crossing_prefactor(kind, problem, nu, delta, space) * f1 * f2
 
         entry = {
             "mu": list(mu),

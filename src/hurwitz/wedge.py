@@ -36,6 +36,7 @@ from .algebra import (
     TruncSeries,
     falling_factorial,
     rising_factorial,
+    s_inverse_of,
     s_power_series,
     sigma_of,
     s_of,
@@ -395,7 +396,7 @@ def materialize(products, space, ring, point=None):
         got = totals.get(prod.total_arg)
         if got is None:
             total = series({v: coeff(c) for v, c in prod.total_arg})
-            got = totals[prod.total_arg] = (total, s_of(total).inverse())
+            got = totals[prod.total_arg] = (total, s_inverse_of(total))
         total, inv_s_total = got
         eF = coeff(prod.final_energy)
         tail = s_of(total.scalar_mul(eF)).scalar_mul(eF) * inv_s_total

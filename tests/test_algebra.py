@@ -16,6 +16,7 @@ from hurwitz.algebra import (
     bernoulli,
     falling_factorial,
     rising_factorial,
+    s_inverse_of,
     s_of,
     s_power_series,
     sigma_of,
@@ -324,3 +325,116 @@ def test_closed_form_sigma_and_s_match_the_defining_sum(data):
 def test_sigma_and_s_need_a_linear_argument(data, fn):
     with pytest.raises(ValueError):
         fn(TruncSeries(("a", "b"), (3, 3), None, data))
+
+
+# -- the graded product against a pair-by-pair reference ------------------------
+
+
+def _ref_series_mul(x, y):
+    """The truncated product by every term pair, each checked for admissibility."""
+    out = {}
+    for e1, c1 in x.data.items():
+        for e2, c2 in y.data.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if any(k > cap for k, cap in zip(e, x.caps)):
+                continue
+            if any(sum(e[i] for i in ix) > cap for ix, cap in x.blocks):
+                continue
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+NAMES_4 = ("a", "b", "c", "d")
+
+
+@st.composite
+def _graded_space(draw):
+    """Caps and blocks with overlapping blocks, variables whose own cap is
+    below (or above) their blocks' caps, and variables in no block."""
+    nvars = draw(st.integers(2, 4))
+    caps = draw(st.tuples(*[st.integers(0, 4)] * nvars))
+    subsets = st.lists(st.integers(0, nvars - 1), min_size=1, max_size=nvars, unique=True)
+    blocks = draw(st.lists(st.tuples(subsets.map(lambda ix: tuple(sorted(ix))), st.integers(0, 5)), max_size=3))
+    return NAMES_4[:nvars], caps, tuple(blocks)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_graded_product_matches_the_pairwise_product(data):
+    names, caps, blocks = data.draw(_graded_space())
+    if data.draw(st.booleans()):
+        ring = COEFF_RING
+        s, t = ring.var("s"), ring.var("t")
+        coeff = st.builds(lambda a, b, c: s * a + t * b + c, COEFFS, COEFFS, COEFFS)
+    else:
+        ring, coeff = None, COEFFS
+    exps = st.tuples(*[st.integers(0, 3)] * len(names))
+    x, y = (
+        TruncSeries(names, caps, ring, data.draw(st.dictionaries(exps, coeff, max_size=12)), blocks)
+        for _ in range(2)
+    )
+    got = x * y
+    assert got.data == _ref_series_mul(x, y)
+    assert all(c for c in got.data.values())
+    assert (got.vars, got.caps, got.blocks, got.ring) == (x.vars, x.caps, x.blocks, x.ring)
+
+
+def test_graded_product_in_a_space_with_every_kind_of_grade():
+    # a, b, c share a block of cap 3, which overlaps the block (c, d) of cap 2;
+    # a's own cap 1 is below its block's, b's cap 4 is implied by it, e sits
+    # in no block
+    names, caps = ("a", "b", "c", "d", "e"), (1, 4, 4, 4, 2)
+    blocks = (((0, 1, 2), 3), ((2, 3), 2))
+    x = TruncSeries.one(names, caps, None, blocks) + TruncSeries.from_linear(
+        names, caps, {v: Fraction(k + 1, 2) for k, v in enumerate(names)}, None, blocks
+    )
+    y, ref = x, x
+    for _ in range(4):
+        y = y * x
+        ref = TruncSeries(names, caps, None, _ref_series_mul(ref, x), blocks)
+        assert y == ref
+    assert y.coeff({"a": 2}) == 0 and y.coeff({"e": 2}) != 0 and y.coeff({"e": 3}) == 0
+
+
+# -- the closed-form 1/S against the defining inverse ---------------------------
+
+
+def _ref_inverse(x):
+    """1/x by the geometric series of repeated truncated products."""
+    one = x.one_like()
+    u = one - x
+    out, power = one, one
+    for _ in range(sum(x.caps)):
+        power = TruncSeries(x.vars, x.caps, x.ring, _ref_series_mul(power, u), x.blocks)
+        out = out + power
+    return out
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_s_inverse_of_inverts_s(data):
+    nvars = data.draw(st.integers(2, 4))
+    names = NAMES_4[:nvars]
+    caps = data.draw(st.tuples(*[st.integers(1, 4)] * nvars))
+    # total degrees up to 6, where B_6 first enters
+    blocks = data.draw(
+        st.sampled_from(
+            [
+                ((tuple(range(nvars)), 6),),
+                (((0, 1), 3), ((1, *range(2, nvars)), 2)),
+                (((nvars - 2, nvars - 1), data.draw(st.integers(1, 6))),),
+            ]
+        )
+    )
+    coeffs = data.draw(st.lists(COEFFS.filter(bool), min_size=nvars, max_size=nvars))
+    arg = TruncSeries.from_linear(names, caps, dict(zip(names, coeffs)), None, blocks)
+    inv = s_inverse_of(arg)
+    assert s_of(arg) * inv == arg.one_like()
+    assert inv == _ref_inverse(s_of(arg))
+
+
+def test_s_inverse_of_has_the_bernoulli_coefficients():
+    # 1/S(v) = v / sigma(v) = sum_k B_k(1/2) v^k / k!, B_k(1/2) = (2^(1-k) - 1) B_k
+    inv = s_inverse_of(TruncSeries.from_linear(("v",), (8,), {"v": 1}))
+    want = [Fraction(1), 0, Fraction(-1, 24), 0, Fraction(7, 5760), 0, Fraction(-31, 967680), 0]
+    assert [inv.coeff({"v": k}) for k in range(8)] == want
