@@ -6,6 +6,7 @@ polynomial structure: chambers, walls, chamber polynomials, wall crossing.
 """
 
 from .algebra import (
+    ExponentOverflow,
     LinearForm,
     MultiPoly,
     NotDivisible,
@@ -62,6 +63,7 @@ __all__ = [
     "Chamber",
     "DegenerateSignature",
     "EOp",
+    "ExponentOverflow",
     "FactorizationCount",
     "FactorizationSpec",
     "InvalidSplit",

@@ -2,8 +2,9 @@
 linear forms, and truncated multivariate power series.
 
 Numbers are `fractions.Fraction`, and a `MultiPoly` keeps integer numerators
-over one exact denominator; nothing in this module (or this package) ever
-touches floating point.  `TruncSeries` implements the quotient ring
+over one exact denominator, keyed by monomials packed into ints (see
+`FIELD_BITS`); nothing in this module (or this package) ever touches
+floating point.  `TruncSeries` implements the quotient ring
 Q[c][[v1, ..., vk]] / (v1^(cap1+1), ..., vk^(capk+1)): every retained
 coefficient of a sum, product, or inverse is exact, and coefficients may
 themselves be `MultiPoly` values so the same series code serves both numeric
@@ -26,13 +27,15 @@ linear series w, whose powers have a closed form.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from math import comb, factorial, gcd, lcm
-from operator import add, le, sub
+from operator import add, le, or_, sub
 
 __all__ = [
     "NotDivisible",
+    "ExponentOverflow",
+    "EXPONENT_LIMIT",
     "PolyRing",
     "MultiPoly",
     "LinearForm",
@@ -50,6 +53,20 @@ class NotDivisible(ArithmeticError):
     """An exact polynomial division left a remainder."""
 
 
+class ExponentOverflow(OverflowError):
+    """A monomial exponent reached EXPONENT_LIMIT, past its packed field."""
+
+
+# A monomial of a `MultiPoly` is one int: each variable owns FIELD_BITS bits,
+# variable 0 the highest field.  The top bit of a field is a guard that stays
+# clear in every stored key, so an exponent is below EXPONENT_LIMIT, a sum of
+# two keys never carries from one field into the next, and packed keys
+# compare as their exponent tuples do in lex order.
+FIELD_BITS = 16
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
+_EXP_MASK = EXPONENT_LIMIT - 1
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -62,16 +79,21 @@ class PolyRing:
     """An ordered tuple of variable names.
 
     Polynomials carry a reference to their ring; two rings are compatible
-    when their name tuples agree.
+    when their name tuples agree.  The ring also fixes the packing of
+    monomials: variable i sits `shifts[i]` bits up, and `guard` holds the
+    guard bit of every field.
     """
 
-    __slots__ = ("names", "index")
+    __slots__ = ("names", "index", "shifts", "guard")
 
     def __init__(self, names):
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate variable names: {self.names}")
         self.index = {nm: i for i, nm in enumerate(self.names)}
+        n = len(self.names)
+        self.shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+        self.guard = sum(EXPONENT_LIMIT << s for s in self.shifts)
 
     def __repr__(self):
         return f"PolyRing({list(self.names)!r})"
@@ -82,6 +104,29 @@ class PolyRing:
     def __hash__(self):
         return hash(self.names)
 
+    def _pack(self, exps) -> int:
+        """The packed key of an exponent tuple."""
+        exps = tuple(exps)
+        if len(exps) != len(self.names):
+            raise ValueError(f"expected {len(self.names)} exponents, got {exps}")
+        key = 0
+        for k in exps:
+            if not 0 <= k < EXPONENT_LIMIT:
+                if k < 0:
+                    raise ValueError(f"negative exponent in {exps}")
+                raise ExponentOverflow(f"exponent {k} is not below {EXPONENT_LIMIT}")
+            key = key << FIELD_BITS | k
+        return key
+
+    def _unpack(self, key: int) -> tuple:
+        """The exponent tuple of a packed key."""
+        return tuple([key >> s & _EXP_MASK for s in self.shifts])
+
+    def _checked(self, keys) -> None:
+        """Raise ExponentOverflow if a sum of stored keys set a guard bit."""
+        if reduce(or_, keys, 0) & self.guard:
+            raise ExponentOverflow(f"an exponent reached {EXPONENT_LIMIT}")
+
     def zero(self) -> "MultiPoly":
         return MultiPoly(self, {})
 
@@ -89,15 +134,13 @@ class PolyRing:
         c = _frac(c)
         if not c:
             return self.zero()
-        return MultiPoly._make(self, {(0,) * len(self.names): c.numerator}, c.denominator)
+        return MultiPoly._make(self, {0: c.numerator}, c.denominator)
 
     def one(self) -> "MultiPoly":
         return self.const(1)
 
     def var(self, name: str) -> "MultiPoly":
-        exps = [0] * len(self.names)
-        exps[self.index[name]] = 1
-        return MultiPoly._make(self, {tuple(exps): 1}, 1)
+        return MultiPoly._make(self, {1 << self.shifts[self.index[name]]: 1}, 1)
 
     def from_linear(self, form: "LinearForm") -> "MultiPoly":
         terms = {}
@@ -111,17 +154,18 @@ class PolyRing:
 class MultiPoly:
     """A sparse polynomial with rational coefficients.
 
-    `num` maps exponent tuples to nonzero integer numerators over the one
-    positive denominator `den`.  The form is canonical: `den` and all the
-    numerators have gcd 1, and the zero polynomial has `den == 1`, so equal
-    polynomials have equal `(num, den)`.  `MultiPoly(ring, terms)` takes a
-    dict of int/Fraction coefficients; `terms` gives them back as Fractions.
+    `num` maps packed monomial keys (see `PolyRing`) to nonzero integer
+    numerators over the one positive denominator `den`.  The form is
+    canonical: `den` and all the numerators have gcd 1, and the zero
+    polynomial has `den == 1`, so equal polynomials have equal `(num, den)`.
+    `MultiPoly(ring, terms)` takes a dict from exponent tuples to int/Fraction
+    coefficients; `terms` gives them back as Fractions.
     """
 
     __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring: PolyRing, terms: dict):
-        fracs = {e: _frac(c) for e, c in terms.items()}
+        fracs = {ring._pack(e): _frac(c) for e, c in terms.items()}
         den = lcm(*(c.denominator for c in fracs.values()))
         self.ring = ring
         self.num = {e: c.numerator * (den // c.denominator) for e, c in fracs.items() if c}
@@ -148,7 +192,8 @@ class MultiPoly:
     @property
     def terms(self) -> dict:
         """Exponent tuple -> exact Fraction coefficient (a fresh dict)."""
-        return {e: Fraction(c, self.den) for e, c in self.num.items()}
+        unpack = self.ring._unpack
+        return {unpack(e): Fraction(c, self.den) for e, c in self.num.items()}
 
     # -- ring plumbing -----------------------------------------------------
 
@@ -218,10 +263,12 @@ class MultiPoly:
             return NotImplemented
         out = {}
         get = out.get
+        right = list(other.num.items())
         for e1, c1 in self.num.items():
-            for e2, c2 in other.num.items():
-                e = tuple(map(add, e1, e2))
+            for e2, c2 in right:
+                e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
+        self.ring._checked(out)
         return MultiPoly._make(self.ring, {e: c for e, c in out.items() if c}, self.den * other.den)
 
     __rmul__ = __mul__
@@ -230,23 +277,35 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         """Maximum total degree of a monomial (0 for the zero polynomial)."""
-        return max((sum(e) for e in self.num), default=0)
+        unpack = self.ring._unpack
+        return max((sum(unpack(e)) for e in self.num), default=0)
 
     def constant_term(self) -> Fraction:
-        return Fraction(self.num.get((0,) * len(self.ring.names), 0), self.den)
+        return Fraction(self.num.get(0, 0), self.den)
 
     def evaluate(self, values) -> Fraction:
-        """Evaluate at a mapping from variable name to int/Fraction."""
-        point = [None] * len(self.ring.names)
-        total = Fraction(0)
-        for e, c in self.num.items():
-            for i, k in enumerate(e):
-                if k:
-                    if point[i] is None:
-                        point[i] = _frac(values[self.ring.names[i]])
-                    c *= point[i] ** k
+        """Evaluate at a mapping from variable name to int/Fraction.
+
+        Each variable that occurs, with value p/q and top exponent t, gets
+        the integer table p^k q^(t-k); the terms then sum as integers over
+        den * prod q^t.
+        """
+        num = self.num
+        tables = []
+        scale = self.den
+        for name, s in zip(self.ring.names, self.ring.shifts):
+            top = max([e >> s & _EXP_MASK for e in num], default=0)
+            if top:
+                x = _frac(values[name])
+                p, q = x.numerator, x.denominator
+                tables.append((s, [p**k * q ** (top - k) for k in range(top + 1)]))
+                scale *= q**top
+        total = 0
+        for e, c in num.items():
+            for s, table in tables:
+                c *= table[e >> s & _EXP_MASK]
             total += c
-        return total / self.den
+        return Fraction(total, scale)
 
     def sorted_terms(self):
         """Terms in a deterministic order: by total degree, then exponents."""
@@ -259,11 +318,12 @@ class MultiPoly:
         repl = self._coerce(replacement)
         if repl is None:
             raise TypeError("replacement must be a polynomial or number")
-        i = self.ring.index[name]
+        s = self.ring.shifts[self.ring.index[name]]
         buckets: dict[int, dict] = {}
         for e, c in self.num.items():
-            bucket = buckets.setdefault(e[i], {})
-            stripped = e[:i] + (0,) + e[i + 1:]
+            k = e >> s & _EXP_MASK
+            bucket = buckets.setdefault(k, {})
+            stripped = e - (k << s)
             bucket[stripped] = bucket.get(stripped, 0) + c
         if not buckets:
             return self.ring.zero()
@@ -275,33 +335,54 @@ class MultiPoly:
     def exact_divide(self, divisor) -> "MultiPoly":
         """Exact division; raises NotDivisible if a remainder survives.
 
-        Single-divisor multivariate long division in lex order, on the
-        numerators.  When the dividend is a true multiple of the divisor the
-        lex-leading term of the running remainder is always divisible by the
-        divisor's, so the loop terminates with zero remainder; otherwise
-        NotDivisible.  A heap hands out the remainder's terms in decreasing
-        lex order.  When the divisor's leading numerator does not divide
-        the remainder's, remainder and quotient are both scaled by the
-        missing factor, which goes into the quotient's denominator.
+        A one-term divisor c x^d divides when every key holds x^d: the
+        quotient is every key shifted down by d, over the denominator scaled
+        by c.  Any other divisor goes through single-divisor multivariate
+        long division in lex order, on the numerators.  When the dividend is
+        a true multiple of the divisor the lex-leading term of the running
+        remainder is always divisible by the divisor's, so the loop
+        terminates with zero remainder; otherwise NotDivisible.  A heap hands
+        out the remainder's terms in decreasing lex order.  When the
+        divisor's leading numerator does not divide the remainder's,
+        remainder and quotient are both scaled by the missing factor, which
+        goes into the quotient's denominator.
+
+        Key e holds key d when `((e | guard) - d) & guard == guard`: with
+        every guard bit set, a field whose exponent is below d's borrows its
+        own guard bit, and never more.
         """
         divisor = self._coerce(divisor)
         if divisor is None or not divisor:
             raise ZeroDivisionError("division by zero polynomial")
+        ring = self.ring
+        G = ring.guard
         dterms = divisor.num
+        if len(dterms) == 1:
+            ((d, dc),) = dterms.items()
+            if any(((e | G) - d) & G != G for e in self.num):
+                raise NotDivisible(f"a term is not divisible by x^{ring._unpack(d)}")
+            sign = -1 if dc < 0 else 1
+            # self / divisor = (num / den) / (dc / dden)
+            f = sign * divisor.den
+            return MultiPoly._make(
+                ring, {e - d: c * f for e, c in self.num.items()}, self.den * abs(dc)
+            )
         dlead = max(dterms)
         dc = dterms[dlead]
         rem = dict(self.num)
-        quot: dict[tuple, int] = {}
+        quot: dict[int, int] = {}
         scale = 1
-        todo = [tuple(-x for x in e) for e in rem]
+        todo = [-e for e in rem]
         heapify(todo)
         while rem:
-            e = tuple(-x for x in heappop(todo))
+            e = -heappop(todo)
             if e not in rem:
                 continue
-            shift = tuple(map(sub, e, dlead))
-            if min(shift, default=0) < 0:
-                raise NotDivisible(f"leading term x^{e} not divisible by x^{dlead}")
+            if ((e | G) - dlead) & G != G:
+                raise NotDivisible(
+                    f"leading term x^{ring._unpack(e)} not divisible by x^{ring._unpack(dlead)}"
+                )
+            shift = e - dlead
             c = rem[e]
             if c % dc:
                 f = abs(dc) // gcd(c, dc)
@@ -312,17 +393,19 @@ class MultiPoly:
             qc = c // dc
             quot[shift] = qc
             for de, dcf in dterms.items():
-                ne = tuple(map(add, shift, de))
+                ne = shift + de
                 s = rem.get(ne, 0) - qc * dcf
                 if s:
                     if ne not in rem:
-                        heappush(todo, tuple(-x for x in ne))
+                        if ne & G:
+                            raise ExponentOverflow(f"an exponent reached {EXPONENT_LIMIT}")
+                        heappush(todo, -ne)
                     rem[ne] = s
                 else:
                     rem.pop(ne, None)
         # self / divisor = (num / den) / (dnum / dden) = (quot / scale) * dden / den
         return MultiPoly._make(
-            self.ring, {e: c * divisor.den for e, c in quot.items()}, scale * self.den
+            ring, {e: c * divisor.den for e, c in quot.items()}, scale * self.den
         )
 
     def __str__(self):

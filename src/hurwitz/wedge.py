@@ -383,6 +383,10 @@ def materialize(products, space, ring, point=None):
     totals = {}
     acc = TruncSeries.zero(vars_, caps, ring, blocks)
     for prod in products:
+        # sigma(eF * total) / sigma(total) = eF * S(eF * total) / S(total);
+        # eF scales the first sigma factor (or the tail when there is none),
+        # not every coefficient of the S-series
+        eF = coeff(prod.final_energy)
         term = None
         for e1, a1, e2, a2 in prod.factors:
             c1, c2 = coeff(e1), coeff(e2)
@@ -391,16 +395,14 @@ def materialize(products, space, ring, point=None):
                 t = -c2 * coeff(c)
                 combo[v] = combo[v] + t if v in combo else t
             fac = sigma_of(series(combo))
-            term = fac if term is None else term * fac
-        # sigma(eF * total) / sigma(total) = eF * S(eF * total) / S(total)
+            term = fac.scalar_mul(eF) if term is None else term * fac
         got = totals.get(prod.total_arg)
         if got is None:
             total = series({v: coeff(c) for v, c in prod.total_arg})
             got = totals[prod.total_arg] = (total, s_inverse_of(total))
         total, inv_s_total = got
-        eF = coeff(prod.final_energy)
-        tail = s_of(total.scalar_mul(eF)).scalar_mul(eF) * inv_s_total
-        term = tail if term is None else term * tail
+        tail = s_of(total.scalar_mul(eF)) * inv_s_total
+        term = tail.scalar_mul(eF) if term is None else term * tail
         acc = acc + term
     return acc
 

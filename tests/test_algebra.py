@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitz.algebra import (
+    EXPONENT_LIMIT,
+    ExponentOverflow,
     LinearForm,
     MultiPoly,
     NotDivisible,
@@ -438,3 +440,77 @@ def test_s_inverse_of_has_the_bernoulli_coefficients():
     inv = s_inverse_of(TruncSeries.from_linear(("v",), (8,), {"v": 1}))
     want = [Fraction(1), 0, Fraction(-1, 24), 0, Fraction(7, 5760), 0, Fraction(-31, 967680), 0]
     assert [inv.coeff({"v": k}) for k in range(8)] == want
+
+
+# -- the packed monomial keys ----------------------------------------------------
+
+
+@st.composite
+def _monomial(draw, nvars):
+    """A one-term polynomial c x^d with a random sign and rational c."""
+    d = draw(st.tuples(*[st.integers(0, 3)] * nvars))
+    c = draw(st.builds(Fraction, st.integers(1, 9), st.integers(1, 6)))
+    return d, c if draw(st.booleans()) else -c
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_division_by_a_monomial_undoes_the_product(data):
+    nvars = data.draw(st.integers(2, 3))
+    ring = PolyRing(NAMES[:nvars])
+    p = MultiPoly(ring, data.draw(_terms(nvars)))
+    d, c = data.draw(_monomial(nvars))
+    m = MultiPoly(ring, {d: c})
+    got = (p * m).exact_divide(m)
+    _assert_canonical(got)
+    assert got == p and (got.num, got.den) == (p.num, p.den)
+    # one more term short of x_i^(d_i) in a variable the divisor holds
+    held = [i for i, k in enumerate(d) if k]
+    if held:
+        i = data.draw(st.sampled_from(held))
+        short = list(data.draw(st.tuples(*[st.integers(0, 3)] * nvars)))
+        short[i] = data.draw(st.integers(0, d[i] - 1))
+        with pytest.raises(NotDivisible):
+            (p * m + MultiPoly(ring, {tuple(short): c})).exact_divide(m)
+
+
+def test_an_exponent_at_the_field_limit_raises():
+    top = EXPONENT_LIMIT - 1
+    assert MultiPoly(R, {(top, top): 1}).terms == {(top, top): 1}
+    for exps in [(EXPONENT_LIMIT, 0), (0, EXPONENT_LIMIT)]:
+        with pytest.raises(ExponentOverflow):
+            MultiPoly(R, {exps: 1})
+    # repeated squaring of either variable: the last power below the limit
+    # keeps every other field at zero, the next one raises
+    for name, at in (("x", lambda k: (k, 0)), ("y", lambda k: (0, k))):
+        power, k = R.var(name), 1
+        while 2 * k < EXPONENT_LIMIT:
+            power, k = power * power, 2 * k
+            assert power.terms == {at(k): 1}
+        with pytest.raises(ExponentOverflow):
+            power * power
+        # so does a product of many-term polynomials
+        with pytest.raises(ExponentOverflow):
+            (power + 1) * (power + 1)
+    y_top = MultiPoly(R, {(0, top): 1})
+    with pytest.raises(ExponentOverflow):
+        y_top * R.var("y")
+    with pytest.raises(ExponentOverflow):
+        (R.var("x") * y_top).exact_divide(R.var("x") + R.var("y") * R.var("y"))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_keys_order_as_exponent_tuples(data):
+    nvars = data.draw(st.integers(1, 4))
+    ring = PolyRing(NAMES_4[:nvars])
+    field = st.sampled_from([0, 1, 2, EXPONENT_LIMIT // 2, EXPONENT_LIMIT - 1])
+    exps = data.draw(st.lists(st.tuples(*[field] * nvars), min_size=1, max_size=8, unique=True))
+    p = MultiPoly(ring, {e: 1 for e in exps})
+    assert MultiPoly(ring, {max(exps): 1}).num.keys() == {max(p.num)}
+
+    def key(e):
+        (k,) = MultiPoly(ring, {e: 1}).num
+        return k
+
+    assert sorted(exps, key=key) == sorted(exps)

@@ -9,6 +9,8 @@ module imports a name it never uses (the package's `__init__`, which
 re-exports, is exempt, and a name listed in `__all__` counts as used).
 Every module-level function and class is used somewhere in the package
 outside its own definition, or is public API named in `hurwitz.__all__`.
+Only `algebra` reads a polynomial's packed monomial keys (`.num`) or builds
+one from them (`MultiPoly._make`), so the key encoding has one home.
 """
 
 import ast
@@ -121,3 +123,14 @@ def test_every_definition_is_used_or_public():
             if not any(node.name in names for key, names in reads.items() if key != (module, i)):
                 unused.append(f"{module}.{node.name}")
     assert not unused
+
+
+@pytest.mark.parametrize("module", [m for m in _modules() if m != "algebra"])
+def test_only_algebra_touches_packed_monomials(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    touched = [
+        f"line {node.lineno}: .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("num", "_make")
+    ]
+    assert not touched
