@@ -1,11 +1,12 @@
 """Exact arithmetic kernel: sparse multivariate polynomials over the rationals,
 linear forms, and truncated multivariate power series.
 
-Numbers are `fractions.Fraction`, and a `MultiPoly` keeps integer numerators
-over one exact denominator, keyed by monomials packed into ints (see
-`FIELD_BITS`); nothing in this module (or this package) ever touches
-floating point.  `TruncSeries` implements the quotient ring
-Q[c][[v1, ..., vk]] / (v1^(cap1+1), ..., vk^(capk+1)): every retained
+Every rational value is exact: a `MultiPoly` keeps integer numerators over
+one denominator, keyed by monomials packed into ints (see `FIELD_BITS`), and
+so does a numeric `TruncSeries`, keyed by exponent tuples; `Fraction` is the
+public form of a single coefficient.  Nothing in this module (or this
+package) ever touches floating point.  `TruncSeries` implements the quotient
+ring Q[c][[v1, ..., vk]] / (v1^(cap1+1), ..., vk^(capk+1)): every retained
 coefficient of a sum, product, or inverse is exact, and coefficients may
 themselves be `MultiPoly` values so the same series code serves both numeric
 and symbolic evaluations.  A product only multiplies the term pairs it keeps:
@@ -21,7 +22,8 @@ which is a unit (constant term 1) and so admits powers S(w)^c with an
 arbitrary exponent c, rational or polynomial, via exp(c * log S(w)).  Its
 inverse is w/sigma(w) = sum_{k even} B_k(1/2) w^k / k!, and its logarithm
 log S(w) = sum_{k>=1} B_{2k} w^{2k} / (2k (2k)!).  sigma, S and 1/S take a
-linear series w, whose powers have a closed form.
+linear series w, whose powers have a closed form; for a numeric w it is built
+on integers (see `_half_exp_sum`).
 """
 
 from __future__ import annotations
@@ -73,6 +75,39 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _over_lcm(fracs: dict) -> tuple:
+    """(numerators, denominator) of a dict of Fractions: the nonzero ones over
+    the lcm of all denominators.  Reduced fractions over the lcm of their
+    denominators are already in lowest terms, so the pair is canonical."""
+    den = lcm(*(c.denominator for c in fracs.values()))
+    num = {e: c.numerator * (den // c.denominator) for e, c in fracs.items() if c}
+    return num, den if num else 1
+
+
+def _reduced(num: dict, den: int) -> tuple:
+    """(numerators, denominator) of nonzero numerators over den > 0 in lowest
+    terms, by one gcd pass; the empty dict gets den 1."""
+    if not num:
+        return num, 1
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+    return num, den
+
+
+def _sum_over(n1: dict, d1: int, n2: dict, d2: int) -> tuple:
+    """n1/d1 + n2/d2 as (nonzero numerators, denominator), not yet reduced."""
+    den = d1 * d2 // gcd(d1, d2)
+    s1, s2 = den // d1, den // d2
+    out = {e: c * s1 for e, c in n1.items()} if s1 != 1 else dict(n1)
+    get = out.get
+    for e, c in n2.items():
+        out[e] = get(e, 0) + c * s2
+    return {e: c for e, c in out.items() if c}, den
 
 
 class PolyRing:
@@ -165,28 +200,15 @@ class MultiPoly:
     __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring: PolyRing, terms: dict):
-        fracs = {ring._pack(e): _frac(c) for e, c in terms.items()}
-        den = lcm(*(c.denominator for c in fracs.values()))
         self.ring = ring
-        self.num = {e: c.numerator * (den // c.denominator) for e, c in fracs.items() if c}
-        # reduced fractions over the lcm of their denominators are already
-        # in lowest terms
-        self.den = den if self.num else 1
+        self.num, self.den = _over_lcm({ring._pack(e): _frac(c) for e, c in terms.items()})
 
     @classmethod
     def _make(cls, ring: PolyRing, num: dict, den: int) -> "MultiPoly":
         """A polynomial from nonzero numerators over den > 0, reduced once."""
-        if not num:
-            den = 1
-        elif den != 1:
-            g = gcd(den, *num.values())
-            if g != 1:
-                num = {e: c // g for e, c in num.items()}
-                den //= g
         out = object.__new__(cls)
         out.ring = ring
-        out.num = num
-        out.den = den
+        out.num, out.den = _reduced(num, den)
         return out
 
     @property
@@ -227,14 +249,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d1, d2 = self.den, other.den
-        den = d1 * d2 // gcd(d1, d2)
-        s1, s2 = den // d1, den // d2
-        out = {e: c * s1 for e, c in self.num.items()} if s1 != 1 else dict(self.num)
-        get = out.get
-        for e, c in other.num.items():
-            out[e] = get(e, 0) + c * s2
-        return MultiPoly._make(self.ring, {e: c for e, c in out.items() if c}, den)
+        return MultiPoly._make(self.ring, *_sum_over(self.num, self.den, other.num, other.den))
 
     __radd__ = __add__
 
@@ -513,15 +528,22 @@ class LinearForm:
 class TruncSeries:
     """A truncated power series with per-variable caps and exact coefficients.
 
-    Coefficients are Fractions when `ring` is None, else MultiPoly elements
-    of `ring`.  Monomials whose exponent exceeds a cap are discarded by every
-    operation, which is exactly multiplication in the quotient ring, so all
-    retained coefficients are exact.  `blocks` optionally bounds the total
-    degree across groups of variables: a tuple of (variable index tuple, cap)
+    Monomials whose exponent exceeds a cap are discarded by every operation,
+    which is exactly multiplication in the quotient ring, so all retained
+    coefficients are exact.  `blocks` optionally bounds the total degree
+    across groups of variables: a tuple of (variable index tuple, cap)
     pairs, enforced alongside the per-variable caps.
+
+    `num` maps exponent tuples to nonzero coefficients.  With a `ring` they
+    are MultiPoly elements of it and `den` is 1.  A numeric series (`ring`
+    None) holds integer numerators over the one positive denominator `den`,
+    in canonical form as a `MultiPoly` is: `den` and all the numerators have
+    gcd 1, and the zero series has `den == 1`, so equal series have equal
+    `(num, den)`.  The constructor takes int/Fraction (or MultiPoly)
+    coefficients, and `data` gives them back exactly.
     """
 
-    __slots__ = ("vars", "caps", "ring", "data", "blocks")
+    __slots__ = ("vars", "caps", "ring", "blocks", "num", "den")
 
     def __init__(self, vars, caps, ring=None, data=None, blocks=()):
         self.vars = tuple(vars)
@@ -530,11 +552,15 @@ class TruncSeries:
             raise ValueError("one cap per variable required")
         self.ring = ring
         self.blocks = tuple((tuple(ix), cap) for ix, cap in blocks)
-        self.data = {}
+        kept = {}
         for e, c in (data or {}).items():
             e = tuple(e)
             if c and self._admissible(e):
-                self.data[e] = c
+                kept[e] = c
+        if ring is None:
+            self.num, self.den = _over_lcm({e: _frac(c) for e, c in kept.items()})
+        else:
+            self.num, self.den = kept, 1
 
     def _admissible(self, e) -> bool:
         if not all(map(le, e, self.caps)):
@@ -544,24 +570,34 @@ class TruncSeries:
                 return False
         return True
 
-    def _with(self, data) -> "TruncSeries":
-        """A series of this space holding `data`, whose exponents are all
-        admissible and whose coefficients are all nonzero (not re-checked)."""
+    def _with(self, num, den=1) -> "TruncSeries":
+        """A series of this space holding `num` over `den`, whose exponents
+        are all admissible, whose coefficients are all nonzero and, for a
+        numeric series, in lowest terms over `den` (none of it re-checked)."""
         out = object.__new__(TruncSeries)
         out.vars, out.caps, out.ring, out.blocks = self.vars, self.caps, self.ring, self.blocks
-        out.data = data
+        out.num, out.den = num, den
         return out
 
-    # -- coefficient-ring helpers -------------------------------------------
+    def _reduce(self, num, den) -> "TruncSeries":
+        """`_with` for nonzero integer numerators over den, reduced once."""
+        return self._with(*_reduced(num, den))
 
-    def _czero(self):
-        return self.ring.zero() if self.ring is not None else Fraction(0)
+    @property
+    def data(self) -> dict:
+        """Exponent tuple -> exact coefficient, a Fraction or an element of
+        `ring` (a fresh dict)."""
+        if self.ring is None:
+            den = self.den
+            return {e: Fraction(c, den) for e, c in self.num.items()}
+        return dict(self.num)
 
-    def _cone(self):
-        return self.ring.one() if self.ring is not None else Fraction(1)
-
-    def _cconst(self, c):
-        return self.ring.const(c) if self.ring is not None else _frac(c)
+    def _get(self, e):
+        """The exact coefficient at exponent tuple e."""
+        c = self.num.get(e)
+        if self.ring is None:
+            return Fraction(c or 0, self.den)
+        return self.ring.zero() if c is None else c
 
     def _same_space(self, other: "TruncSeries"):
         if (
@@ -573,12 +609,11 @@ class TruncSeries:
             raise ValueError("series live in different truncated rings")
 
     def zero_like(self) -> "TruncSeries":
-        return TruncSeries(self.vars, self.caps, self.ring, {}, self.blocks)
+        return self._with({})
 
     def one_like(self) -> "TruncSeries":
-        s = self.zero_like()
-        s.data[(0,) * len(s.vars)] = s._cone()
-        return s
+        one = 1 if self.ring is None else self.ring.one()
+        return self._with({(0,) * len(self.vars): one})
 
     @classmethod
     def zero(cls, vars, caps, ring=None, blocks=()) -> "TruncSeries":
@@ -586,33 +621,38 @@ class TruncSeries:
 
     @classmethod
     def one(cls, vars, caps, ring=None, blocks=()) -> "TruncSeries":
-        s = cls(vars, caps, ring, {}, blocks)
-        s.data[(0,) * len(s.vars)] = s._cone()
-        return s
+        return cls(vars, caps, ring, {}, blocks).one_like()
 
     @classmethod
     def from_linear(cls, vars, caps, argmap: dict, ring=None, blocks=()) -> "TruncSeries":
         """The series sum_v argmap[v] * v (each argument variable to power 1)."""
         s = cls(vars, caps, ring, {}, blocks)
         pos = {v: i for i, v in enumerate(s.vars)}
+        terms = {}
         for v, c in argmap.items():
-            if isinstance(c, (int, Fraction)):
-                c = s._cconst(c)
+            if ring is None:
+                c = _frac(c)
+            elif isinstance(c, (int, Fraction)):
+                c = ring.const(c)
             if not c:
                 continue
             e = [0] * len(s.vars)
             e[pos[v]] = 1
-            if not s._admissible(tuple(e)):
-                continue
-            s.data[tuple(e)] = c
-        return s
+            e = tuple(e)
+            if s._admissible(e):
+                terms[e] = c
+        if ring is None:
+            return s._with(*_over_lcm(terms))
+        return s._with(terms)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         self._same_space(other)
-        out = dict(self.data)
-        for e, c in other.data.items():
+        if self.ring is None:
+            return self._reduce(*_sum_over(self.num, self.den, other.num, other.den))
+        out = dict(self.num)
+        for e, c in other.num.items():
             s = out.get(e)
             s = c if s is None else s + c
             if s:
@@ -622,15 +662,15 @@ class TruncSeries:
         return self._with(out)
 
     def __neg__(self):
-        return self._with({e: -c for e, c in self.data.items()})
+        return self._with({e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def _graded(self, grades) -> dict:
-        """grade -> this series' (exponent, coefficient) pairs of that grade."""
+        """grade -> this series' (exponent, numerator) pairs of that grade."""
         out = {}
-        for item in self.data.items():
+        for item in self.num.items():
             e = item[0]
             g = tuple([sum([e[i] for i in ix]) for ix in grades])
             bucket = out.get(g)
@@ -643,7 +683,8 @@ class TruncSeries:
     def __mul__(self, other):
         """The truncated product.  Grades add under the product, so a bucket
         pair whose grades sum within the grade caps holds only admissible
-        term pairs, and every other bucket pair holds none."""
+        term pairs, and every other bucket pair holds none.  Numerators
+        multiply over the product of the denominators, reduced once."""
         self._same_space(other)
         grades, gcaps = _grading(self.caps, self.blocks)
         right = list(other._graded(grades).items())
@@ -659,27 +700,35 @@ class TruncSeries:
                         e = tuple(map(add, e1, e2))
                         s = get(e)
                         out[e] = c1 * c2 if s is None else s + c1 * c2
-        return self._with({e: c for e, c in out.items() if c})
+        out = {e: c for e, c in out.items() if c}
+        if self.ring is None:
+            return self._reduce(out, self.den * other.den)
+        return self._with(out)
 
     def scalar_mul(self, c) -> "TruncSeries":
+        if self.ring is None:
+            c = _frac(c)
+            if not c:
+                return self.zero_like()
+            a = c.numerator
+            return self._reduce({e: x * a for e, x in self.num.items()}, self.den * c.denominator)
         if isinstance(c, (int, Fraction)):
-            c = self._cconst(c)
+            c = self.ring.const(c)
         if not c:
             return self.zero_like()
-        return self._with({e: cf * c for e, cf in self.data.items()})
+        return self._with({e: cf * c for e, cf in self.num.items()})
 
     def inverse(self) -> "TruncSeries":
         """Inverse of a unit series whose constant term is exactly 1, by
         repeated products; the S-series have the closed form `s_inverse_of`."""
-        const = self.data.get((0,) * len(self.vars), self._czero())
-        if const != self._cone():
+        if self._get((0,) * len(self.vars)) != 1:
             raise ValueError("inverse requires constant term 1")
         u = self.one_like() - self  # no constant term
         out = self.one_like()
         p = self.one_like()
         for _ in range(sum(self.caps)):
             p = p * u
-            if not p.data:
+            if not p.num:
                 break
             out = out + p
         return out
@@ -691,22 +740,26 @@ class TruncSeries:
         pos = {v: i for i, v in enumerate(self.vars)}
         for v, k in monomial.items():
             e[pos[v]] = k
-        return self.data.get(tuple(e), self._czero())
+        return self._get(tuple(e))
 
     def lift(self, vars, caps, blocks=()) -> "TruncSeries":
         """The same series inside a larger space whose variables include ours."""
-        vars = tuple(vars)
-        pos = [vars.index(v) for v in self.vars]
-        data = {}
-        for e, c in self.data.items():
-            key = [0] * len(vars)
+        out = TruncSeries(vars, caps, self.ring, None, blocks)
+        pos = [out.vars.index(v) for v in self.vars]
+        num = {}
+        for e, c in self.num.items():
+            key = [0] * len(out.vars)
             for i, x in zip(pos, e):
                 key[i] = x
-            data[tuple(key)] = c
-        return TruncSeries(vars, caps, self.ring, data, blocks)
+            key = tuple(key)
+            if out._admissible(key):
+                num[key] = c
+        if self.ring is None:
+            return out._reduce(num, self.den)
+        return out._with(num)
 
     def is_zero(self) -> bool:
-        return not self.data
+        return not self.num
 
     def __eq__(self, other):
         return (
@@ -714,11 +767,12 @@ class TruncSeries:
             and self.vars == other.vars
             and self.caps == other.caps
             and self.blocks == other.blocks
-            and self.data == other.data
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __repr__(self):
-        n = len(self.data)
+        n = len(self.num)
         return f"TruncSeries({self.vars}, caps={self.caps}, {n} terms)"
 
 
@@ -749,35 +803,39 @@ def _half_exp_sum(arg: TruncSeries, parity: int, weight) -> TruncSeries:
 
     In closed form, the coefficient at v^e with k = |e| of the right parity
     is weight(k) * prod_v L_v^(e_v) / e_v!.  Each admissible exponent is
-    built once, its coefficient a product of per-variable cached powers
-    L_v^j / j! shared along the exponent prefix.
+    built once, its coefficient a product of per-variable power tables
+    shared along the exponent prefix, and each degree k is scaled once.
+
+    With a ring the tables hold L_v^j / j!.  A numeric W is A_v / B with
+    integer A_v over its one denominator B, and the coefficient is
+    weight(k) / (k! B^k) * multinomial(k; e) * prod_v A_v^(e_v): the tables
+    hold A_v^j, the multinomial grows by comb(k + j, j) at each variable,
+    and the per-degree scales go over their common denominator.
     """
     zero = (0,) * len(arg.vars)
-    if zero in arg.data:
+    if zero in arg.num:
         raise ValueError("sigma and S need a series without constant term")
-    if any(sum(e) != 1 for e in arg.data):
+    if any(sum(e) != 1 for e in arg.num):
         raise ValueError("sigma and S need a linear series")
-    out = arg.zero_like()
+    numeric = arg.ring is None
+    one = 1 if numeric else arg.ring.one()
     # the nonzero variables, each with its power table and the blocks it sits in
     slots = []
     room = [cap for _, cap in arg.blocks]
-    for e, c in arg.data.items():
+    for e, c in arg.num.items():
         i = e.index(1)
         blocks = [b for b, (ix, _) in enumerate(arg.blocks) if i in ix]
-        powers = [arg._cone(), c]
+        powers = [one, c]
         for j in range(2, min([arg.caps[i]] + [room[b] for b in blocks]) + 1):
-            powers.append(powers[-1] * c * Fraction(1, j))
+            powers.append(powers[-1] * c if numeric else powers[-1] * c * Fraction(1, j))
         slots.append((i, powers, blocks))
     exps = list(zero)
-    weights = {}
+    leaves = []
 
     def fill(t, k, coeff):
         if t == len(slots):
             if k % 2 == parity:
-                w = weights.get(k)
-                if w is None:
-                    w = weights[k] = weight(k)
-                out.data[tuple(exps)] = coeff * w
+                leaves.append((tuple(exps), k, coeff))
             return
         i, powers, blocks = slots[t]
         top = min([len(powers) - 1] + [room[b] for b in blocks])
@@ -786,13 +844,25 @@ def _half_exp_sum(arg: TruncSeries, parity: int, weight) -> TruncSeries:
             exps[i] = j
             for b in blocks:
                 room[b] -= j
-            fill(t + 1, k + j, coeff * powers[j] if j else coeff)
+            c = coeff
+            if j:
+                c = coeff * powers[j]
+                if numeric:
+                    c *= comb(k + j, j)
+            fill(t + 1, k + j, c)
             for b in blocks:
                 room[b] += j
         exps[i] = 0
 
-    fill(0, 0, arg._cone())
-    return out
+    fill(0, 0, one)
+    degrees = {k for _, k, _ in leaves}
+    if not numeric:
+        weights = {k: weight(k) for k in degrees}
+        return arg._with({e: c * weights[k] for e, k, c in leaves})
+    fracs = {k: weight(k) / (factorial(k) * arg.den**k) for k in degrees}
+    den = lcm(*(f.denominator for f in fracs.values()))
+    scales = {k: f.numerator * (den // f.denominator) for k, f in fracs.items()}
+    return arg._reduce({e: c * scales[k] for e, k, c in leaves if scales[k]}, den)
 
 
 def sigma_of(arg: TruncSeries) -> TruncSeries:
@@ -818,19 +888,20 @@ def s_power_series(c, var: str, order: int, ring=None) -> TruncSeries:
     with log S(v) = sum_{k>=1} B_{2k} v^{2k} / (2k (2k)!)."""
     if isinstance(c, MultiPoly) and ring is None:
         ring = c.ring
+    const = ring.const if ring is not None else _frac
     one = TruncSeries.one((var,), (order,), ring)
     log_s = TruncSeries(
         (var,),
         (order,),
         ring,
-        {(k,): one._cconst(bernoulli(k) / (k * factorial(k))) for k in range(2, order + 1, 2)},
+        {(k,): const(bernoulli(k) / (k * factorial(k))) for k in range(2, order + 1, 2)},
     )
     out = one
     power = one
-    cpow = one._cone()
+    cpow = const(1)
     for k in range(1, order // 2 + 1):
         power = power * log_s
-        if not power.data:
+        if power.is_zero():
             break
         cpow = cpow * c
         out = out + power.scalar_mul(cpow * Fraction(1, factorial(k)))

@@ -225,10 +225,10 @@ def verify_wallcrossing(problem: WallCrossingProblem, samples) -> dict:
             "first_mismatch": None,
         }
         if not entry["equal"]:
-            keys = sorted(set(lhs.data) | set(rhs.data), key=lambda e: (sum(e), e))
-            for e in keys:
-                a = lhs.data.get(e, Fraction(0))
-                b = rhs.data.get(e, Fraction(0))
+            left, right = lhs.data, rhs.data
+            for e in sorted(set(left) | set(right), key=lambda e: (sum(e), e)):
+                a = left.get(e, Fraction(0))
+                b = right.get(e, Fraction(0))
                 if a != b:
                     entry["first_mismatch"] = {
                         "monomial": dict(zip(space[0], e)),

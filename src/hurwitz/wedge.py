@@ -472,6 +472,9 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber, pad: int = 0) -> 
     total = ring.zero()
     yix = {f"y{j}": j for j in range(1, n + 1)}
     zix = {f"z{j}": j for j in range(1, n + 1)}
+    # (variable yj or zj, exponent) -> the rising or falling factorial of
+    # nu_j, built at its first use in this call
+    facts = {}
     for e, c in corr.data.items():
         mono = dict(zip(vars_, e))
         if mono.get("X", 0) != p:
@@ -482,10 +485,15 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber, pad: int = 0) -> 
             continue
         w = c
         for v, k in mono.items():
-            if k and v in yix:
-                w = w * rising_factorial(nuv[yix[v]], k)
-            elif k and v in zix:
-                w = w * falling_factorial(nuv[zix[v]], k)
+            if k and v != "X":
+                f = facts.get((v, k))
+                if f is None:
+                    if v in yix:
+                        f = rising_factorial(nuv[yix[v]], k)
+                    else:
+                        f = falling_factorial(nuv[zix[v]], k)
+                    facts[v, k] = f
+                w = w * f
         total = total + w
     total = total * ring.const(factorial(p))
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -514,3 +515,117 @@ def test_packed_keys_order_as_exponent_tuples(data):
         return k
 
     assert sorted(exps, key=key) == sorted(exps)
+
+
+# -- numeric series on integer numerators ------------------------------------------
+
+
+def _assert_series_canonical(series):
+    """Integer numerators over one positive denominator in lowest terms, the
+    zero series over 1, and the same pair as the series rebuilt from `data`."""
+    assert series.ring is None
+    assert isinstance(series.den, int) and series.den > 0
+    assert all(isinstance(c, int) and c for c in series.num.values())
+    if series.num:
+        assert math.gcd(series.den, *series.num.values()) == 1
+    else:
+        assert series.den == 1
+    built = TruncSeries(series.vars, series.caps, None, series.data, series.blocks)
+    assert (built.num, built.den) == (series.num, series.den)
+
+
+def _ref_lift(x, names, caps, blocks):
+    """x's coefficients re-keyed into the space (names, caps, blocks), keeping
+    the admissible exponents only."""
+    out = {}
+    for e, c in x.data.items():
+        key = tuple(e[x.vars.index(v)] if v in x.vars else 0 for v in names)
+        if all(k <= cap for k, cap in zip(key, caps)) and all(sum(key[i] for i in ix) <= cap for ix, cap in blocks):
+            out[key] = c
+    return out
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_numeric_series_stay_canonical(data):
+    names, caps, blocks = data.draw(_graded_space())
+    exps = st.tuples(*[st.integers(0, 3)] * len(names))
+    x, y = (
+        TruncSeries(names, caps, None, data.draw(st.dictionaries(exps, COEFFS, max_size=12)), blocks)
+        for _ in range(2)
+    )
+    c = data.draw(COEFFS)
+    cases = [
+        (x + y, _ref_add(x.data, y.data)),
+        (x - y, _ref_add(x.data, _ref_scale(y.data, -1))),
+        (-x, _ref_scale(x.data, -1)),
+        (x - x, {}),
+        (x * y, _ref_series_mul(x, y)),
+        (x.scalar_mul(c), _ref_scale(x.data, c)),
+    ]
+    # lifted into a space with one more variable and tighter caps and blocks
+    wide = names + ("e",)
+    wcaps = tuple(data.draw(st.integers(0, cap)) for cap in caps) + (2,)
+    wblocks = tuple((ix, data.draw(st.integers(0, cap))) for ix, cap in blocks)
+    wblocks += ((tuple(range(len(wide))), data.draw(st.integers(0, 6))),)
+    cases.append((x.lift(wide, wcaps, wblocks), _ref_lift(x, wide, wcaps, wblocks)))
+    for got, want in cases:
+        _assert_series_canonical(got)
+        assert got.data == want
+
+
+def _ref_closed_form(names, caps, blocks, coeffs, parity, weight):
+    """sum over k of the parity of weight(k) W^k / k!, W = sum_v L_v v, as
+    {e: weight(|e|) prod_v L_v^(e_v) / e_v!} over every admissible e."""
+    out = {}
+    for e in product(*(range(cap + 1) for cap in caps)):
+        if sum(e) % 2 != parity or any(sum(e[i] for i in ix) > cap for ix, cap in blocks):
+            continue
+        c = weight(sum(e))
+        for L, k in zip(coeffs, e):
+            c *= L**k / math.factorial(k)
+        if c:
+            out[e] = c
+    return out
+
+
+HALF_EXP_SUMS = [
+    (sigma_of, 1, lambda k: Fraction(1, 2 ** (k - 1))),
+    (s_of, 0, lambda k: Fraction(1, 2**k * (k + 1))),
+    (s_inverse_of, 0, lambda k: (Fraction(2, 2**k) - 1) * bernoulli(k)),
+]
+
+
+@pytest.mark.parametrize("fn,parity,weight", HALF_EXP_SUMS, ids=["sigma", "S", "1/S"])
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_numeric_sigma_s_and_inverse_match_the_fraction_closed_form(fn, parity, weight, data):
+    nvars = data.draw(st.integers(1, 4))
+    names = NAMES_4[:nvars]
+    caps = data.draw(st.tuples(*[st.integers(1, 5)] * nvars))
+    every = tuple(range(nvars))
+    blocks = data.draw(
+        st.sampled_from(
+            [
+                (),
+                ((every, data.draw(st.integers(1, 6))),),
+                ((every[:2], data.draw(st.integers(1, 4))), (every[-2:], data.draw(st.integers(1, 4)))),
+            ]
+        )
+    )
+    coeffs = data.draw(st.lists(COEFFS, min_size=nvars, max_size=nvars))
+    got = fn(TruncSeries.from_linear(names, caps, dict(zip(names, coeffs)), None, blocks))
+    _assert_series_canonical(got)
+    assert got.data == _ref_closed_form(names, caps, blocks, coeffs, parity, weight)
+
+
+@given(COEFFS, COEFFS, st.integers(-6, 6), st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_numeric_s_power_series_is_the_ring_series_at_a_point(a, b, n, order):
+    ring = PolyRing(("n",))
+    c = ring.var("n") * a + b
+    symbolic = s_power_series(c, "v", order, ring)
+    numeric = s_power_series(c.evaluate({"n": n}), "v", order)
+    _assert_series_canonical(numeric)
+    at_n = {e: p.evaluate({"n": n}) for e, p in symbolic.data.items()}
+    assert numeric.data == {e: v for e, v in at_n.items() if v}

@@ -10,7 +10,10 @@ re-exports, is exempt, and a name listed in `__all__` counts as used).
 Every module-level function and class is used somewhere in the package
 outside its own definition, or is public API named in `hurwitz.__all__`.
 Only `algebra` reads a polynomial's packed monomial keys (`.num`) or builds
-one from them (`MultiPoly._make`), so the key encoding has one home.
+one from them (`MultiPoly._make`), so the key encoding has one home.  Likewise
+only `algebra` reads a series' numerators or denominator (`.num`, `.den`) or
+builds a series from them (`TruncSeries._with`, `_reduce`); every other
+module reads exact coefficients through `TruncSeries.data` or `coeff`.
 """
 
 import ast
@@ -132,5 +135,16 @@ def test_only_algebra_touches_packed_monomials(module):
         f"line {node.lineno}: .{node.attr}"
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr in ("num", "_make")
+    ]
+    assert not touched
+
+
+@pytest.mark.parametrize("module", [m for m in _modules() if m != "algebra"])
+def test_only_algebra_reads_series_numerators(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    touched = [
+        f"line {node.lineno}: .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("num", "den", "_with", "_reduce")
     ]
     assert not touched

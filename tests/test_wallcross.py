@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hurwitz import wallcross
+from hurwitz.algebra import TruncSeries
 from hurwitz.charactereval import hurwitz_disconnected
 from hurwitz.partitions import Signature
 from hurwitz.wallcross import (
@@ -132,6 +134,59 @@ def test_wallcrossing_identity_mixed():
     prob = WallCrossingProblem(WALL, C1, C2, "mixed", (1, 1, 0))
     rep = verify_wallcrossing(prob, [((3, 1), (2, 2)), ((5, 1), (3, 3))])
     assert rep["ok"]
+
+
+def _with_prefactor(monkeypatch, change):
+    """Replace the crossing prefactor P by change(P, space)."""
+    real = wallcross._crossing_prefactor
+
+    def patched(kind, problem, nu, delta, space):
+        return change(real(kind, problem, nu, delta, space), space)
+
+    monkeypatch.setattr(wallcross, "_crossing_prefactor", patched)
+
+
+def test_wallcrossing_mismatch_names_the_lowest_differing_monomial(monkeypatch):
+    # a doubled prefactor doubles the right side, so the first mismatch is
+    # the jump's lowest term: (degree, exponents) order over u1, u2, z1, z2
+    _with_prefactor(monkeypatch, lambda pref, space: pref.scalar_mul(2))
+    prob = WallCrossingProblem(WALL, C1, C2, "monotone", 1)
+    rep = verify_wallcrossing(prob, [((3, 1), (2, 2)), ((5, 1), (3, 3))])
+    assert rep["ok"] is False
+    assert [s["equal"] for s in rep["samples"]] == [False, False]
+    for sample in rep["samples"]:
+        mu, nu = tuple(sample["mu"]), tuple(sample["nu"])
+        jump = refined_series("monotone", mu, nu, 4, chamber=C2) - refined_series("monotone", mu, nu, 4, chamber=C1)
+        e, c = min(jump.data.items(), key=lambda t: (sum(t[0]), t[0]))
+        assert sample["first_mismatch"] == {
+            "monomial": dict(zip(("u1", "u2", "z1", "z2"), e)),
+            "left": str(c),
+            "right": str(2 * c),
+        }
+    assert rep["samples"][0]["first_mismatch"] == {
+        "monomial": {"u1": 0, "u2": 0, "z1": 1, "z2": 1},
+        "left": "1/4",
+        "right": "1/2",
+    }
+
+
+def test_wallcrossing_mismatch_skips_the_coefficients_that_agree(monkeypatch):
+    # a prefactor times (1 + u2) leaves the jump's lowest term z1 z2 (1/4)
+    # alone and adds it to the next one, u2 z1 z2 (1/2)
+    def change(pref, space):
+        names, caps, blocks = space
+        bump = TruncSeries.one(names, caps, None, blocks) + TruncSeries.from_linear(names, caps, {"u2": 1}, None, blocks)
+        return pref * bump
+
+    _with_prefactor(monkeypatch, change)
+    prob = WallCrossingProblem(WALL, C1, C2, "monotone", 1)
+    (sample,) = verify_wallcrossing(prob, [((3, 1), (2, 2))])["samples"]
+    assert sample["equal"] is False
+    assert sample["first_mismatch"] == {
+        "monomial": {"u1": 0, "u2": 1, "z1": 1, "z2": 1},
+        "left": "1/2",
+        "right": "3/4",
+    }
 
 
 def test_wallcrossing_sample_validation():
