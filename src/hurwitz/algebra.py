@@ -3,15 +3,16 @@ linear forms, and truncated multivariate power series.
 
 Every rational value is exact: a `MultiPoly` keeps integer numerators over
 one denominator, keyed by monomials packed into ints (see `FIELD_BITS`), and
-so does a numeric `TruncSeries`, keyed by exponent tuples; `Fraction` is the
-public form of a single coefficient.  Nothing in this module (or this
-package) ever touches floating point.  `TruncSeries` implements the quotient
-ring Q[c][[v1, ..., vk]] / (v1^(cap1+1), ..., vk^(capk+1)): every retained
-coefficient of a sum, product, or inverse is exact, and coefficients may
-themselves be `MultiPoly` values so the same series code serves both numeric
-and symbolic evaluations.  A product only multiplies the term pairs it keeps:
-the terms are bucketed by grade (see `_grading`), and only bucket pairs
-whose grades fit together are visited.
+so does every `TruncSeries`, whose keys pack the series exponents above the
+coefficient ring's monomial key; `Fraction` is the public form of a single
+number.  Nothing in this module (or this package) ever touches floating
+point.  `TruncSeries` implements the quotient ring
+Q[c][[v1, ..., vk]] / (v1^(cap1+1), ..., vk^(capk+1)), where c are the
+variables of the coefficient ring (none for numeric coefficients): every
+retained coefficient of a sum, product, or inverse is exact, and one code
+path serves numeric and symbolic evaluations alike.  A product only
+multiplies the term pairs it keeps: the terms are bucketed by grade (see
+`_layout`), and only bucket pairs whose grades fit together are visited.
 
 The special series used throughout are the odd exponential difference
 
@@ -22,8 +23,8 @@ which is a unit (constant term 1) and so admits powers S(w)^c with an
 arbitrary exponent c, rational or polynomial, via exp(c * log S(w)).  Its
 inverse is w/sigma(w) = sum_{k even} B_k(1/2) w^k / k!, and its logarithm
 log S(w) = sum_{k>=1} B_{2k} w^{2k} / (2k (2k)!).  sigma, S and 1/S take a
-linear series w, whose powers have a closed form; for a numeric w it is built
-on integers (see `_half_exp_sum`).
+linear series w, whose powers have a closed form built on integers (see
+`_half_exp_sum`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from math import comb, factorial, gcd, lcm
-from operator import add, le, or_, sub
+from operator import le, or_, sub
+from types import SimpleNamespace
 
 __all__ = [
     "NotDivisible",
@@ -88,13 +90,15 @@ def _over_lcm(fracs: dict) -> tuple:
 
 def _reduced(num: dict, den: int) -> tuple:
     """(numerators, denominator) of nonzero numerators over den > 0 in lowest
-    terms, by one gcd pass; the empty dict gets den 1."""
+    terms, by one gcd pass that divides `num` in place; the empty dict gets
+    den 1."""
     if not num:
         return num, 1
     if den != 1:
         g = gcd(den, *num.values())
         if g != 1:
-            num = {e: c // g for e, c in num.items()}
+            for e, c in num.items():
+                num[e] = c // g
             den //= g
     return num, den
 
@@ -106,8 +110,44 @@ def _sum_over(n1: dict, d1: int, n2: dict, d2: int) -> tuple:
     out = {e: c * s1 for e, c in n1.items()} if s1 != 1 else dict(n1)
     get = out.get
     for e, c in n2.items():
-        out[e] = get(e, 0) + c * s2
-    return {e: c for e, c in out.items() if c}, den
+        s = get(e, 0) + c * s2
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out, den
+
+
+def _mul_into(out: dict, left, right: list) -> dict:
+    """Add every product of a (packed key, numerator) term of `left` and one
+    of `right` into `out`: keys add, numerators multiply."""
+    get = out.get
+    for e1, c1 in left:
+        for e2, c2 in right:
+            e = e1 + e2
+            out[e] = get(e, 0) + c1 * c2
+    return out
+
+
+def _settled(out: dict, guard: int) -> dict:
+    """`out` with its zero numerators dropped in place, once no key has a
+    bit of `guard` set; else ExponentOverflow."""
+    if guard and reduce(or_, out, 0) & guard:
+        raise ExponentOverflow(f"an exponent reached {EXPONENT_LIMIT}")
+    for e in [e for e, c in out.items() if not c]:
+        del out[e]
+    return out
+
+
+def _product(x: dict, y: dict, guard: int) -> dict:
+    """The nonzero numerators of x * y, two dicts keyed by packed keys whose
+    fields carry `guard`.  A one-term side shifts and scales the other."""
+    if len(y) == 1:
+        x, y = y, x
+    if len(x) == 1:
+        ((k, a),) = x.items()
+        return _settled({e + k: c * a for e, c in y.items()}, guard)
+    return _settled(_mul_into({}, x.items(), list(y.items())), guard)
 
 
 class PolyRing:
@@ -156,11 +196,6 @@ class PolyRing:
     def _unpack(self, key: int) -> tuple:
         """The exponent tuple of a packed key."""
         return tuple([key >> s & _EXP_MASK for s in self.shifts])
-
-    def _checked(self, keys) -> None:
-        """Raise ExponentOverflow if a sum of stored keys set a guard bit."""
-        if reduce(or_, keys, 0) & self.guard:
-            raise ExponentOverflow(f"an exponent reached {EXPONENT_LIMIT}")
 
     def zero(self) -> "MultiPoly":
         return MultiPoly(self, {})
@@ -276,15 +311,8 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = {}
-        get = out.get
-        right = list(other.num.items())
-        for e1, c1 in self.num.items():
-            for e2, c2 in right:
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        self.ring._checked(out)
-        return MultiPoly._make(self.ring, {e: c for e, c in out.items() if c}, self.den * other.den)
+        num = _product(self.num, other.num, self.ring.guard)
+        return MultiPoly._make(self.ring, num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -532,35 +560,37 @@ class TruncSeries:
     which is exactly multiplication in the quotient ring, so all retained
     coefficients are exact.  `blocks` optionally bounds the total degree
     across groups of variables: a tuple of (variable index tuple, cap)
-    pairs, enforced alongside the per-variable caps.
+    pairs, enforced alongside the per-variable caps.  Every cap is in
+    [0, EXPONENT_LIMIT).
 
-    `num` maps exponent tuples to nonzero coefficients.  With a `ring` they
-    are MultiPoly elements of it and `den` is 1.  A numeric series (`ring`
-    None) holds integer numerators over the one positive denominator `den`,
-    in canonical form as a `MultiPoly` is: `den` and all the numerators have
-    gcd 1, and the zero series has `den == 1`, so equal series have equal
-    `(num, den)`.  The constructor takes int/Fraction (or MultiPoly)
-    coefficients, and `data` gives them back exactly.
+    Coefficients are numbers, or elements of `ring` when one is given.
+    Either way the series is one sparse polynomial, as a `MultiPoly` is:
+    `num` maps packed keys to nonzero integer numerators over the one
+    positive denominator `den`, in canonical form (`den` and all the
+    numerators have gcd 1, and the zero series has `den == 1`), so equal
+    series have equal `(num, den)`.  A key holds the coefficient ring's
+    monomial key in its low bits and a FIELD_BITS field per series variable
+    above them, variable 0 highest; a numeric series has no low bits.  The
+    constructor takes int/Fraction (or `ring` element) coefficients, and
+    `data` and `coeff` give them back exactly, as Fractions or MultiPolys.
     """
 
-    __slots__ = ("vars", "caps", "ring", "blocks", "num", "den")
+    __slots__ = ("vars", "caps", "ring", "blocks", "num", "den", "_layout")
 
     def __init__(self, vars, caps, ring=None, data=None, blocks=()):
-        self.vars = tuple(vars)
-        self.caps = tuple(caps)
-        if len(self.vars) != len(self.caps):
-            raise ValueError("one cap per variable required")
-        self.ring = ring
+        self.vars, self.caps, self.ring = tuple(vars), tuple(caps), ring
         self.blocks = tuple((tuple(ix), cap) for ix, cap in blocks)
-        kept = {}
+        self._layout = _layout(self.vars, self.caps, self.blocks, ring)
+        terms = []
         for e, c in (data or {}).items():
             e = tuple(e)
-            if c and self._admissible(e):
-                kept[e] = c
-        if ring is None:
-            self.num, self.den = _over_lcm({e: _frac(c) for e, c in kept.items()})
-        else:
-            self.num, self.den = kept, 1
+            if len(e) != len(self.vars) or min(e, default=0) < 0:
+                raise ValueError(f"expected {len(self.vars)} exponents of at least 0, got {e}")
+            if self._admissible(e):
+                terms.append((self._pack(e), *self._terms_of(c)))
+        den = lcm(*(d for _, _, d in terms))
+        num = {hi + lo: a * (den // d) for hi, coeff, d in terms for lo, a in coeff.items()}
+        self.num, self.den = _reduced(num, den)
 
     def _admissible(self, e) -> bool:
         if not all(map(le, e, self.caps)):
@@ -570,12 +600,38 @@ class TruncSeries:
                 return False
         return True
 
+    def _pack(self, e) -> int:
+        """The series part of the key of an exponent tuple."""
+        return sum([k << s for k, s in zip(e, self._layout.shifts)])
+
+    def _unpack(self, key: int) -> tuple:
+        """The exponent tuple of a key."""
+        return tuple([key >> s & _EXP_MASK for s in self._layout.shifts])
+
+    def _terms_of(self, c) -> tuple:
+        """(numerators, denominator) of a coefficient, a number or an element
+        of `ring`, keyed by the ring's monomial keys."""
+        if isinstance(c, MultiPoly):
+            if c.ring != self.ring:
+                raise ValueError(f"a coefficient of {c.ring} in a series over {self.ring}")
+            return c.num, c.den
+        c = _frac(c)
+        return ({0: c.numerator} if c else {}), c.denominator
+
+    def _read(self, terms: dict):
+        """The coefficient whose numerators over `den` are `terms`: a
+        Fraction, or an element of `ring`."""
+        if self.ring is None:
+            return Fraction(terms.get(0, 0), self.den)
+        return MultiPoly._make(self.ring, terms, self.den)
+
     def _with(self, num, den=1) -> "TruncSeries":
-        """A series of this space holding `num` over `den`, whose exponents
-        are all admissible, whose coefficients are all nonzero and, for a
-        numeric series, in lowest terms over `den` (none of it re-checked)."""
+        """A series of this space holding `num` over `den`, whose keys are all
+        admissible and whose numerators are all nonzero and in lowest terms
+        over `den` (none of it re-checked)."""
         out = object.__new__(TruncSeries)
         out.vars, out.caps, out.ring, out.blocks = self.vars, self.caps, self.ring, self.blocks
+        out._layout = self._layout
         out.num, out.den = num, den
         return out
 
@@ -587,24 +643,19 @@ class TruncSeries:
     def data(self) -> dict:
         """Exponent tuple -> exact coefficient, a Fraction or an element of
         `ring` (a fresh dict)."""
-        if self.ring is None:
-            den = self.den
-            return {e: Fraction(c, den) for e, c in self.num.items()}
-        return dict(self.num)
-
-    def _get(self, e):
-        """The exact coefficient at exponent tuple e."""
-        c = self.num.get(e)
-        if self.ring is None:
-            return Fraction(c or 0, self.den)
-        return self.ring.zero() if c is None else c
+        lows = (1 << self._layout.low) - 1
+        groups = {}
+        for k, c in self.num.items():
+            lo = k & lows
+            groups.setdefault(k - lo, {})[lo] = c
+        return {self._unpack(hi): self._read(terms) for hi, terms in groups.items()}
 
     def _same_space(self, other: "TruncSeries"):
         if (
             self.vars != other.vars
             or self.caps != other.caps
             or self.blocks != other.blocks
-            or (self.ring is None) != (other.ring is None)
+            or self.ring != other.ring
         ):
             raise ValueError("series live in different truncated rings")
 
@@ -612,8 +663,7 @@ class TruncSeries:
         return self._with({})
 
     def one_like(self) -> "TruncSeries":
-        one = 1 if self.ring is None else self.ring.one()
-        return self._with({(0,) * len(self.vars): one})
+        return self._with({0: 1})
 
     @classmethod
     def zero(cls, vars, caps, ring=None, blocks=()) -> "TruncSeries":
@@ -626,40 +676,19 @@ class TruncSeries:
     @classmethod
     def from_linear(cls, vars, caps, argmap: dict, ring=None, blocks=()) -> "TruncSeries":
         """The series sum_v argmap[v] * v (each argument variable to power 1)."""
-        s = cls(vars, caps, ring, {}, blocks)
-        pos = {v: i for i, v in enumerate(s.vars)}
-        terms = {}
+        vars = tuple(vars)
+        data = {}
         for v, c in argmap.items():
-            if ring is None:
-                c = _frac(c)
-            elif isinstance(c, (int, Fraction)):
-                c = ring.const(c)
-            if not c:
-                continue
-            e = [0] * len(s.vars)
-            e[pos[v]] = 1
-            e = tuple(e)
-            if s._admissible(e):
-                terms[e] = c
-        if ring is None:
-            return s._with(*_over_lcm(terms))
-        return s._with(terms)
+            e = [0] * len(vars)
+            e[vars.index(v)] = 1
+            data[tuple(e)] = c
+        return cls(vars, caps, ring, data, blocks)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         self._same_space(other)
-        if self.ring is None:
-            return self._reduce(*_sum_over(self.num, self.den, other.num, other.den))
-        out = dict(self.num)
-        for e, c in other.num.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return self._with(out)
+        return self._reduce(*_sum_over(self.num, self.den, other.num, other.den))
 
     def __neg__(self):
         return self._with({e: -c for e, c in self.num.items()}, self.den)
@@ -667,61 +696,35 @@ class TruncSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def _graded(self, grades) -> dict:
-        """grade -> this series' (exponent, numerator) pairs of that grade."""
-        out = {}
-        for item in self.num.items():
-            e = item[0]
-            g = tuple([sum([e[i] for i in ix]) for ix in grades])
-            bucket = out.get(g)
-            if bucket is None:
-                out[g] = [item]
-            else:
-                bucket.append(item)
-        return out
-
     def __mul__(self, other):
         """The truncated product.  Grades add under the product, so a bucket
         pair whose grades sum within the grade caps holds only admissible
-        term pairs, and every other bucket pair holds none.  Numerators
-        multiply over the product of the denominators, reduced once."""
+        term pairs, and every other bucket pair holds none.  Keys add as
+        `MultiPoly` keys do, numerators multiply over the product of the
+        denominators, and the result is checked and reduced once.  Only the
+        smaller factor's terms are listed as pairs; the larger one's are
+        read in place."""
         self._same_space(other)
-        grades, gcaps = _grading(self.caps, self.blocks)
-        right = list(other._graded(grades).items())
+        grades, gcaps = self._layout.grades, self._layout.gcaps
+        small, big = sorted((self.num, other.num), key=len)
+        right = [(g, [(k, small[k]) for k in keys]) for g, keys in _graded(small, grades).items()]
         out = {}
-        get = out.get
-        for g1, terms1 in self._graded(grades).items():
+        for g1, keys in _graded(big, grades).items():
             room = tuple(map(sub, gcaps, g1))
             for g2, terms2 in right:
-                if not all(map(le, g2, room)):
-                    continue
-                for e1, c1 in terms1:
-                    for e2, c2 in terms2:
-                        e = tuple(map(add, e1, e2))
-                        s = get(e)
-                        out[e] = c1 * c2 if s is None else s + c1 * c2
-        out = {e: c for e, c in out.items() if c}
-        if self.ring is None:
-            return self._reduce(out, self.den * other.den)
-        return self._with(out)
+                if all(map(le, g2, room)):
+                    _mul_into(out, zip(keys, map(big.__getitem__, keys)), terms2)
+        return self._reduce(_settled(out, self._layout.guard), self.den * other.den)
 
     def scalar_mul(self, c) -> "TruncSeries":
-        if self.ring is None:
-            c = _frac(c)
-            if not c:
-                return self.zero_like()
-            a = c.numerator
-            return self._reduce({e: x * a for e, x in self.num.items()}, self.den * c.denominator)
-        if isinstance(c, (int, Fraction)):
-            c = self.ring.const(c)
-        if not c:
-            return self.zero_like()
-        return self._with({e: cf * c for e, cf in self.num.items()})
+        """The series times a coefficient: a number or an element of `ring`."""
+        num, den = self._terms_of(c)
+        return self._reduce(_product(num, self.num, self._layout.guard), self.den * den)
 
     def inverse(self) -> "TruncSeries":
         """Inverse of a unit series whose constant term is exactly 1, by
         repeated products; the S-series have the closed form `s_inverse_of`."""
-        if self._get((0,) * len(self.vars)) != 1:
+        if self.coeff({}) != 1:
             raise ValueError("inverse requires constant term 1")
         u = self.one_like() - self  # no constant term
         out = self.one_like()
@@ -736,27 +739,28 @@ class TruncSeries:
     # -- queries and slices ---------------------------------------------------
 
     def coeff(self, monomial: dict):
+        """The exact coefficient of a monomial {variable: exponent}."""
         e = [0] * len(self.vars)
-        pos = {v: i for i, v in enumerate(self.vars)}
         for v, k in monomial.items():
-            e[pos[v]] = k
-        return self._get(tuple(e))
+            e[self.vars.index(v)] = k
+        # a key below 0 matches no term: an exponent past its cap has none
+        hi = self._pack(e) if all(0 <= k <= cap for k, cap in zip(e, self.caps)) else -1
+        low = self._layout.low
+        return self._read({k - hi: c for k, c in self.num.items() if k >> low << low == hi})
 
     def lift(self, vars, caps, blocks=()) -> "TruncSeries":
         """The same series inside a larger space whose variables include ours."""
         out = TruncSeries(vars, caps, self.ring, None, blocks)
         pos = [out.vars.index(v) for v in self.vars]
+        lows = (1 << self._layout.low) - 1
         num = {}
-        for e, c in self.num.items():
-            key = [0] * len(out.vars)
-            for i, x in zip(pos, e):
-                key[i] = x
-            key = tuple(key)
-            if out._admissible(key):
-                num[key] = c
-        if self.ring is None:
-            return out._reduce(num, self.den)
-        return out._with(num)
+        for k, c in self.num.items():
+            e = [0] * len(out.vars)
+            for i, x in zip(pos, self._unpack(k)):
+                e[i] = x
+            if out._admissible(e):
+                num[out._pack(e) + (k & lows)] = c
+        return out._reduce(num, self.den)
 
     def is_zero(self) -> bool:
         return not self.num
@@ -767,6 +771,7 @@ class TruncSeries:
             and self.vars == other.vars
             and self.caps == other.caps
             and self.blocks == other.blocks
+            and self.ring == other.ring
             and self.den == other.den
             and self.num == other.num
         )
@@ -776,22 +781,64 @@ class TruncSeries:
         return f"TruncSeries({self.vars}, caps={self.caps}, {n} terms)"
 
 
-@lru_cache(maxsize=64)
-def _grading(caps: tuple, blocks: tuple) -> tuple:
-    """(index tuple of each grade, grade caps) of a truncated space.
+@lru_cache(maxsize=256)
+def _layout(vars: tuple, caps: tuple, blocks: tuple, ring) -> SimpleNamespace:
+    """The packed keys of a truncated space (see `TruncSeries`), after
+    checking the space: `low`, the bits of the coefficient ring's monomial
+    key; `guard`, its guard bits; `shifts`, the offset of each series
+    variable's field; `grades`, a (mask, ones, top) reader per grade; and
+    `gcaps`, the cap of each grade.
 
     A grade is the degree sum of a block, or the exponent of a variable
     whose own cap is below every block holding it (or that sits in no
     block).  Any other variable's cap is implied by a block's, so an
     exponent is admissible exactly when every grade is within its cap.
+    A key masked to a grade's fields and multiplied by `ones`, a 1 at the
+    distance of each field below the highest, `top`, holds the grade in
+    the field at `top`: every sum of fields of a stored key is at most a
+    cap, below EXPONENT_LIMIT, so nothing carries.
     """
+    coeffs = PolyRing(()) if ring is None else ring
+    n = len(vars)
+    if (
+        len(caps) != n
+        or not all(0 <= cap < EXPONENT_LIMIT for cap in caps + tuple(cap for _, cap in blocks))
+        or any(len(set(ix)) != len(ix) for ix, _ in blocks)
+        or set(vars) & set(coeffs.names)
+    ):
+        raise ValueError(
+            f"need one cap in [0, {EXPONENT_LIMIT}) per variable, blocks of distinct variables,"
+            f" and no series variable in the ring: {vars}, {caps}, {blocks}, {ring}"
+        )
+    low = FIELD_BITS * len(coeffs.names)
+    shifts = tuple(low + FIELD_BITS * (n - 1 - i) for i in range(n))
     grades = [ix for ix, _ in blocks]
     gcaps = [cap for _, cap in blocks]
     for i, cap in enumerate(caps):
         if all(cap < bcap for ix, bcap in blocks if i in ix):
             grades.append((i,))
             gcaps.append(cap)
-    return tuple(grades), tuple(gcaps)
+    readers = []
+    for ix in grades:
+        top = max((shifts[i] for i in ix), default=0)
+        mask = sum(_EXP_MASK << shifts[i] for i in ix)
+        readers.append((mask, sum(1 << top - shifts[i] for i in ix), top))
+    return SimpleNamespace(
+        low=low, guard=coeffs.guard, shifts=shifts, grades=tuple(readers), gcaps=tuple(gcaps)
+    )
+
+
+def _graded(num: dict, grades: tuple) -> dict:
+    """grade -> the keys of `num` of that grade, read by the `_layout` grades."""
+    out = {}
+    for k in num:
+        g = tuple([(k & mask) * ones >> top & _EXP_MASK for mask, ones, top in grades])
+        bucket = out.get(g)
+        if bucket is None:
+            out[g] = [k]
+        else:
+            bucket.append(k)
+    return out
 
 
 # -- the odd/even exponential series ------------------------------------------
@@ -802,67 +849,63 @@ def _half_exp_sum(arg: TruncSeries, parity: int, weight) -> TruncSeries:
     W = sum_v L_v v.
 
     In closed form, the coefficient at v^e with k = |e| of the right parity
-    is weight(k) * prod_v L_v^(e_v) / e_v!.  Each admissible exponent is
-    built once, its coefficient a product of per-variable power tables
-    shared along the exponent prefix, and each degree k is scaled once.
-
-    With a ring the tables hold L_v^j / j!.  A numeric W is A_v / B with
-    integer A_v over its one denominator B, and the coefficient is
-    weight(k) / (k! B^k) * multinomial(k; e) * prod_v A_v^(e_v): the tables
-    hold A_v^j, the multinomial grows by comb(k + j, j) at each variable,
-    and the per-degree scales go over their common denominator.
+    is weight(k) * prod_v L_v^(e_v) / e_v!.  W is A_v / B with numerator
+    polynomials A_v over its one denominator B (an A_v of a numeric W is one
+    integer), and the coefficient is weight(k) / (k! B^k) * multinomial(k; e)
+    * prod_v A_v^(e_v).  Each admissible exponent is built once, its
+    coefficient a product of per-variable power tables of the A_v shared
+    along the exponent prefix, the multinomial grows by comb(k + j, j) at
+    each variable, and the per-degree scales go over their common
+    denominator.
     """
-    zero = (0,) * len(arg.vars)
-    if zero in arg.num:
-        raise ValueError("sigma and S need a series without constant term")
-    if any(sum(e) != 1 for e in arg.num):
-        raise ValueError("sigma and S need a linear series")
-    numeric = arg.ring is None
-    one = 1 if numeric else arg.ring.one()
+    layout = arg._layout
+    lows = (1 << layout.low) - 1
+    units = {1 << s: i for i, s in enumerate(layout.shifts)}
+    linear = {}
+    for k, c in arg.num.items():
+        i = units.get(k - (k & lows))
+        if i is None:
+            raise ValueError("sigma and S need a linear series without constant term")
+        linear.setdefault(i, {})[k & lows] = c
     # the nonzero variables, each with its power table and the blocks it sits in
     slots = []
     room = [cap for _, cap in arg.blocks]
-    for e, c in arg.num.items():
-        i = e.index(1)
+    for i, a in linear.items():
         blocks = [b for b, (ix, _) in enumerate(arg.blocks) if i in ix]
-        powers = [one, c]
-        for j in range(2, min([arg.caps[i]] + [room[b] for b in blocks]) + 1):
-            powers.append(powers[-1] * c if numeric else powers[-1] * c * Fraction(1, j))
-        slots.append((i, powers, blocks))
-    exps = list(zero)
+        powers = [{0: 1}, a]
+        for _ in range(2, min([arg.caps[i]] + [room[b] for b in blocks]) + 1):
+            powers.append(_product(powers[-1], a, layout.guard))
+        slots.append((layout.shifts[i], powers, blocks))
     leaves = []
 
-    def fill(t, k, coeff):
+    def fill(t, key, k, coeff, multinomial):
         if t == len(slots):
             if k % 2 == parity:
-                leaves.append((tuple(exps), k, coeff))
+                leaves.append((key, k, coeff, multinomial))
             return
-        i, powers, blocks = slots[t]
+        s, powers, blocks = slots[t]
         top = min([len(powers) - 1] + [room[b] for b in blocks])
         last = t == len(slots) - 1
         for j in range((k + parity) % 2 if last else 0, top + 1, 2 if last else 1):
-            exps[i] = j
             for b in blocks:
                 room[b] -= j
-            c = coeff
-            if j:
-                c = coeff * powers[j]
-                if numeric:
-                    c *= comb(k + j, j)
-            fill(t + 1, k + j, c)
+            c = _product(coeff, powers[j], layout.guard) if j else coeff
+            fill(t + 1, key + (j << s), k + j, c, multinomial * comb(k + j, j))
             for b in blocks:
                 room[b] += j
-        exps[i] = 0
 
-    fill(0, 0, one)
-    degrees = {k for _, k, _ in leaves}
-    if not numeric:
-        weights = {k: weight(k) for k in degrees}
-        return arg._with({e: c * weights[k] for e, k, c in leaves})
-    fracs = {k: weight(k) / (factorial(k) * arg.den**k) for k in degrees}
+    fill(0, 0, 0, {0: 1}, 1)
+    del fill  # it refers to itself: free the tables now, not at the next collection
+    fracs = {k: weight(k) / (factorial(k) * arg.den**k) for k in {k for _, k, _, _ in leaves}}
     den = lcm(*(f.denominator for f in fracs.values()))
     scales = {k: f.numerator * (den // f.denominator) for k, f in fracs.items()}
-    return arg._reduce({e: c * scales[k] for e, k, c in leaves if scales[k]}, den)
+    out = {}
+    for key, k, coeff, multinomial in leaves:
+        f = scales[k] * multinomial
+        if f:
+            for lo, c in coeff.items():
+                out[key + lo] = c * f
+    return arg._reduce(out, den)
 
 
 def sigma_of(arg: TruncSeries) -> TruncSeries:
@@ -888,17 +931,10 @@ def s_power_series(c, var: str, order: int, ring=None) -> TruncSeries:
     with log S(v) = sum_{k>=1} B_{2k} v^{2k} / (2k (2k)!)."""
     if isinstance(c, MultiPoly) and ring is None:
         ring = c.ring
-    const = ring.const if ring is not None else _frac
-    one = TruncSeries.one((var,), (order,), ring)
-    log_s = TruncSeries(
-        (var,),
-        (order,),
-        ring,
-        {(k,): const(bernoulli(k) / (k * factorial(k))) for k in range(2, order + 1, 2)},
-    )
-    out = one
-    power = one
-    cpow = const(1)
+    terms = {(k,): bernoulli(k) / (k * factorial(k)) for k in range(2, order + 1, 2)}
+    log_s = TruncSeries((var,), (order,), ring, terms)
+    out = power = log_s.one_like()
+    cpow = 1
     for k in range(1, order // 2 + 1):
         power = power * log_s
         if power.is_zero():

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import prod
 from typing import Optional, Union
 
-from .algebra import TruncSeries, falling_factorial, rising_factorial, s_inverse_of, s_of
+from .algebra import TruncSeries, s_inverse_of, s_of
 from .partitions import Signature, check_composition
 from .wedge import Chamber, Wall, chamber_of, chamber_polynomial, generating_series, walls
 
@@ -27,13 +27,14 @@ class InvalidSplit(ValueError):
 
 
 # The refined series of each kind, per nu-part j of value v: each marker
-# variable (letter + j) carries sum_k f(v, k) * marker^k with f the rising or
-# falling factorial, and each expansion variable carries S^(sign * v - 1) and
-# the operator argument 1.  The mixed kind also has the variable X.
+# variable (letter + j) carries sum_k v (v + step) ... (v + (k-1) step) *
+# marker^k, the rising factorial for step 1 and the falling one for step -1,
+# and each expansion variable carries S^(sign * v - 1) and the operator
+# argument 1.  The mixed kind also has the variable X.
 _SERIES = {
-    "monotone": ({"u": rising_factorial}, {"z": 1}),
-    "strict": ({"u": falling_factorial}, {"z": -1}),
-    "mixed": ({"t": rising_factorial, "u": falling_factorial}, {"y": 1, "z": -1}),
+    "monotone": ({"u": 1}, {"z": 1}),
+    "strict": ({"u": -1}, {"z": -1}),
+    "mixed": ({"t": 1, "u": -1}, {"y": 1, "z": -1}),
 }
 
 
@@ -117,14 +118,13 @@ def _h_series(kind, mu_parts, slots, space, order, chamber=None):
     for s in slots:
         if s.index is None:
             continue  # extraction at marker power 0 with zero argument
-        v = Fraction(s.value)
-        for x, fact in markers.items():
+        v = int(s.value)
+        for x, step in markers.items():
             ix = names.index(f"{x}{s.index}")
-            marker = {}
+            marker, fact = {}, 1
             for k in range(order + 1):
-                e = [0] * len(names)
-                e[ix] = k
-                marker[tuple(e)] = fact(v, k)
+                marker[(0,) * ix + (k,) + (0,) * (len(names) - ix - 1)] = fact
+                fact *= v + step * k
             out = out * TruncSeries(names, caps, None, marker, blocks)
     norm = prod(mu_vals) * prod(int(s.value) for s in slots)
     return out.scalar_mul(Fraction(1, norm))

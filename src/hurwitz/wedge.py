@@ -401,8 +401,11 @@ def materialize(products, space, ring, point=None):
             total = series({v: coeff(c) for v, c in prod.total_arg})
             got = totals[prod.total_arg] = (total, s_inverse_of(total))
         total, inv_s_total = got
-        tail = s_of(total.scalar_mul(eF)) * inv_s_total
-        term = tail.scalar_mul(eF) if term is None else term * tail
+        # no sigma factor has a constant term, so neither has their product
+        # below the number of factors: it meets the two S-series one at a
+        # time, which keeps only their low-degree terms
+        tail = s_of(total.scalar_mul(eF))
+        term = (tail * inv_s_total).scalar_mul(eF) if term is None else term * tail * inv_s_total
         acc = acc + term
     return acc
 

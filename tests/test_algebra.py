@@ -517,20 +517,19 @@ def test_packed_keys_order_as_exponent_tuples(data):
     assert sorted(exps, key=key) == sorted(exps)
 
 
-# -- numeric series on integer numerators ------------------------------------------
+# -- series on integer numerators ----------------------------------------------------
 
 
 def _assert_series_canonical(series):
     """Integer numerators over one positive denominator in lowest terms, the
     zero series over 1, and the same pair as the series rebuilt from `data`."""
-    assert series.ring is None
     assert isinstance(series.den, int) and series.den > 0
     assert all(isinstance(c, int) and c for c in series.num.values())
     if series.num:
         assert math.gcd(series.den, *series.num.values()) == 1
     else:
         assert series.den == 1
-    built = TruncSeries(series.vars, series.caps, None, series.data, series.blocks)
+    built = TruncSeries(series.vars, series.caps, series.ring, series.data, series.blocks)
     assert (built.num, built.den) == (series.num, series.den)
 
 
@@ -549,12 +548,18 @@ def _ref_lift(x, names, caps, blocks):
 @settings(max_examples=150, deadline=None)
 def test_numeric_series_stay_canonical(data):
     names, caps, blocks = data.draw(_graded_space())
+    if data.draw(st.booleans()):
+        ring = COEFF_RING
+        s, t = ring.var("s"), ring.var("t")
+        coeff = st.builds(lambda a, b, c: s * a + t * b + c, COEFFS, COEFFS, COEFFS)
+    else:
+        ring, coeff = None, COEFFS
     exps = st.tuples(*[st.integers(0, 3)] * len(names))
     x, y = (
-        TruncSeries(names, caps, None, data.draw(st.dictionaries(exps, COEFFS, max_size=12)), blocks)
+        TruncSeries(names, caps, ring, data.draw(st.dictionaries(exps, coeff, max_size=12)), blocks)
         for _ in range(2)
     )
-    c = data.draw(COEFFS)
+    c = data.draw(coeff)
     cases = [
         (x + y, _ref_add(x.data, y.data)),
         (x - y, _ref_add(x.data, _ref_scale(y.data, -1))),
@@ -629,3 +634,46 @@ def test_numeric_s_power_series_is_the_ring_series_at_a_point(a, b, n, order):
     _assert_series_canonical(numeric)
     at_n = {e: p.evaluate({"n": n}) for e, p in symbolic.data.items()}
     assert numeric.data == {e: v for e, v in at_n.items() if v}
+
+
+@pytest.mark.parametrize(
+    "vars,caps,ring,data",
+    [
+        (("a", "b"), (3, 3), None, {(-1, 0): 1}),
+        (("a", "b"), (3, 3), None, {(1,): 2}),
+        (("a", "b"), (3, EXPONENT_LIMIT), None, {}),
+        (("a", "b"), (-1, 3), None, {}),
+        (("a", "s"), (3, 3), COEFF_RING, {}),
+    ],
+    ids=["negative-exponent", "short-exponent", "cap-at-limit", "negative-cap", "shared-name"],
+)
+def test_malformed_series_are_rejected(vars, caps, ring, data):
+    with pytest.raises(ValueError):
+        TruncSeries(vars, caps, ring, data)
+
+
+def test_series_over_different_rings_differ():
+    numeric = TruncSeries.one(("v",), (2,))
+    over_s = TruncSeries.one(("v",), (2,), PolyRing(("s",)))
+    over_t = TruncSeries.one(("v",), (2,), PolyRing(("t",)))
+    assert numeric != over_s and over_s != over_t
+    assert over_s == TruncSeries.one(("v",), (2,), PolyRing(("s",)))
+    for x, y in [(numeric, over_s), (over_s, over_t)]:
+        for op in (lambda: x + y, lambda: x * y):
+            with pytest.raises(ValueError, match="different truncated rings"):
+                op()
+
+
+@pytest.mark.parametrize("name", ["s", "t"])
+def test_a_coefficient_exponent_at_the_field_limit_raises(name):
+    # s sits in the field just below the series exponents, t below s
+    at = {"s": lambda k: (k, 0), "t": lambda k: (0, k)}[name]
+    top = MultiPoly(COEFF_RING, {at(EXPONENT_LIMIT - 1): 1})
+    names, caps = ("v", "w"), (2, 2)
+    x = TruncSeries(names, caps, COEFF_RING, {(1, 0): top, (0, 1): 1})
+    assert (x * TruncSeries.one(names, caps, COEFF_RING)).data == x.data
+    var = TruncSeries(names, caps, COEFF_RING, {(0, 1): COEFF_RING.var(name)})
+    with pytest.raises(ExponentOverflow):
+        x * var
+    with pytest.raises(ExponentOverflow):
+        x.scalar_mul(COEFF_RING.var(name))

@@ -11,9 +11,10 @@ Every module-level function and class is used somewhere in the package
 outside its own definition, or is public API named in `hurwitz.__all__`.
 Only `algebra` reads a polynomial's packed monomial keys (`.num`) or builds
 one from them (`MultiPoly._make`), so the key encoding has one home.  Likewise
-only `algebra` reads a series' numerators or denominator (`.num`, `.den`) or
-builds a series from them (`TruncSeries._with`, `_reduce`); every other
-module reads exact coefficients through `TruncSeries.data` or `coeff`.
+only `algebra` reads a series' packed numerators, denominator or key layout
+(`.num`, `.den`, `._layout`) or builds a series from them
+(`TruncSeries._with`, `_reduce`); every other module reads exact
+coefficients through `TruncSeries.data` or `coeff`.
 """
 
 import ast
@@ -145,6 +146,6 @@ def test_only_algebra_reads_series_numerators(module):
     touched = [
         f"line {node.lineno}: .{node.attr}"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in ("num", "den", "_with", "_reduce")
+        if isinstance(node, ast.Attribute) and node.attr in ("num", "den", "_layout", "_with", "_reduce")
     ]
     assert not touched
