@@ -13,21 +13,23 @@ component that carries the first part of mu.
 
 Everything below the public functions is integer arithmetic: the sums and
 the peeling recursion are kept multiplied by prod(mu) * prod(nu), and each
-public count divides by that product once.
+public count divides by that product once.  The characters come from one
+cached column per profile (`partitions.character_column`), so a pair of
+profiles costs two column lookups, and the sub-multisets of each profile
+that the splits are built from are cached per profile too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import comb, prod
 
 from .partitions import (
     Signature,
     SizeMismatch,
     centralizer_size,
-    character,
+    character_column,
     check_composition,
     complete_homogeneous_at_contents,
     contents,
@@ -39,20 +41,14 @@ from .partitions import (
 
 
 @lru_cache(maxsize=None)
-def _character_table(mu: tuple, nu: tuple) -> tuple:
-    """chi^lam(mu) * chi^lam(nu) for every lam, in `partitions(d)` order."""
-    return tuple(character(lam, mu) * character(lam, nu) for lam in partitions(sum(mu)))
-
-
-@lru_cache(maxsize=None)
 def _disc_sum(mu: tuple, nu: tuple, p: int, q: int, r: int) -> int:
     """The integer sum chi chi f2^p h_q e_r: the count times prod(mu) * prod(nu)."""
     # Ungated: the parity constraint comes out of the sum on its own, the
     # genus >= 0 constraint does not.  Callers that want the geometric count
     # must gate; the component recursion must not.
     total = 0
-    for lam, c in zip(partitions(sum(mu)), _character_table(mu, nu)):
-        if not c:
+    for lam, a, b in zip(partitions(sum(mu)), character_column(mu), character_column(nu)):
+        if not (c := a * b):
             continue
         if p:
             c *= f2_eigenvalue(lam) ** p
@@ -81,15 +77,15 @@ def hurwitz_disconnected(mu, nu, p: int = 0, q: int = 0, r: int = 0) -> Fraction
     return Fraction(_disc_sum(mu, nu, p, q, r), prod(mu) * prod(nu))
 
 
-def _sub_multisets(parts: tuple):
+@lru_cache(maxsize=None)
+def _sub_multisets(parts: tuple) -> tuple:
     """(chosen, rest, ways) for each sub-multiset of the weakly decreasing
     `parts`: both sorted, and `ways` index subsets that pick it."""
-    values = sorted(set(parts), reverse=True)
-    mults = [parts.count(v) for v in values]
-    for picks in product(*(range(k + 1) for k in mults)):
-        chosen = tuple(v for v, c in zip(values, picks) for _ in range(c))
-        rest = tuple(v for v, c, k in zip(values, picks, mults) for _ in range(k - c))
-        yield chosen, rest, prod(comb(k, c) for k, c in zip(mults, picks))
+    out = [((), (), 1)]
+    for v in sorted(set(parts), reverse=True):
+        k = parts.count(v)
+        out = [(ch + (v,) * c, rest + (v,) * (k - c), w * comb(k, c)) for ch, rest, w in out for c in range(k + 1)]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -199,9 +195,9 @@ def tau_coefficient(n: int, mu, nu, c, d) -> Fraction:
     if any(x < 0 for x in c + d):
         raise ValueError("exponents must be >= 0")
     total = 0
-    for lam, ch in zip(partitions(n), _character_table(mu, nu)):
-        if ch:
-            total += ch * box_product(lam, c, d).get((c, d), 0)
+    for lam, a, b in zip(partitions(n), character_column(mu), character_column(nu)):
+        if a and b:
+            total += a * b * box_product(lam, c, d).get((c, d), 0)
     return Fraction(total, centralizer_size(mu) * centralizer_size(nu))
 
 

@@ -5,7 +5,8 @@ Profiles of branch points are compositions (ordered tuples of positive
 integers) because the parts carry labels; characters only depend on the
 underlying partition and sort internally.  Characters use the
 Murnaghan-Nakayama recursion on beta-numbers (first-column hook lengths),
-memoized over (shape, remaining cycle lengths).
+memoized over (shape, remaining cycle lengths); `character_column` caches
+one cycle type's characters over every shape.
 
 `Signature` is the one place where a kind and its genus or budgets become
 the transposition budgets (p, q, r) and where a genus is read back from
@@ -194,9 +195,17 @@ def character(lam, mu) -> int:
     """Irreducible symmetric-group character chi^lam at cycle type mu."""
     lam = tuple(sorted(lam, reverse=True))
     mu = tuple(sorted(mu, reverse=True))
+    if any(x < 1 for x in lam + mu):
+        raise ValueError(f"shape and cycle type parts must be >= 1: {lam}, {mu}")
     if sum(lam) != sum(mu):
         raise SizeMismatch(f"|{lam}| != |{mu}|")
     return _char_rec(lam, mu)
+
+
+@lru_cache(maxsize=None)
+def character_column(mu: tuple) -> tuple:
+    """chi^lam(mu) for every lam, in `partitions(sum(mu))` order."""
+    return tuple(character(lam, mu) for lam in partitions(sum(mu)))
 
 
 @lru_cache(maxsize=None)

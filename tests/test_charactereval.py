@@ -12,6 +12,7 @@ from math import comb, prod
 import pytest
 
 from hurwitz.charactereval import (
+    _sub_multisets,
     box_product,
     hurwitz_connected_simple,
     hurwitz_disconnected,
@@ -167,6 +168,16 @@ def test_disconnected_matches_the_fraction_reference():
                             gated = (b - m - n) % 2 or b < m + n - 2
                             want = 0 if gated else _ref_disconnected(mu, nu, p, q, r)
                             assert hurwitz_disconnected(mu, nu, p, q, r) == want, (mu, nu, (p, q, r))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_sub_multisets_cover_every_index_subset_once(d):
+    for parts in partitions(d):
+        entries = _sub_multisets(parts)
+        assert sum(ways for _, _, ways in entries) == 2 ** len(parts), parts
+        for chosen, rest, _ in entries:
+            assert tuple(sorted(chosen + rest, reverse=True)) == parts, (parts, chosen, rest)
+            assert list(chosen) == sorted(chosen, reverse=True) and list(rest) == sorted(rest, reverse=True)
 
 
 def _adjacent_chambers(mu, nu):

@@ -10,6 +10,7 @@ from hurwitz.partitions import (
     SizeMismatch,
     centralizer_size,
     character,
+    character_column,
     check_composition,
     complete_homogeneous_at_contents,
     compositions,
@@ -41,7 +42,7 @@ def test_partition_counts():
 
 
 def test_partitions_come_in_descending_lex_order():
-    # the character route zips per-pair character columns against this order
+    # the character route zips per-profile character columns against this order
     shapes = {()}
     for d in range(1, 21):
         # every partition of d is one of d - 1 with a box added to some row
@@ -123,6 +124,28 @@ def test_character_orthogonality(d):
                 for mu in parts
             )
             assert tot == (1 if lam == sig else 0)
+
+
+@pytest.mark.parametrize("lam, mu", [((2,), (2, 0)), ((1, 1), (1, 1, 0)), ((3, -1), (1, 1))])
+def test_character_rejects_parts_below_one(lam, mu):
+    # equal sizes, so only the part check can catch these
+    with pytest.raises(ValueError):
+        character(lam, mu)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_character_column_is_character_over_partitions(d):
+    for mu in partitions(d):
+        assert character_column(mu) == tuple(character(lam, mu) for lam in partitions(d)), mu
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_character_column_orthogonality(d):
+    # sum_lam chi^lam(mu) chi^lam(nu) = z_mu [mu == nu]
+    for mu in partitions(d):
+        for nu in partitions(d):
+            tot = sum(a * b for a, b in zip(character_column(mu), character_column(nu)))
+            assert tot == (centralizer_size(mu) if mu == nu else 0), (mu, nu)
 
 
 def test_centralizer_size():
