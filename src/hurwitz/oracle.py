@@ -12,14 +12,20 @@ of ways to assign labels to equal parts of mu and of nu, then divided by d!.
 
 Everything is enumerated, with two pieces of bookkeeping.  The constrained
 transposition tuples are counted once per (d, p, q, r), prefix by prefix,
-and grouped by (product permutation, blocks of points the tuple joins),
-since sigma1 ranges over a full conjugacy class independently of the tuple
-and transitivity reads only which points the tuple joins.  For disconnected
-counts the groups are summed further by the cycle type of the product:
-the number of sigma1 of type mu with w sigma1 of type nu is the same for
-every w of one cycle type (conjugating by c maps the sigma1 that work for w
-bijectively onto those that work for c w c^-1), so one word per type is
-scanned against the class of mu.  Neither grouping changes what is counted.
+since sigma1 ranges over a full conjugacy class independently of the tuple.
+For connected counts they are grouped by (product permutation, blocks of
+points the tuple joins), since transitivity reads only which points the
+tuple joins.  Disconnected counts never read the blocks, so their walk
+keys the tuples on (product, last key) alone, and the groups are summed
+further by the cycle type of the product: the number of sigma1 of type mu
+with w sigma1 of type nu is the same for every w of one cycle type
+(conjugating by c maps the sigma1 that work for w bijectively onto those
+that work for c w c^-1), so one word per type is scanned against the class
+of mu.  Neither grouping changes what is counted.
+
+The caches are bounded.  Their sizes hold every key that the test suite,
+run in one process, touches (about 700 tuple tables), so none is evicted
+there; in a longer run they cap how many tables stay in memory.
 """
 
 from __future__ import annotations
@@ -38,6 +44,10 @@ class BoundExceeded(ValueError):
 
 
 MAX_DEGREE = 8
+
+# the weak and strict chains compare the smaller or the larger point of each
+# transposition (r, s); both give the same counts
+CONVENTIONS = ("smaller", "larger")
 
 
 # -- permutation plumbing (tuples of images, 0-based) --------------------------
@@ -84,9 +94,16 @@ def cycles_of(p: tuple) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def permutations_of_type(d: int, lam: tuple) -> tuple:
-    lam = tuple(sorted(lam, reverse=True))
+    """Every permutation of range(d) with cycle type lam, in any part order.
+
+    A part below 1 raises ValueError, and parts not summing to d raise
+    SizeMismatch.
+    """
+    lam = tuple(sorted(check_composition(lam), reverse=True))
+    if sum(lam) != d:
+        raise SizeMismatch(f"|lam|={sum(lam)} != d={d}")
     return tuple(p for p in _all_perms(range(d)) if cycle_type(p) == lam)
 
 
@@ -133,8 +150,8 @@ def _transpositions(d: int) -> list:
     return [(s, r) for s in range(d - 1) for r in range(s + 1, d)]
 
 
-@lru_cache(maxsize=None)
-def _tuple_classes(d: int, p: int, q: int, r: int, convention: str):
+@lru_cache(maxsize=1024)
+def _tuple_classes(d: int, p: int, q: int, r: int, convention: str, blocks: bool = True):
     """All constrained transposition tuples, grouped.
 
     Returns a tuple of ((product, blocks), count) where the product is
@@ -144,31 +161,39 @@ def _tuple_classes(d: int, p: int, q: int, r: int, convention: str):
     prefix: a state is (product, blocks, last key) with a multiplicity, and
     each position extends every state by every transposition its block rule
     allows, so tuples that agree on the state are never told apart again.
+
+    With blocks=False the walk does not track joined blocks and never joins
+    any: a state is (product, None, last key) and the table is keyed on
+    (product, None).  Disconnected counts read no more than that, and the
+    walk visits far fewer states.
     """
-    if convention not in ("smaller", "larger"):
-        raise ValueError(f"unknown convention {convention!r}")
-    keyidx = 0 if convention == "smaller" else 1
+    keyidx = CONVENTIONS.index(convention)
     steps = []
     for sr in _transpositions(d):
         img = list(range(d))
         img[sr[0]], img[sr[1]] = img[sr[1]], img[sr[0]]
         steps.append((sr, sr[keyidx], tuple(img)))
 
-    states = {(identity(d), identity(d), None): 1}
+    states = {(identity(d), identity(d) if blocks else None, None): 1}
     for count, mode in ((p, "free"), (q, "weak"), (r, "strict")):
         # no constraint couples the blocks: each one's first key is free
         for i in range(count):
             nxt: dict = {}
-            for (word, blocks, last), cnt in states.items():
+            for (word, joined, last), cnt in states.items():
                 for (s, rr), k, tau in steps:
                     if i and (mode == "weak" and k < last or mode == "strict" and k <= last):
                         continue
-                    key = (compose(tau, word), _join(blocks, s, rr), None if mode == "free" else k)
+                    # tau after word, i.e. compose(tau, word)
+                    key = (
+                        tuple([tau[x] for x in word]),
+                        _join(joined, s, rr) if blocks else None,
+                        None if mode == "free" else k,
+                    )
                     nxt[key] = nxt.get(key, 0) + cnt
             states = nxt
     table: dict = {}
-    for (word, blocks, _), cnt in states.items():
-        table[word, blocks] = table.get((word, blocks), 0) + cnt
+    for (word, joined, _), cnt in states.items():
+        table[word, joined] = table.get((word, joined), 0) + cnt
     return tuple(table.items())
 
 
@@ -180,7 +205,7 @@ def _join(blocks: tuple, a: int, b: int) -> tuple:
     return tuple(lo if x == hi else x for x in blocks)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _product_words(d: int, p: int, q: int, r: int, convention: str):
     """The tuple table grouped by product word.
 
@@ -193,7 +218,7 @@ def _product_words(d: int, p: int, q: int, r: int, convention: str):
     return tuple((word, tuple(blocks)) for word, blocks in groups.items())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _product_types(d: int, p: int, q: int, r: int, convention: str):
     """The tuple table summed by the cycle type of the product.
 
@@ -201,7 +226,7 @@ def _product_types(d: int, p: int, q: int, r: int, convention: str):
     type, count being how many constrained tuples have a product of it.
     """
     groups: dict = {}
-    for (word, _), cnt in _tuple_classes(d, p, q, r, convention):
+    for (word, _), cnt in _tuple_classes(d, p, q, r, convention, blocks=False):
         lam = cycle_type(word)
         rep, total = groups.get(lam, (word, 0))
         groups[lam] = (rep, total + cnt)
@@ -222,15 +247,20 @@ def count_factorizations(spec: FactorizationSpec, convention: str = "smaller") -
     Returns both the raw labeled count and the count divided by d!.  When
     the signature admits no non-negative integer genus (b+2-m-n negative or
     odd) the count is 0 by definition; the parity half of that statement is
-    also what enumeration yields, the negative-genus half is imposed.
+    also what enumeration yields, the negative-genus half is imposed.  A
+    convention other than "smaller" or "larger" raises ValueError, whatever
+    the signature.
 
-    Disconnected counts scan the class of mu once per cycle type of the
+    Disconnected counts take the tuple table keyed on (product, last key),
+    without blocks, and scan the class of mu once per cycle type of the
     product word, weighted by how many tuples have a product of that type;
-    connected counts scan it once per distinct product word and, where the
-    type matches, keep the (product, blocks) classes whose blocks, joined by
-    the cycles of sigma1, are transitive.
+    connected counts scan it once per distinct product word of the
+    (product, blocks) table and, where the type matches, keep the classes
+    whose blocks, joined by the cycles of sigma1, are transitive.
     Both tally exactly the (sigma1, tuple) pairs of the definition.
     """
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
     d = spec.d
     if d > MAX_DEGREE:
         raise BoundExceeded(f"d={d} exceeds bound {MAX_DEGREE}")

@@ -15,6 +15,8 @@ from hurwitz.oracle import (
     BoundExceeded,
     FactorizationSpec,
     MAX_DEGREE,
+    _product_types,
+    _tuple_classes,
     count_factorizations,
     compose,
     cycle_type,
@@ -39,6 +41,12 @@ def test_permutations_of_type_counts():
     assert len(permutations_of_type(4, (2, 1, 1))) == 6
     assert len(permutations_of_type(4, (4,))) == 6
     assert len(permutations_of_type(5, (3, 2))) == 20
+
+
+@pytest.mark.parametrize("lam,error", [((2, 2), SizeMismatch), ((3, 0), ValueError)])
+def test_permutations_of_type_rejects_a_bad_type(lam, error):
+    with pytest.raises(error):
+        permutations_of_type(3, lam)
 
 
 def test_spec_validation():
@@ -123,6 +131,13 @@ def test_conventions_agree_spot_checks():
         )
 
 
+@pytest.mark.parametrize("pqr", [(1, 0, 0), (2, 0, 0)])  # wrong parity, then valid
+@pytest.mark.parametrize("connected", [False, True])
+def test_unknown_convention_raises(pqr, connected):
+    with pytest.raises(ValueError, match="convention"):
+        count_factorizations(FactorizationSpec((2,), (2,), *pqr, connected=connected), convention="bogus")
+
+
 def test_bound_guard():
     big = (MAX_DEGREE + 1,)
     with pytest.raises(BoundExceeded):
@@ -196,6 +211,27 @@ def test_counts_match_the_definition():
                         want = 0
                     got = count_factorizations(spec, convention=convention).raw
                     assert got == want * _labelings(mu) * _labelings(nu), (spec, convention)
+
+
+def test_walk_without_blocks_keeps_each_products_count():
+    # disconnected counts read the walk that drops the joined blocks; it must
+    # give each product, hence each cycle type, the count of the (product,
+    # blocks) table summed over blocks, also at b = 4 and at d = 5, b = 3,
+    # where test_counts_match_the_definition stops short
+    for d, b in itertools.product(range(1, 6), range(5)):
+        for p, q in itertools.product(range(b + 1), repeat=2):
+            if p + q > b:
+                continue
+            for convention in ("smaller", "larger"):
+                by_word, by_type = {}, {}
+                for (word, _), cnt in _tuple_classes(d, p, q, b - p - q, convention):
+                    by_word[word] = by_word.get(word, 0) + cnt
+                    by_type[cycle_type(word)] = by_type.get(cycle_type(word), 0) + cnt
+                bare = _tuple_classes(d, p, q, b - p - q, convention, blocks=False)
+                assert {word: cnt for (word, _), cnt in bare} == by_word
+                assert all(joined is None for (_, joined), _ in bare)
+                types = _product_types(d, p, q, b - p - q, convention)
+                assert {cycle_type(rep): cnt for rep, cnt in types} == by_type
 
 
 def test_connected_equals_disconnected_off_walls():
