@@ -212,14 +212,6 @@ class PolyRing:
     def var(self, name: str) -> "MultiPoly":
         return MultiPoly._make(self, {1 << self.shifts[self.index[name]]: 1}, 1)
 
-    def from_linear(self, form: "LinearForm") -> "MultiPoly":
-        terms = {}
-        for name, c in form.coeffs.items():
-            exps = [0] * len(self.names)
-            exps[self.index[name]] = 1
-            terms[tuple(exps)] = c
-        return MultiPoly(self, terms)
-
 
 class MultiPoly:
     """A sparse polynomial with rational coefficients.
@@ -481,7 +473,7 @@ class LinearForm:
     """An exact linear combination of named symbols plus a rational constant.
 
     Used for operator energies (combinations of part sizes) and for series
-    arguments before they are materialized into a polynomial ring.
+    arguments, until `evaluate` gives each symbol a number or a polynomial.
     """
 
     __slots__ = ("coeffs", "const")
@@ -532,11 +524,17 @@ class LinearForm:
     def __hash__(self):
         return hash((frozenset(self.coeffs.items()), self.const))
 
-    def evaluate(self, values) -> Fraction:
-        return sum((c * _frac(values[n]) for n, c in self.coeffs.items()), self.const)
-
-    def as_poly(self, ring: PolyRing) -> MultiPoly:
-        return ring.from_linear(self) + ring.const(self.const)
+    def evaluate(self, values):
+        """The form at `values`, a map from each of its symbols to an int, a
+        Fraction or a `MultiPoly`: a Fraction, or a `MultiPoly` when it
+        reads one."""
+        out = self.const
+        for n, c in self.coeffs.items():
+            x = values[n]
+            if not isinstance(x, (int, Fraction, MultiPoly)):
+                raise TypeError(f"expected int, Fraction or MultiPoly, got {type(x).__name__}")
+            out = out + c * x
+        return out
 
     def __repr__(self):
         bits = []

@@ -23,9 +23,11 @@ with w sigma1 of type nu is the same for every w of one cycle type
 that work for c w c^-1), so one word per type is scanned against the class
 of mu.  Neither grouping changes what is counted.
 
-The caches are bounded.  Their sizes hold every key that the test suite,
-run in one process, touches (about 700 tuple tables), so none is evicted
-there; in a longer run they cap how many tables stay in memory.
+The tuple table itself is not cached: each count reads it only through
+its regrouped copy (`_product_words` or `_product_types`), which is.  The
+caches are bounded.  Their sizes hold every key that the test suite, run
+in one process, touches, so none is evicted there; in a longer run they
+cap how many tables stay in memory.
 """
 
 from __future__ import annotations
@@ -150,7 +152,6 @@ def _transpositions(d: int) -> list:
     return [(s, r) for s in range(d - 1) for r in range(s + 1, d)]
 
 
-@lru_cache(maxsize=1024)
 def _tuple_classes(d: int, p: int, q: int, r: int, convention: str, blocks: bool = True):
     """All constrained transposition tuples, grouped.
 
@@ -266,17 +267,18 @@ def count_factorizations(spec: FactorizationSpec, convention: str = "smaller") -
         raise BoundExceeded(f"d={d} exceeds bound {MAX_DEGREE}")
     if spec.genus() is None:
         return FactorizationCount(0, Fraction(0))
+    mu_sorted = tuple(sorted(spec.mu, reverse=True))
     nu_sorted = tuple(sorted(spec.nu, reverse=True))
     raw_unlabeled = 0
     if spec.connected:
         words = _product_words(d, spec.p, spec.q, spec.r, convention)
-        for sigma1 in permutations_of_type(d, spec.mu):
+        for sigma1 in permutations_of_type(d, mu_sorted):
             cyc1 = cycles_of(sigma1)
             for w, classes in words:
                 if cycle_type(compose(w, sigma1)) == nu_sorted:
                     raw_unlabeled += sum(cnt for blocks, cnt in classes if _is_transitive(cyc1, blocks))
     else:
-        sigmas = permutations_of_type(d, spec.mu)
+        sigmas = permutations_of_type(d, mu_sorted)
         for w, cnt in _product_types(d, spec.p, spec.q, spec.r, convention):
             raw_unlabeled += cnt * sum(cycle_type(compose(w, sigma1)) == nu_sorted for sigma1 in sigmas)
     raw = raw_unlabeled * multiplicity_factor(spec.mu) * multiplicity_factor(spec.nu)

@@ -83,51 +83,37 @@ def _space(kind: str, n: int, order: int):
     return tuple(names), caps, blocks
 
 
-@dataclass(frozen=True)
-class _Slot:
-    """One nu-part of a split profile inside the ambient variable space.
-
-    `index` is the parent index j (vars uj/zj/tj/yj); None marks the delta
-    part, which carries no markers and no expansion variables of its own.
-    """
-
-    value: Fraction
-    index: Optional[int]
-
-
-def _h_series(kind, mu_parts, slots, space, order, chamber=None):
+def _h_series(kind, mu, nu, index, space, order, chamber=None):
     """The refined series of one (possibly split) profile, in ambient vars.
 
-    mu_parts: the mu-side parts (Fractions; may include the delta part).
-    slots: nu-side _Slot list, in profile order.
+    mu, nu: the parts, the delta part included on a split side.
+    index: each nu-part's parent index j (vars uj/zj/tj/yj), in profile
+    order; None marks the delta part, which carries no markers and no
+    expansion variables of its own.
     The generating series comes from `wedge.generating_series`, with the
-    kind's expansion variables on each slot (none on the delta slot); the
-    markers are multiplied in here.
+    kind's expansion variables on each indexed part; the markers are
+    multiplied in here.
     """
     names, caps, blocks = space
-    nu_vals = tuple(int(s.value) for s in slots)
-    mu_vals = tuple(int(x) for x in mu_parts)
-    ch = chamber if chamber is not None else chamber_of(mu_vals, nu_vals)
+    ch = chamber if chamber is not None else chamber_of(mu, nu)
 
     markers, expansions = _SERIES[kind]
-    parts = [{} if s.index is None else {f"{x}{s.index}": sign for x, sign in expansions.items()} for s in slots]
-    point = {f"mu{i}": v for i, v in enumerate(mu_vals, start=1)}
-    point.update({f"nu{j}": v for j, v in enumerate(nu_vals, start=1)})
+    parts = [{} if j is None else {f"{x}{j}": sign for x, sign in expansions.items()} for j in index]
+    values = {f"mu{i}": v for i, v in enumerate(mu, start=1)}
+    values.update({f"nu{j}": v for j, v in enumerate(nu, start=1)})
 
-    out = generating_series(ch, parts, space, None, point)
-    for s in slots:
-        if s.index is None:
+    out = generating_series(ch, parts, space, None, values)
+    for v, j in zip(nu, index):
+        if j is None:
             continue  # extraction at marker power 0 with zero argument
-        v = int(s.value)
         for x, step in markers.items():
-            ix = names.index(f"{x}{s.index}")
+            ix = names.index(f"{x}{j}")
             marker, fact = {}, 1
             for k in range(order + 1):
                 marker[(0,) * ix + (k,) + (0,) * (len(names) - ix - 1)] = fact
                 fact *= v + step * k
             out = out * TruncSeries(names, caps, None, marker, blocks)
-    norm = prod(mu_vals) * prod(int(s.value) for s in slots)
-    return out.scalar_mul(Fraction(1, norm))
+    return out.scalar_mul(Fraction(1, prod(mu) * prod(nu)))
 
 
 def refined_series(kind: str, mu, nu, order: int, chamber: Optional[Chamber] = None) -> TruncSeries:
@@ -140,41 +126,40 @@ def refined_series(kind: str, mu, nu, order: int, chamber: Optional[Chamber] = N
     mu = check_composition(mu)
     nu = check_composition(nu)
     space = _space(kind, len(nu), order)
-    slots = [_Slot(Fraction(v), j + 1) for j, v in enumerate(nu)]
-    return _h_series(kind, [Fraction(v) for v in mu], slots, space, order, chamber=chamber)
+    return _h_series(kind, mu, nu, range(1, len(nu) + 1), space, order, chamber=chamber)
 
 
 # -- the recursive product formula -------------------------------------------------
 
 
-def _crossing_prefactor(kind, problem, nu, delta, space) -> TruncSeries:
+def _crossing_prefactor(kind, J, nu, delta, space) -> TruncSeries:
     """delta^2 * sigma-ratio, as the pole-free S-series times the scalar delta.
 
     Every sigma(L) is L * S(L); the linear forms of numerator and denominator
     cancel exactly up to one factor of delta, which combines with delta^2.
     Each S of the denominator is inverted in closed form (`s_inverse_of`).
+    J is the wall's nu-side index tuple.
     """
     names, caps, blocks = space
     n = len(nu)
-    J = set(problem.wall.J)
     Jc = [j for j in range(1, n + 1) if j not in J]
 
     _, expansions = _SERIES[kind]
 
     def argmap(ixs, scale=1, xshift=0):
-        out = {f"{x}{j}": Fraction(scale) for j in ixs for x in expansions}
+        out = {f"{x}{j}": scale for j in ixs for x in expansions}
         if kind == "mixed":
-            out["X"] = (xshift + sum(Fraction(nu[j - 1]) for j in ixs)) * scale
+            out["X"] = (xshift + sum(nu[j - 1] for j in ixs)) * scale
         return out
 
     def series(args):
         return TruncSeries.from_linear(names, caps, args, None, blocks)
 
     return (
-        s_of(series(argmap(sorted(J), 1, delta)))
+        s_of(series(argmap(J, 1, delta)))
         * s_of(series(argmap(Jc, 1)))
         * s_of(series(argmap(range(1, n + 1), delta)))
-        * s_inverse_of(series(argmap(sorted(J), delta, delta)))
+        * s_inverse_of(series(argmap(J, delta, delta)))
         * s_inverse_of(series(argmap(Jc, delta)))
         * s_inverse_of(series(argmap(range(1, n + 1), 1)))
     ).scalar_mul(delta)
@@ -208,14 +193,12 @@ def verify_wallcrossing(problem: WallCrossingProblem, samples) -> dict:
             kind, mu, nu, order, chamber=problem.c1
         )
 
-        I, J = set(wall.I), set(wall.J)
-        mu_I = [Fraction(mu[i - 1]) for i in sorted(I)]
-        mu_Ic = [Fraction(mu[i - 1]) for i in range(1, len(mu) + 1) if i not in I]
-        slots_J = [_Slot(Fraction(nu[j - 1]), j) for j in sorted(J)] + [_Slot(Fraction(delta), None)]
-        slots_Jc = [_Slot(Fraction(nu[j - 1]), j) for j in range(1, len(nu) + 1) if j not in J]
-        f1 = _h_series(kind, mu_I, slots_J, space, order)
-        f2 = _h_series(kind, mu_Ic + [Fraction(delta)], slots_Jc, space, order)
-        rhs = _crossing_prefactor(kind, problem, nu, delta, space) * f1 * f2
+        Ic = [i for i in range(1, len(mu) + 1) if i not in wall.I]
+        Jc = tuple(j for j in range(1, len(nu) + 1) if j not in wall.J)
+        nu_J = [nu[j - 1] for j in wall.J] + [delta]
+        f1 = _h_series(kind, [mu[i - 1] for i in wall.I], nu_J, wall.J + (None,), space, order)
+        f2 = _h_series(kind, [mu[i - 1] for i in Ic] + [delta], [nu[j - 1] for j in Jc], Jc, space, order)
+        rhs = _crossing_prefactor(kind, wall.J, nu, delta, space) * f1 * f2
 
         entry = {
             "mu": list(mu),

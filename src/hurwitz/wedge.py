@@ -15,14 +15,16 @@ An operator absorbing mu_I and nu_J has energy mu_I - nu_J, so which
 operators count as negative is read off the chamber's sample point, and the
 pattern set is the same throughout the chamber.  `johnson_expand` turns the
 patterns into sigma-products of linear forms, `materialize` turns those
-into a series, with polynomial or numeric coefficients, and
-`generating_series` multiplies in the S-power prefactors: chamber
-polynomials and the refined series of `wallcross` both read that one series.
+into a series by evaluating every form at one map from the symbols to
+values (ring variables for polynomial coefficients, parts for numeric
+ones), and `generating_series` multiplies in the S-power prefactors:
+chamber polynomials and the refined series of `wallcross` both read that
+one series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -98,8 +100,8 @@ class Wall:
         object.__setattr__(self, "I", I)
         object.__setattr__(self, "J", J)
 
-    def value(self, mu, nu) -> Fraction:
-        return Fraction(sum(mu[i - 1] for i in self.I) - sum(nu[j - 1] for j in self.J))
+    def value(self, mu, nu) -> int:
+        return sum(mu[i - 1] for i in self.I) - sum(nu[j - 1] for j in self.J)
 
     def __str__(self):
         return f"mu{{{','.join(map(str, self.I))}}} = nu{{{','.join(map(str, self.J))}}}"
@@ -123,18 +125,24 @@ def walls(m: int, n: int) -> tuple:
 
 @dataclass
 class Chamber:
-    """A chamber of the arrangement, held by an interior sample point."""
+    """A chamber of the arrangement, held by an interior sample point.
+
+    Every sign is read off the sample; a sample on a wall raises `OnWall`.
+    """
 
     m: int
     n: int
     sample: tuple
-    signs: dict = field(repr=False)
 
     def __post_init__(self):
-        self._key = (self.m, self.n, tuple(self.signs[w] for w in walls(self.m, self.n)))
+        ws = walls(self.m, self.n)
+        signs = tuple(self.sign(w) for w in ws)
+        if 0 in signs:
+            raise OnWall(ws[signs.index(0)])
+        self._key = (self.m, self.n, signs)
 
     def sign(self, wall: Wall) -> int:
-        return self.signs[wall]
+        return self.label_sign((wall.I, wall.J))
 
     def label_sign(self, label) -> int:
         """The sign of mu_I - nu_J at the sample, for a label (I, J)."""
@@ -158,14 +166,7 @@ def chamber_of(mu, nu) -> Chamber:
     nu = check_composition(nu)
     if sum(mu) != sum(nu):
         raise SumMismatch(f"|mu|={sum(mu)} != |nu|={sum(nu)}")
-    m, n = len(mu), len(nu)
-    signs = {}
-    for w in walls(m, n):
-        v = w.value(mu, nu)
-        if v == 0:
-            raise OnWall(w)
-        signs[w] = 1 if v > 0 else -1
-    return Chamber(m, n, (tuple(mu), tuple(nu)), signs)
+    return Chamber(len(mu), len(nu), (tuple(mu), tuple(nu)))
 
 
 # -- the commutation walk --------------------------------------------------------
@@ -364,18 +365,19 @@ def _space_for(sig: Signature, n: int, pad: int = 0):
     return tuple(names), tuple(caps), tuple(blocks)
 
 
-def materialize(products, space, ring, point=None):
+def materialize(products, space, ring, values):
     """Sum the sigma-products of `johnson_expand` in the given series space.
 
-    Every linear form of a product becomes a coefficient: an element of
-    `ring` when one is given, else its value at `point`, a map from the
-    symbols mu1.., nu1.. to numbers.  This is where every chamber polynomial
-    and every refined series gets its numbers.
+    Every linear form of a product becomes a coefficient, its value at
+    `values`: a map from the symbols mu1.., nu1.. to numbers, or to elements
+    of `ring`, the series' coefficient ring (None for numbers).  This is
+    where every chamber polynomial and every refined series gets its
+    numbers.
     """
     vars_, caps, blocks = space
 
     def coeff(form):
-        return form.as_poly(ring) if ring is not None else form.evaluate(point)
+        return form.evaluate(values)
 
     def series(argmap):
         return TruncSeries.from_linear(vars_, caps, argmap, ring, blocks)
@@ -410,15 +412,15 @@ def materialize(products, space, ring, point=None):
     return acc
 
 
-def generating_series(chamber: Chamber, parts, space, ring=None, point=None) -> TruncSeries:
+def generating_series(chamber: Chamber, parts, space, ring, values) -> TruncSeries:
     """The mixed generating series of the chamber: the commutation-pattern
     correlator of E(mu_1) ... E(mu_m) E(-nu_1) ... E(-nu_n) times
     prod_j prod_x S(x)^(sign * nu_j - 1).
 
     `parts[j-1]` maps nu_j's expansion variables x to their signs; nu_j's
     operator carries the argument X * nu_j when the space has X, and 1 on
-    each of its expansion variables.  Coefficients are elements of `ring`,
-    or numbers at `point` when `ring` is None (see `materialize`).
+    each of its expansion variables.  Coefficients are read at `values`,
+    numbers or elements of `ring` (see `materialize`).
     """
     vars_, caps, _ = space
     word = [EOp.make([i], []) for i in range(1, chamber.m + 1)]
@@ -426,11 +428,11 @@ def generating_series(chamber: Chamber, parts, space, ring=None, point=None) -> 
         arg = {"X": LinearForm.unit(f"nu{j}")} if "X" in vars_ else {}
         arg.update({x: 1 for x in signs})
         word.append(EOp.make([], [j], arg))
-    corr = materialize(johnson_expand(chamber, word), space, ring, point)
+    corr = materialize(johnson_expand(chamber, word), space, ring, values)
 
     pref = None
     for j, signs in enumerate(parts, start=1):
-        nu = ring.var(f"nu{j}") if ring is not None else Fraction(point[f"nu{j}"])
+        nu = values[f"nu{j}"]
         for x, sign in signs.items():
             c = (nu if sign > 0 else -nu) - 1
             fac = s_power_series(c, x, caps[vars_.index(x)], ring).lift(*space)
@@ -463,14 +465,15 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber, pad: int = 0) -> 
     p, q, r = sig
     names = tuple([f"mu{i}" for i in range(1, m + 1)] + [f"nu{j}" for j in range(1, n + 1)])
     ring = PolyRing(names)
-    muv = {i: ring.var(f"mu{i}") for i in range(1, m + 1)}
-    nuv = {j: ring.var(f"nu{j}") for j in range(1, n + 1)}
+    values = {name: ring.var(name) for name in names}
+    muv = {i: values[f"mu{i}"] for i in range(1, m + 1)}
+    nuv = {j: values[f"nu{j}"] for j in range(1, n + 1)}
 
     space = _space_for(sig, n, pad)
     vars_ = space[0]
     signs = [(x, sign) for x, budget, sign in (("y", q, 1), ("z", r, -1)) if budget]
     parts = [{f"{x}{j}": sign for x, sign in signs} for j in range(1, n + 1)]
-    corr = generating_series(chamber, parts, space, ring)
+    corr = generating_series(chamber, parts, space, ring, values)
 
     total = ring.zero()
     yix = {f"y{j}": j for j in range(1, n + 1)}

@@ -55,7 +55,13 @@ def test_linear_form_basics():
     a = LinearForm.unit("x") + LinearForm({"y": 2})
     assert a.evaluate({"x": Fraction(1), "y": Fraction(3)}) == 7
     assert (a - a).is_zero()
-    assert a.as_poly(R) == R.var("x") + 2 * R.var("y")
+    assert a.evaluate({"x": R.var("x"), "y": R.var("y")}) == R.var("x") + 2 * R.var("y")
+
+
+def test_linear_form_evaluate_rejects_a_float():
+    a = LinearForm.unit("x") + LinearForm({"y": 2})
+    with pytest.raises(TypeError):
+        a.evaluate({"x": 1, "y": 0.5})
 
 
 def test_series_inverse_roundtrip():

@@ -49,6 +49,15 @@ def test_permutations_of_type_rejects_a_bad_type(lam, error):
         permutations_of_type(3, lam)
 
 
+def test_both_part_orders_share_one_class_of_sigma1():
+    # (3,1) and (1,3) name one conjugacy class, so they fill one cache entry
+    permutations_of_type.cache_clear()
+    for mu in ((3, 1), (1, 3)):
+        for connected in (False, True):
+            count_factorizations(FactorizationSpec(mu, (2, 2), 2, 0, 0, connected=connected))
+    assert permutations_of_type.cache_info().currsize == 1
+
+
 def test_spec_validation():
     with pytest.raises(SizeMismatch):
         FactorizationSpec((2,), (1, 1, 1), 1, 0, 0)

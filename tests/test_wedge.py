@@ -11,8 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hurwitz.algebra import PolyRing
 from hurwitz.charactereval import hurwitz_disconnected
 from hurwitz.partitions import Signature
+from hurwitz.verify import _chambers
 from hurwitz.wedge import (
     ArityMismatch,
     Chamber,
@@ -21,10 +23,12 @@ from hurwitz.wedge import (
     OnWall,
     SumMismatch,
     Wall,
+    _space_for,
     chamber_of,
     chamber_polynomial,
     commutation_patterns,
     evaluate,
+    generating_series,
     johnson_expand,
     standard_word,
     walls,
@@ -62,6 +66,15 @@ def test_chamber_of_basics():
         chamber_of((2, 2), (2, 2))
     with pytest.raises(SumMismatch):
         chamber_of((3,), (2, 2))
+
+
+def test_chamber_signs_are_read_off_the_sample():
+    ch = chamber_of((3, 1), (2, 2))
+    assert ch == Chamber(2, 2, ((3, 1), (2, 2)))
+    assert [ch.sign(w) for w in walls(2, 2)] == [ch.label_sign((w.I, w.J)) for w in walls(2, 2)]
+    assert ch.key() == (2, 2, tuple(ch.sign(w) for w in walls(2, 2)))
+    with pytest.raises(OnWall):
+        Chamber(2, 2, ((2, 2), (2, 2)))
 
 
 def test_four_chambers_at_2_2():
@@ -151,6 +164,28 @@ def test_higher_arity_block_truncation():
     ch = chamber_of(mu, nu)
     poly = chamber_polynomial("mixed", (1, 1, 1), ch)
     assert evaluate(poly, mu, nu) == hurwitz_disconnected(mu, nu, 1, 1, 1)
+
+
+@pytest.mark.parametrize("kind,signature", [("simple", 1), ("monotone", 1), ("strict", 1), ("mixed", (1, 1, 1))])
+def test_number_values_give_the_ring_series_at_the_point(kind, signature):
+    # one correlator, read with polynomial or with numeric coefficients
+    checked = 0
+    for m, n in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)):
+        sig = Signature.of(kind, signature, m, n)
+        space = _space_for(sig, n)
+        signs = [(x, sign) for x, budget, sign in (("y", sig.q, 1), ("z", sig.r, -1)) if budget]
+        parts = [{f"{x}{j}": sign for x, sign in signs} for j in range(1, n + 1)]
+        ring = PolyRing([f"mu{i}" for i in range(1, m + 1)] + [f"nu{j}" for j in range(1, n + 1)])
+        for ch in _chambers(m, n, dmax=6):
+            mu, nu = ch.sample
+            point = {f"mu{i}": v for i, v in enumerate(mu, start=1)}
+            point.update({f"nu{j}": v for j, v in enumerate(nu, start=1)})
+            exact = generating_series(ch, parts, space, ring, {x: ring.var(x) for x in ring.names})
+            at_point = generating_series(ch, parts, space, None, point)
+            want = {e: c.evaluate(point) for e, c in exact.data.items()}
+            assert at_point.data == {e: c for e, c in want.items() if c}, (mu, nu)
+            checked += 1
+    assert checked == 9  # every chamber with m + n <= 4
 
 
 def test_pad_stability():
