@@ -714,6 +714,44 @@ class TruncSeries:
                     _mul_into(out, zip(keys, map(big.__getitem__, keys)), terms2)
         return self._reduce(_settled(out, self._layout.guard), self.den * other.den)
 
+    def grade_sum(self, other, monomial: dict, weight):
+        """sum of weight(e) * [v^e](self * other) over the exponents e whose
+        grades (see `_layout`) are those of `monomial` {variable: exponent}:
+        a number, or an element of `ring`.
+
+        Only the bucket pairs whose grades add up to the target are
+        multiplied.  `weight` maps an exponent tuple to a number or a `ring`
+        element and is called once per exponent that occurs; the weighted
+        numerators add up in one dict, reduced once."""
+        self._same_space(other)
+        layout = self._layout
+        e = [0] * len(self.vars)
+        for v, k in monomial.items():
+            e[self.vars.index(v)] = k
+        if not self._admissible(e):
+            return self._read({})  # the truncated product has no term there
+        (target,) = _graded((self._pack(e),), layout.grades)
+        small, big = sorted((self.num, other.num), key=len)
+        right = _graded(small, layout.grades)
+        out = {}
+        for g1, keys in _graded(big, layout.grades).items():
+            keys2 = right.get(tuple(map(sub, target, g1)))
+            if keys2:
+                _mul_into(out, zip(keys, map(big.__getitem__, keys)), [(k, small[k]) for k in keys2])
+        lows = (1 << layout.low) - 1
+        groups = {}
+        for k, c in _settled(out, layout.guard).items():
+            groups.setdefault(k - (k & lows), {})[k & lows] = c
+        weighted = [(terms, *self._terms_of(weight(self._unpack(hi)))) for hi, terms in groups.items()]
+        wden = lcm(*(d for _, _, d in weighted))
+        total = {}
+        for terms, wnum, d in weighted:
+            _mul_into(total, terms.items(), [(lo, a * (wden // d)) for lo, a in wnum.items()])
+        den = self.den * other.den * wden
+        if self.ring is None:
+            return Fraction(total.get(0, 0), den)
+        return MultiPoly._make(self.ring, _settled(total, self.ring.guard), den)
+
     def scalar_mul(self, c) -> "TruncSeries":
         """The series times a coefficient: a number or an element of `ring`."""
         num, den = self._terms_of(c)

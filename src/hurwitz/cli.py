@@ -6,8 +6,9 @@ Three subcommands: `compute` (one number, by any of the three methods),
 rationals are strings "num/den" so no consumer ever rounds them.
 
 Exit codes: 0 success; 1 verification mismatch; 2 malformed arguments;
-3 evaluation point on a wall; 4 size/order bound exceeded; 5 degenerate
-signature (no polynomial exists).
+3 evaluation point on a wall; 4 size/order bound exceeded, or a monomial
+exponent past `algebra.EXPONENT_LIMIT`; 5 degenerate signature (no
+polynomial exists).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
+from .algebra import ExponentOverflow
 from .charactereval import hurwitz_connected_simple, hurwitz_disconnected
 from .oracle import BoundExceeded, FactorizationSpec, count_factorizations
 from .partitions import PURE_KINDS, Signature, SizeMismatch
@@ -228,7 +230,7 @@ def main(argv=None) -> int:
     except OnWall as e:
         print(f"error: sample lies on a wall: {e}", file=sys.stderr)
         return EXIT_ON_WALL
-    except BoundExceeded as e:
+    except (BoundExceeded, ExponentOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BOUND
     except DegenerateSignature as e:

@@ -91,8 +91,8 @@ def _h_series(kind, mu, nu, index, space, order, chamber=None):
     order; None marks the delta part, which carries no markers and no
     expansion variables of its own.
     The generating series comes from `wedge.generating_series`, with the
-    kind's expansion variables on each indexed part; the markers are
-    multiplied in here.
+    kind's expansion variables on each indexed part; its two factors and
+    the markers are multiplied in here.
     """
     names, caps, blocks = space
     ch = chamber if chamber is not None else chamber_of(mu, nu)
@@ -102,7 +102,8 @@ def _h_series(kind, mu, nu, index, space, order, chamber=None):
     values = {f"mu{i}": v for i, v in enumerate(mu, start=1)}
     values.update({f"nu{j}": v for j, v in enumerate(nu, start=1)})
 
-    out = generating_series(ch, parts, space, None, values)
+    corr, pref = generating_series(ch, parts, space, None, values)
+    out = corr * pref
     for v, j in zip(nu, index):
         if j is None:
             continue  # extraction at marker power 0 with zero argument

@@ -17,9 +17,10 @@ pattern set is the same throughout the chamber.  `johnson_expand` turns the
 patterns into sigma-products of linear forms, `materialize` turns those
 into a series by evaluating every form at one map from the symbols to
 values (ring variables for polynomial coefficients, parts for numeric
-ones), and `generating_series` multiplies in the S-power prefactors:
-chamber polynomials and the refined series of `wallcross` both read that
-one series.
+ones), and `generating_series` hands out that correlator with its S-power
+prefactor: the refined series of `wallcross` multiply the two, and chamber
+polynomials read one grade of their product (`TruncSeries.grade_sum`),
+with mu1 valued on the weight shell so that nothing is substituted after.
 """
 
 from __future__ import annotations
@@ -412,17 +413,17 @@ def materialize(products, space, ring, values):
     return acc
 
 
-def generating_series(chamber: Chamber, parts, space, ring, values) -> TruncSeries:
-    """The mixed generating series of the chamber: the commutation-pattern
-    correlator of E(mu_1) ... E(mu_m) E(-nu_1) ... E(-nu_n) times
-    prod_j prod_x S(x)^(sign * nu_j - 1).
+def generating_series(chamber: Chamber, parts, space, ring, values) -> tuple:
+    """The mixed generating series of the chamber, as its two factors: the
+    commutation-pattern correlator of E(mu_1) ... E(mu_m) E(-nu_1) ...
+    E(-nu_n), and the prefactor prod_j prod_x S(x)^(sign * nu_j - 1).
 
     `parts[j-1]` maps nu_j's expansion variables x to their signs; nu_j's
     operator carries the argument X * nu_j when the space has X, and 1 on
     each of its expansion variables.  Coefficients are read at `values`,
     numbers or elements of `ring` (see `materialize`).
     """
-    vars_, caps, _ = space
+    vars_, caps, blocks = space
     word = [EOp.make([i], []) for i in range(1, chamber.m + 1)]
     for j, signs in enumerate(parts, start=1):
         arg = {"X": LinearForm.unit(f"nu{j}")} if "X" in vars_ else {}
@@ -437,7 +438,7 @@ def generating_series(chamber: Chamber, parts, space, ring, values) -> TruncSeri
             c = (nu if sign > 0 else -nu) - 1
             fac = s_power_series(c, x, caps[vars_.index(x)], ring).lift(*space)
             pref = fac if pref is None else pref * fac
-    return corr if pref is None else corr * pref
+    return corr, TruncSeries.one(vars_, caps, ring, blocks) if pref is None else pref
 
 
 _POLY_CACHE: dict = {}
@@ -449,8 +450,12 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber, pad: int = 0) -> 
     `signature` is the genus g for the pure kinds, or a triple (p, q, r) for
     kind "mixed"; a pure kind is the same polynomial as its budgets spelt as
     a mixed triple.  The returned polynomial lives in mu2..mum, nu1..nun; the
-    first part is eliminated through mu1 = sum(nu) - (mu2 + ... + mum).
-    `pad` raises every truncation order (the result must not change).
+    first part is eliminated through mu1 = sum(nu) - (mu2 + ... + mum), which
+    is its value in the map every linear form is read at.  A signature with
+    no integer genus gives the zero polynomial without building a series:
+    off the walls every cover is connected, so no cover has that many
+    transpositions.  `pad` raises every truncation order (the result must
+    not change).
     """
     m, n = chamber.m, chamber.n
     sig = Signature.of(kind, signature, m, n)
@@ -462,60 +467,43 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber, pad: int = 0) -> 
     if got is not None:
         return got
 
-    p, q, r = sig
-    names = tuple([f"mu{i}" for i in range(1, m + 1)] + [f"nu{j}" for j in range(1, n + 1)])
-    ring = PolyRing(names)
-    values = {name: ring.var(name) for name in names}
-    muv = {i: values[f"mu{i}"] for i in range(1, m + 1)}
-    nuv = {j: values[f"nu{j}"] for j in range(1, n + 1)}
+    # the ring keeps mu1, so that `evaluate` reads the arity off its names
+    ring = PolyRing([f"mu{i}" for i in range(1, m + 1)] + [f"nu{j}" for j in range(1, n + 1)])
+    if sig.genus(m, n) is None:
+        _POLY_CACHE[key] = total = ring.zero()
+        return total
+    values = {name: ring.var(name) for name in ring.names}
+    nus = [values[f"nu{j}"] for j in range(1, n + 1)]
+    mus = [values[f"mu{i}"] for i in range(2, m + 1)]
+    image = sum(nus, ring.zero()) - sum(mus, ring.zero())
+    values["mu1"] = image
 
+    p, q, r = sig
     space = _space_for(sig, n, pad)
-    vars_ = space[0]
     signs = [(x, sign) for x, budget, sign in (("y", q, 1), ("z", r, -1)) if budget]
     parts = [{f"{x}{j}": sign for x, sign in signs} for j in range(1, n + 1)]
-    corr = generating_series(chamber, parts, space, ring, values)
+    corr, pref = generating_series(chamber, parts, space, ring, values)
 
-    total = ring.zero()
-    yix = {f"y{j}": j for j in range(1, n + 1)}
-    zix = {f"z{j}": j for j in range(1, n + 1)}
     # (variable yj or zj, exponent) -> the rising or falling factorial of
     # nu_j, built at its first use in this call
     facts = {}
-    for e, c in corr.data.items():
-        mono = dict(zip(vars_, e))
-        if mono.get("X", 0) != p:
-            continue
-        if sum(mono.get(f"y{j}", 0) for j in range(1, n + 1)) != q:
-            continue
-        if sum(mono.get(f"z{j}", 0) for j in range(1, n + 1)) != r:
-            continue
-        w = c
-        for v, k in mono.items():
+
+    def weight(e):
+        w = ring.one()
+        for v, k in zip(space[0], e):
             if k and v != "X":
                 f = facts.get((v, k))
                 if f is None:
-                    if v in yix:
-                        f = rising_factorial(nuv[yix[v]], k)
-                    else:
-                        f = falling_factorial(nuv[zix[v]], k)
-                    facts[v, k] = f
+                    step = rising_factorial if v[0] == "y" else falling_factorial
+                    f = facts[v, k] = step(nus[int(v[1:]) - 1], k)
                 w = w * f
-        total = total + w
-    total = total * ring.const(factorial(p))
+        return w
 
-    # on-shell reduction: express through mu1 = sum(nu) - rest, then strip
-    # the product of parts
-    image = ring.zero()
-    for j in range(1, n + 1):
-        image = image + nuv[j]
-    for i in range(2, m + 1):
-        image = image - muv[i]
-    total = total.substitute("mu1", image)
-    for j in range(1, n + 1):
-        total = total.exact_divide(nuv[j])
-    for i in range(2, m + 1):
-        total = total.exact_divide(muv[i])
-    total = total.exact_divide(image)
+    target = {v: k for v, k in (("X", p), ("y1", q), ("z1", r)) if k}
+    total = corr.grade_sum(pref, target, weight) * factorial(p)
+    # strip the product of parts, mu1 = image included
+    for part in nus + mus + [image]:
+        total = total.exact_divide(part)
 
     _POLY_CACHE[key] = total
     return total

@@ -388,6 +388,54 @@ def test_graded_product_matches_the_pairwise_product(data):
     assert (got.vars, got.caps, got.blocks, got.ring) == (x.vars, x.caps, x.blocks, x.ring)
 
 
+def _ref_grade(e, caps, blocks):
+    """The degree sum of each block, then the exponent of each variable whose
+    own cap is below every block holding it."""
+    own = [e[i] for i, cap in enumerate(caps) if all(cap < bcap for ix, bcap in blocks if i in ix)]
+    return tuple([sum(e[i] for i in ix) for ix, _ in blocks] + own)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_grade_sum_matches_the_filtered_weighted_product(data):
+    names, caps, blocks = data.draw(_graded_space())
+    pad = data.draw(st.integers(0, 1))
+    if data.draw(st.booleans()):
+        ring = COEFF_RING
+        s, t = ring.var("s"), ring.var("t")
+        coeff = st.builds(lambda a, b, c: s * a + t * b + c, COEFFS, COEFFS, COEFFS)
+
+        def weight(e):
+            return s * e[0] - t * Fraction(1, 1 + e[-1]) + sum(e) % 3
+    else:
+        ring, coeff = None, COEFFS
+
+        def weight(e):
+            return Fraction(e[0] - sum(e) % 3, 1 + e[-1])
+
+    exps = st.tuples(*[st.integers(0, 3)] * len(names))
+    terms = [data.draw(st.dictionaries(exps, coeff, max_size=12)) for _ in range(2)]
+    target = dict(zip(names, data.draw(st.tuples(*[st.integers(0, cap + 1) for cap in caps]))))
+    results = []
+    for pad in sorted({0, pad}):
+        pcaps = tuple(cap + pad for cap in caps)
+        pblocks = tuple((ix, cap + pad) for ix, cap in blocks)
+        x, y = (TruncSeries(names, pcaps, ring, d, pblocks) for d in terms)
+        grade = _ref_grade(tuple(target.values()), pcaps, pblocks)
+        want = sum(
+            (c * weight(e) for e, c in _ref_series_mul(x, y).items() if _ref_grade(e, pcaps, pblocks) == grade),
+            Fraction(0),
+        )
+        got = x.grade_sum(y, target, weight)
+        assert got == want
+        assert isinstance(got, Fraction if ring is None else MultiPoly)
+        results.append(got)
+    # terms the tighter caps drop have a grade past the target's
+    exps = tuple(target.values())
+    if all(k <= cap for k, cap in zip(exps, caps)) and all(sum(exps[i] for i in ix) <= cap for ix, cap in blocks):
+        assert results[0] == results[-1]
+
+
 def test_graded_product_in_a_space_with_every_kind_of_grade():
     # a, b, c share a block of cap 3, which overlaps the block (c, d) of cap 2;
     # a's own cap 1 is below its block's, b's cap 4 is implied by it, e sits

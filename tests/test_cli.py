@@ -3,8 +3,8 @@ from math import factorial
 
 import pytest
 
-from hurwitz import verify
-from hurwitz.algebra import bernoulli
+from hurwitz import cli, verify
+from hurwitz.algebra import EXPONENT_LIMIT, ExponentOverflow, bernoulli
 from hurwitz.cli import main
 
 
@@ -93,6 +93,18 @@ def test_compute_bound_guard(capsys):
         ["compute", "--type", "simple", "--mu", "9", "--nu", "9", "--g", "0", "--method", "oracle"],
     )
     assert code == 4
+
+
+def test_compute_exponent_overflow_exits_4(capsys, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise ExponentOverflow(f"an exponent reached {EXPONENT_LIMIT}")
+
+    monkeypatch.setattr(cli, "chamber_polynomial", overflow)
+    code, out, err = run(
+        capsys,
+        ["compute", "--type", "monotone", "--mu", "3,1", "--nu", "2,2", "--g", "1", "--method", "chamber"],
+    )
+    assert code == 4 and not out and "error" in err
 
 
 def test_chamber_poly_json_schema(capsys):

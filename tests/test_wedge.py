@@ -6,13 +6,16 @@ symmetric-group enumeration) before being pinned.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hurwitz.algebra import PolyRing
+from hurwitz import wedge
+from hurwitz.algebra import PolyRing, falling_factorial, rising_factorial
 from hurwitz.charactereval import hurwitz_disconnected
+from hurwitz.oracle import MAX_DEGREE, FactorizationSpec, count_factorizations
 from hurwitz.partitions import Signature
 from hurwitz.verify import _chambers
 from hurwitz.wedge import (
@@ -182,10 +185,60 @@ def test_number_values_give_the_ring_series_at_the_point(kind, signature):
             point.update({f"nu{j}": v for j, v in enumerate(nu, start=1)})
             exact = generating_series(ch, parts, space, ring, {x: ring.var(x) for x in ring.names})
             at_point = generating_series(ch, parts, space, None, point)
-            want = {e: c.evaluate(point) for e, c in exact.data.items()}
-            assert at_point.data == {e: c for e, c in want.items() if c}, (mu, nu)
+            for got, factor in zip(at_point, exact):
+                want = {e: c.evaluate(point) for e, c in factor.data.items()}
+                assert got.data == {e: c for e, c in want.items() if c}, (mu, nu)
             checked += 1
     assert checked == 9  # every chamber with m + n <= 4
+
+
+def _full_product_reference(kind, signature, ch, pad):
+    """The chamber polynomial as the ring series' full product, walked term
+    by term with its factorial weights, then put on the shell by
+    substituting mu1 and divided by the parts."""
+    m, n = ch.m, ch.n
+    sig = Signature.of(kind, signature, m, n)
+    p, q, r = sig
+    ring = PolyRing([f"mu{i}" for i in range(1, m + 1)] + [f"nu{j}" for j in range(1, n + 1)])
+    space = _space_for(sig, n, pad)
+    signs = [(x, sign) for x, budget, sign in (("y", q, 1), ("z", r, -1)) if budget]
+    parts = [{f"{x}{j}": sign for x, sign in signs} for j in range(1, n + 1)]
+    corr, pref = generating_series(ch, parts, space, ring, {x: ring.var(x) for x in ring.names})
+    total = ring.zero()
+    for e, c in (corr * pref).data.items():
+        mono = dict(zip(space[0], e))
+        grade = [sum(k for v, k in mono.items() if v[0] == letter) for letter in "Xyz"]
+        if grade != [p, q, r]:
+            continue
+        for v, k in mono.items():
+            if k and v != "X":
+                step = rising_factorial if v[0] == "y" else falling_factorial
+                c = c * step(ring.var(f"nu{v[1:]}"), k)
+        total = total + c
+    nus = [ring.var(f"nu{j}") for j in range(1, n + 1)]
+    mus = [ring.var(f"mu{i}") for i in range(2, m + 1)]
+    image = sum(nus, ring.zero()) - sum(mus, ring.zero())
+    total = (total * factorial(p)).substitute("mu1", image)
+    for part in nus + mus + [image]:
+        total = total.exact_divide(part)
+    return total
+
+
+# at pad 1 the reference's full products cost 90 s over the whole sweep
+# (64 s on the splits of b = 4 with no genus at m + n = 5) and 3.4 s on the
+# mixed b = 4 splits at m + n = 4, so pad 1 stops at m + n = 4 and b = 3
+@pytest.mark.parametrize("pad,size,bmax,count", [(0, 5, 4, 1923), (1, 4, 3, 230)])
+def test_chamber_polynomial_matches_the_full_product_reference(pad, size, bmax, count):
+    sigs = [(kind, g) for kind in ("simple", "monotone", "strict") for g in (0, 1)]
+    sigs += [("mixed", (p, q, b - p - q)) for b in range(bmax + 1) for p in range(b + 1) for q in range(b - p + 1)]
+    checked = 0
+    for m, n in [(m, s - m) for s in range(2, size + 1) for m in range(1, s)]:
+        for ch in _chambers(m, n):
+            for kind, sig in sigs:
+                if not Signature.of(kind, sig, m, n).degenerate(m, n):
+                    assert chamber_polynomial(kind, sig, ch, pad) == _full_product_reference(kind, sig, ch, pad)
+                    checked += 1
+    assert checked == count
 
 
 def test_pad_stability():
@@ -214,11 +267,24 @@ def test_evaluate_arity_checks():
         evaluate(poly, (3,), (2, 2))
 
 
-def test_parity_invalid_signature_gives_zero():
-    # b odd with m + n even: every count on the chamber vanishes
-    ch = chamber_of((3, 1), (2, 2))
-    poly = chamber_polynomial("mixed", (1, 0, 0), ch)
-    assert poly.is_zero()
+def test_parity_invalid_signature_gives_zero(monkeypatch):
+    # b of the wrong parity, or below m + n - 2: off the walls no cover has
+    # that many transpositions, and no series is built to say so
+    def no_series(*args):
+        raise AssertionError("materialize called for a signature with no genus")
+
+    monkeypatch.setattr(wedge, "_POLY_CACHE", {})
+    monkeypatch.setattr(wedge, "materialize", no_series)
+    samples = [((1, 1, 7), (3, 3, 3)), ((3, 1), (2, 2)), ((1, 2), (3,)), ((5,), (1, 1, 1, 2))]
+    for mu, nu in samples:
+        ch = chamber_of(mu, nu)
+        for pqr in [(1, 0, 0), (1, 1, 1), (3, 0, 0), (0, 0, 1), (0, 0, 0)]:
+            if Signature(*pqr).genus(len(mu), len(nu)) is not None:
+                continue
+            poly = chamber_polynomial("mixed", pqr, ch)
+            assert poly.is_zero() and poly.ring.names[0] == "mu1"
+            if sum(mu) <= MAX_DEGREE:
+                assert evaluate(poly, mu, nu) == count_factorizations(FactorizationSpec(mu, nu, *pqr)).value
 
 
 def test_pure_kind_is_a_spelling_of_its_budgets():
