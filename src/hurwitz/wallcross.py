@@ -8,6 +8,11 @@ the wall mu_I = nu_J, the jump of the series factors — up to an explicit
 prefactor, pole-free after rewriting every sigma as (linear form) * S — into
 the product of the refined series of the two split profiles, with delta =
 mu_I - nu_J joining one profile on each side.
+
+The series is linear in its correlator, so the jump is one series: the
+commutation patterns both chambers share give the same sigma-products and
+cancel, and only those that differ across the wall are materialized, then
+multiplied once by the prefactor, the marker series and the norm.
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ _SERIES = {
 }
 
 
+def _check_kind(kind: str):
+    if kind not in _SERIES:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {', '.join(_SERIES)}")
+
+
 @dataclass
 class WallCrossingProblem:
     wall: Wall
@@ -48,8 +58,7 @@ class WallCrossingProblem:
     budgets: Signature = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in _SERIES:
-            raise ValueError(f"unknown kind {self.kind!r}")
+        _check_kind(self.kind)
         self.budgets = Signature.of(self.kind, self.signature, self.c1.m, self.c1.n)
         if (self.c1.m, self.c1.n) != (self.c2.m, self.c2.n):
             raise ValueError("chambers live in different arrangements")
@@ -83,7 +92,33 @@ def _space(kind: str, n: int, order: int):
     return tuple(names), caps, blocks
 
 
-def _h_series(kind, mu, nu, index, space, order, chamber=None):
+def _markers(kind, nu, index, space, order) -> TruncSeries:
+    """The marker series of every indexed part of nu, as one series.
+
+    Each marker variable carries its own factorial column (see `_SERIES`),
+    so the coefficient at e is the product of the columns at e's
+    exponents, kept while the total order stays within `order`.
+    """
+    names, caps, blocks = space
+    markers, _ = _SERIES[kind]
+    terms = {(0,) * len(names): 1}
+    for v, j in zip(nu, index):
+        if j is None:
+            continue  # extraction at marker power 0 with zero argument
+        for x, step in markers.items():
+            ix = names.index(f"{x}{j}")
+            grown = {}
+            for e, c in terms.items():
+                for k in range(order - sum(e) + 1):
+                    grown[e[:ix] + (k,) + e[ix + 1 :]] = c
+                    c *= v + step * k
+                    if not c:
+                        break  # a falling factorial stays zero past v
+            terms = grown
+    return TruncSeries(names, caps, None, terms, blocks)
+
+
+def _h_series(kind, mu, nu, index, space, order, chamber=None, minus=None):
     """The refined series of one (possibly split) profile, in ambient vars.
 
     mu, nu: the parts, the delta part included on a split side.
@@ -91,29 +126,21 @@ def _h_series(kind, mu, nu, index, space, order, chamber=None):
     order; None marks the delta part, which carries no markers and no
     expansion variables of its own.
     The generating series comes from `wedge.generating_series`, with the
-    kind's expansion variables on each indexed part; its two factors and
-    the markers are multiplied in here.
+    kind's expansion variables on each indexed part; its two factors, the
+    marker series and 1/(prod mu prod nu) are multiplied in here.  With
+    `minus`, the series is linear in its correlator, so this is the jump
+    (series on `chamber`) - (series on `minus`) from the one correlator
+    difference that `generating_series` materializes.
     """
-    names, caps, blocks = space
     ch = chamber if chamber is not None else chamber_of(mu, nu)
 
-    markers, expansions = _SERIES[kind]
+    _, expansions = _SERIES[kind]
     parts = [{} if j is None else {f"{x}{j}": sign for x, sign in expansions.items()} for j in index]
     values = {f"mu{i}": v for i, v in enumerate(mu, start=1)}
     values.update({f"nu{j}": v for j, v in enumerate(nu, start=1)})
 
-    corr, pref = generating_series(ch, parts, space, None, values)
-    out = corr * pref
-    for v, j in zip(nu, index):
-        if j is None:
-            continue  # extraction at marker power 0 with zero argument
-        for x, step in markers.items():
-            ix = names.index(f"{x}{j}")
-            marker, fact = {}, 1
-            for k in range(order + 1):
-                marker[(0,) * ix + (k,) + (0,) * (len(names) - ix - 1)] = fact
-                fact *= v + step * k
-            out = out * TruncSeries(names, caps, None, marker, blocks)
+    corr, pref = generating_series(ch, parts, space, None, values, minus)
+    out = corr * pref * _markers(kind, nu, index, space, order)
     return out.scalar_mul(Fraction(1, prod(mu) * prod(nu)))
 
 
@@ -122,8 +149,12 @@ def refined_series(kind: str, mu, nu, order: int, chamber: Optional[Chamber] = N
 
     Variables: u1..un (markers) and z1..zn for the pure kinds; t, u, X, y, z
     for the mixed kind.  `chamber` overrides the sample's own chamber, which
-    is how the series is continued across a wall.
+    is how the series is continued across a wall.  An unknown kind or a
+    negative order raises `ValueError`.
     """
+    _check_kind(kind)
+    if order < 0:
+        raise ValueError(f"order must be at least 0, got {order}")
     mu = check_composition(mu)
     nu = check_composition(nu)
     space = _space(kind, len(nu), order)
@@ -170,11 +201,16 @@ def verify_wallcrossing(problem: WallCrossingProblem, samples) -> dict:
     """Check the product formula at each sample, coefficient by coefficient.
 
     The left side is the jump of the refined series across the wall — the
-    c2-chamber series minus the c1-chamber continuation at the same profile.
+    c2-chamber series minus the c1-chamber continuation at the same profile
+    — built as one series from the sigma-products that differ across the
+    wall (`wedge.generating_series` with `minus=c1`).  A problem whose two
+    chambers coincide crosses no wall and raises `InvalidSplit`.
     The right side multiplies the two split refined series (with the delta
     slot's markers extracted at power zero and its arguments set to zero)
     by the pole-free prefactor, truncated at total order b = p + q + r.
     """
+    if problem.c1.key() == problem.c2.key():
+        raise InvalidSplit("the problem crosses no wall")
     order = problem.budgets.b
     kind = problem.kind
     wall = problem.wall
@@ -190,9 +226,7 @@ def verify_wallcrossing(problem: WallCrossingProblem, samples) -> dict:
             raise InvalidSplit(f"delta = {delta} at {(mu, nu)}")
         space = _space(kind, len(nu), order)
 
-        lhs = refined_series(kind, mu, nu, order, chamber=problem.c2) - refined_series(
-            kind, mu, nu, order, chamber=problem.c1
-        )
+        lhs = _h_series(kind, mu, nu, range(1, len(nu) + 1), space, order, chamber=problem.c2, minus=problem.c1)
 
         Ic = [i for i in range(1, len(mu) + 1) if i not in wall.I]
         Jc = tuple(j for j in range(1, len(nu) + 1) if j not in wall.J)

@@ -18,13 +18,16 @@ patterns into sigma-products of linear forms, `materialize` turns those
 into a series by evaluating every form at one map from the symbols to
 values (ring variables for polynomial coefficients, parts for numeric
 ones), and `generating_series` hands out that correlator with its S-power
-prefactor: the refined series of `wallcross` multiply the two, and chamber
-polynomials read one grade of their product (`TruncSeries.grade_sum`),
-with mu1 valued on the weight shell so that nothing is substituted after.
+prefactor (or, given a second chamber, the jump of the correlator, from the
+patterns that differ across the wall): the refined series of `wallcross`
+multiply the two, and chamber polynomials read one grade of their product
+(`TruncSeries.grade_sum`), with mu1 valued on the weight shell so that
+nothing is substituted after.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -366,14 +369,15 @@ def _space_for(sig: Signature, n: int, pad: int = 0):
     return tuple(names), tuple(caps), tuple(blocks)
 
 
-def materialize(products, space, ring, values):
+def materialize(products, space, ring, values, signs=None):
     """Sum the sigma-products of `johnson_expand` in the given series space.
 
     Every linear form of a product becomes a coefficient, its value at
     `values`: a map from the symbols mu1.., nu1.. to numbers, or to elements
     of `ring`, the series' coefficient ring (None for numbers).  This is
     where every chamber polynomial and every refined series gets its
-    numbers.
+    numbers.  `signs`, when given, holds one integer multiplicity per
+    product (a jump across a wall subtracts the far chamber's products).
     """
     vars_, caps, blocks = space
 
@@ -385,11 +389,12 @@ def materialize(products, space, ring, values):
 
     totals = {}
     acc = TruncSeries.zero(vars_, caps, ring, blocks)
-    for prod in products:
+    for k, prod in enumerate(products):
         # sigma(eF * total) / sigma(total) = eF * S(eF * total) / S(total);
-        # eF scales the first sigma factor (or the tail when there is none),
-        # not every coefficient of the S-series
+        # eF (times the sign) scales the first sigma factor (or the tail when
+        # there is none), not every coefficient of the S-series
         eF = coeff(prod.final_energy)
+        lead = eF if signs is None else eF * signs[k]
         term = None
         for e1, a1, e2, a2 in prod.factors:
             c1, c2 = coeff(e1), coeff(e2)
@@ -398,7 +403,7 @@ def materialize(products, space, ring, values):
                 t = -c2 * coeff(c)
                 combo[v] = combo[v] + t if v in combo else t
             fac = sigma_of(series(combo))
-            term = fac.scalar_mul(eF) if term is None else term * fac
+            term = fac.scalar_mul(lead) if term is None else term * fac
         got = totals.get(prod.total_arg)
         if got is None:
             total = series({v: coeff(c) for v, c in prod.total_arg})
@@ -408,12 +413,12 @@ def materialize(products, space, ring, values):
         # below the number of factors: it meets the two S-series one at a
         # time, which keeps only their low-degree terms
         tail = s_of(total.scalar_mul(eF))
-        term = (tail * inv_s_total).scalar_mul(eF) if term is None else term * tail * inv_s_total
+        term = (tail * inv_s_total).scalar_mul(lead) if term is None else term * tail * inv_s_total
         acc = acc + term
     return acc
 
 
-def generating_series(chamber: Chamber, parts, space, ring, values) -> tuple:
+def generating_series(chamber: Chamber, parts, space, ring, values, minus: Optional[Chamber] = None) -> tuple:
     """The mixed generating series of the chamber, as its two factors: the
     commutation-pattern correlator of E(mu_1) ... E(mu_m) E(-nu_1) ...
     E(-nu_n), and the prefactor prod_j prod_x S(x)^(sign * nu_j - 1).
@@ -422,6 +427,12 @@ def generating_series(chamber: Chamber, parts, space, ring, values) -> tuple:
     operator carries the argument X * nu_j when the space has X, and 1 on
     each of its expansion variables.  Coefficients are read at `values`,
     numbers or elements of `ring` (see `materialize`).
+
+    With a second chamber `minus` of the same arrangement, the correlator is
+    the jump corr(chamber) - corr(minus) at the same values: the
+    sigma-products both chambers give cancel as multisets before anything
+    is materialized, and only the patterns that differ across the wall are
+    summed, with their signs.  The prefactor is the same on both sides.
     """
     vars_, caps, blocks = space
     word = [EOp.make([i], []) for i in range(1, chamber.m + 1)]
@@ -429,7 +440,16 @@ def generating_series(chamber: Chamber, parts, space, ring, values) -> tuple:
         arg = {"X": LinearForm.unit(f"nu{j}")} if "X" in vars_ else {}
         arg.update({x: 1 for x in signs})
         word.append(EOp.make([], [j], arg))
-    corr = materialize(johnson_expand(chamber, word), space, ring, values)
+    products = johnson_expand(chamber, word)
+    if minus is None:
+        corr = materialize(products, space, ring, values)
+    else:
+        if (minus.m, minus.n) != (chamber.m, chamber.n):
+            raise ValueError("chambers live in different arrangements")
+        jump = Counter(products)
+        jump.subtract(johnson_expand(minus, word))
+        changed = [prod for prod, k in jump.items() if k]
+        corr = materialize(changed, space, ring, values, [jump[prod] for prod in changed])
 
     pref = None
     for j, signs in enumerate(parts, start=1):

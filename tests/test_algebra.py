@@ -463,6 +463,8 @@ def _ref_inverse(x):
     out, power = one, one
     for _ in range(sum(x.caps)):
         power = TruncSeries(x.vars, x.caps, x.ring, _ref_series_mul(power, u), x.blocks)
+        if power.is_zero():
+            break  # u has no constant term, so every later power is zero too
         out = out + power
     return out
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitz import wallcross
+from hurwitz import wallcross, wedge
 from hurwitz.algebra import TruncSeries
 from hurwitz.charactereval import hurwitz_disconnected
 from hurwitz.partitions import Signature
@@ -57,6 +57,18 @@ def test_degenerate_problem_gives_zero():
     assert wallcrossing_polynomial(prob).is_zero()
 
 
+def test_verify_rejects_a_problem_that_crosses_no_wall(monkeypatch):
+    # the product formula holds only across a wall: the degenerate problem
+    # is refused before any series is built
+    def no_series(*args, **kwargs):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(wallcross, "generating_series", no_series)
+    prob = WallCrossingProblem(WALL, C2, C2, "strict", 1)
+    with pytest.raises(InvalidSplit, match="crosses no wall"):
+        verify_wallcrossing(prob, [((3, 1), (2, 2))])
+
+
 def test_crossing_polynomial_is_signed_difference():
     prob = WallCrossingProblem(WALL, C1, C2, "monotone", 1)
     wc = wallcrossing_polynomial(prob)
@@ -87,6 +99,13 @@ def test_refined_series_zero_order():
     assert len(s.data) == 1
     s = refined_series("strict", (3, 1), (2, 2), 0)
     assert s.is_zero()  # fewer than m + n - 2 transpositions cannot connect
+
+
+def test_refined_series_input_validation():
+    with pytest.raises(ValueError, match="unknown kind 'simple'; expected one of monotone, strict, mixed"):
+        refined_series("simple", (3, 1), (2, 2), 2)
+    with pytest.raises(ValueError, match="order must be at least 0, got -1"):
+        refined_series("monotone", (3, 1), (2, 2), -1)
 
 
 def test_refined_series_on_wall():
@@ -134,6 +153,55 @@ def test_wallcrossing_identity_mixed():
     prob = WallCrossingProblem(WALL, C1, C2, "mixed", (1, 1, 0))
     rep = verify_wallcrossing(prob, [((3, 1), (2, 2)), ((5, 1), (3, 3))])
     assert rep["ok"]
+
+
+_JUMP_SAMPLES = [((3, 1), (2, 2)), ((5, 1), (3, 3)), ((5, 2), (4, 3))]
+
+
+def _jump(kind, mu, nu, order, chamber=C2, minus=C1):
+    """One series of the jump from `minus` to `chamber`: by default the left
+    side of the product formula, corr(C2) - corr(C1)."""
+    space = wallcross._space(kind, len(nu), order)
+    return wallcross._h_series(kind, mu, nu, (1, 2), space, order, chamber=chamber, minus=minus)
+
+
+@pytest.mark.parametrize(
+    "kind,signature",
+    [(kind, g) for kind in ("monotone", "strict") for g in (0, 1)]
+    + [("mixed", (p, q, b - p - q)) for b in range(4) for p in range(b + 1) for q in range(b - p + 1)],
+    ids=str,
+)
+def test_jump_series_is_the_difference_of_the_refined_series(kind, signature):
+    order = Signature.of(kind, signature, 2, 2).b
+    for mu, nu in _JUMP_SAMPLES:
+        assert chamber_of(mu, nu) == C2
+        want = refined_series(kind, mu, nu, order, chamber=C2) - refined_series(kind, mu, nu, order, chamber=C1)
+        assert _jump(kind, mu, nu, order) == want
+        # the other way round, C1's own sigma-product enters with sign -1
+        assert _jump(kind, mu, nu, order, chamber=C1, minus=C2) == -want
+        assert want.is_zero() == (order < 2)  # nothing jumps below total order 2
+
+
+@pytest.mark.parametrize("kind", ["monotone", "mixed"])
+def test_the_jump_materializes_only_the_patterns_that_change(monkeypatch, kind):
+    # on the mu1 = nu1 wall at m = n = 2, C2 gives 2 sigma-products and C1
+    # gives 1, the same as one of C2's: the jump materializes the other one
+    sizes = []
+    real = wedge.materialize
+
+    def counting(products, *args):
+        sizes.append(len(products))
+        return real(products, *args)
+
+    monkeypatch.setattr(wedge, "materialize", counting)
+    for mu, nu in _JUMP_SAMPLES:
+        sizes.clear()
+        _jump(kind, mu, nu, 2)
+        assert sizes == [1]
+        for chamber, count in ((C2, 2), (C1, 1)):
+            sizes.clear()
+            refined_series(kind, mu, nu, 2, chamber=chamber)
+            assert sizes == [count]
 
 
 def _with_prefactor(monkeypatch, change):

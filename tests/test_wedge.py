@@ -192,6 +192,28 @@ def test_number_values_give_the_ring_series_at_the_point(kind, signature):
     assert checked == 9  # every chamber with m + n <= 4
 
 
+def test_the_jump_correlator_is_the_difference_of_two_chambers():
+    # every ordered pair of the four chambers of m = n = 2, read with
+    # polynomial coefficients: only the differing sigma-products are
+    # materialized, with their signs, and the prefactor is either chamber's
+    sig = Signature(1, 1, 1)
+    space = _space_for(sig, 2)
+    parts = [{f"y{j}": 1, f"z{j}": -1} for j in (1, 2)]
+    ring = PolyRing(["mu1", "mu2", "nu1", "nu2"])
+    values = {x: ring.var(x) for x in ring.names}
+    chambers = list(_chambers(2, 2, dmax=6))
+    assert len(chambers) == 4
+    for ch in chambers:
+        corr, pref = generating_series(ch, parts, space, ring, values)
+        for other in chambers:
+            if other != ch:
+                jump, same = generating_series(ch, parts, space, ring, values, minus=other)
+                assert jump == corr - generating_series(other, parts, space, ring, values)[0]
+                assert same == pref
+    with pytest.raises(ValueError, match="different arrangements"):
+        generating_series(chambers[0], parts, space, ring, values, minus=chamber_of((3,), (1, 2)))
+
+
 def _full_product_reference(kind, signature, ch, pad):
     """The chamber polynomial as the ring series' full product, walked term
     by term with its factorial weights, then put on the shell by
