@@ -14,13 +14,25 @@ component that carries the first part of mu.
 Everything below the public functions is integer arithmetic: the sums and
 the peeling recursion are kept multiplied by prod(mu) * prod(nu), and each
 public count divides by that product once.  The characters come from one
-cached column per profile (`partitions.character_column`), so a pair of
-profiles costs two column lookups, and the sub-multisets of each profile
-that the splits are built from are cached per profile too.
+cached column per profile (`partitions.character_column`) and the f2
+values from one cached column per degree, so a pair of profiles costs
+three column lookups; the sub-multisets of each profile that the splits
+are built from are cached per profile too.
+
+For simple counts the sum is an exponential sum in b = p over the f2
+values of the shapes (`_spectrum`).  The peeling identity holds value by
+value on such sums, so each profile pair gets one connected spectrum, built
+once and read at every genus, and its zeros below the Riemann-Hurwitz bound
+and at the wrong parity need no gate on b (see `_connected_simple`).
+
+Every cache is bounded; each bound holds the largest table seen in a
+Tier-1 run in one process, a `verify` suite at its guard bounds, or one
+benchmark round.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
@@ -40,18 +52,25 @@ from .partitions import (
 )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
+def _f2_column(d: int) -> tuple:
+    """f2(lam) for every lam, in `partitions(d)` order."""
+    return tuple(f2_eigenvalue(lam) for lam in partitions(d))
+
+
+@lru_cache(maxsize=8192)
 def _disc_sum(mu: tuple, nu: tuple, p: int, q: int, r: int) -> int:
     """The integer sum chi chi f2^p h_q e_r: the count times prod(mu) * prod(nu)."""
     # Ungated: the parity constraint comes out of the sum on its own, the
     # genus >= 0 constraint does not.  Callers that want the geometric count
-    # must gate; the component recursion must not.
+    # must gate.
+    d = sum(mu)
     total = 0
-    for lam, a, b in zip(partitions(sum(mu)), character_column(mu), character_column(nu)):
+    for lam, f2, a, b in zip(partitions(d), _f2_column(d), character_column(mu), character_column(nu)):
         if not (c := a * b):
             continue
         if p:
-            c *= f2_eigenvalue(lam) ** p
+            c *= f2 ** p
         if q:
             c *= complete_homogeneous_at_contents(lam, q)
         if r:
@@ -77,7 +96,7 @@ def hurwitz_disconnected(mu, nu, p: int = 0, q: int = 0, r: int = 0) -> Fraction
     return Fraction(_disc_sum(mu, nu, p, q, r), prod(mu) * prod(nu))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _sub_multisets(parts: tuple) -> tuple:
     """(chosen, rest, ways) for each sub-multiset of the weakly decreasing
     `parts`: both sorted, and `ways` index subsets that pick it."""
@@ -88,8 +107,7 @@ def _sub_multisets(parts: tuple) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _splits(mu: tuple, nu: tuple) -> tuple:
+def _splits(mu: tuple, nu: tuple) -> list:
     """Proper splits of (mu, nu) whose first block holds part 0 of mu.
 
     Entries are (muI, nuJ, muC, nuC, mult): the block (muI, nuJ), its
@@ -108,10 +126,50 @@ def _splits(mu: tuple, nu: tuple) -> tuple:
         muI = (mu[0],) + rest
         for nuJ, nuC, ways_nu in blocks.get(sum(muI), ()):
             out.append((muI, nuJ, muC, nuC, ways * ways_nu))
-    return tuple(out)
+    return out
 
 
-@lru_cache(maxsize=None)
+def _packed(acc: dict) -> tuple:
+    """A spectrum {value: weight} as (values, weights), zero weights dropped."""
+    values = tuple(filter(acc.__getitem__, acc))
+    return values, tuple(map(acc.__getitem__, values))
+
+
+@lru_cache(maxsize=2048)
+def _spectrum(mu: tuple, nu: tuple) -> tuple:
+    """The simple disconnected sum as an exponential sum in b.
+
+    S(mu, nu, b) = `_disc_sum(mu, nu, b, 0, 0)` = sum over values v of
+    w_v * v^b, where v runs over the f2 values of the shapes of d and w_v
+    sums chi^lam(mu) chi^lam(nu) over the shapes with f2(lam) = v.
+    Returned as (values, weights), two parallel tuples.
+    """
+    acc = defaultdict(int)
+    for v, a, b in zip(_f2_column(sum(mu)), character_column(mu), character_column(nu)):
+        if c := a * b:
+            acc[v] += c
+    return _packed(acc)
+
+
+@lru_cache(maxsize=2048)
+def _connected_spectrum(mu: tuple, nu: tuple) -> tuple:
+    """The transitive count C'(mu, nu, b) as an exponential sum in b.
+
+    See `_connected_simple`: the peeling identity holds value by value, so
+    C' = S - sum over grouped splits of mult * C'(mu_I, nu_J) (*) S(rest),
+    where (*) adds the values and multiplies the weights.
+    """
+    acc = defaultdict(int, zip(*_spectrum(mu, nu)))
+    for muI, nuJ, muC, nuC, mult in _splits(mu, nu):
+        sv, sw = _spectrum(muC, nuC)
+        for v1, w1 in zip(*_connected_spectrum(muI, nuJ)):
+            w1 *= mult
+            for v2, w2 in zip(sv, sw):
+                acc[v1 + v2] -= w1 * w2
+    return _packed(acc)
+
+
+@lru_cache(maxsize=16384)
 def _connected_simple(mu: tuple, nu: tuple, b: int) -> int:
     """Transitive count C(mu, nu, b) times prod(mu) * prod(nu), an integer.
 
@@ -123,17 +181,19 @@ def _connected_simple(mu: tuple, nu: tuple, b: int) -> int:
     S = `_disc_sum`,
 
         C'(mu, nu, b) = S(mu, nu, b) - sum over grouped splits of
-            mult * binom(b, b1) * C'(mu_I, nu_J, b1) * S(rest, b - b1).
+            sum over b1 of mult * binom(b, b1) * C'(mu_I, nu_J, b1) * S(rest, b - b1).
 
-    C' vanishes below the Riemann-Hurwitz bound b1 = m1 + n1 - 2 (a block
-    has m1, n1 >= 1) and at the wrong parity, so b1 starts at that bound and
-    steps by 2; only zero terms are skipped.
+    S is an exponential sum in b, sum_v w_v v^b (`_spectrum`), and the
+    binomial convolution sum_b1 binom(b, b1) v1^b1 v2^(b - b1) = (v1 + v2)^b
+    turns each split's inner sum into one: by induction C' is an exponential
+    sum too, with one spectrum per profile pair for every b
+    (`_connected_spectrum`), read here at b.  The identity holds at every
+    b >= 0 and determines C' from S, so C' is the transitive count at every
+    b; its zeros below the Riemann-Hurwitz bound and at the wrong parity
+    are those of the count, and no gate on b is needed.
     """
-    total = _disc_sum(mu, nu, b, 0, 0)
-    for muI, nuJ, muC, nuC, mult in _splits(mu, nu):
-        for b1 in range(len(muI) + len(nuJ) - 2, b + 1, 2):
-            total -= mult * comb(b, b1) * _connected_simple(muI, nuJ, b1) * _disc_sum(muC, nuC, b - b1, 0, 0)
-    return total
+    values, weights = _connected_spectrum(mu, nu)
+    return sum(w * v ** b for v, w in zip(values, weights))
 
 
 def hurwitz_connected_simple(mu, nu, g: int) -> Fraction:

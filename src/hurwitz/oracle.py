@@ -126,8 +126,7 @@ class FactorizationSpec:
         object.__setattr__(self, "nu", check_composition(self.nu))
         if sum(self.mu) != sum(self.nu):
             raise SizeMismatch(f"|mu|={sum(self.mu)} != |nu|={sum(self.nu)}")
-        if min(self.p, self.q, self.r) < 0:
-            raise ValueError("p, q, r must be >= 0")
+        Signature.of("mixed", (self.p, self.q, self.r), len(self.mu), len(self.nu))
 
     @property
     def d(self) -> int:

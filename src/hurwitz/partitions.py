@@ -10,11 +10,14 @@ one cycle type's characters over every shape.
 
 `Signature` is the one place where a kind and its genus or budgets become
 the transposition budgets (p, q, r) and where a genus is read back from
-b = p + q + r = 2g - 2 + m + n.
+b = p + q + r = 2g - 2 + m + n.  A genus or budget must be an int, and a
+profile part a whole number (`check_composition`); anything else raises
+ValueError rather than being truncated.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -40,12 +43,13 @@ class Signature:
     def of(cls, kind: str, signature, m: int, n: int) -> "Signature":
         """Read a genus for a pure kind, or a triple (p, q, r) for "mixed"."""
         if kind == "mixed":
-            p, q, r = signature
+            p, q, r = (_integer(x, "each of p, q, r") for x in signature)
             if min(p, q, r) < 0:
                 raise ValueError("p, q, r must be >= 0")
             return cls(p, q, r)
         if kind not in PURE_KINDS:
             raise ValueError(f"unknown kind {kind!r}")
+        signature = _integer(signature, "genus")
         if signature < 0:
             raise ValueError("genus must be >= 0")
         b = 2 * signature - 2 + m + n
@@ -70,8 +74,20 @@ class Signature:
         return self.b == 0 and m + n == 2
 
 
+def _integer(x, what: str) -> int:
+    """x as an int; a float or Fraction, even a whole one, raises ValueError."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+
+
 def check_composition(parts) -> tuple:
-    parts = tuple(int(x) for x in parts)
+    """The parts as ints; a part that is not a whole number raises ValueError."""
+    given = tuple(parts)
+    parts = tuple(int(x) for x in given)
+    if parts != given:
+        raise ValueError(f"composition parts must be whole numbers: {given}")
     if not parts:
         raise ValueError("empty composition")
     if any(x < 1 for x in parts):

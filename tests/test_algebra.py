@@ -457,16 +457,25 @@ def test_graded_product_in_a_space_with_every_kind_of_grade():
 
 
 def _ref_inverse(x):
-    """1/x by the geometric series of repeated truncated products."""
-    one = x.one_like()
-    u = one - x
-    out, power = one, one
-    for _ in range(sum(x.caps)):
-        power = TruncSeries(x.vars, x.caps, x.ring, _ref_series_mul(power, u), x.blocks)
-        if power.is_zero():
-            break  # u has no constant term, so every later power is zero too
-        out = out + power
-    return out
+    """1/x term by term: the coefficients of y with x * y = 1, solved in
+    increasing total degree over every exponent the space admits."""
+    zero = (0,) * len(x.vars)
+    lead, rest = x.data[zero], [(e, c) for e, c in x.data.items() if e != zero]
+    exps = [
+        e
+        for e in product(*(range(cap + 1) for cap in x.caps))
+        if not any(sum(e[i] for i in ix) > cap for ix, cap in x.blocks)
+    ]
+    y = {}
+    for e in sorted(exps, key=sum):
+        acc = Fraction(int(e == zero))
+        for e1, c1 in rest:
+            e2 = tuple(a - b for a, b in zip(e, e1))
+            if e2 in y:
+                acc -= c1 * y[e2]
+        if acc:
+            y[e] = acc / lead
+    return TruncSeries(x.vars, x.caps, x.ring, y, x.blocks)
 
 
 @given(st.data())

@@ -12,6 +12,7 @@ from math import comb, prod
 import pytest
 
 from hurwitz.charactereval import (
+    _connected_simple,
     _sub_multisets,
     box_product,
     hurwitz_connected_simple,
@@ -62,6 +63,34 @@ def test_matches_oracle(d):
                 want = count_factorizations(FactorizationSpec(mu, nu, p, q, r)).value
                 got = hurwitz_disconnected(mu, nu, p, q, r)
                 assert got == want, (mu, nu, (p, q, r), got, want)
+
+
+def test_parts_that_are_not_whole_numbers_raise_on_every_route():
+    # int() used to truncate them: (2.7,)/(2,) read as (2,)/(2,)
+    for mu, nu in [((2.7,), (2,)), ((3.9, 1), (2, 2)), ((2, 2), (2.5, 1.5))]:
+        with pytest.raises(ValueError, match="whole numbers"):
+            count_factorizations(FactorizationSpec(mu, nu, 2, 0, 0))
+        with pytest.raises(ValueError, match="whole numbers"):
+            hurwitz_disconnected(mu, nu, 2, 0, 0)
+        with pytest.raises(ValueError, match="whole numbers"):
+            hurwitz_connected_simple(mu, nu, 1)
+        with pytest.raises(ValueError, match="whole numbers"):
+            chamber_of(mu, nu)
+
+
+def test_budgets_and_genus_that_are_not_integers_raise_on_every_route():
+    # 1.5 used to give 0 here, and 2.0 a TypeError from the content sums
+    for p, q, r in [(1.5, 0, 0), (0, 2.0, 0), (0, 0, Fraction(2))]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            hurwitz_disconnected((2, 1), (2, 1), p, q, r)
+        with pytest.raises(ValueError, match="must be an integer"):
+            count_factorizations(FactorizationSpec((2, 1), (2, 1), p, q, r))
+        with pytest.raises(ValueError, match="must be an integer"):
+            chamber_polynomial("mixed", (p, q, r), chamber_of((3, 1), (2, 2)))
+    with pytest.raises(ValueError, match="must be an integer"):
+        hurwitz_connected_simple((2, 1), (2, 1), 1.5)
+    with pytest.raises(ValueError, match="must be an integer"):
+        chamber_polynomial("simple", 1.0, chamber_of((3, 1), (2, 2)))
 
 
 def test_one_part_profiles_give_reciprocal():
@@ -155,6 +184,21 @@ def test_connected_matches_the_fraction_reference():
                 for g in range(3):
                     b = 2 * g - 2 + len(mu) + len(nu)
                     assert hurwitz_connected_simple(mu, nu, g) == _ref_connected(mu, nu, b), (mu, nu, g)
+
+
+def test_connected_spectrum_vanishes_below_the_bound_and_at_the_wrong_parity():
+    # the exponential sum carries no gate on b: these zeros are the
+    # transitive count's own, and they come out of the peeling identity
+    cases = 0
+    for d in range(1, 9):
+        for mu in partitions(d):
+            for nu in partitions(d):
+                m, n = len(mu), len(nu)
+                for b in range(m + n + 4):
+                    if b < m + n - 2 or (b - m - n) % 2:
+                        assert _connected_simple(mu, nu, b) == 0, (mu, nu, b)
+                        cases += 1
+    assert cases == 7542
 
 
 def test_disconnected_matches_the_fraction_reference():

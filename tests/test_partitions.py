@@ -68,6 +68,11 @@ def test_check_composition_rejects():
     with pytest.raises(ValueError):
         check_composition((2, 0))
     assert check_composition([3, 1]) == (3, 1)
+    with pytest.raises(ValueError, match="whole numbers"):
+        check_composition((2.7, 1))
+    with pytest.raises(ValueError, match="whole numbers"):
+        check_composition((Fraction(5, 2), 1))
+    assert check_composition((3.0, Fraction(1))) == (3, 1)  # whole numbers become ints
 
 
 def test_contents():
@@ -227,3 +232,7 @@ def test_signature_of_rejects():
         Signature.of("mixed", (1, -1, 0), 1, 1)  # negative budget
     with pytest.raises(ValueError):
         Signature.of("double", 0, 1, 1)  # unknown kind
+    # a genus or budget that is not an int, even a whole float
+    for kind, signature in [("simple", 1.5), ("monotone", 1.0), ("strict", Fraction(1)), ("mixed", (0, 2.0, 0))]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            Signature.of(kind, signature, 2, 1)
