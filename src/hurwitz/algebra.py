@@ -657,9 +657,6 @@ class TruncSeries:
         ):
             raise ValueError("series live in different truncated rings")
 
-    def zero_like(self) -> "TruncSeries":
-        return self._with({})
-
     def one_like(self) -> "TruncSeries":
         return self._with({0: 1})
 
@@ -997,10 +994,7 @@ def falling_factorial(x, k: int):
     """x (x-1) ... (x-k+1); exact, for numbers or polynomials."""
     if k < 0:
         raise ValueError("falling factorial needs k >= 0")
-    out = x.ring.one() if isinstance(x, MultiPoly) else Fraction(1)
-    for i in range(k):
-        out = out * (x - i)
-    return out
+    return rising_factorial(x + (1 - k), k)
 
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]

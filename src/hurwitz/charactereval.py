@@ -43,6 +43,7 @@ from .partitions import (
     centralizer_size,
     character_column,
     check_composition,
+    check_integer,
     complete_homogeneous_at_contents,
     contents,
     elementary_at_contents,
@@ -199,7 +200,7 @@ def _connected_simple(mu: tuple, nu: tuple, b: int) -> int:
 def hurwitz_connected_simple(mu, nu, g: int) -> Fraction:
     """Labeled transitive count with b = 2g - 2 + m + n simple transpositions."""
     mu, nu = _profiles(mu, nu)
-    if g < 0:
+    if check_integer(g, "genus") < 0:
         return Fraction(0)
     b = Signature.of("simple", g, len(mu), len(nu)).b
     return Fraction(_connected_simple(mu, nu, b), prod(mu) * prod(nu))
@@ -246,12 +247,11 @@ def tau_coefficient(n: int, mu, nu, c, d) -> Fraction:
     are expanded over power sums, contributing chi(mu) chi(nu) / (z_mu z_nu)
     per shape.
     """
-    mu = tuple(sorted(check_composition(mu), reverse=True))
-    nu = tuple(sorted(check_composition(nu), reverse=True))
-    if sum(mu) != n or sum(nu) != n:
+    mu, nu = _profiles(mu, nu)
+    if sum(mu) != n:
         raise SizeMismatch("profiles must weigh the requested degree")
-    c = tuple(int(x) for x in c)
-    d = tuple(int(x) for x in d)
+    c = tuple(check_integer(x, "each exponent") for x in c)
+    d = tuple(check_integer(x, "each exponent") for x in d)
     if any(x < 0 for x in c + d):
         raise ValueError("exponents must be >= 0")
     total = 0
@@ -303,8 +303,6 @@ def tau_dictionary_value(mu, nu, q_exp: int, r_exp: int) -> Fraction:
     One z-parameter carries the weak steps, one w-parameter the strict
     steps; the labeled normalization restores the multiplicity factors.
     """
-    mu = tuple(sorted(check_composition(mu), reverse=True))
-    nu = tuple(sorted(check_composition(nu), reverse=True))
-    n = sum(mu)
-    coeff = tau_coefficient(n, mu, nu, [r_exp], [q_exp])
+    mu, nu = _profiles(mu, nu)
+    coeff = tau_coefficient(sum(mu), mu, nu, [r_exp], [q_exp])
     return coeff * multiplicity_factor(mu) * multiplicity_factor(nu)

@@ -97,8 +97,7 @@ def cmd_compute(args) -> int:
         value = count_factorizations(spec).value
     elif args.method == "character":
         if args.connected:
-            g = sig.genus(len(mu), len(nu))
-            value = Fraction(0) if g is None else hurwitz_connected_simple(mu, nu, g)
+            value = hurwitz_connected_simple(mu, nu, args.g)
         else:
             value = hurwitz_disconnected(mu, nu, p, q, r)
     else:  # chamber
@@ -162,12 +161,13 @@ def cmd_chamber_poly(args) -> int:
 
 def cmd_verify(args) -> int:
     # a suite reads the flags named by its parameters; any other flag is an error
-    takes = inspect.signature(verify_mod.SUITES[args.suite]).parameters
+    suite = verify_mod.SUITES[args.suite]
+    takes = inspect.signature(suite).parameters
     given = {f: getattr(args, f) for f in ("dmax", "bmax", "g") if getattr(args, f) is not None}
     ignored = [f"--{f}" for f in given if f not in takes]
     if ignored:
         raise _UsageError(f"suite {args.suite} does not take {', '.join(ignored)}")
-    report = verify_mod.run_suite(args.suite, **given)
+    report = suite(**given)
     status = "PASS" if report["ok"] else "FAIL"
     print(f"suite {args.suite}: {status} ({report['count']} instances, "
           f"{len(report['failures'])} failures)", file=sys.stderr)

@@ -80,22 +80,6 @@ def cycle_type(p: tuple) -> tuple:
     return tuple(sorted(lens, reverse=True))
 
 
-def cycles_of(p: tuple) -> list:
-    seen = [False] * len(p)
-    out = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j)
-            j = p[j]
-        out.append(tuple(cyc))
-    return out
-
-
 @lru_cache(maxsize=64)
 def permutations_of_type(d: int, lam: tuple) -> tuple:
     """Every permutation of range(d) with cycle type lam, in any part order.
@@ -233,11 +217,10 @@ def _product_types(d: int, p: int, q: int, r: int, convention: str):
     return tuple(groups.values())
 
 
-def _is_transitive(cycles, blocks: tuple) -> bool:
+def _is_transitive(sigma1: tuple, blocks: tuple) -> bool:
     """Whether sigma1's cycles, joined to the tuple's blocks, connect every point."""
-    for cyc in cycles:
-        for x in cyc[1:]:
-            blocks = _join(blocks, cyc[0], x)
+    for x, y in enumerate(sigma1):  # joining x to sigma1[x] joins each cycle
+        blocks = _join(blocks, x, y)
     return not any(blocks)
 
 
@@ -272,10 +255,9 @@ def count_factorizations(spec: FactorizationSpec, convention: str = "smaller") -
     if spec.connected:
         words = _product_words(d, spec.p, spec.q, spec.r, convention)
         for sigma1 in permutations_of_type(d, mu_sorted):
-            cyc1 = cycles_of(sigma1)
             for w, classes in words:
                 if cycle_type(compose(w, sigma1)) == nu_sorted:
-                    raw_unlabeled += sum(cnt for blocks, cnt in classes if _is_transitive(cyc1, blocks))
+                    raw_unlabeled += sum(cnt for blocks, cnt in classes if _is_transitive(sigma1, blocks))
     else:
         sigmas = permutations_of_type(d, mu_sorted)
         for w, cnt in _product_types(d, spec.p, spec.q, spec.r, convention):

@@ -10,9 +10,9 @@ one cycle type's characters over every shape.
 
 `Signature` is the one place where a kind and its genus or budgets become
 the transposition budgets (p, q, r) and where a genus is read back from
-b = p + q + r = 2g - 2 + m + n.  A genus or budget must be an int, and a
-profile part a whole number (`check_composition`); anything else raises
-ValueError rather than being truncated.
+b = p + q + r = 2g - 2 + m + n.  A genus or budget must be an int
+(`check_integer`), and a profile part a whole number (`check_composition`);
+anything else raises ValueError rather than being truncated.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 
 class SizeMismatch(ValueError):
@@ -43,13 +43,13 @@ class Signature:
     def of(cls, kind: str, signature, m: int, n: int) -> "Signature":
         """Read a genus for a pure kind, or a triple (p, q, r) for "mixed"."""
         if kind == "mixed":
-            p, q, r = (_integer(x, "each of p, q, r") for x in signature)
+            p, q, r = (check_integer(x, "each of p, q, r") for x in signature)
             if min(p, q, r) < 0:
                 raise ValueError("p, q, r must be >= 0")
             return cls(p, q, r)
         if kind not in PURE_KINDS:
             raise ValueError(f"unknown kind {kind!r}")
-        signature = _integer(signature, "genus")
+        signature = check_integer(signature, "genus")
         if signature < 0:
             raise ValueError("genus must be >= 0")
         b = 2 * signature - 2 + m + n
@@ -74,7 +74,7 @@ class Signature:
         return self.b == 0 and m + n == 2
 
 
-def _integer(x, what: str) -> int:
+def check_integer(x, what: str) -> int:
     """x as an int; a float or Fraction, even a whole one, raises ValueError."""
     try:
         return operator.index(x)
@@ -172,13 +172,7 @@ def multiplicity_factor(mu) -> int:
 
 def centralizer_size(mu) -> int:
     """z_mu = prod over part values l of l^(m_l) * (m_l)!"""
-    mults = {}
-    for part in mu:
-        mults[part] = mults.get(part, 0) + 1
-    out = 1
-    for l, m in mults.items():
-        out *= l ** m * factorial(m)
-    return out
+    return prod(mu) * multiplicity_factor(mu)
 
 
 @lru_cache(maxsize=None)

@@ -282,9 +282,3 @@ SUITES = {
     "tau": suite_tau,
     "conventions": suite_conventions,
 }
-
-
-def run_suite(name: str, **kwargs) -> dict:
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](**kwargs)

@@ -243,17 +243,13 @@ def verify_wallcrossing(problem: WallCrossingProblem, samples) -> dict:
             "first_mismatch": None,
         }
         if not entry["equal"]:
-            left, right = lhs.data, rhs.data
-            for e in sorted(set(left) | set(right), key=lambda e: (sum(e), e)):
-                a = left.get(e, Fraction(0))
-                b = right.get(e, Fraction(0))
-                if a != b:
-                    entry["first_mismatch"] = {
-                        "monomial": dict(zip(space[0], e)),
-                        "left": str(a),
-                        "right": str(b),
-                    }
-                    break
+            e = min((lhs - rhs).data, key=lambda e: (sum(e), e))
+            monomial = dict(zip(space[0], e))
+            entry["first_mismatch"] = {
+                "monomial": monomial,
+                "left": str(lhs.coeff(monomial)),
+                "right": str(rhs.coeff(monomial)),
+            }
             report["ok"] = False
         report["samples"].append(entry)
     return report

@@ -298,7 +298,7 @@ def test_zero_is_canonical():
 
 
 def _ref_half_exp_sum(arg, parity):
-    out = arg.zero_like() if parity else arg.one_like()
+    out = arg - arg if parity else arg.one_like()
     power = arg.one_like()
     for k in range(1, sum(arg.caps) + 1):
         power = power * arg

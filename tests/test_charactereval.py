@@ -87,8 +87,11 @@ def test_budgets_and_genus_that_are_not_integers_raise_on_every_route():
             count_factorizations(FactorizationSpec((2, 1), (2, 1), p, q, r))
         with pytest.raises(ValueError, match="must be an integer"):
             chamber_polynomial("mixed", (p, q, r), chamber_of((3, 1), (2, 2)))
-    with pytest.raises(ValueError, match="must be an integer"):
-        hurwitz_connected_simple((2, 1), (2, 1), 1.5)
+    # -1.5 used to give 0: the negative-genus shortcut ran before the check
+    for g in (-1.5, 1.5, 2.0):
+        with pytest.raises(ValueError, match="must be an integer"):
+            hurwitz_connected_simple((2, 1), (3,), g)
+    assert hurwitz_connected_simple((2, 1), (3,), -1) == 0
     with pytest.raises(ValueError, match="must be an integer"):
         chamber_polynomial("simple", 1.0, chamber_of((3, 1), (2, 2)))
 
@@ -290,6 +293,15 @@ def test_tau_dictionary_matches_hurwitz():
     ]
     for mu, nu, q, r in cases:
         assert tau_dictionary_value(mu, nu, q, r) == hurwitz_disconnected(mu, nu, 0, q, r)
+
+
+def test_tau_exponents_that_are_not_integers_raise():
+    # 1.7 used to be truncated to 1, reading the [w^1] coefficient; the
+    # exponents are the budgets r and q, so they are read as budgets are
+    for c, d in [([1.7], [0]), ([0], [Fraction(1, 2)]), ([1.0], [0])]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            tau_coefficient(3, (2, 1), (3,), c, d)
+    assert tau_coefficient(3, (2, 1), (3,), [1], [0]) == 1
 
 
 def test_tau_weight_mismatch():

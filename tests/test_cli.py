@@ -87,6 +87,16 @@ def test_compute_connected_rules(capsys):
     assert code == 2  # connected character route exists only for the simple kind
 
 
+def test_compute_connected_character_route(capsys):
+    argv = ["compute", "--connected", "--type", "simple", "--g"]
+    code, doc, _ = run_json(capsys, argv + ["1", "--method", "character", "--mu", "3,2,1", "--nu", "2,2,2"])
+    assert (code, doc["value"]) == (0, "457920/1")
+    # an instance whose connected count (54) differs from the disconnected one (72)
+    for method in ("character", "oracle"):
+        code, doc, _ = run_json(capsys, argv + ["0", "--method", method, "--mu", "2,1,1", "--nu", "3,1"])
+        assert (code, doc["value"]) == (0, "54/1")
+
+
 def test_compute_bound_guard(capsys):
     code, _, _ = run(
         capsys,
@@ -171,6 +181,11 @@ def test_verify_conventions_passes(capsys):
     assert code == 0
     assert doc["ok"] is True and doc["count"] > 0
     assert "PASS" in err
+
+
+def test_verify_unknown_suite_exits_2(capsys):
+    code, out, err = run(capsys, ["verify", "--suite", "nosuch"])
+    assert code == 2 and not out and "nosuch" in err
 
 
 def test_verify_bound_guard(capsys):
