@@ -42,8 +42,8 @@ from .partitions import (
     SizeMismatch,
     centralizer_size,
     character_column,
-    check_composition,
     check_integer,
+    check_profiles,
     complete_homogeneous_at_contents,
     contents,
     elementary_at_contents,
@@ -81,11 +81,8 @@ def _disc_sum(mu: tuple, nu: tuple, p: int, q: int, r: int) -> int:
 
 
 def _profiles(mu, nu) -> tuple:
-    mu = tuple(sorted(check_composition(mu), reverse=True))
-    nu = tuple(sorted(check_composition(nu), reverse=True))
-    if sum(mu) != sum(nu):
-        raise SizeMismatch(f"|mu|={sum(mu)} != |nu|={sum(nu)}")
-    return mu, nu
+    mu, nu = check_profiles(mu, nu)
+    return tuple(sorted(mu, reverse=True)), tuple(sorted(nu, reverse=True))
 
 
 def hurwitz_disconnected(mu, nu, p: int = 0, q: int = 0, r: int = 0) -> Fraction:

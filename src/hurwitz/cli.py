@@ -17,12 +17,11 @@ import argparse
 import inspect
 import json
 import sys
-from fractions import Fraction
 
 from .algebra import ExponentOverflow
 from .charactereval import hurwitz_connected_simple, hurwitz_disconnected
 from .oracle import BoundExceeded, FactorizationSpec, count_factorizations
-from .partitions import PURE_KINDS, Signature, SizeMismatch
+from .partitions import PURE_KINDS, Signature
 from .wedge import (
     DegenerateSignature,
     OnWall,
@@ -32,6 +31,7 @@ from .wedge import (
     walls,
 )
 from . import verify as verify_mod
+from .verify import fraction_text
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -41,23 +41,16 @@ EXIT_BOUND = 4
 EXIT_DEGENERATE = 5
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
-def _rat(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _parts(text: str) -> tuple:
+    # the library rejects a part below 1 (`partitions.check_composition`)
     try:
-        out = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise _UsageError(f"expected comma-separated integers, got {text!r}")
-    if not out or any(x < 1 for x in out):
-        raise _UsageError(f"parts must be positive integers, got {text!r}")
-    return out
 
 
 def _signature(args, m: int, n: int) -> Signature:
@@ -116,7 +109,7 @@ def cmd_compute(args) -> int:
             "connected": bool(args.connected),
         },
         "method": args.method,
-        "value": _rat(value),
+        "value": fraction_text(value),
     }
     _emit(payload, args.out)
     return EXIT_OK
@@ -127,7 +120,7 @@ def _poly_json(poly) -> list:
     terms = []
     for exps, coeff in poly.sorted_terms():
         terms.append(
-            {"exps": {v: e for v, e in zip(names, exps)}, "coeff": _rat(coeff)}
+            {"exps": {v: e for v, e in zip(names, exps)}, "coeff": fraction_text(coeff)}
         )
     return terms
 
@@ -137,11 +130,7 @@ def cmd_chamber_poly(args) -> int:
         raise _UsageError("--sample wants M1,M2,..:N1,N2,..")
     left, right = args.sample.split(":", 1)
     mu, nu = _parts(left), _parts(right)
-    if len(mu) != args.m or len(nu) != args.n:
-        raise _UsageError(
-            f"--sample has shape ({len(mu)},{len(nu)}), flags say ({args.m},{args.n})"
-        )
-    sig = _signature(args, args.m, args.n)
+    sig = _signature(args, len(mu), len(nu))
     ch = chamber_of(mu, nu)
     poly = chamber_polynomial("mixed", sig, ch)
     payload = {
@@ -149,7 +138,7 @@ def cmd_chamber_poly(args) -> int:
             "sample": {"mu": list(mu), "nu": list(nu)},
             "signs": [
                 {"I": list(w.I), "J": list(w.J), "sign": ch.sign(w)}
-                for w in walls(args.m, args.n)
+                for w in walls(ch.m, ch.n)
             ],
         },
         "polynomial": _poly_json(poly),
@@ -203,8 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--p", type=int)
     pp.add_argument("--q", type=int)
     pp.add_argument("--r", type=int)
-    pp.add_argument("--m", type=int, required=True)
-    pp.add_argument("--n", type=int, required=True)
     pp.add_argument("--sample", required=True)
     pp.add_argument("--out")
     pp.set_defaults(func=cmd_chamber_poly)
@@ -236,10 +223,7 @@ def main(argv=None) -> int:
     except DegenerateSignature as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SizeMismatch, ValueError) as e:
+    except ValueError as e:  # SizeMismatch and _UsageError included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -38,7 +38,7 @@ from functools import lru_cache
 from itertools import permutations as _all_perms
 from math import factorial
 
-from .partitions import SizeMismatch, Signature, check_composition, multiplicity_factor
+from .partitions import SizeMismatch, Signature, check_composition, check_profiles, multiplicity_factor
 
 
 class BoundExceeded(ValueError):
@@ -106,10 +106,9 @@ class FactorizationSpec:
     connected: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", check_composition(self.mu))
-        object.__setattr__(self, "nu", check_composition(self.nu))
-        if sum(self.mu) != sum(self.nu):
-            raise SizeMismatch(f"|mu|={sum(self.mu)} != |nu|={sum(self.nu)}")
+        mu, nu = check_profiles(self.mu, self.nu)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nu", nu)
         Signature.of("mixed", (self.p, self.q, self.r), len(self.mu), len(self.nu))
 
     @property

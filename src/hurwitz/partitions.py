@@ -12,7 +12,9 @@ one cycle type's characters over every shape.
 the transposition budgets (p, q, r) and where a genus is read back from
 b = p + q + r = 2g - 2 + m + n.  A genus or budget must be an int
 (`check_integer`), and a profile part a whole number (`check_composition`);
-anything else raises ValueError rather than being truncated.
+anything else raises ValueError rather than being truncated.  A profile pair
+(mu, nu) is read through `check_profiles`, the one place where unequal sizes
+raise SizeMismatch.
 """
 
 from __future__ import annotations
@@ -93,6 +95,14 @@ def check_composition(parts) -> tuple:
     if any(x < 1 for x in parts):
         raise ValueError(f"composition parts must be >= 1: {parts}")
     return parts
+
+
+def check_profiles(mu, nu) -> tuple:
+    """Both profiles through `check_composition`; unequal sizes raise SizeMismatch."""
+    mu, nu = check_composition(mu), check_composition(nu)
+    if sum(mu) != sum(nu):
+        raise SizeMismatch(f"|mu|={sum(mu)} != |nu|={sum(nu)}")
+    return mu, nu
 
 
 def partitions(d: int):

@@ -35,13 +35,14 @@ from .wedge import (
 )
 
 
-def _fmt(x) -> str:
+def fraction_text(x) -> str:
+    """An exact rational as "num/den", so that no reader ever rounds it."""
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
 
 def _fmt_or_none(x, missing: str) -> str:
-    return missing if x is None else _fmt(x)
+    return missing if x is None else fraction_text(x)
 
 
 def _guard(dmax: int, bmax: int) -> None:

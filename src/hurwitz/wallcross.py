@@ -23,8 +23,8 @@ from math import prod
 from typing import Optional, Union
 
 from .algebra import TruncSeries, s_inverse_of, s_of
-from .partitions import Signature, check_composition
-from .wedge import Chamber, Wall, chamber_of, chamber_polynomial, generating_series, walls
+from .partitions import Signature, check_profiles
+from .wedge import ArityMismatch, Chamber, Wall, chamber_of, chamber_polynomial, generating_series, walls
 
 
 class InvalidSplit(ValueError):
@@ -149,14 +149,16 @@ def refined_series(kind: str, mu, nu, order: int, chamber: Optional[Chamber] = N
 
     Variables: u1..un (markers) and z1..zn for the pure kinds; t, u, X, y, z
     for the mixed kind.  `chamber` overrides the sample's own chamber, which
-    is how the series is continued across a wall.  An unknown kind or a
-    negative order raises `ValueError`.
+    is how the series is continued across a wall; a profile whose (m, n) is
+    not the chamber's raises `ArityMismatch`.  An unknown kind or a negative
+    order raises `ValueError`.
     """
     _check_kind(kind)
     if order < 0:
         raise ValueError(f"order must be at least 0, got {order}")
-    mu = check_composition(mu)
-    nu = check_composition(nu)
+    mu, nu = check_profiles(mu, nu)
+    if chamber is not None and (chamber.m, chamber.n) != (len(mu), len(nu)):
+        raise ArityMismatch(f"expected profiles of lengths {chamber.m}, {chamber.n}")
     space = _space(kind, len(nu), order)
     return _h_series(kind, mu, nu, range(1, len(nu) + 1), space, order, chamber=chamber)
 
@@ -216,9 +218,8 @@ def verify_wallcrossing(problem: WallCrossingProblem, samples) -> dict:
     wall = problem.wall
     report = {"wall": str(wall), "kind": kind, "order": order, "samples": [], "ok": True}
     for mu, nu in samples:
-        mu = check_composition(mu)
-        nu = check_composition(nu)
-        ch = chamber_of(mu, nu)  # raises OnWall on a wall
+        ch = chamber_of(mu, nu)  # checks the profiles; raises OnWall on a wall
+        mu, nu = ch.sample
         if ch.key() != problem.c2.key():
             raise InvalidSplit(f"sample {(mu, nu)} is not in the delta > 0 chamber")
         delta = wall.value(mu, nu)

@@ -47,11 +47,10 @@ from .algebra import (
     sigma_of,
     s_of,
 )
-from .partitions import Signature, check_composition
+from .partitions import Signature, SizeMismatch, check_profiles
 
-
-class SumMismatch(ValueError):
-    """The two profiles carry different total weight."""
+# the older name of the size check, kept for callers that catch it
+SumMismatch = SizeMismatch
 
 
 class OnWall(ValueError):
@@ -71,7 +70,7 @@ class DegenerateSignature(ValueError):
 
 
 class ArityMismatch(ValueError):
-    """Evaluation input has the wrong number of parts."""
+    """A profile has the wrong number of parts for its polynomial or chamber."""
 
 
 # -- walls and chambers ---------------------------------------------------------
@@ -166,11 +165,8 @@ class Chamber:
 
 def chamber_of(mu, nu) -> Chamber:
     """Locate the chamber containing the sample (mu, nu)."""
-    mu = check_composition(mu)
-    nu = check_composition(nu)
-    if sum(mu) != sum(nu):
-        raise SumMismatch(f"|mu|={sum(mu)} != |nu|={sum(nu)}")
-    return Chamber(len(mu), len(nu), (tuple(mu), tuple(nu)))
+    mu, nu = check_profiles(mu, nu)
+    return Chamber(len(mu), len(nu), (mu, nu))
 
 
 # -- the commutation walk --------------------------------------------------------
@@ -530,14 +526,13 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber, pad: int = 0) -> 
 
 
 def evaluate(poly: MultiPoly, mu, nu) -> Fraction:
-    """Evaluate a chamber polynomial at a concrete profile pair."""
-    mu = check_composition(mu)
-    nu = check_composition(nu)
+    """Evaluate a chamber polynomial at a concrete profile pair, arity checked first."""
     names = poly.ring.names
     m = sum(1 for s in names if s.startswith("mu"))
     n = sum(1 for s in names if s.startswith("nu"))
     if len(mu) != m or len(nu) != n:
         raise ArityMismatch(f"expected profiles of lengths {m}, {n}")
+    mu, nu = check_profiles(mu, nu)
     values = {f"mu{i}": Fraction(mu[i - 1]) for i in range(1, m + 1)}
     values.update({f"nu{j}": Fraction(nu[j - 1]) for j in range(1, n + 1)})
     return poly.evaluate(values)

@@ -31,7 +31,8 @@ from hurwitz.partitions import (
     elementary_at_contents,
     partitions,
 )
-from hurwitz.wedge import OnWall, chamber_of, chamber_polynomial, evaluate
+from hurwitz.wallcross import WallCrossingProblem, refined_series, verify_wallcrossing
+from hurwitz.wedge import OnWall, Wall, chamber_of, chamber_polynomial, evaluate
 
 
 def test_size_mismatch():
@@ -76,6 +77,27 @@ def test_parts_that_are_not_whole_numbers_raise_on_every_route():
             hurwitz_connected_simple(mu, nu, 1)
         with pytest.raises(ValueError, match="whole numbers"):
             chamber_of(mu, nu)
+
+
+def test_profiles_of_unequal_size_raise_one_error_on_every_route():
+    # the chamber route used to raise its own error, and `evaluate` and
+    # `refined_series` in a given chamber returned a number
+    mu, nu = (5, 1), (2, 2)
+    chamber = chamber_of((3, 1), (2, 2))
+    problem = WallCrossingProblem(Wall((1,), (1,), 2, 2), chamber_of((2, 2), (3, 1)), chamber, "monotone", 0)
+    calls = [
+        lambda: FactorizationSpec(mu, nu, 2, 0, 0),
+        lambda: hurwitz_disconnected(mu, nu, 2, 0, 0),
+        lambda: hurwitz_connected_simple(mu, nu, 1),
+        lambda: tau_dictionary_value(mu, nu, 2, 0),
+        lambda: chamber_of(mu, nu),
+        lambda: evaluate(chamber_polynomial("monotone", 1, chamber), mu, nu),
+        lambda: refined_series("monotone", mu, nu, 2, chamber=chamber),
+        lambda: verify_wallcrossing(problem, [(mu, nu)]),
+    ]
+    for call in calls:
+        with pytest.raises(SizeMismatch, match=r"^\|mu\|=6 != \|nu\|=4$"):
+            call()
 
 
 def test_budgets_and_genus_that_are_not_integers_raise_on_every_route():

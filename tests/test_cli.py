@@ -120,7 +120,7 @@ def test_compute_exponent_overflow_exits_4(capsys, monkeypatch):
 def test_chamber_poly_json_schema(capsys):
     code, doc, _ = run_json(
         capsys,
-        ["chamber-poly", "--type", "monotone", "--g", "1", "--m", "1", "--n", "1", "--sample", "2:2"],
+        ["chamber-poly", "--type", "monotone", "--g", "1", "--sample", "2:2"],
     )
     assert code == 0
     assert doc["degree"] == 3
@@ -140,7 +140,7 @@ def test_chamber_poly_round_trip(capsys):
     code, doc, _ = run_json(
         capsys,
         ["chamber-poly", "--type", "mixed", "--p", "1", "--q", "1", "--r", "0",
-         "--m", "2", "--n", "2", "--sample", "3,1:2,2"],
+         "--sample", "3,1:2,2"],
     )
     assert code == 0
     poly = chamber_polynomial("mixed", (1, 1, 0), chamber_of((3, 1), (2, 2)))
@@ -155,7 +155,7 @@ def test_chamber_poly_round_trip(capsys):
 def test_chamber_poly_on_wall_exits_3(capsys):
     code, _, _ = run(
         capsys,
-        ["chamber-poly", "--type", "monotone", "--g", "0", "--m", "2", "--n", "2", "--sample", "2,2:2,2"],
+        ["chamber-poly", "--type", "monotone", "--g", "0", "--sample", "2,2:2,2"],
     )
     assert code == 3
 
@@ -163,17 +163,9 @@ def test_chamber_poly_on_wall_exits_3(capsys):
 def test_chamber_poly_degenerate_exits_5(capsys):
     code, _, _ = run(
         capsys,
-        ["chamber-poly", "--type", "monotone", "--g", "0", "--m", "1", "--n", "1", "--sample", "2:2"],
+        ["chamber-poly", "--type", "monotone", "--g", "0", "--sample", "2:2"],
     )
     assert code == 5
-
-
-def test_chamber_poly_shape_check(capsys):
-    code, _, _ = run(
-        capsys,
-        ["chamber-poly", "--type", "monotone", "--g", "0", "--m", "2", "--n", "2", "--sample", "4:1,3"],
-    )
-    assert code == 2
 
 
 def test_verify_conventions_passes(capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hurwitz import wallcross, wedge
 from hurwitz.algebra import TruncSeries
 from hurwitz.charactereval import hurwitz_disconnected
-from hurwitz.partitions import Signature
+from hurwitz.partitions import Signature, SizeMismatch
 from hurwitz.wallcross import (
     InvalidSplit,
     WallCrossingProblem,
@@ -18,7 +18,7 @@ from hurwitz.wallcross import (
     verify_wallcrossing,
     wallcrossing_polynomial,
 )
-from hurwitz.wedge import OnWall, Wall, chamber_of, chamber_polynomial, evaluate
+from hurwitz.wedge import ArityMismatch, OnWall, Wall, chamber_of, chamber_polynomial, evaluate
 
 WALL = Wall((1,), (1,), 2, 2)
 C2 = chamber_of((3, 1), (2, 2))  # mu1 - nu1 > 0
@@ -106,6 +106,13 @@ def test_refined_series_input_validation():
         refined_series("simple", (3, 1), (2, 2), 2)
     with pytest.raises(ValueError, match="order must be at least 0, got -1"):
         refined_series("monotone", (3, 1), (2, 2), -1)
+    # in a given chamber these used to give a series, the zero series, a
+    # series that ignores mu3, and a KeyError
+    with pytest.raises(SizeMismatch):
+        refined_series("monotone", (5, 1), (2, 2), 3, chamber=C2)
+    for mu, nu in [((2, 2), (4,)), ((2, 1, 1), (2, 2)), ((4,), (2, 2))]:
+        with pytest.raises(ArityMismatch):
+            refined_series("monotone", mu, nu, 3, chamber=C2)
 
 
 def test_refined_series_on_wall():

@@ -16,7 +16,7 @@ from hurwitz import wedge
 from hurwitz.algebra import PolyRing, falling_factorial, rising_factorial
 from hurwitz.charactereval import hurwitz_disconnected
 from hurwitz.oracle import MAX_DEGREE, FactorizationSpec, count_factorizations
-from hurwitz.partitions import Signature
+from hurwitz.partitions import Signature, SizeMismatch
 from hurwitz.verify import _chambers
 from hurwitz.wedge import (
     ArityMismatch,
@@ -69,6 +69,7 @@ def test_chamber_of_basics():
         chamber_of((2, 2), (2, 2))
     with pytest.raises(SumMismatch):
         chamber_of((3,), (2, 2))
+    assert SumMismatch is SizeMismatch
 
 
 def test_chamber_signs_are_read_off_the_sample():
@@ -287,6 +288,9 @@ def test_evaluate_arity_checks():
     poly = chamber_polynomial("monotone", 0, ch)
     with pytest.raises(ArityMismatch):
         evaluate(poly, (3,), (2, 2))
+    # the right arity at unequal sizes used to read the polynomial off its shell
+    with pytest.raises(SizeMismatch):
+        evaluate(chamber_polynomial("monotone", 1, ch), (99, 1), (2, 2))
 
 
 def test_parity_invalid_signature_gives_zero(monkeypatch):
