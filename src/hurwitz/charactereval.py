@@ -197,8 +197,6 @@ def _connected_simple(mu: tuple, nu: tuple, b: int) -> int:
 def hurwitz_connected_simple(mu, nu, g: int) -> Fraction:
     """Labeled transitive count with b = 2g - 2 + m + n simple transpositions."""
     mu, nu = _profiles(mu, nu)
-    if check_integer(g, "genus") < 0:
-        return Fraction(0)
     b = Signature.of("simple", g, len(mu), len(nu)).b
     return Fraction(_connected_simple(mu, nu, b), prod(mu) * prod(nu))
 

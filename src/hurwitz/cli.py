@@ -5,7 +5,8 @@ Three subcommands: `compute` (one number, by any of the three methods),
 (run a named identity suite).  All structured output is JSON on stdout;
 rationals are strings "num/den" so no consumer ever rounds them.
 
-Exit codes: 0 success; 1 verification mismatch; 2 malformed arguments;
+Exit codes: 0 success; 1 verification mismatch; 2 malformed arguments,
+or a connected count the method has no route for (`verify.Unsupported`);
 3 evaluation point on a wall; 4 size/order bound exceeded, or a monomial
 exponent past `algebra.EXPONENT_LIMIT`; 5 degenerate signature (no
 polynomial exists).
@@ -19,17 +20,9 @@ import json
 import sys
 
 from .algebra import ExponentOverflow
-from .charactereval import hurwitz_connected_simple, hurwitz_disconnected
-from .oracle import BoundExceeded, FactorizationSpec, count_factorizations
+from .oracle import BoundExceeded, FactorizationSpec
 from .partitions import PURE_KINDS, Signature
-from .wedge import (
-    DegenerateSignature,
-    OnWall,
-    chamber_of,
-    chamber_polynomial,
-    evaluate,
-    walls,
-)
+from .wedge import DegenerateSignature, OnWall, chamber_of, chamber_polynomial, walls
 from . import verify as verify_mod
 from .verify import fraction_text
 
@@ -77,26 +70,9 @@ def _emit(payload: dict, out_path) -> None:
 
 def cmd_compute(args) -> int:
     mu, nu = _parts(args.mu), _parts(args.nu)
-    sig = _signature(args, len(mu), len(nu))
-    p, q, r = sig
-    if args.connected:
-        if args.method == "chamber":
-            raise _UsageError("--connected is not available for --method chamber")
-        if args.method == "character" and args.type != "simple":
-            raise _UsageError("--connected with --method character needs --type simple")
-
-    if args.method == "oracle":
-        spec = FactorizationSpec(mu, nu, p, q, r, connected=args.connected)
-        value = count_factorizations(spec).value
-    elif args.method == "character":
-        if args.connected:
-            value = hurwitz_connected_simple(mu, nu, args.g)
-        else:
-            value = hurwitz_disconnected(mu, nu, p, q, r)
-    else:  # chamber
-        ch = chamber_of(mu, nu)
-        poly = chamber_polynomial("mixed", sig, ch)
-        value = evaluate(poly, mu, nu)
+    p, q, r = _signature(args, len(mu), len(nu))
+    spec = FactorizationSpec(mu, nu, p, q, r, connected=args.connected)
+    value = verify_mod.count(spec, args.method)
 
     payload = {
         "input": {
@@ -223,7 +199,7 @@ def main(argv=None) -> int:
     except DegenerateSignature as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except ValueError as e:  # SizeMismatch and _UsageError included
+    except ValueError as e:  # SizeMismatch, Unsupported and _UsageError included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

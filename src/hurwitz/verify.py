@@ -17,6 +17,7 @@ from math import factorial
 
 from .algebra import bernoulli
 from .charactereval import (
+    hurwitz_connected_simple,
     hurwitz_disconnected,
     tau_dictionary_value,
     box_product,
@@ -39,6 +40,32 @@ def fraction_text(x) -> str:
     """An exact rational as "num/den", so that no reader ever rounds it."""
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
+
+
+class Unsupported(ValueError):
+    """A connected count that the chosen method has no route for."""
+
+
+def count(spec: FactorizationSpec, method: str) -> Fraction:
+    """The count of `spec` by the route named "oracle", "character" or "chamber";
+    the one place that picks a route.  Connected counts exist on the oracle,
+    and on the character route when q = r = 0 (0 with no integer genus, as on
+    the oracle); any other connected query raises Unsupported."""
+    mu, nu, p, q, r = spec.mu, spec.nu, spec.p, spec.q, spec.r
+    if method == "oracle":
+        return count_factorizations(spec).value
+    if method == "character":
+        if not spec.connected:
+            return hurwitz_disconnected(mu, nu, p, q, r)
+        if q or r:
+            raise Unsupported("connected counts by the character route need q = r = 0")
+        g = spec.genus()
+        return Fraction(0) if g is None else hurwitz_connected_simple(mu, nu, g)
+    if method == "chamber":
+        if spec.connected:
+            raise Unsupported("the chamber route has no connected counts")
+        return evaluate(chamber_polynomial("mixed", (p, q, r), chamber_of(mu, nu)), mu, nu)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _fmt_or_none(x, missing: str) -> str:
@@ -71,43 +98,41 @@ def suite_equality(dmax: int = 5, bmax: int = 4) -> dict:
         for q in range(t - p + 1)
         for r in [t - p - q]
     ]
+
+    def compare(d, mu, nu, p, q, r, methods):
+        a, b = (count(FactorizationSpec(mu, nu, p, q, r), method) for method in methods)
+        line = f"d={d} mu={mu} nu={nu} pqr=({p},{q},{r}): {methods[0]}={a} {methods[1]}={b}"
+        instances.append(line)
+        if a != b:
+            failures.append(line)
+
     for d in range(1, dmax + 1):
         parts = list(partitions(d))
         for mu in parts:
             for nu in parts:
                 m, n = len(mu), len(nu)
                 for p, q, r in splits:
-                    if Signature(p, q, r).genus(m, n) is None:
-                        continue
-                    a = count_factorizations(FactorizationSpec(mu, nu, p, q, r)).value
-                    c = hurwitz_disconnected(mu, nu, p, q, r)
-                    line = f"d={d} mu={mu} nu={nu} pqr=({p},{q},{r}): oracle={a} character={c}"
-                    instances.append(line)
-                    if a != c:
-                        failures.append(line)
+                    if Signature(p, q, r).genus(m, n) is not None:
+                        compare(d, mu, nu, p, q, r, ("oracle", "character"))
         # chamber-polynomial route, on composition pairs off every wall
         for mu in compositions(d):
             for nu in compositions(d):
                 m, n = len(mu), len(nu)
                 try:
-                    ch = chamber_of(mu, nu)
+                    chamber_of(mu, nu)
                 except OnWall:
                     continue
                 for p, q, r in splits:
                     sig = Signature(p, q, r)
                     if sig.genus(m, n) is None or sig.degenerate(m, n):
                         continue  # a zero count, or no polynomial
-                    c = hurwitz_disconnected(mu, nu, p, q, r)
-                    v = evaluate(chamber_polynomial("mixed", (p, q, r), ch), mu, nu)
-                    line = f"d={d} mu={mu} nu={nu} pqr=({p},{q},{r}): character={c} chamber={v}"
-                    instances.append(line)
-                    if c != v:
-                        failures.append(line)
+                    compare(d, mu, nu, p, q, r, ("character", "chamber"))
     return _report("equality", instances, failures)
 
 
 def _chambers(m: int, n: int, dmax: int = 8):
-    """One representative Chamber per realizable sign vector, by sampling."""
+    """One Chamber per sign vector met by composition pairs of size up to
+    `dmax`: a sample, which at dmax = 8 misses most (2, 4) and all (3, 3) chambers."""
     seen = {}
     for d in range(max(m, n), dmax + 1):
         for mu in compositions(d):

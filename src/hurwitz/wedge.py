@@ -346,7 +346,7 @@ def johnson_expand(chamber: Chamber, word) -> list:
 # -- series assembly --------------------------------------------------------------
 
 
-def _space_for(sig: Signature, n: int, pad: int = 0):
+def _space_for(sig: Signature, n: int):
     """Series variables of the budgets: X for p, y1..yn for q, z1..zn for r.
 
     A variable block exists only when its budget is positive; every
@@ -355,13 +355,13 @@ def _space_for(sig: Signature, n: int, pad: int = 0):
     names, caps, blocks = [], [], []
     if sig.p:
         names.append("X")
-        caps.append(sig.p + pad)
+        caps.append(sig.p)
     for letter, budget in (("y", sig.q), ("z", sig.r)):
         if budget:
             ix = len(names)
             names += [f"{letter}{j}" for j in range(1, n + 1)]
-            caps += [budget + pad] * n
-            blocks.append((tuple(range(ix, ix + n)), budget + pad))
+            caps += [budget] * n
+            blocks.append((tuple(range(ix, ix + n)), budget))
     return tuple(names), tuple(caps), tuple(blocks)
 
 
@@ -460,7 +460,7 @@ def generating_series(chamber: Chamber, parts, space, ring, values, minus: Optio
 _POLY_CACHE: dict = {}
 
 
-def chamber_polynomial(kind: str, signature, chamber: Chamber, pad: int = 0) -> MultiPoly:
+def chamber_polynomial(kind: str, signature, chamber: Chamber) -> MultiPoly:
     """The polynomial giving the count on this chamber, on the weight shell.
 
     `signature` is the genus g for the pure kinds, or a triple (p, q, r) for
@@ -470,15 +470,14 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber, pad: int = 0) -> 
     is its value in the map every linear form is read at.  A signature with
     no integer genus gives the zero polynomial without building a series:
     off the walls every cover is connected, so no cover has that many
-    transpositions.  `pad` raises every truncation order (the result must
-    not change).
+    transpositions.
     """
     m, n = chamber.m, chamber.n
     sig = Signature.of(kind, signature, m, n)
     if sig.degenerate(m, n):
         raise DegenerateSignature("(g, m+n) = (0, 2) counts are 1/d, not polynomial")
 
-    key = (sig, chamber.key(), pad)
+    key = (sig, chamber.key())
     got = _POLY_CACHE.get(key)
     if got is not None:
         return got
@@ -495,7 +494,7 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber, pad: int = 0) -> 
     values["mu1"] = image
 
     p, q, r = sig
-    space = _space_for(sig, n, pad)
+    space = _space_for(sig, n)
     signs = [(x, sign) for x, budget, sign in (("y", q, 1), ("z", r, -1)) if budget]
     parts = [{f"{x}{j}": sign for x, sign in signs} for j in range(1, n + 1)]
     corr, pref = generating_series(chamber, parts, space, ring, values)

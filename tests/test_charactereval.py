@@ -113,7 +113,9 @@ def test_budgets_and_genus_that_are_not_integers_raise_on_every_route():
     for g in (-1.5, 1.5, 2.0):
         with pytest.raises(ValueError, match="must be an integer"):
             hurwitz_connected_simple((2, 1), (3,), g)
-    assert hurwitz_connected_simple((2, 1), (3,), -1) == 0
+    # -1 used to give 0; every route reads the genus through Signature.of
+    with pytest.raises(ValueError, match="genus must be >= 0"):
+        hurwitz_connected_simple((2, 1), (3,), -1)
     with pytest.raises(ValueError, match="must be an integer"):
         chamber_polynomial("simple", 1.0, chamber_of((3, 1), (2, 2)))
 

@@ -3,9 +3,11 @@ from math import factorial
 
 import pytest
 
-from hurwitz import cli, verify
+from hurwitz import verify
 from hurwitz.algebra import EXPONENT_LIMIT, ExponentOverflow, bernoulli
 from hurwitz.cli import main
+from hurwitz.oracle import FactorizationSpec
+from hurwitz.partitions import PURE_KINDS, Signature, partitions
 
 
 def run(capsys, argv):
@@ -84,7 +86,7 @@ def test_compute_connected_rules(capsys):
         ["compute", "--type", "monotone", "--mu", "2", "--nu", "2", "--g", "1",
          "--method", "character", "--connected"],
     )
-    assert code == 2  # connected character route exists only for the simple kind
+    assert code == 2  # the connected character route needs q = r = 0
 
 
 def test_compute_connected_character_route(capsys):
@@ -95,6 +97,51 @@ def test_compute_connected_character_route(capsys):
     for method in ("character", "oracle"):
         code, doc, _ = run_json(capsys, argv + ["0", "--method", method, "--mu", "2,1,1", "--nu", "3,1"])
         assert (code, doc["value"]) == (0, "54/1")
+        # the same budgets spelt as a mixed triple
+        code, doc, _ = run_json(capsys, ["compute", "--connected", "--type", "mixed", "--p", "3", "--q", "0",
+                                         "--r", "0", "--method", method, "--mu", "2,1,1", "--nu", "3,1"])
+        assert (code, doc["value"]) == (0, "54/1")
+    code, _, err = run(capsys, ["compute", "--connected", "--type", "mixed", "--p", "3", "--q", "0",
+                                "--r", "0", "--method", "chamber", "--mu", "2,1,1", "--nu", "3,1"])
+    assert code == 2 and len(err.splitlines()) == 1
+
+
+def test_count_has_no_route_for_other_connected_queries():
+    spec = FactorizationSpec((3, 1), (2, 2), 2, 0, 0, connected=True)
+    with pytest.raises(verify.Unsupported):
+        verify.count(spec, "chamber")
+    for q, r in [(1, 0), (0, 1), (1, 1)]:
+        with pytest.raises(verify.Unsupported):
+            verify.count(FactorizationSpec((3, 1), (2, 2), 1, q, r, connected=True), "character")
+    with pytest.raises(ValueError, match="unknown method"):
+        verify.count(spec, "tau")
+
+
+def test_count_connected_character_equals_the_oracle_when_q_and_r_are_zero():
+    # the rule reads the budgets, not the kind that spelt them: a pure kind
+    # at b = 0 is the triple (0, 0, 0)
+    checked = zeros = 0
+    for d in range(1, 6):
+        for mu in partitions(d):
+            for nu in partitions(d):
+                m, n = len(mu), len(nu)
+                sigs = [Signature(p, 0, 0) for p in range(5)]
+                sigs += [Signature.of(kind, g, m, n) for kind in PURE_KINDS for g in range(3)]
+                for sig in sigs:
+                    if sig.b > 4:
+                        continue
+                    spec = FactorizationSpec(mu, nu, *sig, connected=True)
+                    if sig.q or sig.r:
+                        with pytest.raises(verify.Unsupported):
+                            verify.count(spec, "character")
+                        continue
+                    got = verify.count(spec, "character")
+                    assert got == verify.count(spec, "oracle")
+                    if sig.genus(m, n) is None:
+                        assert got == 0
+                        zeros += 1
+                    checked += 1
+    assert zeros and checked > zeros
 
 
 def test_compute_bound_guard(capsys):
@@ -109,7 +156,7 @@ def test_compute_exponent_overflow_exits_4(capsys, monkeypatch):
     def overflow(*args, **kwargs):
         raise ExponentOverflow(f"an exponent reached {EXPONENT_LIMIT}")
 
-    monkeypatch.setattr(cli, "chamber_polynomial", overflow)
+    monkeypatch.setattr(verify, "chamber_polynomial", overflow)
     code, out, err = run(
         capsys,
         ["compute", "--type", "monotone", "--mu", "3,1", "--nu", "2,2", "--g", "1", "--method", "chamber"],

@@ -14,7 +14,9 @@ one from them (`MultiPoly._make`), so the key encoding has one home.  Likewise
 only `algebra` reads a series' packed numerators, denominator or key layout
 (`.num`, `.den`, `._layout`) or builds a series from them
 (`TruncSeries._with`, `_reduce`); every other module reads exact
-coefficients through `TruncSeries.data` or `coeff`.
+coefficients through `TruncSeries.data` or `coeff`.  The CLI calls no route
+for a count: `verify.count` is the one place that picks a route by method
+name.
 """
 
 import ast
@@ -93,6 +95,11 @@ def _unused_imports(module: str) -> list:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
             used |= {elt.value for elt in node.value.elts}
     return sorted(imported - used)
+
+
+def test_cli_picks_no_route():
+    names = {name for _, name in _package_imports("cli")}
+    assert not names & {"count_factorizations", "hurwitz_disconnected", "hurwitz_connected_simple", "evaluate"}
 
 
 @pytest.mark.parametrize("module", [m for m in _modules() if m != "__init__"])
