@@ -7,7 +7,6 @@ polynomial structure: chambers, walls, chamber polynomials, wall crossing.
 
 from .algebra import (
     ExponentOverflow,
-    LinearForm,
     MultiPoly,
     NotDivisible,
     PolyRing,
@@ -67,7 +66,6 @@ __all__ = [
     "FactorizationCount",
     "FactorizationSpec",
     "InvalidSplit",
-    "LinearForm",
     "MAX_DEGREE",
     "MultiPoly",
     "NotDivisible",

@@ -1,5 +1,5 @@
-"""Exact arithmetic kernel: sparse multivariate polynomials over the rationals,
-linear forms, and truncated multivariate power series.
+"""Exact arithmetic kernel: sparse multivariate polynomials over the rationals
+and truncated multivariate power series.
 
 Every rational value is exact: a `MultiPoly` keeps integer numerators over
 one denominator, keyed by monomials packed into ints (see `FIELD_BITS`), and
@@ -42,7 +42,6 @@ __all__ = [
     "EXPONENT_LIMIT",
     "PolyRing",
     "MultiPoly",
-    "LinearForm",
     "TruncSeries",
     "sigma_of",
     "s_of",
@@ -467,88 +466,6 @@ class MultiPoly:
         return out.replace("+ -", "- ")
 
     __repr__ = __str__
-
-
-class LinearForm:
-    """An exact linear combination of named symbols plus a rational constant.
-
-    Used for operator energies (combinations of part sizes) and for series
-    arguments, until `evaluate` gives each symbol a number or a polynomial.
-    """
-
-    __slots__ = ("coeffs", "const")
-
-    def __init__(self, coeffs=None, const=0):
-        cleaned = {}
-        for name, c in (coeffs or {}).items():
-            c = _frac(c)
-            if c:
-                cleaned[name] = c
-        self.coeffs = cleaned
-        self.const = _frac(const)
-
-    @classmethod
-    def unit(cls, name: str) -> "LinearForm":
-        return cls({name: 1})
-
-    def __add__(self, other):
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for name, c in other.coeffs.items():
-            s = out.get(name, Fraction(0)) + c
-            if s:
-                out[name] = s
-            else:
-                out.pop(name, None)
-        return LinearForm(out, self.const + other.const)
-
-    def __neg__(self):
-        return LinearForm({n: -c for n, c in self.coeffs.items()}, -self.const)
-
-    def __sub__(self, other):
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        return self + (-other)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs and not self.const
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearForm)
-            and self.coeffs == other.coeffs
-            and self.const == other.const
-        )
-
-    def __hash__(self):
-        return hash((frozenset(self.coeffs.items()), self.const))
-
-    def evaluate(self, values):
-        """The form at `values`, a map from each of its symbols to an int, a
-        Fraction or a `MultiPoly`: a Fraction, or a `MultiPoly` when it
-        reads one."""
-        out = self.const
-        for n, c in self.coeffs.items():
-            x = values[n]
-            if not isinstance(x, (int, Fraction, MultiPoly)):
-                raise TypeError(f"expected int, Fraction or MultiPoly, got {type(x).__name__}")
-            out = out + c * x
-        return out
-
-    def __repr__(self):
-        bits = []
-        for name in sorted(self.coeffs):
-            c = self.coeffs[name]
-            if c == 1:
-                bits.append(name)
-            elif c == -1:
-                bits.append(f"-{name}")
-            else:
-                bits.append(f"{c}*{name}")
-        if self.const or not bits:
-            bits.append(str(self.const))
-        return " + ".join(bits).replace("+ -", "- ")
 
 
 class TruncSeries:

@@ -185,7 +185,7 @@ def centralizer_size(mu) -> int:
     return prod(mu) * multiplicity_factor(mu)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _char_rec(lam: tuple, mu: tuple) -> int:
     if not mu:
         return 1
@@ -222,13 +222,13 @@ def character(lam, mu) -> int:
     return _char_rec(lam, mu)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def character_column(mu: tuple) -> tuple:
     """chi^lam(mu) for every lam, in `partitions(sum(mu))` order."""
     return tuple(character(lam, mu) for lam in partitions(sum(mu)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _sym_at_contents(lam: tuple, kmax: int) -> tuple:
     """(h_0..h_kmax, e_0..e_kmax) evaluated at the content multiset of lam."""
     cr = contents(lam)

@@ -35,12 +35,15 @@ class InvalidSplit(ValueError):
 # variable (letter + j) carries sum_k v (v + step) ... (v + (k-1) step) *
 # marker^k, the rising factorial for step 1 and the falling one for step -1,
 # and each expansion variable carries S^(sign * v - 1) and the operator
-# argument 1.  The mixed kind also has the variable X.
+# argument 1.  A kind with a free block (simple transpositions) also has the
+# variable X, on which nu_j's operator carries the argument v.
 _SERIES = {
+    "simple": ({}, {}),
     "monotone": ({"u": 1}, {"z": 1}),
     "strict": ({"u": -1}, {"z": -1}),
     "mixed": ({"t": 1, "u": -1}, {"y": 1, "z": -1}),
 }
+_FREE = ("simple", "mixed")
 
 
 def _check_kind(kind: str):
@@ -53,7 +56,7 @@ class WallCrossingProblem:
     wall: Wall
     c1: Chamber
     c2: Chamber
-    kind: str  # monotone | strict | mixed
+    kind: str  # simple | monotone | strict | mixed
     signature: Union[int, tuple]  # genus, or (p, q, r) for mixed
     budgets: Signature = field(init=False)
 
@@ -85,7 +88,7 @@ def wallcrossing_polynomial(problem: WallCrossingProblem):
 def _space(kind: str, n: int, order: int):
     markers, expansions = _SERIES[kind]
     names = [f"{x}{j}" for x in markers for j in range(1, n + 1)]
-    names += ["X"] if kind == "mixed" else []
+    names += ["X"] if kind in _FREE else []
     names += [f"{x}{j}" for x in expansions for j in range(1, n + 1)]
     caps = (order,) * len(names)
     blocks = ((tuple(range(len(names))), order),)
@@ -147,11 +150,12 @@ def _h_series(kind, mu, nu, index, space, order, chamber=None, minus=None):
 def refined_series(kind: str, mu, nu, order: int, chamber: Optional[Chamber] = None) -> TruncSeries:
     """The refined generating series of (mu, nu), truncated at total order.
 
-    Variables: u1..un (markers) and z1..zn for the pure kinds; t, u, X, y, z
-    for the mixed kind.  `chamber` overrides the sample's own chamber, which
-    is how the series is continued across a wall; a profile whose (m, n) is
-    not the chamber's raises `ArityMismatch`.  An unknown kind or a negative
-    order raises `ValueError`.
+    Variables: X alone for the simple kind; u1..un (markers) and z1..zn for
+    monotone and strict; t, u, X, y, z for the mixed kind.  `chamber`
+    overrides the sample's own chamber, which is how the series is continued
+    across a wall; a profile whose (m, n) is not the chamber's raises
+    `ArityMismatch`.  An unknown kind or a negative order raises
+    `ValueError`.
     """
     _check_kind(kind)
     if order < 0:
@@ -182,7 +186,7 @@ def _crossing_prefactor(kind, J, nu, delta, space) -> TruncSeries:
 
     def argmap(ixs, scale=1, xshift=0):
         out = {f"{x}{j}": scale for j in ixs for x in expansions}
-        if kind == "mixed":
+        if kind in _FREE:
             out["X"] = (xshift + sum(nu[j - 1] for j in ixs)) * scale
         return out
 

@@ -11,18 +11,18 @@ the leftmost negative-energy operator is commuted toward the left end,
 branching into a swap (no factor) and a merge (one recorded factor) at
 every step, until it either hits the left end (the branch dies against the
 covacuum) or everything has merged into a single zero-energy operator.
-An operator absorbing mu_I and nu_J has energy mu_I - nu_J, so which
-operators count as negative is read off the chamber's sample point, and the
-pattern set is the same throughout the chamber.  `johnson_expand` turns the
-patterns into sigma-products of linear forms, `materialize` turns those
-into a series by evaluating every form at one map from the symbols to
-values (ring variables for polynomial coefficients, parts for numeric
-ones), and `generating_series` hands out that correlator with its S-power
-prefactor (or, given a second chamber, the jump of the correlator, from the
-patterns that differ across the wall): the refined series of `wallcross`
-multiply the two, and chamber polynomials read one grade of their product
-(`TruncSeries.grade_sum`), with mu1 valued on the weight shell so that
-nothing is substituted after.
+An operator absorbing mu_I and nu_J is the walk label (I, J), with energy
+mu_I - nu_J, so which operators count as negative is read off the chamber's
+sample point, and the pattern set is the same throughout the chamber.
+`johnson_expand` returns the patterns as sigma-products on walk labels, and
+`materialize` turns those into a series, reading each label's energy and
+argument once at one map from the symbols to values (ring variables for
+polynomial coefficients, parts for numeric ones).  `generating_series` hands
+out that correlator with its S-power prefactor (or, given a second chamber,
+the jump of the correlator, from the patterns that differ across the wall):
+the refined series of `wallcross` multiply the two, and chamber polynomials
+read one grade of their product (`TruncSeries.grade_sum`), with mu1 valued
+on the weight shell so that nothing is substituted after.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from math import factorial
 from typing import Optional
 
 from .algebra import (
-    LinearForm,
     MultiPoly,
     PolyRing,
     TruncSeries,
@@ -110,7 +109,7 @@ class Wall:
         return f"mu{{{','.join(map(str, self.I))}}} = nu{{{','.join(map(str, self.J))}}}"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def walls(m: int, n: int) -> tuple:
     """All canonical walls for (m, n), deterministically ordered."""
     out = []
@@ -211,42 +210,23 @@ def _walk(word: tuple, sign) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
-def commutation_patterns(chamber: Chamber) -> tuple:
-    """The finite pattern set of `standard_word` on this chamber."""
-    word = tuple((op.mu_indices, op.nu_indices) for op in standard_word(chamber.m, chamber.n))
-    return tuple(_walk(word, chamber.label_sign))
-
-
 # -- public expansion into sigma-products ----------------------------------------
 
 
 @dataclass(frozen=True)
 class EOp:
-    """One operator symbol: mu-indices absorbed, nu-indices absorbed, argument.
-
-    The argument maps expansion-variable names to LinearForm coefficients
-    over the symbols mu1.., nu1..; a plain number is promoted.
-    """
+    """One operator of a word: the mu- and nu-indices it absorbs, and its
+    argument, a sorted tuple of (expansion variable, value) whose values are
+    ints, Fractions or elements of a coefficient ring (zeros dropped)."""
 
     mu_indices: frozenset
     nu_indices: frozenset
-    arg: tuple = ()  # sorted tuple of (variable, LinearForm)
+    arg: tuple = ()
 
     @staticmethod
     def make(mu_indices, nu_indices, arg: Optional[dict] = None) -> "EOp":
-        items = []
-        for v, c in (arg or {}).items():
-            if isinstance(c, (int, Fraction)):
-                c = LinearForm({}, c)
-            if not c.is_zero():
-                items.append((v, c))
-        return EOp(frozenset(mu_indices), frozenset(nu_indices), tuple(sorted(items)))
-
-    def energy(self) -> LinearForm:
-        out = {f"mu{i}": Fraction(1) for i in self.mu_indices}
-        out.update({f"nu{j}": Fraction(-1) for j in self.nu_indices})
-        return LinearForm(out)
+        items = tuple(sorted((v, c) for v, c in (arg or {}).items() if c))
+        return EOp(frozenset(mu_indices), frozenset(nu_indices), items)
 
 
 def standard_word(m: int, n: int) -> tuple:
@@ -258,39 +238,17 @@ def standard_word(m: int, n: int) -> tuple:
 
 @dataclass(frozen=True)
 class SigmaProduct:
-    """One commutation pattern as sigma-factors of linear forms (see `materialize`).
+    """One commutation pattern of a word, on its walk labels (see `materialize`).
 
-    Each entry of `factors` is (energy1, arg1, energy2, arg2), denoting the
-    factor sigma(energy1*arg2 - energy2*arg1); `final_energy` pairs with the
-    global denominator as sigma(final_energy * total_arg) / sigma(total_arg).
-    Arguments are tuples of (variable, LinearForm coefficient).
+    A label (I, J) stands for the operator that absorbed mu_I and nu_J: its
+    energy is mu_I - nu_J and its argument the sum of the word's arguments
+    inside it.  Each pair (A, B) of `factors` denotes the factor
+    sigma(energy(A)*arg(B) - energy(B)*arg(A)); the label `final` pairs with
+    the word's total argument W as sigma(energy(final) * W) / sigma(W).
     """
 
     factors: tuple
-    final_energy: LinearForm
-    total_arg: tuple
-
-    def __str__(self):
-        def argstr(arg):
-            return " + ".join(f"({c})*{v}" for v, c in arg) or "0"
-
-        bits = []
-        for e1, a1, e2, a2 in self.factors:
-            bits.append(f"sigma(({e1})*[{argstr(a2)}] - ({e2})*[{argstr(a1)}])")
-        bits.append(f"sigma(({self.final_energy})*[{argstr(self.total_arg)}])")
-        return " * ".join(bits) + f" / sigma({argstr(self.total_arg)})"
-
-
-def _merge_args(a: tuple, b: tuple) -> tuple:
-    out = dict(a)
-    for v, c in b:
-        s = out.get(v)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(v, None)
-        else:
-            out[v] = s
-    return tuple(sorted(out.items()))
+    final: tuple
 
 
 def johnson_expand(chamber: Chamber, word) -> list:
@@ -318,29 +276,14 @@ def johnson_expand(chamber: Chamber, word) -> list:
     # when every index is covered once
     if seen_mu != set(range(1, chamber.m + 1)) or seen_nu != set(range(1, chamber.n + 1)):
         return []
-
     labels = tuple((op.mu_indices, op.nu_indices) for op in word)
-    ops = {}
+    return [SigmaProduct(*pattern) for pattern in _walk(labels, chamber.label_sign)]
 
-    def op_of(lab):
-        # a walk label is a union of word labels; its argument is their sum
-        got = ops.get(lab)
-        if got is None:
-            arg = ()
-            for op in word:
-                if op.mu_indices <= lab[0] and op.nu_indices <= lab[1]:
-                    arg = _merge_args(arg, op.arg)
-            got = ops[lab] = EOp(lab[0], lab[1], arg)
-        return got
 
-    total_arg = op_of((frozenset(seen_mu), frozenset(seen_nu))).arg
-    out = []
-    for factors, final in _walk(labels, chamber.label_sign):
-        pairs = tuple((op_of(A), op_of(B)) for A, B in factors)
-        terms = tuple((A.energy(), A.arg, B.energy(), B.arg) for A, B in pairs)
-        # the last commutation is carried by final_energy, not factors
-        out.append(SigmaProduct(terms, op_of(final).energy(), total_arg))
-    return out
+@lru_cache(maxsize=128)
+def commutation_patterns(chamber: Chamber) -> tuple:
+    """The sigma-products of `standard_word` on this chamber."""
+    return tuple(johnson_expand(chamber, standard_word(chamber.m, chamber.n)))
 
 
 # -- series assembly --------------------------------------------------------------
@@ -365,46 +308,56 @@ def _space_for(sig: Signature, n: int):
     return tuple(names), tuple(caps), tuple(blocks)
 
 
-def materialize(products, space, ring, values, signs=None):
-    """Sum the sigma-products of `johnson_expand` in the given series space.
+def materialize(products, word, space, ring, values, signs=None):
+    """Sum the sigma-products of `johnson_expand` on `word` in the given series space.
 
-    Every linear form of a product becomes a coefficient, its value at
-    `values`: a map from the symbols mu1.., nu1.. to numbers, or to elements
-    of `ring`, the series' coefficient ring (None for numbers).  This is
-    where every chamber polynomial and every refined series gets its
-    numbers.  `signs`, when given, holds one integer multiplicity per
-    product (a jump across a wall subtracts the far chamber's products).
+    Each label's energy mu_I - nu_J and argument (the sum of the word's
+    arguments inside it) are read once per call, at `values`: a map from the
+    symbols mu1.., nu1.. to numbers, or to elements of `ring`, the series'
+    coefficient ring (None for numbers).  The word's total argument W and
+    1/S(W) are built once.  This is where every chamber polynomial and every
+    refined series gets its numbers.  `signs`, when given, holds one integer
+    multiplicity per product (a jump across a wall subtracts the far
+    chamber's products).
     """
     vars_, caps, blocks = space
+    read = {}
 
-    def coeff(form):
-        return form.evaluate(values)
+    def label(lab):
+        got = read.get(lab)
+        if got is None:
+            energy = sum(values[f"mu{i}"] for i in lab[0]) - sum(values[f"nu{j}"] for j in lab[1])
+            arg = {}
+            for op in word:
+                if op.mu_indices <= lab[0] and op.nu_indices <= lab[1]:
+                    for v, c in op.arg:
+                        arg[v] = arg[v] + c if v in arg else c
+            got = read[lab] = energy, arg
+        return got
 
     def series(argmap):
         return TruncSeries.from_linear(vars_, caps, argmap, ring, blocks)
 
-    totals = {}
+    # the label of every index in the word carries its total argument
+    whole = (frozenset().union(*(op.mu_indices for op in word)), frozenset().union(*(op.nu_indices for op in word)))
+    total = series(label(whole)[1])
+    inv_s_total = s_inverse_of(total)
     acc = TruncSeries.zero(vars_, caps, ring, blocks)
     for k, prod in enumerate(products):
         # sigma(eF * total) / sigma(total) = eF * S(eF * total) / S(total);
         # eF (times the sign) scales the first sigma factor (or the tail when
         # there is none), not every coefficient of the S-series
-        eF = coeff(prod.final_energy)
+        eF = label(prod.final)[0]
         lead = eF if signs is None else eF * signs[k]
         term = None
-        for e1, a1, e2, a2 in prod.factors:
-            c1, c2 = coeff(e1), coeff(e2)
-            combo = {v: c1 * coeff(c) for v, c in a2}
-            for v, c in a1:
-                t = -c2 * coeff(c)
+        for A, B in prod.factors:
+            (eA, argA), (eB, argB) = label(A), label(B)
+            combo = {v: eA * c for v, c in argB.items()}
+            for v, c in argA.items():
+                t = -eB * c
                 combo[v] = combo[v] + t if v in combo else t
             fac = sigma_of(series(combo))
             term = fac.scalar_mul(lead) if term is None else term * fac
-        got = totals.get(prod.total_arg)
-        if got is None:
-            total = series({v: coeff(c) for v, c in prod.total_arg})
-            got = totals[prod.total_arg] = (total, s_inverse_of(total))
-        total, inv_s_total = got
         # no sigma factor has a constant term, so neither has their product
         # below the number of factors: it meets the two S-series one at a
         # time, which keeps only their low-degree terms
@@ -433,19 +386,19 @@ def generating_series(chamber: Chamber, parts, space, ring, values, minus: Optio
     vars_, caps, blocks = space
     word = [EOp.make([i], []) for i in range(1, chamber.m + 1)]
     for j, signs in enumerate(parts, start=1):
-        arg = {"X": LinearForm.unit(f"nu{j}")} if "X" in vars_ else {}
+        arg = {"X": values[f"nu{j}"]} if "X" in vars_ else {}
         arg.update({x: 1 for x in signs})
         word.append(EOp.make([], [j], arg))
     products = johnson_expand(chamber, word)
     if minus is None:
-        corr = materialize(products, space, ring, values)
+        corr = materialize(products, word, space, ring, values)
     else:
         if (minus.m, minus.n) != (chamber.m, chamber.n):
             raise ValueError("chambers live in different arrangements")
         jump = Counter(products)
         jump.subtract(johnson_expand(minus, word))
         changed = [prod for prod, k in jump.items() if k]
-        corr = materialize(changed, space, ring, values, [jump[prod] for prod in changed])
+        corr = materialize(changed, word, space, ring, values, [jump[prod] for prod in changed])
 
     pref = None
     for j, signs in enumerate(parts, start=1):
@@ -467,10 +420,10 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber) -> MultiPoly:
     kind "mixed"; a pure kind is the same polynomial as its budgets spelt as
     a mixed triple.  The returned polynomial lives in mu2..mum, nu1..nun; the
     first part is eliminated through mu1 = sum(nu) - (mu2 + ... + mum), which
-    is its value in the map every linear form is read at.  A signature with
-    no integer genus gives the zero polynomial without building a series:
-    off the walls every cover is connected, so no cover has that many
-    transpositions.
+    is its value in the map every energy and argument is read at.  A
+    signature with no integer genus gives the zero polynomial without
+    building a series: off the walls every cover is connected, so no cover
+    has that many transpositions.
     """
     m, n = chamber.m, chamber.n
     sig = Signature.of(kind, signature, m, n)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hurwitz.algebra import (
     EXPONENT_LIMIT,
     ExponentOverflow,
-    LinearForm,
     MultiPoly,
     NotDivisible,
     PolyRing,
@@ -49,19 +48,6 @@ def test_sorted_terms_deterministic():
     p = x * x + y + x * y + 1
     degs = [sum(e) for e, _ in p.sorted_terms()]
     assert degs == sorted(degs)
-
-
-def test_linear_form_basics():
-    a = LinearForm.unit("x") + LinearForm({"y": 2})
-    assert a.evaluate({"x": Fraction(1), "y": Fraction(3)}) == 7
-    assert (a - a).is_zero()
-    assert a.evaluate({"x": R.var("x"), "y": R.var("y")}) == R.var("x") + 2 * R.var("y")
-
-
-def test_linear_form_evaluate_rejects_a_float():
-    a = LinearForm.unit("x") + LinearForm({"y": 2})
-    with pytest.raises(TypeError):
-        a.evaluate({"x": 1, "y": 0.5})
 
 
 def test_series_inverse_roundtrip():

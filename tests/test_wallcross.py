@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hurwitz import wallcross, wedge
 from hurwitz.algebra import TruncSeries
 from hurwitz.charactereval import hurwitz_disconnected
 from hurwitz.partitions import Signature, SizeMismatch
+from hurwitz.verify import _WC_SAMPLES
 from hurwitz.wallcross import (
     InvalidSplit,
     WallCrossingProblem,
@@ -102,8 +104,8 @@ def test_refined_series_zero_order():
 
 
 def test_refined_series_input_validation():
-    with pytest.raises(ValueError, match="unknown kind 'simple'; expected one of monotone, strict, mixed"):
-        refined_series("simple", (3, 1), (2, 2), 2)
+    with pytest.raises(ValueError, match="unknown kind 'hyperbolic'; expected one of simple, monotone, strict, mixed"):
+        refined_series("hyperbolic", (3, 1), (2, 2), 2)
     with pytest.raises(ValueError, match="order must be at least 0, got -1"):
         refined_series("monotone", (3, 1), (2, 2), -1)
     # in a given chamber these used to give a series, the zero series, a
@@ -170,6 +172,22 @@ def _jump(kind, mu, nu, order, chamber=C2, minus=C1):
     side of the product formula, corr(C2) - corr(C1)."""
     space = wallcross._space(kind, len(nu), order)
     return wallcross._h_series(kind, mu, nu, (1, 2), space, order, chamber=chamber, minus=minus)
+
+
+@pytest.mark.parametrize("g", [0, 1, 2])
+def test_simple_wallcrossing_at_the_m_n_2_wall(g):
+    # the simple kind has only the free block's X: the product formula holds
+    # at every sample, and b! [X^b] of the jump is the wall-crossing polynomial
+    problem = WallCrossingProblem(WALL, C1, C2, "simple", g)
+    b = 2 * g + 2
+    assert problem.budgets == Signature(b, 0, 0)
+    rep = verify_wallcrossing(problem, _WC_SAMPLES)
+    assert rep["ok"] and len(rep["samples"]) == len(_WC_SAMPLES)
+    poly = wallcrossing_polynomial(problem)
+    for mu, nu in _WC_SAMPLES:
+        want = evaluate(poly, mu, nu)
+        assert want != 0
+        assert _jump("simple", mu, nu, b).coeff({"X": b}) * factorial(b) == want
 
 
 @pytest.mark.parametrize(

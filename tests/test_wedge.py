@@ -13,7 +13,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hurwitz import wedge
-from hurwitz.algebra import PolyRing, falling_factorial, rising_factorial
+from hurwitz.algebra import (
+    PolyRing,
+    TruncSeries,
+    falling_factorial,
+    rising_factorial,
+    s_inverse_of,
+    s_of,
+    sigma_of,
+)
 from hurwitz.charactereval import hurwitz_disconnected
 from hurwitz.oracle import MAX_DEGREE, FactorizationSpec, count_factorizations
 from hurwitz.partitions import Signature, SizeMismatch
@@ -24,6 +32,7 @@ from hurwitz.wedge import (
     DegenerateSignature,
     EOp,
     OnWall,
+    SigmaProduct,
     SumMismatch,
     Wall,
     _space_for,
@@ -94,22 +103,23 @@ def test_pattern_counts():
     assert len(commutation_patterns(c1)) == 1
 
 
+def _label(I, J):
+    """The walk label of the operator that absorbed mu_I and nu_J."""
+    return frozenset(I), frozenset(J)
+
+
 def test_johnson_expand_single_pair():
+    # sigma(mu1 * z1) / sigma(z1)
     ch = chamber_of((5,), (5,))
-    prods = johnson_expand(ch, standard_word(1, 1))
-    assert len(prods) == 1
-    assert str(prods[0]) == "sigma((mu1)*[(1)*z1]) / sigma((1)*z1)"
-    assert prods[0].factors == ()
+    assert johnson_expand(ch, standard_word(1, 1)) == [SigmaProduct((), _label([1], []))]
 
 
 def test_johnson_expand_one_two():
+    # sigma(mu1 * z1 + nu1 * 0) * sigma((mu1 - nu1) * (z1 + z2)) / sigma(z1 + z2)
     ch = chamber_of((3,), (1, 2))
-    prods = johnson_expand(ch, standard_word(1, 2))
-    assert len(prods) == 1
-    assert str(prods[0]) == (
-        "sigma((mu1)*[(1)*z1] - (-nu1)*[0]) * "
-        "sigma((mu1 - nu1)*[(1)*z1 + (1)*z2]) / sigma((1)*z1 + (1)*z2)"
-    )
+    assert johnson_expand(ch, standard_word(1, 2)) == [
+        SigmaProduct(((_label([1], []), _label([], [1])),), _label([1], [1])),
+    ]
 
 
 def test_johnson_expand_nonzero_energy_word():
@@ -327,14 +337,38 @@ def test_johnson_expand_permuted_word_with_merged_operator():
         EOp.make([], [3], {"z3": 1}),
         EOp.make([], [1], {"z1": 1}),
     )
-    assert [str(s) for s in johnson_expand(ch, word)] == [
-        "sigma((mu1 - nu2)*[(1)*z3] - (-nu3)*[(1)*z2]) * "
-        "sigma((mu1 - nu2 - nu3)*[(1)*z1] - (-nu1)*[(1)*z2 + (1)*z3]) * "
-        "sigma((mu2)*[(1)*z1 + (1)*z2 + (1)*z3]) / sigma((1)*z1 + (1)*z2 + (1)*z3)",
-        "sigma((mu2)*[(1)*z3] - (-nu3)*[0]) * "
-        "sigma((mu1 - nu2)*[(1)*z1] - (-nu1)*[(1)*z2]) * "
-        "sigma((mu2 - nu3)*[(1)*z1 + (1)*z2 + (1)*z3]) / sigma((1)*z1 + (1)*z2 + (1)*z3)",
+    prods = johnson_expand(ch, word)
+    # sigma((mu1 - nu2) * z3 + nu3 * z2) * sigma((mu1 - nu2 - nu3) * z1 + nu1 * (z2 + z3))
+    #   * sigma(mu2 * W) / sigma(W), and
+    # sigma(mu2 * z3 + nu3 * 0) * sigma((mu1 - nu2) * z1 + nu1 * z2)
+    #   * sigma((mu2 - nu3) * W) / sigma(W), with W = z1 + z2 + z3
+    assert prods == [
+        SigmaProduct(
+            ((_label([1], [2]), _label([], [3])), (_label([1], [2, 3]), _label([], [1]))),
+            _label([2], []),
+        ),
+        SigmaProduct(
+            ((_label([2], []), _label([], [3])), (_label([1], [2]), _label([], [1]))),
+            _label([2], [3]),
+        ),
     ]
+    # the same two formulas at mu = (3, 3), nu = (4, 1, 1), built by hand:
+    # sigma(eF * W) / sigma(W) = eF * S(eF * W) / S(W), and the label
+    # (mu1, nu2 nu3) carries the sum z2 + z3 of the word's arguments inside it
+    names, caps, blocks = ("z1", "z2", "z3"), (4, 4, 4), (((0, 1, 2), 4),)
+
+    def lin(*coeffs):
+        return TruncSeries.from_linear(names, caps, dict(zip(names, coeffs)), None, blocks)
+
+    W = lin(1, 1, 1)
+    want = [
+        sigma_of(lin(0, 1, 2)) * sigma_of(lin(1, 4, 4)) * s_of(lin(3, 3, 3)).scalar_mul(3) * s_inverse_of(W),
+        sigma_of(lin(0, 0, 3)) * sigma_of(lin(2, 4, 0)) * s_of(lin(2, 2, 2)).scalar_mul(2) * s_inverse_of(W),
+    ]
+    values = {"mu1": 3, "mu2": 3, "nu1": 4, "nu2": 1, "nu3": 1}
+    got = [wedge.materialize([prod], word, (names, caps, blocks), None, values) for prod in prods]
+    assert got == want
+    assert all(not w.is_zero() for w in want)
 
 
 def test_johnson_expand_rejects_operator_without_indices():
