@@ -47,8 +47,7 @@ __all__ = [
     "s_of",
     "s_inverse_of",
     "s_power_series",
-    "rising_factorial",
-    "falling_factorial",
+    "factorial_column",
     "bernoulli",
 ]
 
@@ -876,11 +875,10 @@ def s_inverse_of(arg: TruncSeries) -> TruncSeries:
     return _half_exp_sum(arg, 0, lambda k: (Fraction(2, 2**k) - 1) * bernoulli(k))
 
 
-def s_power_series(c, var: str, order: int, ring=None) -> TruncSeries:
-    """S(v)^c truncated at v^order, c rational or polynomial, as exp(c log S)
-    with log S(v) = sum_{k>=1} B_{2k} v^{2k} / (2k (2k)!)."""
-    if isinstance(c, MultiPoly) and ring is None:
-        ring = c.ring
+def s_power_series(c, var: str, order: int) -> TruncSeries:
+    """S(v)^c truncated at v^order, c rational or polynomial (over c's ring),
+    as exp(c log S) with log S(v) = sum_{k>=1} B_{2k} v^{2k} / (2k (2k)!)."""
+    ring = c.ring if isinstance(c, MultiPoly) else None
     terms = {(k,): bernoulli(k) / (k * factorial(k)) for k in range(2, order + 1, 2)}
     log_s = TruncSeries((var,), (order,), ring, terms)
     out = power = log_s.one_like()
@@ -897,21 +895,14 @@ def s_power_series(c, var: str, order: int, ring=None) -> TruncSeries:
 # -- factorial-type helpers ----------------------------------------------------
 
 
-def rising_factorial(x, k: int):
-    """x (x+1) ... (x+k-1); exact, for numbers or polynomials."""
-    if k < 0:
-        raise ValueError("rising factorial needs k >= 0")
-    out = x.ring.one() if isinstance(x, MultiPoly) else Fraction(1)
-    for i in range(k):
-        out = out * (x + i)
-    return out
-
-
-def falling_factorial(x, k: int):
-    """x (x-1) ... (x-k+1); exact, for numbers or polynomials."""
-    if k < 0:
-        raise ValueError("falling factorial needs k >= 0")
-    return rising_factorial(x + (1 - k), k)
+def factorial_column(x, top: int, step: int) -> list:
+    """[x (x + step) ... (x + (k-1) step) for k = 0..top]: the rising
+    factorials of x for step 1, the falling ones for step -1; exact, for
+    numbers or polynomials."""
+    col = [x.ring.one() if isinstance(x, MultiPoly) else 1]
+    for i in range(top):
+        col.append(col[-1] * (x + step * i))
+    return col
 
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]

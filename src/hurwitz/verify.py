@@ -100,7 +100,8 @@ def suite_equality(dmax: int = 5, bmax: int = 4) -> dict:
     ]
 
     def compare(d, mu, nu, p, q, r, methods):
-        a, b = (count(FactorizationSpec(mu, nu, p, q, r), method) for method in methods)
+        spec = FactorizationSpec(mu, nu, p, q, r)
+        a, b = (count(spec, method) for method in methods)
         line = f"d={d} mu={mu} nu={nu} pqr=({p},{q},{r}): {methods[0]}={a} {methods[1]}={b}"
         instances.append(line)
         if a != b:
@@ -118,15 +119,14 @@ def suite_equality(dmax: int = 5, bmax: int = 4) -> dict:
         for mu in compositions(d):
             for nu in compositions(d):
                 m, n = len(mu), len(nu)
-                try:
-                    chamber_of(mu, nu)
-                except OnWall:
-                    continue
                 for p, q, r in splits:
                     sig = Signature(p, q, r)
                     if sig.genus(m, n) is None or sig.degenerate(m, n):
                         continue  # a zero count, or no polynomial
-                    compare(d, mu, nu, p, q, r, ("character", "chamber"))
+                    try:
+                        compare(d, mu, nu, p, q, r, ("character", "chamber"))
+                    except OnWall:
+                        break  # the pair lies on a wall: no chamber holds it
     return _report("equality", instances, failures)
 
 

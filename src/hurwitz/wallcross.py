@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import prod
 from typing import Optional, Union
 
-from .algebra import TruncSeries, s_inverse_of, s_of
-from .partitions import Signature, check_profiles
+from .algebra import TruncSeries, factorial_column, s_inverse_of, s_of
+from .partitions import Signature, check_integer, check_profiles
 from .wedge import ArityMismatch, Chamber, Wall, chamber_of, chamber_polynomial, generating_series, walls
 
 
@@ -110,13 +110,13 @@ def _markers(kind, nu, index, space, order) -> TruncSeries:
             continue  # extraction at marker power 0 with zero argument
         for x, step in markers.items():
             ix = names.index(f"{x}{j}")
+            col = factorial_column(v, order, step)
             grown = {}
             for e, c in terms.items():
                 for k in range(order - sum(e) + 1):
-                    grown[e[:ix] + (k,) + e[ix + 1 :]] = c
-                    c *= v + step * k
-                    if not c:
+                    if not col[k]:
                         break  # a falling factorial stays zero past v
+                    grown[e[:ix] + (k,) + e[ix + 1 :]] = c * col[k]
             terms = grown
     return TruncSeries(names, caps, None, terms, blocks)
 
@@ -139,10 +139,7 @@ def _h_series(kind, mu, nu, index, space, order, chamber=None, minus=None):
 
     _, expansions = _SERIES[kind]
     parts = [{} if j is None else {f"{x}{j}": sign for x, sign in expansions.items()} for j in index]
-    values = {f"mu{i}": v for i, v in enumerate(mu, start=1)}
-    values.update({f"nu{j}": v for j, v in enumerate(nu, start=1)})
-
-    corr, pref = generating_series(ch, parts, space, None, values, minus)
+    corr, pref = generating_series(ch, parts, space, (mu, nu), minus)
     out = corr * pref * _markers(kind, nu, index, space, order)
     return out.scalar_mul(Fraction(1, prod(mu) * prod(nu)))
 
@@ -155,9 +152,10 @@ def refined_series(kind: str, mu, nu, order: int, chamber: Optional[Chamber] = N
     overrides the sample's own chamber, which is how the series is continued
     across a wall; a profile whose (m, n) is not the chamber's raises
     `ArityMismatch`.  An unknown kind or a negative order raises
-    `ValueError`.
+    `ValueError`, as does an order that is not an integer.
     """
     _check_kind(kind)
+    order = check_integer(order, "order")
     if order < 0:
         raise ValueError(f"order must be at least 0, got {order}")
     mu, nu = check_profiles(mu, nu)
@@ -220,6 +218,9 @@ def verify_wallcrossing(problem: WallCrossingProblem, samples) -> dict:
     order = problem.budgets.b
     kind = problem.kind
     wall = problem.wall
+    samples = list(samples)
+    if not samples:
+        raise ValueError("verify_wallcrossing needs at least one sample")
     report = {"wall": str(wall), "kind": kind, "order": order, "samples": [], "ok": True}
     for mu, nu in samples:
         ch = chamber_of(mu, nu)  # checks the profiles; raises OnWall on a wall

@@ -16,8 +16,8 @@ mu_I - nu_J, so which operators count as negative is read off the chamber's
 sample point, and the pattern set is the same throughout the chamber.
 `johnson_expand` returns the patterns as sigma-products on walk labels, and
 `materialize` turns those into a series, reading each label's energy and
-argument once at one map from the symbols to values (ring variables for
-polynomial coefficients, parts for numeric ones).  `generating_series` hands
+argument once at one point (mu, nu) (ring elements for polynomial
+coefficients, parts for numeric ones).  `generating_series` hands
 out that correlator with its S-power prefactor (or, given a second chamber,
 the jump of the correlator, from the patterns that differ across the wall):
 the refined series of `wallcross` multiply the two, and chamber polynomials
@@ -39,8 +39,7 @@ from .algebra import (
     MultiPoly,
     PolyRing,
     TruncSeries,
-    falling_factorial,
-    rising_factorial,
+    factorial_column,
     s_inverse_of,
     s_power_series,
     sigma_of,
@@ -75,6 +74,11 @@ class ArityMismatch(ValueError):
 # -- walls and chambers ---------------------------------------------------------
 
 
+def _form(label, mu, nu):
+    """The linear form mu_I - nu_J of a label (I, J) at the point (mu, nu)."""
+    return sum(mu[i - 1] for i in label[0]) - sum(nu[j - 1] for j in label[1])
+
+
 @dataclass(frozen=True)
 class Wall:
     """The hyperplane mu_I = nu_J, canonicalized so that 1 is in I.
@@ -103,7 +107,7 @@ class Wall:
         object.__setattr__(self, "J", J)
 
     def value(self, mu, nu) -> int:
-        return sum(mu[i - 1] for i in self.I) - sum(nu[j - 1] for j in self.J)
+        return _form((self.I, self.J), mu, nu)
 
     def __str__(self):
         return f"mu{{{','.join(map(str, self.I))}}} = nu{{{','.join(map(str, self.J))}}}"
@@ -127,29 +131,36 @@ def walls(m: int, n: int) -> tuple:
 
 @dataclass
 class Chamber:
-    """A chamber of the arrangement, held by an interior sample point.
+    """A chamber of the arrangement, held by an interior sample point (mu, nu).
 
-    Every sign is read off the sample; a sample on a wall raises `OnWall`.
+    The sample is read through `check_profiles`, and (m, n) and every sign
+    off it; a sample on a wall raises `OnWall`.
     """
 
-    m: int
-    n: int
     sample: tuple
 
     def __post_init__(self):
+        self.sample = check_profiles(*self.sample)
         ws = walls(self.m, self.n)
         signs = tuple(self.sign(w) for w in ws)
         if 0 in signs:
             raise OnWall(ws[signs.index(0)])
         self._key = (self.m, self.n, signs)
 
+    @property
+    def m(self) -> int:
+        return len(self.sample[0])
+
+    @property
+    def n(self) -> int:
+        return len(self.sample[1])
+
     def sign(self, wall: Wall) -> int:
         return self.label_sign((wall.I, wall.J))
 
     def label_sign(self, label) -> int:
         """The sign of mu_I - nu_J at the sample, for a label (I, J)."""
-        mu, nu = self.sample
-        v = sum(mu[i - 1] for i in label[0]) - sum(nu[j - 1] for j in label[1])
+        v = _form(label, *self.sample)
         return (v > 0) - (v < 0)
 
     def key(self) -> tuple:
@@ -164,8 +175,7 @@ class Chamber:
 
 def chamber_of(mu, nu) -> Chamber:
     """Locate the chamber containing the sample (mu, nu)."""
-    mu, nu = check_profiles(mu, nu)
-    return Chamber(len(mu), len(nu), (mu, nu))
+    return Chamber((mu, nu))
 
 
 # -- the commutation walk --------------------------------------------------------
@@ -290,43 +300,47 @@ def commutation_patterns(chamber: Chamber) -> tuple:
 
 
 def _space_for(sig: Signature, n: int):
-    """Series variables of the budgets: X for p, y1..yn for q, z1..zn for r.
+    """The series space of the budgets, X for p, y1..yn for q and z1..zn for
+    r, and each part of nu's expansion variables {yj: 1, zj: -1}.
 
     A variable block exists only when its budget is positive; every
     monomial of an absent block would be dropped by the extraction anyway.
     """
     names, caps, blocks = [], [], []
+    parts = [{} for _ in range(n)]
     if sig.p:
         names.append("X")
         caps.append(sig.p)
-    for letter, budget in (("y", sig.q), ("z", sig.r)):
+    for letter, budget, sign in (("y", sig.q, 1), ("z", sig.r, -1)):
         if budget:
             ix = len(names)
             names += [f"{letter}{j}" for j in range(1, n + 1)]
             caps += [budget] * n
             blocks.append((tuple(range(ix, ix + n)), budget))
-    return tuple(names), tuple(caps), tuple(blocks)
+            for j, part in enumerate(parts, start=1):
+                part[f"{letter}{j}"] = sign
+    return (tuple(names), tuple(caps), tuple(blocks)), parts
 
 
-def materialize(products, word, space, ring, values, signs=None):
+def materialize(products, word, space, values, signs=None):
     """Sum the sigma-products of `johnson_expand` on `word` in the given series space.
 
     Each label's energy mu_I - nu_J and argument (the sum of the word's
-    arguments inside it) are read once per call, at `values`: a map from the
-    symbols mu1.., nu1.. to numbers, or to elements of `ring`, the series'
-    coefficient ring (None for numbers).  The word's total argument W and
-    1/S(W) are built once.  This is where every chamber polynomial and every
-    refined series gets its numbers.  `signs`, when given, holds one integer
+    arguments inside it) are read once per call, at `values` = (mu, nu):
+    numbers, or elements of one ring, which is then the series' coefficient
+    ring.  The word's total argument W and 1/S(W) are built once.  This is
+    where every chamber polynomial and every refined series gets its numbers.  `signs`, when given, holds one integer
     multiplicity per product (a jump across a wall subtracts the far
     chamber's products).
     """
     vars_, caps, blocks = space
+    ring = getattr(values[1][0], "ring", None)
     read = {}
 
     def label(lab):
         got = read.get(lab)
         if got is None:
-            energy = sum(values[f"mu{i}"] for i in lab[0]) - sum(values[f"nu{j}"] for j in lab[1])
+            energy = _form(lab, *values)
             arg = {}
             for op in word:
                 if op.mu_indices <= lab[0] and op.nu_indices <= lab[1]:
@@ -367,15 +381,15 @@ def materialize(products, word, space, ring, values, signs=None):
     return acc
 
 
-def generating_series(chamber: Chamber, parts, space, ring, values, minus: Optional[Chamber] = None) -> tuple:
+def generating_series(chamber: Chamber, parts, space, values, minus: Optional[Chamber] = None) -> tuple:
     """The mixed generating series of the chamber, as its two factors: the
     commutation-pattern correlator of E(mu_1) ... E(mu_m) E(-nu_1) ...
     E(-nu_n), and the prefactor prod_j prod_x S(x)^(sign * nu_j - 1).
 
     `parts[j-1]` maps nu_j's expansion variables x to their signs; nu_j's
     operator carries the argument X * nu_j when the space has X, and 1 on
-    each of its expansion variables.  Coefficients are read at `values`,
-    numbers or elements of `ring` (see `materialize`).
+    each of its expansion variables.  Coefficients are read at `values` =
+    (mu, nu), numbers or ring elements (see `materialize`).
 
     With a second chamber `minus` of the same arrangement, the correlator is
     the jump corr(chamber) - corr(minus) at the same values: the
@@ -385,29 +399,28 @@ def generating_series(chamber: Chamber, parts, space, ring, values, minus: Optio
     """
     vars_, caps, blocks = space
     word = [EOp.make([i], []) for i in range(1, chamber.m + 1)]
-    for j, signs in enumerate(parts, start=1):
-        arg = {"X": values[f"nu{j}"]} if "X" in vars_ else {}
+    for j, (nu, signs) in enumerate(zip(values[1], parts), start=1):
+        arg = {"X": nu} if "X" in vars_ else {}
         arg.update({x: 1 for x in signs})
         word.append(EOp.make([], [j], arg))
     products = johnson_expand(chamber, word)
     if minus is None:
-        corr = materialize(products, word, space, ring, values)
+        corr = materialize(products, word, space, values)
     else:
         if (minus.m, minus.n) != (chamber.m, chamber.n):
             raise ValueError("chambers live in different arrangements")
         jump = Counter(products)
         jump.subtract(johnson_expand(minus, word))
         changed = [prod for prod, k in jump.items() if k]
-        corr = materialize(changed, word, space, ring, values, [jump[prod] for prod in changed])
+        corr = materialize(changed, word, space, values, [jump[prod] for prod in changed])
 
     pref = None
-    for j, signs in enumerate(parts, start=1):
-        nu = values[f"nu{j}"]
+    for nu, signs in zip(values[1], parts):
         for x, sign in signs.items():
             c = (nu if sign > 0 else -nu) - 1
-            fac = s_power_series(c, x, caps[vars_.index(x)], ring).lift(*space)
+            fac = s_power_series(c, x, caps[vars_.index(x)]).lift(*space)
             pref = fac if pref is None else pref * fac
-    return corr, TruncSeries.one(vars_, caps, ring, blocks) if pref is None else pref
+    return corr, corr.one_like() if pref is None else pref
 
 
 _POLY_CACHE: dict = {}
@@ -420,7 +433,7 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber) -> MultiPoly:
     kind "mixed"; a pure kind is the same polynomial as its budgets spelt as
     a mixed triple.  The returned polynomial lives in mu2..mum, nu1..nun; the
     first part is eliminated through mu1 = sum(nu) - (mu2 + ... + mum), which
-    is its value in the map every energy and argument is read at.  A
+    is its value at the point every energy and argument is read at.  A
     signature with no integer genus gives the zero polynomial without
     building a series: off the walls every cover is connected, so no cover
     has that many transpositions.
@@ -440,31 +453,25 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber) -> MultiPoly:
     if sig.genus(m, n) is None:
         _POLY_CACHE[key] = total = ring.zero()
         return total
-    values = {name: ring.var(name) for name in ring.names}
-    nus = [values[f"nu{j}"] for j in range(1, n + 1)]
-    mus = [values[f"mu{i}"] for i in range(2, m + 1)]
+    nus = [ring.var(f"nu{j}") for j in range(1, n + 1)]
+    mus = [ring.var(f"mu{i}") for i in range(2, m + 1)]
     image = sum(nus, ring.zero()) - sum(mus, ring.zero())
-    values["mu1"] = image
 
     p, q, r = sig
-    space = _space_for(sig, n)
-    signs = [(x, sign) for x, budget, sign in (("y", q, 1), ("z", r, -1)) if budget]
-    parts = [{f"{x}{j}": sign for x, sign in signs} for j in range(1, n + 1)]
-    corr, pref = generating_series(chamber, parts, space, ring, values)
+    space, parts = _space_for(sig, n)
+    corr, pref = generating_series(chamber, parts, space, ((image, *mus), nus))
 
-    # (variable yj or zj, exponent) -> the rising or falling factorial of
-    # nu_j, built at its first use in this call
-    facts = {}
+    # each expansion variable weighs its exponent by its part's factorial
+    # column, rising or falling by its sign; X has none
+    cap = dict(zip(*space[:2]))
+    column = {x: factorial_column(nu, cap[x], sign) for nu, signs in zip(nus, parts) for x, sign in signs.items()}
+    columns = [column.get(v) for v in space[0]]
 
     def weight(e):
         w = ring.one()
-        for v, k in zip(space[0], e):
-            if k and v != "X":
-                f = facts.get((v, k))
-                if f is None:
-                    step = rising_factorial if v[0] == "y" else falling_factorial
-                    f = facts[v, k] = step(nus[int(v[1:]) - 1], k)
-                w = w * f
+        for col, k in zip(columns, e):
+            if k and col:
+                w = w * col[k]
         return w
 
     target = {v: k for v, k in (("X", p), ("y1", q), ("z1", r)) if k}
@@ -485,6 +492,4 @@ def evaluate(poly: MultiPoly, mu, nu) -> Fraction:
     if len(mu) != m or len(nu) != n:
         raise ArityMismatch(f"expected profiles of lengths {m}, {n}")
     mu, nu = check_profiles(mu, nu)
-    values = {f"mu{i}": Fraction(mu[i - 1]) for i in range(1, m + 1)}
-    values.update({f"nu{j}": Fraction(nu[j - 1]) for j in range(1, n + 1)})
-    return poly.evaluate(values)
+    return poly.evaluate(dict(zip(names, map(Fraction, mu + nu))))

@@ -16,8 +16,7 @@ from hurwitz.algebra import (
     PolyRing,
     TruncSeries,
     bernoulli,
-    falling_factorial,
-    rising_factorial,
+    factorial_column,
     s_inverse_of,
     s_of,
     s_power_series,
@@ -127,10 +126,13 @@ def test_bernoulli_numbers():
 
 
 def test_factorial_helpers():
-    assert rising_factorial(Fraction(3), 4) == 3 * 4 * 5 * 6
-    assert falling_factorial(Fraction(3), 4) == 0
-    assert falling_factorial(Fraction(5), 3) == 60
-    assert rising_factorial(Fraction(1), 0) == 1
+    assert factorial_column(3, 4, 1) == [1, 3, 12, 60, 360]
+    assert factorial_column(3, 4, -1) == [1, 3, 6, 6, 0]
+    assert factorial_column(Fraction(5), 3, -1)[3] == 60
+    assert factorial_column(1, 0, 1) == [1]
+    ring = PolyRing(("x",))
+    x = ring.var("x")
+    assert factorial_column(x, 2, -1) == [ring.one(), x, x * (x - 1)]
 
 
 @given(
@@ -148,7 +150,7 @@ def test_series_product_commutes(acoef, bcoef):
 @given(st.integers(-6, 6), st.integers(0, 5))
 def test_rising_falling_reflection(x, k):
     # (-1)^k * falling(-x, k) == rising(x, k)
-    assert rising_factorial(Fraction(x), k) == (-1) ** k * falling_factorial(Fraction(-x), k)
+    assert factorial_column(x, k, 1)[k] == (-1) ** k * factorial_column(-x, k, -1)[k]
 
 
 # -- the integer kernel against a dict-of-Fraction reference --------------------
@@ -680,7 +682,7 @@ def test_numeric_sigma_s_and_inverse_match_the_fraction_closed_form(fn, parity, 
 def test_numeric_s_power_series_is_the_ring_series_at_a_point(a, b, n, order):
     ring = PolyRing(("n",))
     c = ring.var("n") * a + b
-    symbolic = s_power_series(c, "v", order, ring)
+    symbolic = s_power_series(c, "v", order)
     numeric = s_power_series(c.evaluate({"n": n}), "v", order)
     _assert_series_canonical(numeric)
     at_n = {e: p.evaluate({"n": n}) for e, p in symbolic.data.items()}

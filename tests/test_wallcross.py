@@ -108,6 +108,9 @@ def test_refined_series_input_validation():
         refined_series("hyperbolic", (3, 1), (2, 2), 2)
     with pytest.raises(ValueError, match="order must be at least 0, got -1"):
         refined_series("monotone", (3, 1), (2, 2), -1)
+    for order in (2.5, 2.0):  # both used to raise TypeError from inside range
+        with pytest.raises(ValueError, match="order must be an integer"):
+            refined_series("monotone", (3, 1), (2, 2), order)
     # in a given chamber these used to give a series, the zero series, a
     # series that ignores mu3, and a KeyError
     with pytest.raises(SizeMismatch):
@@ -288,6 +291,8 @@ def test_wallcrossing_sample_validation():
         verify_wallcrossing(prob, [((2, 2), (3, 1))])  # delta < 0 side
     with pytest.raises(OnWall):
         verify_wallcrossing(prob, [((2, 2), (2, 2))])  # on the wall itself
+    with pytest.raises(ValueError, match="at least one sample"):
+        verify_wallcrossing(prob, [])  # used to report "ok" after checking nothing
 
 
 @st.composite

@@ -16,8 +16,7 @@ from hurwitz import wedge
 from hurwitz.algebra import (
     PolyRing,
     TruncSeries,
-    falling_factorial,
-    rising_factorial,
+    factorial_column,
     s_inverse_of,
     s_of,
     sigma_of,
@@ -83,11 +82,17 @@ def test_chamber_of_basics():
 
 def test_chamber_signs_are_read_off_the_sample():
     ch = chamber_of((3, 1), (2, 2))
-    assert ch == Chamber(2, 2, ((3, 1), (2, 2)))
+    assert ch == Chamber(((3, 1), (2, 2)))
     assert [ch.sign(w) for w in walls(2, 2)] == [ch.label_sign((w.I, w.J)) for w in walls(2, 2)]
     assert ch.key() == (2, 2, tuple(ch.sign(w) for w in walls(2, 2)))
     with pytest.raises(OnWall):
-        Chamber(2, 2, ((2, 2), (2, 2)))
+        Chamber(((2, 2), (2, 2)))
+    # (m, n) is read off the sample, which goes through the one profile check
+    ch = Chamber(([3], [1, 2]))
+    assert (ch.m, ch.n, ch.sample) == (1, 2, ((3,), (1, 2)))
+    for sample in [((3, 1), (2, 1)), ((5, 1), (2, 2))]:
+        with pytest.raises(SizeMismatch):
+            Chamber(sample)
 
 
 def test_four_chambers_at_2_2():
@@ -185,17 +190,14 @@ def test_number_values_give_the_ring_series_at_the_point(kind, signature):
     # one correlator, read with polynomial or with numeric coefficients
     checked = 0
     for m, n in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)):
-        sig = Signature.of(kind, signature, m, n)
-        space = _space_for(sig, n)
-        signs = [(x, sign) for x, budget, sign in (("y", sig.q, 1), ("z", sig.r, -1)) if budget]
-        parts = [{f"{x}{j}": sign for x, sign in signs} for j in range(1, n + 1)]
+        space, parts = _space_for(Signature.of(kind, signature, m, n), n)
         ring = PolyRing([f"mu{i}" for i in range(1, m + 1)] + [f"nu{j}" for j in range(1, n + 1)])
+        symbols = tuple(map(ring.var, ring.names))
         for ch in _chambers(m, n, dmax=6):
             mu, nu = ch.sample
-            point = {f"mu{i}": v for i, v in enumerate(mu, start=1)}
-            point.update({f"nu{j}": v for j, v in enumerate(nu, start=1)})
-            exact = generating_series(ch, parts, space, ring, {x: ring.var(x) for x in ring.names})
-            at_point = generating_series(ch, parts, space, None, point)
+            point = dict(zip(ring.names, mu + nu))
+            exact = generating_series(ch, parts, space, (symbols[:m], symbols[m:]))
+            at_point = generating_series(ch, parts, space, ch.sample)
             for got, factor in zip(at_point, exact):
                 want = {e: c.evaluate(point) for e, c in factor.data.items()}
                 assert got.data == {e: c for e, c in want.items() if c}, (mu, nu)
@@ -207,22 +209,21 @@ def test_the_jump_correlator_is_the_difference_of_two_chambers():
     # every ordered pair of the four chambers of m = n = 2, read with
     # polynomial coefficients: only the differing sigma-products are
     # materialized, with their signs, and the prefactor is either chamber's
-    sig = Signature(1, 1, 1)
-    space = _space_for(sig, 2)
-    parts = [{f"y{j}": 1, f"z{j}": -1} for j in (1, 2)]
+    space, parts = _space_for(Signature(1, 1, 1), 2)
     ring = PolyRing(["mu1", "mu2", "nu1", "nu2"])
-    values = {x: ring.var(x) for x in ring.names}
+    symbols = tuple(map(ring.var, ring.names))
+    values = (symbols[:2], symbols[2:])
     chambers = list(_chambers(2, 2, dmax=6))
     assert len(chambers) == 4
     for ch in chambers:
-        corr, pref = generating_series(ch, parts, space, ring, values)
+        corr, pref = generating_series(ch, parts, space, values)
         for other in chambers:
             if other != ch:
-                jump, same = generating_series(ch, parts, space, ring, values, minus=other)
-                assert jump == corr - generating_series(other, parts, space, ring, values)[0]
+                jump, same = generating_series(ch, parts, space, values, minus=other)
+                assert jump == corr - generating_series(other, parts, space, values)[0]
                 assert same == pref
     with pytest.raises(ValueError, match="different arrangements"):
-        generating_series(chambers[0], parts, space, ring, values, minus=chamber_of((3,), (1, 2)))
+        generating_series(chambers[0], parts, space, values, minus=chamber_of((3,), (1, 2)))
 
 
 def _full_product_reference(kind, signature, ch, pad):
@@ -234,11 +235,11 @@ def _full_product_reference(kind, signature, ch, pad):
     sig = Signature.of(kind, signature, m, n)
     p, q, r = sig
     ring = PolyRing([f"mu{i}" for i in range(1, m + 1)] + [f"nu{j}" for j in range(1, n + 1)])
-    names, caps, blocks = _space_for(sig, n)
+    (names, caps, blocks), parts = _space_for(sig, n)
     space = names, tuple(cap + pad for cap in caps), tuple((ix, cap + pad) for ix, cap in blocks)
-    signs = [(x, sign) for x, budget, sign in (("y", q, 1), ("z", r, -1)) if budget]
-    parts = [{f"{x}{j}": sign for x, sign in signs} for j in range(1, n + 1)]
-    corr, pref = generating_series(ch, parts, space, ring, {x: ring.var(x) for x in ring.names})
+    symbols = tuple(map(ring.var, ring.names))
+    corr, pref = generating_series(ch, parts, space, (symbols[:m], symbols[m:]))
+    signs = {x: (symbols[m + j], sign) for j, part in enumerate(parts) for x, sign in part.items()}
     total = ring.zero()
     for e, c in (corr * pref).data.items():
         mono = dict(zip(space[0], e))
@@ -247,8 +248,8 @@ def _full_product_reference(kind, signature, ch, pad):
             continue
         for v, k in mono.items():
             if k and v != "X":
-                step = rising_factorial if v[0] == "y" else falling_factorial
-                c = c * step(ring.var(f"nu{v[1:]}"), k)
+                nu, sign = signs[v]
+                c = c * factorial_column(nu, k, sign)[k]
         total = total + c
     nus = [ring.var(f"nu{j}") for j in range(1, n + 1)]
     mus = [ring.var(f"mu{i}") for i in range(2, m + 1)]
@@ -365,8 +366,7 @@ def test_johnson_expand_permuted_word_with_merged_operator():
         sigma_of(lin(0, 1, 2)) * sigma_of(lin(1, 4, 4)) * s_of(lin(3, 3, 3)).scalar_mul(3) * s_inverse_of(W),
         sigma_of(lin(0, 0, 3)) * sigma_of(lin(2, 4, 0)) * s_of(lin(2, 2, 2)).scalar_mul(2) * s_inverse_of(W),
     ]
-    values = {"mu1": 3, "mu2": 3, "nu1": 4, "nu2": 1, "nu3": 1}
-    got = [wedge.materialize([prod], word, (names, caps, blocks), None, values) for prod in prods]
+    got = [wedge.materialize([prod], word, (names, caps, blocks), ((3, 3), (4, 1, 1))) for prod in prods]
     assert got == want
     assert all(not w.is_zero() for w in want)
 
