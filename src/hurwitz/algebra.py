@@ -116,6 +116,13 @@ def _sum_over(n1: dict, d1: int, n2: dict, d2: int) -> tuple:
     return out, den
 
 
+def _over_terms(terms: list) -> tuple:
+    """(numerators, denominator) in lowest terms of a sum of terms (series
+    key, numerators keyed by coefficient monomial keys, denominator)."""
+    den = lcm(*(d for _, _, d in terms))
+    return _reduced({hi + lo: a * (den // d) for hi, coeff, d in terms for lo, a in coeff.items()}, den)
+
+
 def _mul_into(out: dict, left, right: list) -> dict:
     """Add every product of a (packed key, numerator) term of `left` and one
     of `right` into `out`: keys add, numerators multiply."""
@@ -271,6 +278,8 @@ class MultiPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)) and not other:
+            return self  # so that sum() over polynomials builds no zero
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -282,8 +291,7 @@ class MultiPoly:
         return MultiPoly._make(self.ring, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, (int, Fraction, MultiPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -502,9 +510,7 @@ class TruncSeries:
                 raise ValueError(f"expected {len(self.vars)} exponents of at least 0, got {e}")
             if self._admissible(e):
                 terms.append((self._pack(e), *self._terms_of(c)))
-        den = lcm(*(d for _, _, d in terms))
-        num = {hi + lo: a * (den // d) for hi, coeff, d in terms for lo, a in coeff.items()}
-        self.num, self.den = _reduced(num, den)
+        self.num, self.den = _over_terms(terms)
 
     def _admissible(self, e) -> bool:
         if not all(map(le, e, self.caps)):
@@ -521,6 +527,20 @@ class TruncSeries:
     def _unpack(self, key: int) -> tuple:
         """The exponent tuple of a key."""
         return tuple([key >> s & _EXP_MASK for s in self._layout.shifts])
+
+    def _index(self, v) -> int:
+        """The position of a series variable."""
+        i = self._layout.index.get(v)
+        if i is None:
+            raise ValueError(f"{v!r} is not a variable of the series space {self.vars}")
+        return i
+
+    def _exponents(self, monomial: dict) -> list:
+        """The exponent list of a monomial {variable: exponent}."""
+        e = [0] * len(self.vars)
+        for v, k in monomial.items():
+            e[self._index(v)] = k
+        return e
 
     def _terms_of(self, c) -> tuple:
         """(numerators, denominator) of a coefficient, a number or an element
@@ -586,14 +606,16 @@ class TruncSeries:
 
     @classmethod
     def from_linear(cls, vars, caps, argmap: dict, ring=None, blocks=()) -> "TruncSeries":
-        """The series sum_v argmap[v] * v (each argument variable to power 1)."""
-        vars = tuple(vars)
-        data = {}
+        """The series sum_v argmap[v] * v (each argument variable to power 1),
+        keyed directly; a term the caps or blocks do not admit drops out."""
+        out = cls(vars, caps, ring, None, blocks)
+        terms = []
         for v, c in argmap.items():
-            e = [0] * len(vars)
-            e[vars.index(v)] = 1
-            data[tuple(e)] = c
-        return cls(vars, caps, ring, data, blocks)
+            e = out._exponents({v: 1})
+            if out._admissible(e):
+                terms.append((out._pack(e), *out._terms_of(c)))
+        out.num, out.den = _over_terms(terms)
+        return out
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -638,9 +660,7 @@ class TruncSeries:
         numerators add up in one dict, reduced once."""
         self._same_space(other)
         layout = self._layout
-        e = [0] * len(self.vars)
-        for v, k in monomial.items():
-            e[self.vars.index(v)] = k
+        e = self._exponents(monomial)
         if not self._admissible(e):
             return self._read({})  # the truncated product has no term there
         (target,) = _graded((self._pack(e),), layout.grades)
@@ -689,9 +709,7 @@ class TruncSeries:
 
     def coeff(self, monomial: dict):
         """The exact coefficient of a monomial {variable: exponent}."""
-        e = [0] * len(self.vars)
-        for v, k in monomial.items():
-            e[self.vars.index(v)] = k
+        e = self._exponents(monomial)
         # a key below 0 matches no term: an exponent past its cap has none
         hi = self._pack(e) if all(0 <= k <= cap for k, cap in zip(e, self.caps)) else -1
         low = self._layout.low
@@ -700,7 +718,7 @@ class TruncSeries:
     def lift(self, vars, caps, blocks=()) -> "TruncSeries":
         """The same series inside a larger space whose variables include ours."""
         out = TruncSeries(vars, caps, self.ring, None, blocks)
-        pos = [out.vars.index(v) for v in self.vars]
+        pos = [out._index(v) for v in self.vars]
         lows = (1 << self._layout.low) - 1
         num = {}
         for k, c in self.num.items():
@@ -735,8 +753,9 @@ def _layout(vars: tuple, caps: tuple, blocks: tuple, ring) -> SimpleNamespace:
     """The packed keys of a truncated space (see `TruncSeries`), after
     checking the space: `low`, the bits of the coefficient ring's monomial
     key; `guard`, its guard bits; `shifts`, the offset of each series
-    variable's field; `grades`, a (mask, ones, top) reader per grade; and
-    `gcaps`, the cap of each grade.
+    variable's field; `index`, each series variable's position; `grades`,
+    a (mask, ones, top) reader per grade; and `gcaps`, the cap of each
+    grade.
 
     A grade is the degree sum of a block, or the exponent of a variable
     whose own cap is below every block holding it (or that sits in no
@@ -745,7 +764,9 @@ def _layout(vars: tuple, caps: tuple, blocks: tuple, ring) -> SimpleNamespace:
     A key masked to a grade's fields and multiplied by `ones`, a 1 at the
     distance of each field below the highest, `top`, holds the grade in
     the field at `top`: every sum of fields of a stored key is at most a
-    cap, below EXPONENT_LIMIT, so nothing carries.
+    cap, below EXPONENT_LIMIT, so nothing carries.  A pure kind's space,
+    or one of X alone, has a single grade: `_graded` reads it as one int
+    per key.
     """
     coeffs = PolyRing(()) if ring is None else ring
     n = len(vars)
@@ -773,15 +794,29 @@ def _layout(vars: tuple, caps: tuple, blocks: tuple, ring) -> SimpleNamespace:
         mask = sum(_EXP_MASK << shifts[i] for i in ix)
         readers.append((mask, sum(1 << top - shifts[i] for i in ix), top))
     return SimpleNamespace(
-        low=low, guard=coeffs.guard, shifts=shifts, grades=tuple(readers), gcaps=tuple(gcaps)
+        low=low,
+        guard=coeffs.guard,
+        shifts=shifts,
+        index={v: i for i, v in enumerate(vars)},
+        grades=tuple(readers),
+        gcaps=tuple(gcaps),
     )
 
 
-def _graded(num: dict, grades: tuple) -> dict:
-    """grade -> the keys of `num` of that grade, read by the `_layout` grades."""
+def _graded(keys, grades: tuple) -> dict:
+    """grade -> the keys of that grade, read by the `_layout` grades.  A
+    space of one grade reads one int per key, and makes one tuple per grade."""
+    if len(grades) == 1:
+        ((mask, ones, top),) = grades
+        got = _buckets(keys, [(k & mask) * ones >> top & _EXP_MASK for k in keys])
+        return {(g,): bucket for g, bucket in got.items()}
+    return _buckets(keys, [tuple([(k & mask) * ones >> top & _EXP_MASK for mask, ones, top in grades]) for k in keys])
+
+
+def _buckets(keys, grades: list) -> dict:
+    """grade -> the keys of that grade, `grades` holding each key's."""
     out = {}
-    for k in num:
-        g = tuple([(k & mask) * ones >> top & _EXP_MASK for mask, ones, top in grades])
+    for k, g in zip(keys, grades):
         bucket = out.get(g)
         if bucket is None:
             out[g] = [k]
@@ -797,15 +832,15 @@ def _half_exp_sum(arg: TruncSeries, parity: int, weight) -> TruncSeries:
     """sum over k = parity mod 2 of weight(k) W^k / k!, for a linear series
     W = sum_v L_v v.
 
-    In closed form, the coefficient at v^e with k = |e| of the right parity
-    is weight(k) * prod_v L_v^(e_v) / e_v!.  W is A_v / B with numerator
-    polynomials A_v over its one denominator B (an A_v of a numeric W is one
-    integer), and the coefficient is weight(k) / (k! B^k) * multinomial(k; e)
-    * prod_v A_v^(e_v).  Each admissible exponent is built once, its
-    coefficient a product of per-variable power tables of the A_v shared
-    along the exponent prefix, the multinomial grows by comb(k + j, j) at
-    each variable, and the per-degree scales go over their common
-    denominator.
+    W is A_v / B with numerator polynomials A_v over its one denominator B
+    (an A_v of a numeric W is one integer), so the coefficient at v^e, with
+    k = |e| of the right parity, is weight(k) / (k! B^k) * multinomial(k; e) *
+    prod_v A_v^(e_v).  Variables that share a numerator A_g form a group g
+    with one power table, and the product is prod_g A_g^(d_g) over the
+    group degrees d_g: it is built once per tuple of group degrees, shared
+    along the tuple's prefix.  Each admissible exponent scales it by an
+    int: the multinomial, grown by comb(k + j, j) at each variable, times
+    its degree's scale over the scales' common denominator.
     """
     layout = arg._layout
     lows = (1 << layout.low) - 1
@@ -816,43 +851,60 @@ def _half_exp_sum(arg: TruncSeries, parity: int, weight) -> TruncSeries:
         if i is None:
             raise ValueError("sigma and S need a linear series without constant term")
         linear.setdefault(i, {})[k & lows] = c
-    # the nonzero variables, each with its power table and the blocks it sits in
-    slots = []
-    room = [cap for _, cap in arg.blocks]
+    groups = {}
     for i, a in linear.items():
-        blocks = [b for b, (ix, _) in enumerate(arg.blocks) if i in ix]
-        powers = [{0: 1}, a]
-        for _ in range(2, min([arg.caps[i]] + [room[b] for b in blocks]) + 1):
-            powers.append(_product(powers[-1], a, layout.guard))
-        slots.append((layout.shifts[i], powers, blocks))
+        groups.setdefault(frozenset(a.items()), (a, []))[1].append(i)
+    # the nonzero variables, group by group, each with its group and its blocks
+    slots = [
+        (layout.shifts[i], g, arg.caps[i], [b for b, (ix, _) in enumerate(arg.blocks) if i in ix])
+        for g, (_, members) in enumerate(groups.values())
+        for i in members
+    ]
+    room = [cap for _, cap in arg.blocks]
+    degrees = [0] * len(groups)
     leaves = []
 
-    def fill(t, key, k, coeff, multinomial):
+    def fill(t, key, k, multinomial):
         if t == len(slots):
             if k % 2 == parity:
-                leaves.append((key, k, coeff, multinomial))
+                leaves.append((key, k, multinomial, tuple(degrees)))
             return
-        s, powers, blocks = slots[t]
-        top = min([len(powers) - 1] + [room[b] for b in blocks])
+        s, g, cap, blocks = slots[t]
+        top = min([cap] + [room[b] for b in blocks])
         last = t == len(slots) - 1
         for j in range((k + parity) % 2 if last else 0, top + 1, 2 if last else 1):
             for b in blocks:
                 room[b] -= j
-            c = _product(coeff, powers[j], layout.guard) if j else coeff
-            fill(t + 1, key + (j << s), k + j, c, multinomial * comb(k + j, j))
+            degrees[g] += j
+            fill(t + 1, key + (j << s), k + j, multinomial * comb(k + j, j))
+            degrees[g] -= j
             for b in blocks:
                 room[b] += j
 
-    fill(0, 0, 0, {0: 1}, 1)
-    del fill  # it refers to itself: free the tables now, not at the next collection
+    fill(0, 0, 0, 1)
+    del fill  # it refers to itself: free it now, not at the next collection
+    powers = [[{0: 1}, a] for a, _ in groups.values()]
+    products = {(): {0: 1}}
+    for degs in {degs for *_, degs in leaves}:
+        n = len(degs)
+        while degs[:n] not in products:
+            n -= 1
+        coeff = products[degs[:n]]
+        for g in range(n, len(degs)):
+            d, table = degs[g], powers[g]
+            while len(table) <= d:
+                table.append(_product(table[-1], table[1], layout.guard))
+            if d:
+                coeff = _product(coeff, table[d], layout.guard)
+            products[degs[: g + 1]] = coeff
     fracs = {k: weight(k) / (factorial(k) * arg.den**k) for k in {k for _, k, _, _ in leaves}}
     den = lcm(*(f.denominator for f in fracs.values()))
     scales = {k: f.numerator * (den // f.denominator) for k, f in fracs.items()}
     out = {}
-    for key, k, coeff, multinomial in leaves:
+    for key, k, multinomial, degs in leaves:
         f = scales[k] * multinomial
         if f:
-            for lo, c in coeff.items():
+            for lo, c in products[degs].items():
                 out[key + lo] = c * f
     return arg._reduce(out, den)
 

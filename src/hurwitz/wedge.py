@@ -455,7 +455,7 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber) -> MultiPoly:
         return total
     nus = [ring.var(f"nu{j}") for j in range(1, n + 1)]
     mus = [ring.var(f"mu{i}") for i in range(2, m + 1)]
-    image = sum(nus, ring.zero()) - sum(mus, ring.zero())
+    image = sum(nus) - sum(mus)
 
     p, q, r = sig
     space, parts = _space_for(sig, n)
@@ -476,9 +476,8 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber) -> MultiPoly:
 
     target = {v: k for v, k in (("X", p), ("y1", q), ("z1", r)) if k}
     total = corr.grade_sum(pref, target, weight) * factorial(p)
-    # strip the product of parts, mu1 = image included
-    for part in nus + mus + [image]:
-        total = total.exact_divide(part)
+    # strip the product of parts: the monomial of every part but mu1, then mu1 = image
+    total = total.exact_divide(MultiPoly(ring, {(0,) + (1,) * (m + n - 1): 1})).exact_divide(image)
 
     _POLY_CACHE[key] = total
     return total

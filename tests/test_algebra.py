@@ -65,6 +65,9 @@ def test_series_block_truncation():
     assert prod.data == {}  # all degree-3 monomials fall outside the block
     sq = (a + b) * (a + b)
     assert sq.coeff({"a": 1, "b": 1}) == 2
+    # a zero cap or a zero block cap admits no term of its variables
+    assert TruncSeries.from_linear(names, (4, 0), {"a": 1, "b": 1}, None, blocks).data == {(1, 0): 1}
+    assert TruncSeries.from_linear(names, caps, {"a": 1, "b": 1}, None, (((0, 1), 0),)).data == {}
 
 
 def test_sigma_of_matches_exponential_difference():
@@ -280,6 +283,9 @@ def test_zero_is_canonical():
     z = R.var("x") - R.var("x")
     assert z.is_zero() and z.den == 1 and z == R.zero() and hash(z) == hash(R.zero())
     assert (R.const(Fraction(1, 3)) * 0).den == 1
+    # adding or taking away a zero number hands back the polynomial itself
+    x = R.var("x")
+    assert x + 0 is x and x - Fraction(0) is x and 0 + x is x and sum([x, x]) == x * 2
 
 
 # -- the closed-form sigma and S against the defining sum -----------------------
@@ -298,21 +304,33 @@ def _ref_half_exp_sum(arg, parity):
 COEFF_RING = PolyRing(("s", "t"))
 
 
+def _linear_coeffs(data, nvars, coeff):
+    """One coefficient per variable: independent draws, or draws from a pool
+    of two, each maybe negated, so that variables share, negate or differ in
+    their numerators."""
+    if data.draw(st.booleans()):
+        return [data.draw(coeff) for _ in range(nvars)]
+    pool = [data.draw(coeff) for _ in range(2)]
+    return [pool[data.draw(st.integers(0, 1))] * data.draw(st.sampled_from([1, -1])) for _ in range(nvars)]
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_closed_form_sigma_and_s_match_the_defining_sum(data):
     nvars = data.draw(st.integers(2, 3))
     names = NAMES[:nvars]
-    caps = data.draw(st.tuples(*[st.integers(1, 4)] * nvars))
-    blocks = data.draw(st.sampled_from([(), (((nvars - 2, nvars - 1), data.draw(st.integers(1, 4))),)]))
+    caps = data.draw(st.tuples(*[st.integers(0, 4)] * nvars))
+    blocks = data.draw(st.sampled_from([(), (((nvars - 2, nvars - 1), data.draw(st.integers(0, 4))),)]))
     if data.draw(st.booleans()):
         ring = COEFF_RING
         s, t = ring.var("s"), ring.var("t")
-        coeffs = [s * data.draw(COEFFS) + t * data.draw(COEFFS) + data.draw(COEFFS) for _ in names]
+        coeffs = _linear_coeffs(data, nvars, st.builds(lambda a, b, c: s * a + t * b + c, COEFFS, COEFFS, COEFFS))
     else:
         ring = None
-        coeffs = [data.draw(COEFFS) for _ in names]
+        coeffs = _linear_coeffs(data, nvars, COEFFS)
     arg = TruncSeries.from_linear(names, caps, dict(zip(names, coeffs)), ring, blocks)
+    units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    assert arg == TruncSeries(names, caps, ring, dict(zip(units, coeffs)), blocks)
     assert sigma_of(arg) == _ref_half_exp_sum(arg, 1)
     assert s_of(arg) == _ref_half_exp_sum(arg, 0)
 
@@ -359,6 +377,10 @@ def _graded_space(draw):
 @settings(max_examples=150, deadline=None)
 def test_graded_product_matches_the_pairwise_product(data):
     names, caps, blocks = data.draw(_graded_space())
+    if data.draw(st.booleans()):
+        # one block over every variable, capped at most at each own cap: one grade
+        blocks = ((tuple(range(len(names))), data.draw(st.integers(0, min(caps)))),)
+        assert len(TruncSeries.zero(names, caps, None, blocks)._layout.gcaps) == 1
     if data.draw(st.booleans()):
         ring = COEFF_RING
         s, t = ring.var("s"), ring.var("t")
@@ -482,7 +504,7 @@ def test_s_inverse_of_inverts_s(data):
             ]
         )
     )
-    coeffs = data.draw(st.lists(COEFFS.filter(bool), min_size=nvars, max_size=nvars))
+    coeffs = _linear_coeffs(data, nvars, COEFFS.filter(bool))
     arg = TruncSeries.from_linear(names, caps, dict(zip(names, coeffs)), None, blocks)
     inv = s_inverse_of(arg)
     assert s_of(arg) * inv == arg.one_like()
@@ -671,7 +693,7 @@ def test_numeric_sigma_s_and_inverse_match_the_fraction_closed_form(fn, parity, 
             ]
         )
     )
-    coeffs = data.draw(st.lists(COEFFS, min_size=nvars, max_size=nvars))
+    coeffs = _linear_coeffs(data, nvars, COEFFS)
     got = fn(TruncSeries.from_linear(names, caps, dict(zip(names, coeffs)), None, blocks))
     _assert_series_canonical(got)
     assert got.data == _ref_closed_form(names, caps, blocks, coeffs, parity, weight)
@@ -703,6 +725,19 @@ def test_numeric_s_power_series_is_the_ring_series_at_a_point(a, b, n, order):
 def test_malformed_series_are_rejected(vars, caps, ring, data):
     with pytest.raises(ValueError):
         TruncSeries(vars, caps, ring, data)
+
+
+def test_an_unknown_variable_is_named():
+    x = TruncSeries.from_linear(("a", "b"), (2, 2), {"a": 1})
+    for call in (
+        lambda: TruncSeries.from_linear(("a", "b"), (2, 2), {"c": 1}),
+        lambda: x.coeff({"c": 1}),
+        lambda: x.grade_sum(x, {"a": 1, "c": 1}, lambda e: 1),
+    ):
+        with pytest.raises(ValueError, match=r"'c' is not a variable of the series space \('a', 'b'\)"):
+            call()
+    with pytest.raises(ValueError, match=r"'b' is not a variable of the series space \('a',\)"):
+        x.lift(("a",), (2,))
 
 
 def test_series_over_different_rings_differ():

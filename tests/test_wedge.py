@@ -6,7 +6,7 @@ symmetric-group enumeration) before being pinned.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -175,6 +175,74 @@ def test_mixed_polynomial_matches_character_sum():
     for mu, nu in [((3, 1), (2, 2)), ((4, 1), (3, 2)), ((5, 2), (4, 3))]:
         assert chamber_of(mu, nu) == ch
         assert evaluate(poly, mu, nu) == hurwitz_disconnected(mu, nu, 1, 1, 0)
+
+
+# -- the one-part closed form, expanded with Fractions alone ----------------------
+
+
+def _poly_mul(x, y):
+    """The product of two polynomials {exponent tuple: Fraction}."""
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _one_part_coefficient(n, g):
+    """[t^(2g)] prod_j S(nu_j t) / S(t), S(t) = sinh(t/2)/(t/2) = sum_k
+    t^(2k) / (4^k (2k+1)!), as a polynomial in nu_1..nu_n."""
+    s = [Fraction(1, 4**k * factorial(2 * k + 1)) for k in range(g + 1)]
+    inv = [Fraction(1)]  # 1/S(t), solved degree by degree
+    for k in range(1, g + 1):
+        inv.append(-sum(s[i] * inv[k - i] for i in range(1, k + 1)))
+    # a term's t-degree is its total degree in nu
+    prod_s = {(0,) * n: Fraction(1)}
+    for j in range(n):
+        factor = {tuple(2 * k * (i == j) for i in range(n)): s[k] for k in range(g + 1)}
+        prod_s = {e: c for e, c in _poly_mul(prod_s, factor).items() if sum(e) <= 2 * g}
+    return {e: c * inv[g - sum(e) // 2] for e, c in prod_s.items()}
+
+
+def test_one_part_simple_polynomial_is_the_closed_form():
+    # H^g_{(d),nu} = r! d^(r-1) [t^(2g)] prod_j S(nu_j t) / S(t), with
+    # d = nu_1 + ... + nu_n and r = 2g - 1 + n (Goulden-Jackson-Vakil,
+    # arXiv:math/0309440, Theorem 3.1); a (1, n) arrangement has one chamber
+    cases = [(n, g) for n in range(1, 6) for g in range(5) if n + g <= 7 and (n, g) != (1, 0)]
+    assert len(cases) == 21
+    for n, g in cases:
+        r = 2 * g - 1 + n
+        d = {tuple(int(i == j) for i in range(n)): Fraction(1) for j in range(n)}
+        want = {e: c * factorial(r) for e, c in _one_part_coefficient(n, g).items()}
+        for _ in range(r - 1):
+            want = _poly_mul(want, d)
+        poly = chamber_polynomial("simple", g, chamber_of((n,), (1,) * n))
+        assert poly.terms == {(0, *e): c for e, c in want.items()}, (n, g)
+
+
+def _compositions(d):
+    for cuts in range(1 << (d - 1)):
+        parts, run = [], 1
+        for i in range(d - 1):
+            if cuts >> i & 1:
+                parts.append(run)
+                run = 0
+            run += 1
+        yield tuple(parts + [run])
+
+
+def test_one_part_closed_form_is_the_character_count():
+    checked = 0
+    for d in range(1, 7):
+        for nu in _compositions(d):
+            for g in range(3):
+                n, r = len(nu), 2 * g - 1 + len(nu)
+                coeff = sum(c * prod(x**k for x, k in zip(nu, e)) for e, c in _one_part_coefficient(n, g).items())
+                assert factorial(r) * Fraction(d) ** (r - 1) * coeff == hurwitz_disconnected((d,), nu, r, 0, 0), (nu, g)
+                checked += 1
+    assert checked == 189
+    assert hurwitz_disconnected((6,), (2, 2, 1, 1), 7, 0, 0) == 13839336
 
 
 def test_higher_arity_block_truncation():
