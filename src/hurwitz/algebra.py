@@ -754,8 +754,10 @@ def _layout(vars: tuple, caps: tuple, blocks: tuple, ring) -> SimpleNamespace:
     checking the space: `low`, the bits of the coefficient ring's monomial
     key; `guard`, its guard bits; `shifts`, the offset of each series
     variable's field; `index`, each series variable's position; `grades`,
-    a (mask, ones, top) reader per grade; and `gcaps`, the cap of each
-    grade.
+    a (mask, ones, top) reader per grade; `gcaps`, the cap of each grade;
+    and `top`, the largest total degree of an admissible exponent: the caps
+    of the variables in no block plus, per block, the lesser of its cap and
+    its variables' caps (an upper bound when blocks overlap).
 
     A grade is the degree sum of a block, or the exponent of a variable
     whose own cap is below every block holding it (or that sits in no
@@ -793,6 +795,9 @@ def _layout(vars: tuple, caps: tuple, blocks: tuple, ring) -> SimpleNamespace:
         top = max((shifts[i] for i in ix), default=0)
         mask = sum(_EXP_MASK << shifts[i] for i in ix)
         readers.append((mask, sum(1 << top - shifts[i] for i in ix), top))
+    blocked = {i for ix, _ in blocks for i in ix}
+    top = sum(cap for i, cap in enumerate(caps) if i not in blocked)
+    top += sum(min(bcap, sum(caps[i] for i in ix)) for ix, bcap in blocks)
     return SimpleNamespace(
         low=low,
         guard=coeffs.guard,
@@ -800,6 +805,7 @@ def _layout(vars: tuple, caps: tuple, blocks: tuple, ring) -> SimpleNamespace:
         index={v: i for i, v in enumerate(vars)},
         grades=tuple(readers),
         gcaps=tuple(gcaps),
+        top=top,
     )
 
 
@@ -828,19 +834,28 @@ def _buckets(keys, grades: list) -> dict:
 # -- the odd/even exponential series ------------------------------------------
 
 
-def _half_exp_sum(arg: TruncSeries, parity: int, weight) -> TruncSeries:
-    """sum over k = parity mod 2 of weight(k) W^k / k!, for a linear series
-    W = sum_v L_v v.
+def _half_exp_sum(arg: TruncSeries, parity: int, weight, factors: int = 1) -> TruncSeries:
+    """sum over k = parity mod 2, k <= top - (factors - 1), of weight(k) W^k / k!,
+    for a linear series W = sum_v L_v v, where top is the largest total
+    degree of the space.
 
     W is A_v / B with numerator polynomials A_v over its one denominator B
     (an A_v of a numeric W is one integer), so the coefficient at v^e, with
     k = |e| of the right parity, is weight(k) / (k! B^k) * multinomial(k; e) *
     prod_v A_v^(e_v).  Variables that share a numerator A_g form a group g
     with one power table, and the product is prod_g A_g^(d_g) over the
-    group degrees d_g: it is built once per tuple of group degrees, shared
-    along the tuple's prefix.  Each admissible exponent scales it by an
-    int: the multinomial, grown by comb(k + j, j) at each variable, times
-    its degree's scale over the scales' common denominator.
+    group degrees d_g.  Which exponents occur, with their multinomials and
+    group degrees, and how the products are built depend on the space and
+    the grouping alone, not on the A_g: that is the plan (`_exp_plan`),
+    built once per shape.  A call reads the numerators, builds the power
+    tables and the products, and scales each product by an int: its
+    multinomial times n_k B^(K - k), for weight(k) / k! = n_k / D, over
+    D B^K with K the plan's top degree.
+
+    With `factors` = s > 1 the series is one of s factors of a product
+    whose other s - 1 factors have no constant term: a degree above
+    top - (s - 1) cannot reach an admissible key of the product, so it is
+    not built.
     """
     layout = arg._layout
     lows = (1 << layout.low) - 1
@@ -852,79 +867,144 @@ def _half_exp_sum(arg: TruncSeries, parity: int, weight) -> TruncSeries:
             raise ValueError("sigma and S need a linear series without constant term")
         linear.setdefault(i, {})[k & lows] = c
     groups = {}
-    for i, a in linear.items():
-        groups.setdefault(frozenset(a.items()), (a, []))[1].append(i)
-    # the nonzero variables, group by group, each with its group and its blocks
+    for i in sorted(linear):
+        groups.setdefault(frozenset(linear[i].items()), []).append(i)
+    plan = _exp_plan(
+        layout.shifts, arg.caps, arg.blocks, tuple(map(tuple, groups.values())), parity, layout.top - factors + 1
+    )
+    if not plan.leaves:
+        return arg._with({})
+    guard = layout.guard
+    powers = []
+    for members, top in zip(groups.values(), plan.powers):
+        table = [{0: 1}, linear[members[0]]]
+        while len(table) <= top:
+            table.append(_product(table[-1], table[1], guard))
+        powers.append(table)
+    products = [{0: 1}]
+    for parent, g, d in plan.steps:
+        products.append(_product(products[parent], powers[g][d], guard) if parent else powers[g][d])
+    nums, den = plan.scales.get(weight) or _scales(plan, weight)
+    B, K = arg.den, len(nums) - 1
+    scale = [n * B ** (K - k) for k, n in enumerate(nums)]
+    out = {}
+    for key, k, multinomial, at in plan.leaves:
+        f = scale[k] * multinomial
+        if f:
+            for lo, c in products[at].items():
+                out[key + lo] = c * f
+    return arg._reduce(out, den * B**K)
+
+
+@lru_cache(maxsize=256)
+def _exp_plan(shifts: tuple, caps: tuple, blocks: tuple, groups: tuple, parity: int, top: int) -> SimpleNamespace:
+    """The value-free part of `_half_exp_sum` for the variables `groups` (a
+    tuple of groups of variable indices, each group sharing one numerator)
+    of a space with these key `shifts`, `caps` and `blocks`: every
+    admissible exponent on them of total degree k = parity mod 2, k <= top.
+
+    `leaves` holds (key, k, multinomial, product) per exponent, the
+    multinomial grown by comb(k + j, j) at each variable; `product` indexes
+    the products prod_g A_g^(d_g), one per tuple of group degrees, built in
+    the order of `steps`: (parent, g, d) multiplies product `parent` (0 is
+    the empty product) by A_g^d, so tuples share their prefixes.  `powers`
+    is the top degree of each group's power table, and `scales` caches,
+    per weight, the ints n_k over one D with weight(k) / k! = n_k / D
+    (see `_scales`).
+    """
+    # the variables, group by group, each with its group and its blocks
     slots = [
-        (layout.shifts[i], g, arg.caps[i], [b for b, (ix, _) in enumerate(arg.blocks) if i in ix])
-        for g, (_, members) in enumerate(groups.values())
+        (shifts[i], g, caps[i], [b for b, (ix, _) in enumerate(blocks) if i in ix])
+        for g, members in enumerate(groups)
         for i in members
     ]
-    room = [cap for _, cap in arg.blocks]
+    room = [cap for _, cap in blocks]
     degrees = [0] * len(groups)
-    leaves = []
+    found = []
 
     def fill(t, key, k, multinomial):
         if t == len(slots):
             if k % 2 == parity:
-                leaves.append((key, k, multinomial, tuple(degrees)))
+                found.append((key, k, multinomial, tuple(degrees)))
             return
-        s, g, cap, blocks = slots[t]
-        top = min([cap] + [room[b] for b in blocks])
+        s, g, cap, ix = slots[t]
+        most = min([cap, top - k] + [room[b] for b in ix])
         last = t == len(slots) - 1
-        for j in range((k + parity) % 2 if last else 0, top + 1, 2 if last else 1):
-            for b in blocks:
+        for j in range((k + parity) % 2 if last else 0, most + 1, 2 if last else 1):
+            for b in ix:
                 room[b] -= j
             degrees[g] += j
             fill(t + 1, key + (j << s), k + j, multinomial * comb(k + j, j))
             degrees[g] -= j
-            for b in blocks:
+            for b in ix:
                 room[b] += j
 
     fill(0, 0, 0, 1)
     del fill  # it refers to itself: free it now, not at the next collection
-    powers = [[{0: 1}, a] for a, _ in groups.values()]
-    products = {(): {0: 1}}
-    for degs in {degs for *_, degs in leaves}:
-        n = len(degs)
-        while degs[:n] not in products:
-            n -= 1
-        coeff = products[degs[:n]]
-        for g in range(n, len(degs)):
-            d, table = degs[g], powers[g]
-            while len(table) <= d:
-                table.append(_product(table[-1], table[1], layout.guard))
-            if d:
-                coeff = _product(coeff, table[d], layout.guard)
-            products[degs[: g + 1]] = coeff
-    fracs = {k: weight(k) / (factorial(k) * arg.den**k) for k in {k for _, k, _, _ in leaves}}
+    at = {(): 0}
+    steps = []
+    for degs in sorted({degs for *_, degs in found}):
+        for g in range(len(degs)):
+            prefix = degs[: g + 1]
+            if prefix not in at:
+                parent = at[degs[:g]]
+                if degs[g]:
+                    steps.append((parent, g, degs[g]))
+                    parent = len(steps)
+                at[prefix] = parent
+    return SimpleNamespace(
+        leaves=[(key, k, multinomial, at[degs]) for key, k, multinomial, degs in found],
+        steps=steps,
+        powers=[max([degs[g] for *_, degs in found], default=0) for g in range(len(groups))],
+        degrees=sorted({k for _, k, _, _ in found}),
+        scales={},
+    )
+
+
+def _scales(plan: SimpleNamespace, weight) -> tuple:
+    """([n_k for k = 0..K], D) with weight(k) / k! = n_k / D for every degree
+    k of the plan (0 for any other k), K its top degree; kept in the plan."""
+    fracs = {k: weight(k) / factorial(k) for k in plan.degrees}
     den = lcm(*(f.denominator for f in fracs.values()))
-    scales = {k: f.numerator * (den // f.denominator) for k, f in fracs.items()}
-    out = {}
-    for key, k, multinomial, degs in leaves:
-        f = scales[k] * multinomial
-        if f:
-            for lo, c in products[degs].items():
-                out[key + lo] = c * f
-    return arg._reduce(out, den)
+    nums = [0] * (plan.degrees[-1] + 1)
+    for k, f in fracs.items():
+        nums[k] = f.numerator * (den // f.denominator)
+    plan.scales[weight] = got = nums, den
+    return got
 
 
-def sigma_of(arg: TruncSeries) -> TruncSeries:
+def _sigma_weight(k: int) -> Fraction:
+    return Fraction(1, 2 ** (k - 1))
+
+
+def _s_weight(k: int) -> Fraction:
+    return Fraction(1, 2**k * (k + 1))
+
+
+def _s_inverse_weight(k: int) -> Fraction:
+    return (Fraction(2, 2**k) - 1) * bernoulli(k)
+
+
+def sigma_of(arg: TruncSeries, factors: int = 1) -> TruncSeries:
     """sigma(W) = sum over odd k of W^k / (2^(k-1) k!) for a linear series W
-    (no constant term, no term of degree 2 or more)."""
-    return _half_exp_sum(arg, 1, lambda k: Fraction(1, 2 ** (k - 1)))
+    (no constant term, no term of degree 2 or more).
+
+    `factors` is the number of sigma factors in the product the result
+    enters.  The others have no constant term, so a degree above the
+    space's top degree less (factors - 1) is not built (see `_half_exp_sum`)."""
+    return _half_exp_sum(arg, 1, _sigma_weight, factors)
 
 
 def s_of(arg: TruncSeries) -> TruncSeries:
     """S(W) = sigma(W)/W = sum over even k of W^k / (2^k (k+1)!), for a linear
     series W; a unit."""
-    return _half_exp_sum(arg, 0, lambda k: Fraction(1, 2**k * (k + 1)))
+    return _half_exp_sum(arg, 0, _s_weight)
 
 
 def s_inverse_of(arg: TruncSeries) -> TruncSeries:
     """1/S(W) = W/sigma(W) = sum over even k of B_k(1/2) W^k / k!, for a
     linear series W, with B_k(1/2) = (2^(1-k) - 1) B_k."""
-    return _half_exp_sum(arg, 0, lambda k: (Fraction(2, 2**k) - 1) * bernoulli(k))
+    return _half_exp_sum(arg, 0, _s_inverse_weight)
 
 
 def s_power_series(c, var: str, order: int) -> TruncSeries:

@@ -9,7 +9,8 @@ Exit codes: 0 success; 1 verification mismatch; 2 malformed arguments,
 or a connected count the method has no route for (`verify.Unsupported`);
 3 evaluation point on a wall; 4 size/order bound exceeded, or a monomial
 exponent past `algebra.EXPONENT_LIMIT`; 5 degenerate signature (no
-polynomial exists).
+polynomial exists).  A reader that closes stdout early (`| head`) leaves
+the exit code as it is.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 
 from .algebra import ExponentOverflow
@@ -62,7 +64,12 @@ def _signature(args, m: int, n: int) -> Signature:
 
 def _emit(payload: dict, out_path) -> None:
     text = json.dumps(payload, indent=2, sort_keys=False)
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): what is left of stdout goes
+        # nowhere, and the exit code is the command's own
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

@@ -363,6 +363,8 @@ def materialize(products, word, space, values, signs=None):
         # there is none), not every coefficient of the S-series
         eF = label(prod.final)[0]
         lead = eF if signs is None else eF * signs[k]
+        # every sigma factor meets the others, none with a constant term, so
+        # each is built only up to the degree they leave room for
         term = None
         for A, B in prod.factors:
             (eA, argA), (eB, argB) = label(A), label(B)
@@ -370,7 +372,7 @@ def materialize(products, word, space, values, signs=None):
             for v, c in argA.items():
                 t = -eB * c
                 combo[v] = combo[v] + t if v in combo else t
-            fac = sigma_of(series(combo))
+            fac = sigma_of(series(combo), len(prod.factors))
             term = fac.scalar_mul(lead) if term is None else term * fac
         # no sigma factor has a constant term, so neither has their product
         # below the number of factors: it meets the two S-series one at a

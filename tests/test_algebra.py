@@ -331,8 +331,37 @@ def test_closed_form_sigma_and_s_match_the_defining_sum(data):
     arg = TruncSeries.from_linear(names, caps, dict(zip(names, coeffs)), ring, blocks)
     units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
     assert arg == TruncSeries(names, caps, ring, dict(zip(units, coeffs)), blocks)
-    assert sigma_of(arg) == _ref_half_exp_sum(arg, 1)
-    assert s_of(arg) == _ref_half_exp_sum(arg, 0)
+    # the same argument where only the caps or the blocks differ (the caps
+    # reversed, the block moved onto the first variable), each built at both
+    # parities and, for sigma, cut to each top degree a product of up to
+    # three factors leaves: a cached build that ignored any of these would
+    # hand back the wrong series
+    moved = (((0,), blocks[0][1] if blocks else 1),)
+    for caps2, blocks2 in ((caps, blocks), (caps[::-1], blocks), (caps, moved)):
+        arg2 = TruncSeries.from_linear(names, caps2, dict(zip(names, coeffs)), ring, blocks2)
+        sigma = _ref_half_exp_sum(arg2, 1)
+        assert s_of(arg2) == _ref_half_exp_sum(arg2, 0)
+        assert sigma_of(arg2) == sigma
+        top = _top_degree(caps2, blocks2)
+        for factors in (2, 3):
+            assert sigma_of(arg2, factors) == _up_to_degree(sigma, top - factors + 1)
+    if ring is None:
+        # the same numbers as constants of a ring: the same shape at other key shifts
+        consts = {v: COEFF_RING.const(c) for v, c in zip(names, coeffs)}
+        arg2 = TruncSeries.from_linear(names, caps, consts, COEFF_RING, blocks)
+        assert sigma_of(arg2) == _ref_half_exp_sum(arg2, 1)
+
+
+def _top_degree(caps, blocks) -> int:
+    """The largest total degree of an admissible exponent, by listing them."""
+    exponents = product(*(range(cap + 1) for cap in caps))
+    return max(sum(e) for e in exponents if all(sum(e[i] for i in ix) <= cap for ix, cap in blocks))
+
+
+def _up_to_degree(series, most):
+    """The terms of the series of total degree at most `most`."""
+    data = {e: c for e, c in series.data.items() if sum(e) <= most}
+    return TruncSeries(series.vars, series.caps, series.ring, data, series.blocks)
 
 
 @pytest.mark.parametrize("data", [{(0, 0): 1, (1, 0): 1}, {(1, 0): 1, (1, 1): 2}])

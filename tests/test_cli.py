@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from math import factorial
 
 import pytest
 
+import hurwitz
 from hurwitz import verify
 from hurwitz.algebra import EXPONENT_LIMIT, ExponentOverflow, bernoulli
 from hurwitz.cli import main
@@ -288,3 +292,24 @@ def test_out_file(tmp_path, capsys):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert run(capsys, ["frobnicate"])[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chamber-poly", "--type", "simple", "--g", "1", "--sample", "5,3,2:6,4"],
+        ["verify", "--suite", "conventions", "--dmax", "3", "--bmax", "3"],
+    ],
+    ids=["chamber-poly", "verify"],
+)
+def test_a_reader_that_stops_early_leaves_the_exit_code(argv):
+    # the reader closes the pipe before anything is written, as `| head` may
+    src = os.path.dirname(os.path.dirname(hurwitz.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hurwitz.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -437,6 +437,33 @@ def test_johnson_expand_permuted_word_with_merged_operator():
     got = [wedge.materialize([prod], word, (names, caps, blocks), ((3, 3), (4, 1, 1))) for prod in prods]
     assert got == want
     assert all(not w.is_zero() for w in want)
+    # m + n = 5, so three sigma factors, in a space of top degree 3: each
+    # factor is built to degree 1 only, and the product is unchanged
+    mu, nu = (5, 2), (1, 3, 3)
+    word, space = standard_word(2, 3), (names, (3, 3, 3), (((0, 1, 2), 3),))
+
+    def energy(lab):
+        return sum(mu[i - 1] for i in lab[0]) - sum(nu[j - 1] for j in lab[1])
+
+    def sigma_arg(A, B):
+        # eA * arg(B) - eB * arg(A); the standard word puts z_j on nu_j alone
+        combo = {f"z{j}": energy(A) for j in B[1]}
+        for j in A[1]:
+            combo[f"z{j}"] = combo.get(f"z{j}", 0) - energy(B)
+        return TruncSeries.from_linear(*space[:2], combo, None, space[2])
+
+    W = TruncSeries.from_linear(*space[:2], {v: 1 for v in names}, None, space[2])
+    dropped = nonzero = 0
+    for pattern in johnson_expand(chamber_of(mu, nu), word):
+        assert len(pattern.factors) == 3
+        args = [sigma_arg(A, B) for A, B in pattern.factors]
+        eF = energy(pattern.final)
+        a, b, c = map(sigma_of, args)
+        want = a * b * c * s_of(W.scalar_mul(eF)).scalar_mul(eF) * s_inverse_of(W)
+        assert wedge.materialize([pattern], word, space, (mu, nu)) == want
+        dropped += sum(sigma_of(x, 3) != sigma_of(x) for x in args)
+        nonzero += not want.is_zero()
+    assert dropped and nonzero
 
 
 def test_johnson_expand_rejects_operator_without_indices():
