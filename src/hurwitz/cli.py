@@ -69,7 +69,9 @@ def _emit(payload: dict, out_path) -> None:
     except BrokenPipeError:
         # the reader stopped early (`| head`): what is left of stdout goes
         # nowhere, and the exit code is the command's own
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

@@ -306,10 +306,9 @@ def test_a_reader_that_stops_early_leaves_the_exit_code(argv):
     # the reader closes the pipe before anything is written, as `| head` may
     src = os.path.dirname(os.path.dirname(hurwitz.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "hurwitz.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
-    )
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=120) == 0
+    argv = [sys.executable, "-m", "hurwitz.cli", *argv]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0
     assert "Traceback" not in err and "BrokenPipeError" not in err
