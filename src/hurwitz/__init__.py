@@ -27,7 +27,7 @@ from .oracle import (
     MAX_DEGREE,
     count_factorizations,
 )
-from .partitions import Signature, SizeMismatch, partitions, compositions
+from .partitions import Signature, SizeMismatch, character, partitions, compositions
 from .wallcross import (
     InvalidSplit,
     WallCrossingProblem,
@@ -82,6 +82,7 @@ __all__ = [
     "bernoulli",
     "chamber_of",
     "chamber_polynomial",
+    "character",
     "commutation_patterns",
     "compositions",
     "count_factorizations",

@@ -27,7 +27,10 @@ and at the wrong parity need no gate on b (see `_connected_simple`).
 
 Every cache is bounded; each bound holds the largest table seen in a
 Tier-1 run in one process, a `verify` suite at its guard bounds, or one
-benchmark round.
+benchmark round.  The columns come from `partitions`' Schur expansions, one
+per sorted prefix of a profile, bounded at 512: every partition with d <= 14,
+against 145 after a Tier-1 run in one process and 96 after five `connected`
+rounds.
 """
 
 from __future__ import annotations

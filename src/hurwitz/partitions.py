@@ -2,11 +2,15 @@
 characters.
 
 Profiles of branch points are compositions (ordered tuples of positive
-integers) because the parts carry labels; characters only depend on the
-underlying partition and sort internally.  Characters use the
-Murnaghan-Nakayama recursion on beta-numbers (first-column hook lengths),
-memoized over (shape, remaining cycle lengths); `character_column` caches
-one cycle type's characters over every shape.
+integers) because the parts carry labels; characters, contents and content
+sums only depend on the underlying diagram and sort it first (`_shape`).
+Characters come from expanding p_mu in the Schur basis by the
+Murnaghan-Nakayama rule: a shape is one int, an abacus whose set bits are
+its beads, and multiplying by p_t moves a bead from b to an empty b + t
+with sign (-1)^(beads strictly between them).  The expansion is cached per
+sorted prefix of mu, so cycle types that share a prefix share the work;
+`character_column` reads it in `partitions(d)` order, and `character`
+reads one entry of it.
 
 `Signature` is the one place where a kind and its genus or budgets become
 the transposition budgets (p, q, r) and where a genus is read back from
@@ -159,14 +163,26 @@ def compositions(d: int):
     yield from gen(d)
 
 
+def _shape(parts) -> tuple:
+    """The parts sorted into a weakly decreasing shape (or cycle type); a part
+    that is not an int, or is below 1, raises ValueError."""
+    try:
+        lam = tuple(sorted(map(operator.index, parts), reverse=True))
+    except TypeError:
+        raise ValueError(f"shape and cycle type parts must be integers: {tuple(parts)}") from None
+    if lam and lam[-1] < 1:
+        raise ValueError(f"shape and cycle type parts must be >= 1: {lam}")
+    return lam
+
+
 def contents(lam) -> tuple:
-    """Multiset of box contents j - i (0-based), row by row."""
-    return tuple(j - i for i, row in enumerate(lam) for j in range(row))
+    """Multiset of box contents j - i (0-based), row by row of the sorted shape."""
+    return tuple(j - i for i, row in enumerate(_shape(lam)) for j in range(row))
 
 
 def f2_eigenvalue(lam) -> int:
     """Sum of the contents: the transposition-sum eigenvalue on the shape."""
-    return sum(row * (row - 1) // 2 - i * row for i, row in enumerate(lam))
+    return sum(row * (row - 1) // 2 - i * row for i, row in enumerate(_shape(lam)))
 
 
 def multiplicity_factor(mu) -> int:
@@ -185,47 +201,63 @@ def centralizer_size(mu) -> int:
     return prod(mu) * multiplicity_factor(mu)
 
 
-@lru_cache(maxsize=4096)
-def _char_rec(lam: tuple, mu: tuple) -> int:
-    if not mu:
-        return 1
-    t = mu[0]
-    rest = mu[1:]
-    k = len(lam)
-    beta = [lam[i] + (k - 1 - i) for i in range(k)]  # strictly decreasing
-    beta_set = set(beta)
-    total = 0
-    for i, b in enumerate(beta):
-        nb = b - t
-        if nb < 0 or nb in beta_set:
-            continue
-        # height of the border strip = number of beta entries passed over
-        height = sum(1 for other in beta if nb < other < b)
-        new_beta = sorted(beta, reverse=True)
-        new_beta[new_beta.index(b)] = nb
-        new_beta.sort(reverse=True)
-        new_lam = tuple(
-            bb - (k - 1 - pos) for pos, bb in enumerate(new_beta) if bb - (k - 1 - pos) > 0
-        )
-        total += (-1) ** height * _char_rec(new_lam, rest)
-    return total
+@lru_cache(maxsize=512)
+def _schur_expansion(prefix: tuple) -> dict:
+    """p_prefix in the Schur basis: {abacus: chi^lam(prefix)}, zeros dropped.
+
+    The abacus has sum(prefix) beads, bead i at lam_i + sum(prefix) - 1 - i.
+    The last part t adds t beads below the previous prefix's abacus, then
+    adds a t-rim hook by moving a bead from b to an empty b + t, with sign
+    (-1)^(beads strictly between them).
+    """
+    if not prefix:
+        return {0: 1}
+    t = prefix[-1]
+    between = (1 << (t - 1)) - 1
+    out = {}
+    for abacus, coeff in _schur_expansion(prefix[:-1]).items():
+        abacus = (abacus << t) | ((1 << t) - 1)
+        movable = abacus & ~(abacus >> t)
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            moved = abacus ^ low ^ (low << t)
+            c = -coeff if ((abacus >> low.bit_length()) & between).bit_count() & 1 else coeff
+            c += out.get(moved, 0)
+            if c:
+                out[moved] = c
+            else:
+                del out[moved]
+    return out
+
+
+def _abacus(lam: tuple, beads: int) -> int:
+    """The shape lam on a `beads`-bead abacus: bead i at lam_i + beads - 1 - i."""
+    out = (1 << (beads - len(lam))) - 1
+    for i, part in enumerate(lam):
+        out |= 1 << (part + beads - 1 - i)
+    return out
 
 
 def character(lam, mu) -> int:
     """Irreducible symmetric-group character chi^lam at cycle type mu."""
-    lam = tuple(sorted(lam, reverse=True))
-    mu = tuple(sorted(mu, reverse=True))
-    if any(x < 1 for x in lam + mu):
-        raise ValueError(f"shape and cycle type parts must be >= 1: {lam}, {mu}")
+    lam, mu = _shape(lam), _shape(mu)
     if sum(lam) != sum(mu):
         raise SizeMismatch(f"|{lam}| != |{mu}|")
-    return _char_rec(lam, mu)
+    return _schur_expansion(mu).get(_abacus(lam, sum(lam)), 0)
+
+
+@lru_cache(maxsize=32)
+def _abaci(d: int) -> tuple:
+    """The abacus of every lam, in `partitions(d)` order."""
+    return tuple(_abacus(lam, d) for lam in partitions(d))
 
 
 @lru_cache(maxsize=256)
 def character_column(mu: tuple) -> tuple:
     """chi^lam(mu) for every lam, in `partitions(sum(mu))` order."""
-    return tuple(character(lam, mu) for lam in partitions(sum(mu)))
+    expansion = _schur_expansion(_shape(mu))
+    return tuple(expansion.get(a, 0) for a in _abaci(sum(mu)))
 
 
 @lru_cache(maxsize=1024)
@@ -247,17 +279,18 @@ def _sym_at_contents(lam: tuple, kmax: int) -> tuple:
 
 def complete_homogeneous_at_contents(lam, v: int) -> int:
     """h_v evaluated at the contents of lam."""
+    v = check_integer(v, "v")
     if v < 0:
         raise ValueError("need v >= 0")
-    lam = tuple(sorted(lam, reverse=True))
-    return _sym_at_contents(lam, v)[0][v]
+    return _sym_at_contents(_shape(lam), v)[0][v]
 
 
 def elementary_at_contents(lam, v: int) -> int:
     """e_v evaluated at the contents of lam; vanishes for v > |lam|."""
+    v = check_integer(v, "v")
     if v < 0:
         raise ValueError("need v >= 0")
-    lam = tuple(sorted(lam, reverse=True))
+    lam = _shape(lam)
     if v > sum(lam):
         return 0
     return _sym_at_contents(lam, v)[1][v]

@@ -299,6 +299,13 @@ def test_tau_series_two_routes_agree():
             assert box_product(lam, (3,), (3,)) == tau_series_factored(lam, (3,), (3,))
 
 
+def test_box_product_reads_an_unsorted_shape_as_its_diagram():
+    # (1, 2) is the shape (2, 1), contents {0, 1, -1}: e_2 = -1, h_2 = 1
+    assert box_product((1, 2), (2,), (2,)) == box_product((2, 1), (2,), (2,))
+    assert box_product((1, 2), (2,), (0,))[((2,), (0,))] == -1
+    assert box_product((1, 2), (0,), (2,))[((0,), (2,))] == 1
+
+
 def test_tau_multi_parameter_box_product():
     # two w-parameters: the series must be symmetric under swapping them
     series = box_product((2, 1), (2, 2), (1,))

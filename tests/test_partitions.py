@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -85,6 +86,19 @@ def test_f2_eigenvalue_is_content_sum():
         assert f2_eigenvalue(lam) == sum(contents(lam))
 
 
+def test_an_unsorted_shape_is_read_as_its_diagram():
+    assert contents((1, 2)) == contents((2, 1)) == (0, 1, -1)
+    assert f2_eigenvalue((1, 2)) == f2_eigenvalue((2, 1)) == 0
+    assert f2_eigenvalue((1, 3, 2)) == f2_eigenvalue((3, 2, 1)) == 0
+    assert contents((1, 1, 3)) == contents((3, 1, 1))
+
+
+@pytest.mark.parametrize("read", [contents, f2_eigenvalue, lambda lam: complete_homogeneous_at_contents(lam, 1)])
+def test_a_shape_with_a_part_below_one_is_rejected(read):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        read((2, 0))
+
+
 def test_character_table_s3():
     # rows: shape lambda; columns: class mu -- classical S_3 table
     table = {
@@ -144,7 +158,63 @@ def test_character_column_is_character_over_partitions(d):
         assert character_column(mu) == tuple(character(lam, mu) for lam in partitions(d)), mu
 
 
-@pytest.mark.parametrize("d", range(1, 7))
+@lru_cache(maxsize=None)
+def _beta_number_character(lam: tuple, mu: tuple) -> int:
+    """Murnaghan-Nakayama on beta-numbers (first-column hook lengths): remove
+    a mu[0]-rim hook from lam every way, with sign (-1)^height."""
+    if not mu:
+        return 1
+    t = mu[0]
+    rest = mu[1:]
+    k = len(lam)
+    beta = [lam[i] + (k - 1 - i) for i in range(k)]  # strictly decreasing
+    beta_set = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - t
+        if nb < 0 or nb in beta_set:
+            continue
+        # height of the border strip = number of beta entries passed over
+        height = sum(1 for other in beta if nb < other < b)
+        new_beta = sorted(beta, reverse=True)
+        new_beta[new_beta.index(b)] = nb
+        new_beta.sort(reverse=True)
+        new_lam = tuple(
+            bb - (k - 1 - pos) for pos, bb in enumerate(new_beta) if bb - (k - 1 - pos) > 0
+        )
+        total += (-1) ** height * _beta_number_character(new_lam, rest)
+    return total
+
+
+@pytest.mark.parametrize("d", range(10))
+def test_character_column_matches_the_beta_number_recursion(d):
+    for mu in partitions(d):
+        want = tuple(_beta_number_character(lam, mu) for lam in partitions(d))
+        assert character_column(mu) == want, mu
+
+
+def test_character_sorts_its_shape_and_cycle_type():
+    for lam in partitions(6):
+        for mu in partitions(6):
+            assert character(lam[::-1], mu[::-1]) == character(lam, mu), (lam, mu)
+    assert character((1, 3, 2), (1,) * 6) == 16  # the staircase's dimension
+    assert character((1, 1, 4), (1, 3, 2)) == _beta_number_character((4, 1, 1), (3, 2, 1)) == -1
+
+
+@pytest.mark.parametrize("mu", [(2, 0), (0, 3), (1, 1, 0)])
+def test_character_column_rejects_a_part_below_one(mu):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        character_column(mu)
+
+
+@pytest.mark.parametrize("lam, mu", [((1.5, 1.5), (3,)), ((2, 1), (1.5, 1.5)), ((2.0, 1), (3,)), ((2, 1), (Fraction(3),))])
+def test_character_rejects_parts_that_are_not_integers(lam, mu):
+    # equal sizes, so only the part check can catch these
+    with pytest.raises(ValueError, match="must be integers"):
+        character(lam, mu)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
 def test_character_column_orthogonality(d):
     # sum_lam chi^lam(mu) chi^lam(nu) = z_mu [mu == nu]
     for mu in partitions(d):
@@ -179,6 +249,15 @@ def test_symmetric_functions_at_contents():
     assert elementary_at_contents(lam, 2) == 0  # e_2 = 0 * 1
     assert complete_homogeneous_at_contents(lam, 2) == 1  # 0^2 + 0*1 + 1^2
     assert elementary_at_contents(lam, 5) == 0  # more parts than boxes
+    assert complete_homogeneous_at_contents((1, 2), 2) == complete_homogeneous_at_contents((2, 1), 2) == 1
+    assert elementary_at_contents((1, 2), 2) == elementary_at_contents((2, 1), 2) == -1
+
+
+@pytest.mark.parametrize("read", [complete_homogeneous_at_contents, elementary_at_contents])
+@pytest.mark.parametrize("v", [2.5, 2.0, Fraction(2), "2"])
+def test_a_content_sum_degree_that_is_not_an_integer_is_named(read, v):
+    with pytest.raises(ValueError, match="v must be an integer"):
+        read((2, 1), v)
 
 
 def test_h_e_generating_identity():

@@ -345,6 +345,45 @@ def test_chamber_polynomial_matches_the_full_product_reference(pad, size, bmax, 
     assert checked == count
 
 
+def _compositions_of_length(d: int, k: int):
+    """Compositions of d into exactly k parts, in lex order."""
+    if k == 1:
+        yield (d,)
+        return
+    for first in range(1, d - k + 2):
+        for rest in _compositions_of_length(d - first, k - 1):
+            yield (first,) + rest
+
+
+def _first_chambers(m: int, n: int, count: int, dmax: int) -> list:
+    """The first `count` chambers met by pairs of compositions of length m
+    and n of d <= dmax (by d, then lex), each with its first sample."""
+    found = {}
+    for d in range(max(m, n), dmax + 1):
+        for mu in _compositions_of_length(d, m):
+            for nu in _compositions_of_length(d, n):
+                try:
+                    ch = chamber_of(mu, nu)
+                except OnWall:
+                    continue
+                found.setdefault(ch.key(), (ch, mu, nu))
+                if len(found) == count:
+                    return list(found.values())
+    return list(found.values())
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (2, 4), (4, 2)])
+def test_chamber_polynomials_at_six_parts_match_the_character_sum(m, n):
+    # no pair with d <= 6 lies off every wall at these shapes, so the
+    # equality sweep never reaches them; their chambers start at d = 7 to 10
+    chambers = _first_chambers(m, n, 3, 10)
+    assert len(chambers) == 3
+    for ch, mu, nu in chambers:
+        for kind in ("simple", "monotone", "strict"):
+            pqr = tuple(Signature.of(kind, 0, m, n))
+            assert evaluate(chamber_polynomial(kind, 0, ch), mu, nu) == hurwitz_disconnected(mu, nu, *pqr), (kind, mu, nu)
+
+
 def test_degenerate_signature():
     ch = chamber_of((4,), (4,))
     with pytest.raises(DegenerateSignature):
