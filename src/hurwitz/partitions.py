@@ -115,8 +115,10 @@ def partitions(d: int):
     Iterative (algorithm ZS1 of Zoghbi and Stojmenovic): `x[:m]` is the
     current partition and `h` the index of its last part greater than 1.
     Each step lowers `x[h]` by one and refills the tail with copies of the
-    lowered value, which gives the lex-next smaller partition.
+    lowered value, which gives the lex-next smaller partition.  A negative d
+    has none; a d that is not an int raises ValueError (`check_integer`).
     """
+    d = check_integer(d, "d")
     if d < 0:
         return
     if d == 0:
@@ -150,7 +152,8 @@ def partitions(d: int):
 
 
 def compositions(d: int):
-    """All compositions of d (ordered tuples of positive parts)."""
+    """All compositions of d (ordered tuples of positive parts).  A negative d
+    has none; a d that is not an int raises ValueError (`check_integer`)."""
 
     def gen(remaining):
         if remaining == 0:
@@ -160,7 +163,7 @@ def compositions(d: int):
             for rest in gen(remaining - first):
                 yield (first,) + rest
 
-    yield from gen(d)
+    yield from gen(check_integer(d, "d"))
 
 
 def _shape(parts) -> tuple:
@@ -253,11 +256,16 @@ def _abaci(d: int) -> tuple:
     return tuple(_abacus(lam, d) for lam in partitions(d))
 
 
+def character_column(mu) -> tuple:
+    """chi^lam(mu) for every lam, in `partitions(sum(mu))` order; every
+    order of mu's parts reads one cached column."""
+    return _character_column(_shape(mu))
+
+
 @lru_cache(maxsize=256)
-def character_column(mu: tuple) -> tuple:
-    """chi^lam(mu) for every lam, in `partitions(sum(mu))` order."""
-    expansion = _schur_expansion(_shape(mu))
-    return tuple(expansion.get(a, 0) for a in _abaci(sum(mu)))
+def _character_column(shape: tuple) -> tuple:
+    expansion = _schur_expansion(shape)
+    return tuple(expansion.get(a, 0) for a in _abaci(sum(shape)))
 
 
 @lru_cache(maxsize=1024)

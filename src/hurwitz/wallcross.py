@@ -2,8 +2,9 @@
 formula for the refined generating series.
 
 The refined series for a numeric profile pair (mu, nu) keeps one marker
-variable per part of nu grading how many of the constrained transpositions
-touch that part, times the operator correlator in the z-variables.  Crossing
+variable per part of nu and per monotone or strict block, grading how
+many of that block's transpositions touch that part, times the operator
+correlator in the expansion variables (blocks from `wedge.BLOCKS`).  Crossing
 the wall mu_I = nu_J, the jump of the series factors — up to an explicit
 prefactor, pole-free after rewriting every sigma as (linear form) * S — into
 the product of the refined series of the two split profiles, with delta =
@@ -23,32 +24,17 @@ from math import prod
 from typing import Optional, Union
 
 from .algebra import TruncSeries, factorial_column, s_inverse_of, s_of
-from .partitions import Signature, check_integer, check_profiles
+from .partitions import PURE_KINDS, Signature, check_integer, check_profiles
 from .wedge import ArityMismatch, Chamber, Wall, chamber_of, chamber_polynomial, generating_series, walls
+from .wedge import BLOCKS, FREE, expansion_parts
 
 
 class InvalidSplit(ValueError):
     """delta = mu_I - nu_J is not positive where it has to be."""
 
 
-# The refined series of each kind, per nu-part j of value v: each marker
-# variable (letter + j) carries sum_k v (v + step) ... (v + (k-1) step) *
-# marker^k, the rising factorial for step 1 and the falling one for step -1,
-# and each expansion variable carries S^(sign * v - 1) and the operator
-# argument 1.  A kind with a free block (simple transpositions) also has the
-# variable X, on which nu_j's operator carries the argument v.
-_SERIES = {
-    "simple": ({}, {}),
-    "monotone": ({"u": 1}, {"z": 1}),
-    "strict": ({"u": -1}, {"z": -1}),
-    "mixed": ({"t": 1, "u": -1}, {"y": 1, "z": -1}),
-}
-_FREE = ("simple", "mixed")
-
-
-def _check_kind(kind: str):
-    if kind not in _SERIES:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {', '.join(_SERIES)}")
+# a pure kind opens its own block (`PURE_KINDS` is in `BLOCKS` order), mixed all three, even at (1, 1, 0)
+_OPENS = dict(zip(PURE_KINDS, zip(BLOCKS)), mixed=BLOCKS)
 
 
 @dataclass
@@ -59,10 +45,11 @@ class WallCrossingProblem:
     kind: str  # simple | monotone | strict | mixed
     signature: Union[int, tuple]  # genus, or (p, q, r) for mixed
     budgets: Signature = field(init=False)
+    blocks: tuple = field(init=False)
 
     def __post_init__(self):
-        _check_kind(self.kind)
         self.budgets = Signature.of(self.kind, self.signature, self.c1.m, self.c1.n)
+        self.blocks = _OPENS[self.kind]
         if (self.c1.m, self.c1.n) != (self.c2.m, self.c2.n):
             raise ValueError("chambers live in different arrangements")
         if (self.wall.m, self.wall.n) != (self.c1.m, self.c1.n):
@@ -85,32 +72,29 @@ def wallcrossing_polynomial(problem: WallCrossingProblem):
 # -- refined generating series ----------------------------------------------------
 
 
-def _space(kind: str, n: int, order: int):
-    markers, expansions = _SERIES[kind]
-    names = [f"{x}{j}" for x in markers for j in range(1, n + 1)]
-    names += ["X"] if kind in _FREE else []
-    names += [f"{x}{j}" for x in expansions for j in range(1, n + 1)]
-    caps = (order,) * len(names)
-    blocks = ((tuple(range(len(names))), order),)
-    return tuple(names), caps, blocks
+def _space(blocks, n: int, order: int):
+    """The markers of the opened blocks, then their expansion variables, all
+    under one total order."""
+    names = [f"{b.marker}{j}" for b in blocks if b.marker for j in range(1, n + 1)]
+    names += dict.fromkeys(b.var(j) for b in blocks for j in range(1, n + 1))  # X once
+    return tuple(names), (order,) * len(names), ((tuple(range(len(names))), order),)
 
 
-def _markers(kind, nu, index, space, order) -> TruncSeries:
+def _markers(blocks, nu, index, space, order) -> TruncSeries:
     """The marker series of every indexed part of nu, as one series.
 
-    Each marker variable carries its own factorial column (see `_SERIES`),
-    so the coefficient at e is the product of the columns at e's
+    Each marker variable carries its block's factorial column of its part's
+    value, so the coefficient at e is the product of the columns at e's
     exponents, kept while the total order stays within `order`.
     """
-    names, caps, blocks = space
-    markers, _ = _SERIES[kind]
+    names, caps, groups = space
     terms = {(0,) * len(names): 1}
     for v, j in zip(nu, index):
         if j is None:
             continue  # extraction at marker power 0 with zero argument
-        for x, step in markers.items():
-            ix = names.index(f"{x}{j}")
-            col = factorial_column(v, order, step)
+        for b in [b for b in blocks if b.marker]:
+            ix = names.index(f"{b.marker}{j}")
+            col = factorial_column(v, order, b.sign)
             grown = {}
             for e, c in terms.items():
                 for k in range(order - sum(e) + 1):
@@ -118,57 +102,58 @@ def _markers(kind, nu, index, space, order) -> TruncSeries:
                         break  # a falling factorial stays zero past v
                     grown[e[:ix] + (k,) + e[ix + 1 :]] = c * col[k]
             terms = grown
-    return TruncSeries(names, caps, None, terms, blocks)
+    return TruncSeries(names, caps, None, terms, groups)
 
 
-def _h_series(kind, mu, nu, index, space, order, chamber=None, minus=None):
+def _h_series(blocks, mu, nu, index, space, order, chamber=None, minus=None):
     """The refined series of one (possibly split) profile, in ambient vars.
 
     mu, nu: the parts, the delta part included on a split side.
-    index: each nu-part's parent index j (vars uj/zj/tj/yj), in profile
+    index: each nu-part's parent index j (vars tj/uj/yj/zj), in profile
     order; None marks the delta part, which carries no markers and no
     expansion variables of its own.
     The generating series comes from `wedge.generating_series`, with the
-    kind's expansion variables on each indexed part; its two factors, the
-    marker series and 1/(prod mu prod nu) are multiplied in here.  With
-    `minus`, the series is linear in its correlator, so this is the jump
-    (series on `chamber`) - (series on `minus`) from the one correlator
-    difference that `generating_series` materializes.
+    opened blocks' expansion variables on each indexed part; its two
+    factors, the marker series and 1/(prod mu prod nu) are multiplied in
+    here.  With `minus`, the series is linear in its correlator, so this is
+    the jump (series on `chamber`) - (series on `minus`) from the one
+    correlator difference that `generating_series` materializes.
     """
     ch = chamber if chamber is not None else chamber_of(mu, nu)
-
-    _, expansions = _SERIES[kind]
-    parts = [{} if j is None else {f"{x}{j}": sign for x, sign in expansions.items()} for j in index]
-    corr, pref = generating_series(ch, parts, space, (mu, nu), minus)
-    out = corr * pref * _markers(kind, nu, index, space, order)
+    corr, pref = generating_series(ch, expansion_parts(blocks, index), space, (mu, nu), minus)
+    out = corr * pref * _markers(blocks, nu, index, space, order)
     return out.scalar_mul(Fraction(1, prod(mu) * prod(nu)))
 
 
 def refined_series(kind: str, mu, nu, order: int, chamber: Optional[Chamber] = None) -> TruncSeries:
     """The refined generating series of (mu, nu), truncated at total order.
 
-    Variables: X alone for the simple kind; u1..un (markers) and z1..zn for
-    monotone and strict; t, u, X, y, z for the mixed kind.  `chamber`
-    overrides the sample's own chamber, which is how the series is continued
-    across a wall; a profile whose (m, n) is not the chamber's raises
+    Variables, by the blocks of `wedge.BLOCKS` the kind opens: X alone for
+    simple; markers t1..tn and y1..yn for monotone; markers u1..un and
+    z1..zn for strict; t, u, X, y, z for mixed, so a pure kind's series is
+    the mixed one at 0 in the other blocks' variables.  `chamber` overrides
+    the sample's own chamber, which is how the series is continued across a
+    wall; a profile whose (m, n) is not the chamber's raises
     `ArityMismatch`.  An unknown kind or a negative order raises
     `ValueError`, as does an order that is not an integer.
     """
-    _check_kind(kind)
+    blocks = _OPENS.get(kind)
+    if blocks is None:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {', '.join(_OPENS)}")
     order = check_integer(order, "order")
     if order < 0:
         raise ValueError(f"order must be at least 0, got {order}")
     mu, nu = check_profiles(mu, nu)
     if chamber is not None and (chamber.m, chamber.n) != (len(mu), len(nu)):
         raise ArityMismatch(f"expected profiles of lengths {chamber.m}, {chamber.n}")
-    space = _space(kind, len(nu), order)
-    return _h_series(kind, mu, nu, range(1, len(nu) + 1), space, order, chamber=chamber)
+    space = _space(blocks, len(nu), order)
+    return _h_series(blocks, mu, nu, range(1, len(nu) + 1), space, order, chamber=chamber)
 
 
 # -- the recursive product formula -------------------------------------------------
 
 
-def _crossing_prefactor(kind, J, nu, delta, space) -> TruncSeries:
+def _crossing_prefactor(blocks, J, nu, delta, space) -> TruncSeries:
     """delta^2 * sigma-ratio, as the pole-free S-series times the scalar delta.
 
     Every sigma(L) is L * S(L); the linear forms of numerator and denominator
@@ -176,20 +161,17 @@ def _crossing_prefactor(kind, J, nu, delta, space) -> TruncSeries:
     Each S of the denominator is inverted in closed form (`s_inverse_of`).
     J is the wall's nu-side index tuple.
     """
-    names, caps, blocks = space
     n = len(nu)
     Jc = [j for j in range(1, n + 1) if j not in J]
 
-    _, expansions = _SERIES[kind]
-
     def argmap(ixs, scale=1, xshift=0):
-        out = {f"{x}{j}": scale for j in ixs for x in expansions}
-        if kind in _FREE:
-            out["X"] = (xshift + sum(nu[j - 1] for j in ixs)) * scale
+        out = {b.var(j): scale for j in ixs for b in blocks if b.sign}
+        if FREE in blocks:
+            out[FREE.letter] = (xshift + sum(nu[j - 1] for j in ixs)) * scale
         return out
 
     def series(args):
-        return TruncSeries.from_linear(names, caps, args, None, blocks)
+        return TruncSeries.from_linear(*space[:2], args, None, space[2])
 
     return (
         s_of(series(argmap(J, 1, delta)))
@@ -216,12 +198,12 @@ def verify_wallcrossing(problem: WallCrossingProblem, samples) -> dict:
     if problem.c1.key() == problem.c2.key():
         raise InvalidSplit("the problem crosses no wall")
     order = problem.budgets.b
-    kind = problem.kind
+    blocks = problem.blocks
     wall = problem.wall
     samples = list(samples)
     if not samples:
         raise ValueError("verify_wallcrossing needs at least one sample")
-    report = {"wall": str(wall), "kind": kind, "order": order, "samples": [], "ok": True}
+    report = {"wall": str(wall), "kind": problem.kind, "order": order, "samples": [], "ok": True}
     for mu, nu in samples:
         ch = chamber_of(mu, nu)  # checks the profiles; raises OnWall on a wall
         mu, nu = ch.sample
@@ -230,16 +212,16 @@ def verify_wallcrossing(problem: WallCrossingProblem, samples) -> dict:
         delta = wall.value(mu, nu)
         if delta <= 0:
             raise InvalidSplit(f"delta = {delta} at {(mu, nu)}")
-        space = _space(kind, len(nu), order)
+        space = _space(blocks, len(nu), order)
 
-        lhs = _h_series(kind, mu, nu, range(1, len(nu) + 1), space, order, chamber=problem.c2, minus=problem.c1)
+        lhs = _h_series(blocks, mu, nu, range(1, len(nu) + 1), space, order, chamber=problem.c2, minus=problem.c1)
 
         Ic = [i for i in range(1, len(mu) + 1) if i not in wall.I]
         Jc = tuple(j for j in range(1, len(nu) + 1) if j not in wall.J)
         nu_J = [nu[j - 1] for j in wall.J] + [delta]
-        f1 = _h_series(kind, [mu[i - 1] for i in wall.I], nu_J, wall.J + (None,), space, order)
-        f2 = _h_series(kind, [mu[i - 1] for i in Ic] + [delta], [nu[j - 1] for j in Jc], Jc, space, order)
-        rhs = _crossing_prefactor(kind, wall.J, nu, delta, space) * f1 * f2
+        f1 = _h_series(blocks, [mu[i - 1] for i in wall.I], nu_J, wall.J + (None,), space, order)
+        f2 = _h_series(blocks, [mu[i - 1] for i in Ic] + [delta], [nu[j - 1] for j in Jc], Jc, space, order)
+        rhs = _crossing_prefactor(blocks, wall.J, nu, delta, space) * f1 * f2
 
         entry = {
             "mu": list(mu),

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import (
     MultiPoly,
@@ -299,27 +299,44 @@ def commutation_patterns(chamber: Chamber) -> tuple:
 # -- series assembly --------------------------------------------------------------
 
 
-def _space_for(sig: Signature, n: int):
-    """The series space of the budgets, X for p, y1..yn for q and z1..zn for
-    r, and each part of nu's expansion variables {yj: 1, zj: -1}.
+class Block(NamedTuple):
+    """One kind of transposition: the free block has the one variable X, on
+    which nu_j's operator carries the argument nu_j, and sign 0; any other
+    has a variable letter + j per part nu_j, with argument 1 and the prefactor
+    S^(sign * nu_j - 1), and its factorial column steps by its sign.  The
+    refined series grades a signed block by its markers, marker + j."""
 
-    A variable block exists only when its budget is positive; every
-    monomial of an absent block would be dropped by the extraction anyway.
-    """
-    names, caps, blocks = [], [], []
-    parts = [{} for _ in range(n)]
-    if sig.p:
-        names.append("X")
-        caps.append(sig.p)
-    for letter, budget, sign in (("y", sig.q, 1), ("z", sig.r, -1)):
-        if budget:
-            ix = len(names)
-            names += [f"{letter}{j}" for j in range(1, n + 1)]
-            caps += [budget] * n
-            blocks.append((tuple(range(ix, ix + n)), budget))
-            for j, part in enumerate(parts, start=1):
-                part[f"{letter}{j}"] = sign
-    return (tuple(names), tuple(caps), tuple(blocks)), parts
+    letter: str
+    marker: str
+    sign: int
+
+    def var(self, j: int) -> str:
+        return f"{self.letter}{j}" if self.sign else self.letter
+
+
+# the one table of the blocks, in `Signature` order (p, q, r)
+FREE, MONOTONE, STRICT = BLOCKS = (Block("X", "", 0), Block("y", "t", 1), Block("z", "u", -1))
+
+
+def expansion_parts(blocks, index) -> list:
+    """Each part's expansion variables {variable: sign} in the given blocks,
+    by its index j in nu; the index None (a split's delta part) has none."""
+    return [{} if j is None else {b.var(j): b.sign for b in blocks if b.sign} for j in index]
+
+
+def _space_for(sig: Signature, n: int):
+    """The series space of the budgets and each part's expansion variables:
+    each block of `BLOCKS` opens its variables, capped at its budget, only
+    when that budget is positive (the extraction would drop them anyway)."""
+    names, caps, groups = [], [], []
+    opened = [(block, budget) for block, budget in zip(BLOCKS, sig) if budget]
+    for block, budget in opened:
+        got = list(dict.fromkeys(block.var(j) for j in range(1, n + 1)))  # X once
+        if block.sign:
+            groups.append((tuple(range(len(names), len(names) + n)), budget))
+        names += got
+        caps += [budget] * len(got)
+    return (tuple(names), tuple(caps), tuple(groups)), expansion_parts([b for b, _ in opened], range(1, n + 1))
 
 
 def materialize(products, word, space, values, signs=None):
@@ -402,7 +419,7 @@ def generating_series(chamber: Chamber, parts, space, values, minus: Optional[Ch
     vars_, caps, blocks = space
     word = [EOp.make([i], []) for i in range(1, chamber.m + 1)]
     for j, (nu, signs) in enumerate(zip(values[1], parts), start=1):
-        arg = {"X": nu} if "X" in vars_ else {}
+        arg = {FREE.letter: nu} if FREE.letter in vars_ else {}
         arg.update({x: 1 for x in signs})
         word.append(EOp.make([], [j], arg))
     products = johnson_expand(chamber, word)
@@ -459,14 +476,13 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber) -> MultiPoly:
     mus = [ring.var(f"mu{i}") for i in range(2, m + 1)]
     image = sum(nus) - sum(mus)
 
-    p, q, r = sig
     space, parts = _space_for(sig, n)
     corr, pref = generating_series(chamber, parts, space, ((image, *mus), nus))
 
     # each expansion variable weighs its exponent by its part's factorial
-    # column, rising or falling by its sign; X has none
-    cap = dict(zip(*space[:2]))
-    column = {x: factorial_column(nu, cap[x], sign) for nu, signs in zip(nus, parts) for x, sign in signs.items()}
+    # column, rising or falling by its block's sign; the free block has none
+    signed = [(b, budget) for b, budget in zip(BLOCKS, sig) if budget and b.sign]
+    column = {b.var(j): factorial_column(nu, budget, b.sign) for b, budget in signed for j, nu in enumerate(nus, 1)}
     columns = [column.get(v) for v in space[0]]
 
     def weight(e):
@@ -476,8 +492,8 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber) -> MultiPoly:
                 w = w * col[k]
         return w
 
-    target = {v: k for v, k in (("X", p), ("y1", q), ("z1", r)) if k}
-    total = corr.grade_sum(pref, target, weight) * factorial(p)
+    target = {block.var(1): budget for block, budget in zip(BLOCKS, sig) if budget}
+    total = corr.grade_sum(pref, target, weight) * factorial(sig.p)
     # strip the product of parts: the monomial of every part but mu1, then mu1 = image
     total = total.exact_divide(MultiPoly(ring, {(0,) + (1,) * (m + n - 1): 1})).exact_divide(image)
 

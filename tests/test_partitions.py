@@ -21,6 +21,7 @@ from hurwitz.partitions import (
     multiplicity_factor,
     partitions,
 )
+from hurwitz.partitions import _character_column
 
 
 def _conjugate(lam) -> tuple:
@@ -61,6 +62,15 @@ def test_compositions_count():
     # 2^(d-1) compositions of d
     for d in range(1, 7):
         assert len(list(compositions(d))) == 2 ** (d - 1)
+
+
+@pytest.mark.parametrize("enumerate_", [partitions, compositions])
+def test_a_size_that_is_not_an_integer_is_named(enumerate_):
+    # 2.5 used to raise a bare TypeError from inside the enumeration
+    for d in (2.5, 2.0, Fraction(2)):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            list(enumerate_(d))
+    assert list(enumerate_(-1)) == []  # a negative size has nothing to enumerate
 
 
 def test_check_composition_rejects():
@@ -199,6 +209,12 @@ def test_character_sorts_its_shape_and_cycle_type():
             assert character(lam[::-1], mu[::-1]) == character(lam, mu), (lam, mu)
     assert character((1, 3, 2), (1,) * 6) == 16  # the staircase's dimension
     assert character((1, 1, 4), (1, 3, 2)) == _beta_number_character((4, 1, 1), (3, 2, 1)) == -1
+
+
+def test_reordered_profiles_share_one_character_column():
+    _character_column.cache_clear()
+    assert character_column((2, 1)) == character_column((1, 2)) == (1, 0, -1)
+    assert _character_column.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("mu", [(2, 0), (0, 3), (1, 1, 0)])

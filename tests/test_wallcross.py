@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from hurwitz import wallcross, wedge
 from hurwitz.algebra import TruncSeries
 from hurwitz.charactereval import hurwitz_disconnected
-from hurwitz.partitions import Signature, SizeMismatch
-from hurwitz.verify import _WC_SAMPLES
+from hurwitz.partitions import PURE_KINDS, Signature, SizeMismatch
+from hurwitz.verify import _WC_SAMPLES, _chambers
 from hurwitz.wallcross import (
     InvalidSplit,
     WallCrossingProblem,
@@ -20,7 +20,7 @@ from hurwitz.wallcross import (
     verify_wallcrossing,
     wallcrossing_polynomial,
 )
-from hurwitz.wedge import ArityMismatch, OnWall, Wall, chamber_of, chamber_polynomial, evaluate
+from hurwitz.wedge import ArityMismatch, OnWall, Wall, chamber_of, chamber_polynomial, evaluate, walls
 
 WALL = Wall((1,), (1,), 2, 2)
 C2 = chamber_of((3, 1), (2, 2))  # mu1 - nu1 > 0
@@ -28,8 +28,10 @@ C1 = chamber_of((2, 2), (3, 1))  # mu1 - nu1 < 0, same side of every other wall
 
 
 def _diag_pure(kind, mu, nu, b):
-    """Sum of the joint u^v z^v coefficients with |v| = b."""
+    """Sum of the joint marker^v expansion^v coefficients with |v| = b, in
+    the pure kind's one block (t/y for monotone, u/z for strict)."""
     n = len(nu)
+    (block,) = wallcross._OPENS[kind]
     s = refined_series(kind, mu, nu, 2 * b)
     tot = Fraction(0)
     for v in product(range(b + 1), repeat=n):
@@ -37,8 +39,8 @@ def _diag_pure(kind, mu, nu, b):
             continue
         mono = {}
         for j in range(1, n + 1):
-            mono[f"u{j}"] = v[j - 1]
-            mono[f"z{j}"] = v[j - 1]
+            mono[f"{block.marker}{j}"] = v[j - 1]
+            mono[block.var(j)] = v[j - 1]
         tot += s.coeff(mono)
     return tot
 
@@ -88,9 +90,9 @@ def test_refined_series_trivial_profile():
     s = refined_series("monotone", (1,), (1,), 3)
     fact = 1
     for k in range(4):
-        assert s.coeff({"u1": k}) == fact
+        assert s.coeff({"t1": k}) == fact
         fact *= k + 1
-    assert s.coeff({"u1": 1, "z1": 1}) == 0
+    assert s.coeff({"t1": 1, "y1": 1}) == 0
 
 
 def test_refined_series_zero_order():
@@ -154,6 +156,50 @@ def test_mixed_diagonal_extraction():
     assert tot == hurwitz_disconnected(mu, nu, p, q, r)
 
 
+def _terms_in(series, names):
+    """The series' terms {((variable, exponent), ...): coefficient} whose
+    variables are all among `names`: the series at 0 in every other variable."""
+    out = {}
+    for e, c in series.data.items():
+        mono = tuple((v, k) for v, k in zip(series.vars, e) if k)
+        if all(v in names for v, _ in mono):
+            out[mono] = c
+    return out
+
+
+@pytest.mark.parametrize("kind", PURE_KINDS)
+@pytest.mark.parametrize("mu,nu", [((3, 1), (2, 2)), ((5, 1), (3, 3)), ((4,), (2, 1, 1))], ids=str)
+def test_a_pure_series_is_the_mixed_one_at_zero_in_the_other_blocks(kind, mu, nu):
+    # every kind names a block by the same variables, so the pure series is
+    # a restriction of the mixed one, term by term and name by name
+    for order in range(5):
+        pure = refined_series(kind, mu, nu, order)
+        mixed = refined_series("mixed", mu, nu, order)
+        assert _terms_in(mixed, pure.vars) == _terms_in(pure, pure.vars), order
+    assert len(pure.data) > 1
+
+
+def test_wallcrossing_on_every_sampled_wall_of_m_n_2_3():
+    # one chamber c2 on the positive side of each wall of (2, 3) and (3, 2)
+    # whose neighbour across that wall alone is sampled too, with d <= 8
+    problems = []
+    for m, n in ((2, 3), (3, 2)):
+        chambers = _chambers(m, n, dmax=8)
+        by_signs = {ch.key()[2]: ch for ch in chambers}
+        for k, wall in enumerate(walls(m, n)):
+            for c2 in chambers:
+                signs = c2.key()[2]
+                c1 = by_signs.get(signs[:k] + (-1,) + signs[k + 1 :]) if signs[k] == 1 else None
+                if c1 is not None:
+                    problems.append((wall, c1, c2))
+                    break
+    assert len(problems) == 12
+    for wall, c1, c2 in problems:
+        for kind, signature in (("monotone", 1), ("mixed", (1, 1, 1))):
+            rep = verify_wallcrossing(WallCrossingProblem(wall, c1, c2, kind, signature), [c2.sample])
+            assert rep["ok"], rep
+
+
 def test_wallcrossing_identity_monotone_g0():
     prob = WallCrossingProblem(WALL, C1, C2, "monotone", 0)
     rep = verify_wallcrossing(prob, [((3, 1), (2, 2)), ((5, 1), (3, 3))])
@@ -173,8 +219,9 @@ _JUMP_SAMPLES = [((3, 1), (2, 2)), ((5, 1), (3, 3)), ((5, 2), (4, 3))]
 def _jump(kind, mu, nu, order, chamber=C2, minus=C1):
     """One series of the jump from `minus` to `chamber`: by default the left
     side of the product formula, corr(C2) - corr(C1)."""
-    space = wallcross._space(kind, len(nu), order)
-    return wallcross._h_series(kind, mu, nu, (1, 2), space, order, chamber=chamber, minus=minus)
+    blocks = wallcross._OPENS[kind]
+    space = wallcross._space(blocks, len(nu), order)
+    return wallcross._h_series(blocks, mu, nu, (1, 2), space, order, chamber=chamber, minus=minus)
 
 
 @pytest.mark.parametrize("g", [0, 1, 2])
@@ -236,15 +283,15 @@ def _with_prefactor(monkeypatch, change):
     """Replace the crossing prefactor P by change(P, space)."""
     real = wallcross._crossing_prefactor
 
-    def patched(kind, problem, nu, delta, space):
-        return change(real(kind, problem, nu, delta, space), space)
+    def patched(blocks, J, nu, delta, space):
+        return change(real(blocks, J, nu, delta, space), space)
 
     monkeypatch.setattr(wallcross, "_crossing_prefactor", patched)
 
 
 def test_wallcrossing_mismatch_names_the_lowest_differing_monomial(monkeypatch):
     # a doubled prefactor doubles the right side, so the first mismatch is
-    # the jump's lowest term: (degree, exponents) order over u1, u2, z1, z2
+    # the jump's lowest term: (degree, exponents) order over t1, t2, y1, y2
     _with_prefactor(monkeypatch, lambda pref, space: pref.scalar_mul(2))
     prob = WallCrossingProblem(WALL, C1, C2, "monotone", 1)
     rep = verify_wallcrossing(prob, [((3, 1), (2, 2)), ((5, 1), (3, 3))])
@@ -255,23 +302,23 @@ def test_wallcrossing_mismatch_names_the_lowest_differing_monomial(monkeypatch):
         jump = refined_series("monotone", mu, nu, 4, chamber=C2) - refined_series("monotone", mu, nu, 4, chamber=C1)
         e, c = min(jump.data.items(), key=lambda t: (sum(t[0]), t[0]))
         assert sample["first_mismatch"] == {
-            "monomial": dict(zip(("u1", "u2", "z1", "z2"), e)),
+            "monomial": dict(zip(("t1", "t2", "y1", "y2"), e)),
             "left": str(c),
             "right": str(2 * c),
         }
     assert rep["samples"][0]["first_mismatch"] == {
-        "monomial": {"u1": 0, "u2": 0, "z1": 1, "z2": 1},
+        "monomial": {"t1": 0, "t2": 0, "y1": 1, "y2": 1},
         "left": "1/4",
         "right": "1/2",
     }
 
 
 def test_wallcrossing_mismatch_skips_the_coefficients_that_agree(monkeypatch):
-    # a prefactor times (1 + u2) leaves the jump's lowest term z1 z2 (1/4)
-    # alone and adds it to the next one, u2 z1 z2 (1/2)
+    # a prefactor times (1 + t2) leaves the jump's lowest term y1 y2 (1/4)
+    # alone and adds it to the next one, t2 y1 y2 (1/2)
     def change(pref, space):
         names, caps, blocks = space
-        bump = TruncSeries.one(names, caps, None, blocks) + TruncSeries.from_linear(names, caps, {"u2": 1}, None, blocks)
+        bump = TruncSeries.one(names, caps, None, blocks) + TruncSeries.from_linear(names, caps, {"t2": 1}, None, blocks)
         return pref * bump
 
     _with_prefactor(monkeypatch, change)
@@ -279,7 +326,7 @@ def test_wallcrossing_mismatch_skips_the_coefficients_that_agree(monkeypatch):
     (sample,) = verify_wallcrossing(prob, [((3, 1), (2, 2))])["samples"]
     assert sample["equal"] is False
     assert sample["first_mismatch"] == {
-        "monomial": {"u1": 0, "u2": 1, "z1": 1, "z2": 1},
+        "monomial": {"t1": 0, "t2": 1, "y1": 1, "y2": 1},
         "left": "1/2",
         "right": "3/4",
     }
@@ -316,8 +363,10 @@ def test_series_jump_matches_polynomial_difference(problem):
     prob = WallCrossingProblem(WALL, C1, C2, kind, g)
     b = prob.budgets.b
     jump = refined_series(kind, mu, nu, 2 * b, chamber=C2) - refined_series(kind, mu, nu, 2 * b, chamber=C1)
+    (block,) = prob.blocks
+    marker, var = block.marker, block.var
     tot = Fraction(0)
     for v in product(range(b + 1), repeat=2):
         if sum(v) == b:
-            tot += jump.coeff({"u1": v[0], "u2": v[1], "z1": v[0], "z2": v[1]})
+            tot += jump.coeff({f"{marker}1": v[0], f"{marker}2": v[1], var(1): v[0], var(2): v[1]})
     assert tot == evaluate(wallcrossing_polynomial(prob), mu, nu)
