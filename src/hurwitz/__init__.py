@@ -39,7 +39,6 @@ from .wedge import (
     ArityMismatch,
     Chamber,
     DegenerateSignature,
-    EOp,
     OnWall,
     SigmaProduct,
     SumMismatch,
@@ -61,7 +60,6 @@ __all__ = [
     "BoundExceeded",
     "Chamber",
     "DegenerateSignature",
-    "EOp",
     "ExponentOverflow",
     "FactorizationCount",
     "FactorizationSpec",

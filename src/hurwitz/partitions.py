@@ -151,19 +151,26 @@ def partitions(d: int):
         yield tuple(x[:m])
 
 
-def compositions(d: int):
-    """All compositions of d (ordered tuples of positive parts).  A negative d
-    has none; a d that is not an int raises ValueError (`check_integer`)."""
+def compositions(d: int, k=None):
+    """All compositions of d (ordered tuples of positive parts) in lex order,
+    or with k only those of exactly k parts.  A negative d or k has none, and
+    so has k > d; k = 0 gives only the empty composition of d = 0.  A d or k
+    that is not an int raises ValueError (`check_integer`)."""
 
-    def gen(remaining):
-        if remaining == 0:
-            yield ()
+    def gen(rest, k):
+        # k: the number of parts still to place, or None for any number
+        if rest == 0 or k == 0:
+            if rest == 0 and not k:
+                yield ()
             return
-        for first in range(1, remaining + 1):
-            for rest in gen(remaining - first):
-                yield (first,) + rest
+        for first in range(1, (rest if k is None else rest - k + 1) + 1):
+            for tail in gen(rest - first, None if k is None else k - 1):
+                yield (first,) + tail
 
-    yield from gen(check_integer(d, "d"))
+    d = check_integer(d, "d")
+    k = None if k is None else check_integer(k, "k")
+    if d >= 0 and (k is None or k >= 0):
+        yield from gen(d, k)
 
 
 def _shape(parts) -> tuple:

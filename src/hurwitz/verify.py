@@ -73,11 +73,17 @@ def _fmt_or_none(x, missing: str) -> str:
 
 
 def _guard(dmax: int, bmax: int) -> None:
+    if dmax < 1 or bmax < 0:
+        raise ValueError(f"suite bounds dmax={dmax}, bmax={bmax} leave nothing to compare: need dmax >= 1, bmax >= 0")
     if dmax > 6 or bmax > 5:
         raise BoundExceeded(f"suite bounds dmax={dmax}, bmax={bmax} exceed the desk scale (6, 5)")
 
 
 def _report(suite: str, instances, failures) -> dict:
+    """The suite's record; a sweep that compared nothing raises ValueError
+    rather than passing."""
+    if not instances:
+        raise ValueError(f"suite {suite} compared no instances")
     return {
         "suite": suite,
         "count": len(instances),
@@ -135,12 +141,8 @@ def _chambers(m: int, n: int, dmax: int = 8):
     `dmax`: a sample, which at dmax = 8 misses most (2, 4) and all (3, 3) chambers."""
     seen = {}
     for d in range(max(m, n), dmax + 1):
-        for mu in compositions(d):
-            if len(mu) != m:
-                continue
-            for nu in compositions(d):
-                if len(nu) != n:
-                    continue
+        for mu in compositions(d, m):
+            for nu in compositions(d, n):
                 try:
                     ch = chamber_of(mu, nu)
                 except OnWall:

@@ -14,12 +14,15 @@ covacuum) or everything has merged into a single zero-energy operator.
 An operator absorbing mu_I and nu_J is the walk label (I, J), with energy
 mu_I - nu_J, so which operators count as negative is read off the chamber's
 sample point, and the pattern set is the same throughout the chamber.
-`johnson_expand` returns the patterns as sigma-products on walk labels, and
+`johnson_expand` walks a word of labels alone (the walk sees only the
+chamber's signs) and returns its patterns as sigma-products on walk labels;
+`commutation_patterns` caches the standard word's walk once per chamber.
 `materialize` turns those into a series, reading each label's energy and
-argument once at one point (mu, nu) (ring elements for polynomial
-coefficients, parts for numeric ones).  `generating_series` hands
-out that correlator with its S-power prefactor (or, given a second chamber,
-the jump of the correlator, from the patterns that differ across the wall):
+argument (the sum of the per-part arguments of nu_J) once at one point
+(mu, nu) (ring elements for polynomial coefficients, parts for numeric
+ones).  `generating_series` hands out that correlator with its S-power
+prefactor (or, given a second chamber, the jump of the correlator, from
+the patterns that differ across the wall):
 the refined series of `wallcross` multiply the two, and chamber polynomials
 read one grade of their product (`TruncSeries.grade_sum`), with mu1 valued
 on the weight shell so that nothing is substituted after.
@@ -223,27 +226,10 @@ def _walk(word: tuple, sign) -> list:
 # -- public expansion into sigma-products ----------------------------------------
 
 
-@dataclass(frozen=True)
-class EOp:
-    """One operator of a word: the mu- and nu-indices it absorbs, and its
-    argument, a sorted tuple of (expansion variable, value) whose values are
-    ints, Fractions or elements of a coefficient ring (zeros dropped)."""
-
-    mu_indices: frozenset
-    nu_indices: frozenset
-    arg: tuple = ()
-
-    @staticmethod
-    def make(mu_indices, nu_indices, arg: Optional[dict] = None) -> "EOp":
-        items = tuple(sorted((v, c) for v, c in (arg or {}).items() if c))
-        return EOp(frozenset(mu_indices), frozenset(nu_indices), items)
-
-
 def standard_word(m: int, n: int) -> tuple:
-    """E(mu_1)(0) ... E(mu_m)(0) E(-nu_1)(z1) ... E(-nu_n)(zn)."""
-    word = [EOp.make([i], []) for i in range(1, m + 1)]
-    word += [EOp.make([], [j], {f"z{j}": 1}) for j in range(1, n + 1)]
-    return tuple(word)
+    """The labels of E(mu_1) ... E(mu_m) E(-nu_1) ... E(-nu_n): ({i}, {}), then ({}, {j})."""
+    word = [(frozenset([i]), frozenset()) for i in range(1, m + 1)]
+    return tuple(word + [(frozenset(), frozenset([j])) for j in range(1, n + 1)])
 
 
 @dataclass(frozen=True)
@@ -251,8 +237,8 @@ class SigmaProduct:
     """One commutation pattern of a word, on its walk labels (see `materialize`).
 
     A label (I, J) stands for the operator that absorbed mu_I and nu_J: its
-    energy is mu_I - nu_J and its argument the sum of the word's arguments
-    inside it.  Each pair (A, B) of `factors` denotes the factor
+    energy is mu_I - nu_J and its argument the sum of the arguments of the
+    parts nu_J.  Each pair (A, B) of `factors` denotes the factor
     sigma(energy(A)*arg(B) - energy(B)*arg(A)); the label `final` pairs with
     the word's total argument W as sigma(energy(final) * W) / sigma(W).
     """
@@ -262,37 +248,38 @@ class SigmaProduct:
 
 
 def johnson_expand(chamber: Chamber, word) -> list:
-    """Run the commutation algorithm on an explicit operator word.
+    """Run the commutation algorithm on an explicit word of labels (I, J),
+    the mu- and nu-indices each operator absorbs (any iterables of ints).
 
     Returns one SigmaProduct per surviving pattern; a word whose total
     energy is not zero has vanishing correlator and yields the empty list.
     These products are the formula every count is computed from: see
     `materialize`.  A word needs at least two operators.
     """
-    word = tuple(word)
+    word = tuple((frozenset(I), frozenset(J)) for I, J in word)
     if len(word) < 2:
         raise ValueError("operator word needs at least two operators")
     seen_mu, seen_nu = set(), set()
-    for op in word:
-        if not op.mu_indices and not op.nu_indices:
+    for I, J in word:
+        if not I and not J:
             raise ValueError("operator without indices")
-        if op.mu_indices & seen_mu or op.nu_indices & seen_nu:
+        if I & seen_mu or J & seen_nu:
             raise ValueError("operator word reuses an index")
-        if max(op.mu_indices, default=1) > chamber.m or max(op.nu_indices, default=1) > chamber.n:
+        if max(I, default=1) > chamber.m or max(J, default=1) > chamber.n:
             raise ValueError("operator index outside the chamber's (m, n)")
-        seen_mu |= op.mu_indices
-        seen_nu |= op.nu_indices
+        seen_mu |= I
+        seen_nu |= J
     # total energy sum(mu_I) - sum(nu_J) vanishes on the weight shell exactly
     # when every index is covered once
     if seen_mu != set(range(1, chamber.m + 1)) or seen_nu != set(range(1, chamber.n + 1)):
         return []
-    labels = tuple((op.mu_indices, op.nu_indices) for op in word)
-    return [SigmaProduct(*pattern) for pattern in _walk(labels, chamber.label_sign)]
+    return [SigmaProduct(*pattern) for pattern in _walk(word, chamber.label_sign)]
 
 
 @lru_cache(maxsize=128)
 def commutation_patterns(chamber: Chamber) -> tuple:
-    """The sigma-products of `standard_word` on this chamber."""
+    """The sigma-products of `standard_word` on this chamber: the one walk
+    every generating series reads, since the walk sees only the signs."""
     return tuple(johnson_expand(chamber, standard_word(chamber.m, chamber.n)))
 
 
@@ -339,16 +326,17 @@ def _space_for(sig: Signature, n: int):
     return (tuple(names), tuple(caps), tuple(groups)), expansion_parts([b for b, _ in opened], range(1, n + 1))
 
 
-def materialize(products, word, space, values, signs=None):
-    """Sum the sigma-products of `johnson_expand` on `word` in the given series space.
+def materialize(products, args, space, values, signs=None):
+    """Sum the sigma-products of `johnson_expand` in the given series space.
 
-    Each label's energy mu_I - nu_J and argument (the sum of the word's
-    arguments inside it) are read once per call, at `values` = (mu, nu):
-    numbers, or elements of one ring, which is then the series' coefficient
-    ring.  The word's total argument W and 1/S(W) are built once.  This is
-    where every chamber polynomial and every refined series gets its numbers.  `signs`, when given, holds one integer
-    multiplicity per product (a jump across a wall subtracts the far
-    chamber's products).
+    `args[j-1]` is the argument of nu_j, a map {expansion variable: value};
+    each label (I, J)'s energy mu_I - nu_J and argument (the sum of args
+    over J) are read once per call, at `values` = (mu, nu): numbers, or
+    elements of one ring, which is then the series' coefficient ring.  The
+    total argument W and 1/S(W) are built once.  This is where every
+    chamber polynomial and every refined series gets its numbers.  `signs`,
+    when given, holds one integer multiplicity per product (a jump across a
+    wall subtracts the far chamber's products).
     """
     vars_, caps, blocks = space
     ring = getattr(values[1][0], "ring", None)
@@ -357,21 +345,17 @@ def materialize(products, word, space, values, signs=None):
     def label(lab):
         got = read.get(lab)
         if got is None:
-            energy = _form(lab, *values)
             arg = {}
-            for op in word:
-                if op.mu_indices <= lab[0] and op.nu_indices <= lab[1]:
-                    for v, c in op.arg:
-                        arg[v] = arg[v] + c if v in arg else c
-            got = read[lab] = energy, arg
+            for j in sorted(lab[1]):
+                for v, c in args[j - 1].items():
+                    arg[v] = arg[v] + c if v in arg else c
+            got = read[lab] = _form(lab, *values), arg
         return got
 
     def series(argmap):
         return TruncSeries.from_linear(vars_, caps, argmap, ring, blocks)
 
-    # the label of every index in the word carries its total argument
-    whole = (frozenset().union(*(op.mu_indices for op in word)), frozenset().union(*(op.nu_indices for op in word)))
-    total = series(label(whole)[1])
+    total = series(label((frozenset(), frozenset(range(1, len(args) + 1))))[1])
     inv_s_total = s_inverse_of(total)
     acc = TruncSeries.zero(vars_, caps, ring, blocks)
     for k, prod in enumerate(products):
@@ -402,13 +386,15 @@ def materialize(products, word, space, values, signs=None):
 
 def generating_series(chamber: Chamber, parts, space, values, minus: Optional[Chamber] = None) -> tuple:
     """The mixed generating series of the chamber, as its two factors: the
-    commutation-pattern correlator of E(mu_1) ... E(mu_m) E(-nu_1) ...
-    E(-nu_n), and the prefactor prod_j prod_x S(x)^(sign * nu_j - 1).
+    correlator of E(mu_1) ... E(mu_m) E(-nu_1) ... E(-nu_n), summed over
+    the chamber's `commutation_patterns`, and the prefactor
+    prod_j prod_x S(x)^(sign * nu_j - 1).
 
     `parts[j-1]` maps nu_j's expansion variables x to their signs; nu_j's
-    operator carries the argument X * nu_j when the space has X, and 1 on
-    each of its expansion variables.  Coefficients are read at `values` =
-    (mu, nu), numbers or ring elements (see `materialize`).
+    argument is X * nu_j when the space has X, plus 1 on each of its
+    expansion variables.  Coefficients are read at `values` = (mu, nu),
+    numbers or ring elements (see `materialize`), whose arity must be the
+    chamber's (`ArityMismatch`).
 
     With a second chamber `minus` of the same arrangement, the correlator is
     the jump corr(chamber) - corr(minus) at the same values: the
@@ -416,22 +402,22 @@ def generating_series(chamber: Chamber, parts, space, values, minus: Optional[Ch
     is materialized, and only the patterns that differ across the wall are
     summed, with their signs.  The prefactor is the same on both sides.
     """
+    if (len(values[0]), len(values[1])) != (chamber.m, chamber.n):
+        raise ArityMismatch(f"expected profiles of lengths {chamber.m}, {chamber.n}")
     vars_, caps, blocks = space
-    word = [EOp.make([i], []) for i in range(1, chamber.m + 1)]
-    for j, (nu, signs) in enumerate(zip(values[1], parts), start=1):
-        arg = {FREE.letter: nu} if FREE.letter in vars_ else {}
-        arg.update({x: 1 for x in signs})
-        word.append(EOp.make([], [j], arg))
-    products = johnson_expand(chamber, word)
+    args = [{FREE.letter: nu} if FREE.letter in vars_ else {} for nu in values[1]]
+    for arg, signs in zip(args, parts):
+        arg.update(dict.fromkeys(signs, 1))
+    products = commutation_patterns(chamber)
     if minus is None:
-        corr = materialize(products, word, space, values)
+        corr = materialize(products, args, space, values)
     else:
         if (minus.m, minus.n) != (chamber.m, chamber.n):
             raise ValueError("chambers live in different arrangements")
         jump = Counter(products)
-        jump.subtract(johnson_expand(minus, word))
+        jump.subtract(commutation_patterns(minus))
         changed = [prod for prod, k in jump.items() if k]
-        corr = materialize(changed, word, space, values, [jump[prod] for prod in changed])
+        corr = materialize(changed, args, space, values, [jump[prod] for prod in changed])
 
     pref = None
     for nu, signs in zip(values[1], parts):

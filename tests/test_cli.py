@@ -236,6 +236,23 @@ def test_verify_bound_guard(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "flags,cause",
+    [
+        (["equality", "--dmax", "0"], "leave nothing"),
+        (["equality", "--bmax", "-1"], "leave nothing"),
+        (["tau", "--dmax", "0"], "leave nothing"),
+        (["tau", "--bmax", "-1"], "leave nothing"),
+        (["conventions", "--bmax", "0"], "compared no instances"),
+    ],
+)
+def test_verify_a_sweep_that_compares_nothing_is_an_error(capsys, flags, cause):
+    # such sweeps used to report PASS and exit 0
+    code, out, err = run(capsys, ["verify", "--suite", *flags])
+    assert code == 2 and not out and cause in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_verify_constant_term_reports_mismatch(capsys, monkeypatch):
     # inject the closed form once recorded for the constant term,
     # -n (2g-3+m+n)! (2g-3) B_{2g-2} / (2g-2)!, which the computed polynomials

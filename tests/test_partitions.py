@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +62,23 @@ def test_compositions_count():
     # 2^(d-1) compositions of d
     for d in range(1, 7):
         assert len(list(compositions(d))) == 2 ** (d - 1)
+
+
+def test_compositions_of_a_fixed_length_are_the_lex_filtered_ones():
+    # C(d-1, k-1) compositions of d into k parts, in the order of the whole list
+    for d in range(7):
+        every = list(compositions(d))
+        assert every == sorted(every)
+        for k in range(d + 3):
+            got = list(compositions(d, k))
+            assert got == [c for c in every if len(c) == k], (d, k)
+            assert len(got) == (comb(d - 1, k - 1) if d and k else int(d == k))
+    # k = 0 has only the empty composition of 0, and k > d has none
+    assert list(compositions(0, 0)) == [()] and list(compositions(3, 0)) == []
+    assert list(compositions(2, 3)) == [] and list(compositions(2, -1)) == []
+    for k in (1.0, Fraction(2), "2"):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            list(compositions(3, k))
 
 
 @pytest.mark.parametrize("enumerate_", [partitions, compositions])

@@ -23,13 +23,12 @@ from hurwitz.algebra import (
 )
 from hurwitz.charactereval import hurwitz_disconnected
 from hurwitz.oracle import MAX_DEGREE, FactorizationSpec, count_factorizations
-from hurwitz.partitions import Signature, SizeMismatch
+from hurwitz.partitions import Signature, SizeMismatch, compositions
 from hurwitz.verify import _chambers
 from hurwitz.wedge import (
     ArityMismatch,
     Chamber,
     DegenerateSignature,
-    EOp,
     OnWall,
     SigmaProduct,
     SumMismatch,
@@ -137,9 +136,34 @@ def test_johnson_expand_nonzero_energy_word():
 def test_johnson_expand_rejects_bad_words():
     ch = chamber_of((3,), (1, 2))
     with pytest.raises(ValueError):
-        johnson_expand(ch, standard_word(1, 2) + (EOp.make([1], []),))
+        johnson_expand(ch, standard_word(1, 2) + (([1], []),))
     with pytest.raises(ValueError):
-        johnson_expand(ch, (EOp.make([1], []), EOp.make([], [5], {"z5": 1})))
+        johnson_expand(ch, (([1], []), ([], [5])))
+
+
+def test_johnson_expand_reads_labels_given_as_tuples_or_sets():
+    ch = chamber_of((3, 1), (2, 2))
+    want = johnson_expand(ch, standard_word(2, 2))
+    assert len(want) == 2 and tuple(want) == commutation_patterns(ch)
+    assert johnson_expand(ch, [((1,), ()), ({2}, set()), ([], [1]), (frozenset(), (2,))]) == want
+    # a merged operator, as a set pair, names the same label as its frozensets
+    merged = johnson_expand(ch, [({1}, {1}), ((2,), ()), ((), [2])])
+    assert merged == johnson_expand(ch, [_label([1], [1]), _label([2], []), _label([], [2])])
+
+
+def test_every_series_of_a_chamber_reads_one_cached_walk():
+    # from a cold cache, two signatures on one chamber and a jump from it
+    # to its neighbour walk each of the two chambers once
+    c2, c1 = chamber_of((3, 1), (2, 2)), chamber_of((2, 2), (3, 1))
+    commutation_patterns.cache_clear()
+    for sig in (Signature(1, 1, 0), Signature(0, 2, 0)):
+        space, parts = _space_for(sig, 2)
+        generating_series(c2, parts, space, c2.sample)
+    generating_series(c2, parts, space, c2.sample, minus=c1)
+    info = commutation_patterns.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    with pytest.raises(ArityMismatch):
+        generating_series(c2, parts, space, ((3, 1), (1, 1, 2)))
 
 
 def test_monotone_torus_one_one_polynomial():
@@ -221,21 +245,10 @@ def test_one_part_simple_polynomial_is_the_closed_form():
         assert poly.terms == {(0, *e): c for e, c in want.items()}, (n, g)
 
 
-def _compositions(d):
-    for cuts in range(1 << (d - 1)):
-        parts, run = [], 1
-        for i in range(d - 1):
-            if cuts >> i & 1:
-                parts.append(run)
-                run = 0
-            run += 1
-        yield tuple(parts + [run])
-
-
 def test_one_part_closed_form_is_the_character_count():
     checked = 0
     for d in range(1, 7):
-        for nu in _compositions(d):
+        for nu in compositions(d):
             for g in range(3):
                 n, r = len(nu), 2 * g - 1 + len(nu)
                 coeff = sum(c * prod(x**k for x, k in zip(nu, e)) for e, c in _one_part_coefficient(n, g).items())
@@ -345,23 +358,13 @@ def test_chamber_polynomial_matches_the_full_product_reference(pad, size, bmax, 
     assert checked == count
 
 
-def _compositions_of_length(d: int, k: int):
-    """Compositions of d into exactly k parts, in lex order."""
-    if k == 1:
-        yield (d,)
-        return
-    for first in range(1, d - k + 2):
-        for rest in _compositions_of_length(d - first, k - 1):
-            yield (first,) + rest
-
-
 def _first_chambers(m: int, n: int, count: int, dmax: int) -> list:
     """The first `count` chambers met by pairs of compositions of length m
     and n of d <= dmax (by d, then lex), each with its first sample."""
     found = {}
     for d in range(max(m, n), dmax + 1):
-        for mu in _compositions_of_length(d, m):
-            for nu in _compositions_of_length(d, n):
+        for mu in compositions(d, m):
+            for nu in compositions(d, n):
                 try:
                     ch = chamber_of(mu, nu)
                 except OnWall:
@@ -439,12 +442,7 @@ def test_pure_kind_is_a_spelling_of_its_budgets():
 def test_johnson_expand_permuted_word_with_merged_operator():
     # nu3 ahead of nu1, and mu1 merged with nu2 into one operator
     ch = chamber_of((3, 3), (4, 1, 1))
-    word = (
-        EOp.make([2], []),
-        EOp.make([1], [2], {"z2": 1}),
-        EOp.make([], [3], {"z3": 1}),
-        EOp.make([], [1], {"z1": 1}),
-    )
+    word = (([2], []), ([1], [2]), ([], [3]), ([], [1]))
     prods = johnson_expand(ch, word)
     # sigma((mu1 - nu2) * z3 + nu3 * z2) * sigma((mu1 - nu2 - nu3) * z1 + nu1 * (z2 + z3))
     #   * sigma(mu2 * W) / sigma(W), and
@@ -461,9 +459,10 @@ def test_johnson_expand_permuted_word_with_merged_operator():
         ),
     ]
     # the same two formulas at mu = (3, 3), nu = (4, 1, 1), built by hand:
-    # sigma(eF * W) / sigma(W) = eF * S(eF * W) / S(W), and the label
-    # (mu1, nu2 nu3) carries the sum z2 + z3 of the word's arguments inside it
+    # sigma(eF * W) / sigma(W) = eF * S(eF * W) / S(W), nu_j has the
+    # argument z_j, and the label (mu1, nu2 nu3) carries the sum z2 + z3
     names, caps, blocks = ("z1", "z2", "z3"), (4, 4, 4), (((0, 1, 2), 4),)
+    args = [{"z1": 1}, {"z2": 1}, {"z3": 1}]
 
     def lin(*coeffs):
         return TruncSeries.from_linear(names, caps, dict(zip(names, coeffs)), None, blocks)
@@ -473,19 +472,19 @@ def test_johnson_expand_permuted_word_with_merged_operator():
         sigma_of(lin(0, 1, 2)) * sigma_of(lin(1, 4, 4)) * s_of(lin(3, 3, 3)).scalar_mul(3) * s_inverse_of(W),
         sigma_of(lin(0, 0, 3)) * sigma_of(lin(2, 4, 0)) * s_of(lin(2, 2, 2)).scalar_mul(2) * s_inverse_of(W),
     ]
-    got = [wedge.materialize([prod], word, (names, caps, blocks), ((3, 3), (4, 1, 1))) for prod in prods]
+    got = [wedge.materialize([prod], args, (names, caps, blocks), ((3, 3), (4, 1, 1))) for prod in prods]
     assert got == want
     assert all(not w.is_zero() for w in want)
     # m + n = 5, so three sigma factors, in a space of top degree 3: each
     # factor is built to degree 1 only, and the product is unchanged
     mu, nu = (5, 2), (1, 3, 3)
-    word, space = standard_word(2, 3), (names, (3, 3, 3), (((0, 1, 2), 3),))
+    space = names, (3, 3, 3), (((0, 1, 2), 3),)
 
     def energy(lab):
         return sum(mu[i - 1] for i in lab[0]) - sum(nu[j - 1] for j in lab[1])
 
     def sigma_arg(A, B):
-        # eA * arg(B) - eB * arg(A); the standard word puts z_j on nu_j alone
+        # eA * arg(B) - eB * arg(A), with the argument z_j on nu_j alone
         combo = {f"z{j}": energy(A) for j in B[1]}
         for j in A[1]:
             combo[f"z{j}"] = combo.get(f"z{j}", 0) - energy(B)
@@ -493,14 +492,14 @@ def test_johnson_expand_permuted_word_with_merged_operator():
 
     W = TruncSeries.from_linear(*space[:2], {v: 1 for v in names}, None, space[2])
     dropped = nonzero = 0
-    for pattern in johnson_expand(chamber_of(mu, nu), word):
+    for pattern in commutation_patterns(chamber_of(mu, nu)):
         assert len(pattern.factors) == 3
-        args = [sigma_arg(A, B) for A, B in pattern.factors]
+        sigmas = [sigma_arg(A, B) for A, B in pattern.factors]
         eF = energy(pattern.final)
-        a, b, c = map(sigma_of, args)
+        a, b, c = map(sigma_of, sigmas)
         want = a * b * c * s_of(W.scalar_mul(eF)).scalar_mul(eF) * s_inverse_of(W)
-        assert wedge.materialize([pattern], word, space, (mu, nu)) == want
-        dropped += sum(sigma_of(x, 3) != sigma_of(x) for x in args)
+        assert wedge.materialize([pattern], args, space, (mu, nu)) == want
+        dropped += sum(sigma_of(x, 3) != sigma_of(x) for x in sigmas)
         nonzero += not want.is_zero()
     assert dropped and nonzero
 
@@ -508,13 +507,13 @@ def test_johnson_expand_permuted_word_with_merged_operator():
 def test_johnson_expand_rejects_operator_without_indices():
     ch = chamber_of((3,), (1, 2))
     with pytest.raises(ValueError):
-        johnson_expand(ch, (EOp.make([], [], {"z9": 1}),) + standard_word(1, 2))
+        johnson_expand(ch, (([], []),) + standard_word(1, 2))
 
 
 def test_johnson_expand_rejects_a_word_of_fewer_than_two_operators():
     ch = chamber_of((1,), (1,))
     with pytest.raises(ValueError):
-        johnson_expand(ch, (EOp.make([1], [1], {"z1": 1}),))
+        johnson_expand(ch, (([1], [1]),))
     with pytest.raises(ValueError):
         johnson_expand(ch, ())
 
