@@ -266,7 +266,17 @@ def _abaci(d: int) -> tuple:
 def character_column(mu) -> tuple:
     """chi^lam(mu) for every lam, in `partitions(sum(mu))` order; every
     order of mu's parts reads one cached column."""
-    return _character_column(_shape(mu))
+    try:
+        return _column_of_parts(*mu)
+    except TypeError:  # an unhashable part: `_shape` names it
+        return _character_column(_shape(mu))
+
+
+@lru_cache(maxsize=256, typed=True)
+def _column_of_parts(*parts) -> tuple:
+    # keyed on the parts as given, so a hit skips `_shape`; typed, so that a
+    # whole float or Fraction part misses and `_shape` rejects it
+    return _character_column(_shape(parts))
 
 
 @lru_cache(maxsize=256)

@@ -25,7 +25,11 @@ prefactor (or, given a second chamber, the jump of the correlator, from
 the patterns that differ across the wall):
 the refined series of `wallcross` multiply the two, and chamber polynomials
 read one grade of their product (`TruncSeries.grade_sum`), with mu1 valued
-on the weight shell so that nothing is substituted after.
+on the weight shell so that nothing is substituted after.  The count is
+symmetric under (mu, nu) <-> (nu, mu), and each part of nu opens its own
+expansion variables, so a chamber with more parts in nu than in mu (or as
+many, and more patterns than its swap) has its polynomial read off the
+swapped chamber at the swapped point: the same polynomial, built cheaper.
 """
 
 from __future__ import annotations
@@ -279,7 +283,11 @@ def johnson_expand(chamber: Chamber, word) -> list:
 @lru_cache(maxsize=128)
 def commutation_patterns(chamber: Chamber) -> tuple:
     """The sigma-products of `standard_word` on this chamber: the one walk
-    every generating series reads, since the walk sees only the signs."""
+    every generating series reads, since the walk sees only the signs.
+
+    The bound of 128 is kept: all of Tier-1 in one process fills 59
+    entries, `suite_equality(6, 5)` 16, and one bench round of `routes` or
+    `chamber` 9 or 19, with a chamber and its swap counted apart."""
     return tuple(johnson_expand(chamber, standard_word(chamber.m, chamber.n)))
 
 
@@ -428,6 +436,30 @@ def generating_series(chamber: Chamber, parts, space, values, minus: Optional[Ch
     return corr, corr.one_like() if pref is None else pref
 
 
+def _numerator(sig: Signature, chamber: Chamber, values):
+    """The chamber's count times the product of its parts, read at `values`
+    = (mu, nu) (see `materialize`): one grade of the generating series,
+    each expansion variable weighed by its part's factorial column."""
+    space, parts = _space_for(sig, chamber.n)
+    corr, pref = generating_series(chamber, parts, space, values)
+
+    # each expansion variable weighs its exponent by its part's factorial
+    # column, rising or falling by its block's sign; the free block has none
+    signed = [(b, budget) for b, budget in zip(BLOCKS, sig) if budget and b.sign]
+    column = {b.var(j): factorial_column(nu, budget, b.sign) for b, budget in signed for j, nu in enumerate(values[1], 1)}
+    columns = [column.get(v) for v in space[0]]
+
+    def weight(e):
+        w = 1
+        for col, k in zip(columns, e):
+            if k and col:
+                w = w * col[k]
+        return w
+
+    target = {block.var(1): budget for block, budget in zip(BLOCKS, sig) if budget}
+    return corr.grade_sum(pref, target, weight) * factorial(sig.p)
+
+
 _POLY_CACHE: dict = {}
 
 
@@ -442,6 +474,12 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber) -> MultiPoly:
     signature with no integer genus gives the zero polynomial without
     building a series: off the walls every cover is connected, so no cover
     has that many transpositions.
+
+    The count at (nu, mu) is the count at (mu, nu), and every part of nu
+    opens its own expansion variables.  So a chamber with more parts in nu
+    than in mu, or as many and more `commutation_patterns` than its swap
+    `Chamber(sample[::-1])`, is walked as that swap at the swapped point
+    (nu, mu): the same polynomial, built from fewer variables or patterns.
     """
     m, n = chamber.m, chamber.n
     sig = Signature.of(kind, signature, m, n)
@@ -462,24 +500,12 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber) -> MultiPoly:
     mus = [ring.var(f"mu{i}") for i in range(2, m + 1)]
     image = sum(nus) - sum(mus)
 
-    space, parts = _space_for(sig, n)
-    corr, pref = generating_series(chamber, parts, space, ((image, *mus), nus))
-
-    # each expansion variable weighs its exponent by its part's factorial
-    # column, rising or falling by its block's sign; the free block has none
-    signed = [(b, budget) for b, budget in zip(BLOCKS, sig) if budget and b.sign]
-    column = {b.var(j): factorial_column(nu, budget, b.sign) for b, budget in signed for j, nu in enumerate(nus, 1)}
-    columns = [column.get(v) for v in space[0]]
-
-    def weight(e):
-        w = ring.one()
-        for col, k in zip(columns, e):
-            if k and col:
-                w = w * col[k]
-        return w
-
-    target = {block.var(1): budget for block, budget in zip(BLOCKS, sig) if budget}
-    total = corr.grade_sum(pref, target, weight) * factorial(sig.p)
+    walked, point = chamber, ((image, *mus), nus)
+    if n >= m:
+        swap = Chamber(chamber.sample[::-1])
+        if n > m or len(commutation_patterns(swap)) < len(commutation_patterns(chamber)):
+            walked, point = swap, point[::-1]
+    total = _numerator(sig, walked, point)
     # strip the product of parts: the monomial of every part but mu1, then mu1 = image
     total = total.exact_divide(MultiPoly(ring, {(0,) + (1,) * (m + n - 1): 1})).exact_divide(image)
 

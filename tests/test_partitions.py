@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+from importlib import import_module
 from math import comb, factorial
 
 import pytest
@@ -21,7 +22,7 @@ from hurwitz.partitions import (
     multiplicity_factor,
     partitions,
 )
-from hurwitz.partitions import _character_column
+from hurwitz.partitions import _character_column, _column_of_parts
 
 
 def _conjugate(lam) -> tuple:
@@ -229,9 +230,31 @@ def test_character_sorts_its_shape_and_cycle_type():
 
 
 def test_reordered_profiles_share_one_character_column():
+    _column_of_parts.cache_clear()
     _character_column.cache_clear()
     assert character_column((2, 1)) == character_column((1, 2)) == (1, 0, -1)
     assert _character_column.cache_info().currsize == 1
+
+
+def test_a_cached_character_column_is_read_without_sorting(monkeypatch):
+    column = character_column((3, 2, 1, 1))
+
+    def no_shape(parts):
+        raise AssertionError(f"a cache hit re-read its parts {parts}")
+
+    # the package re-exports the function `partitions` under the module's name
+    monkeypatch.setattr(import_module("hurwitz.partitions"), "_shape", no_shape)
+    assert character_column((3, 2, 1, 1)) is column
+
+
+@pytest.mark.parametrize("bad", [(2.0, 1), (Fraction(2), 1), (True, 1.0, 1), ([2], 1)])
+def test_character_column_rejects_parts_that_are_not_integers_once_their_twin_is_cached(bad):
+    # the whole-number twin's column is cached first; an equal float or
+    # Fraction part must not read it
+    character_column((2, 1))
+    character_column((1, 1, 1))
+    with pytest.raises(ValueError, match="must be integers"):
+        character_column(bad)
 
 
 @pytest.mark.parametrize("mu", [(2, 0), (0, 3), (1, 1, 0)])

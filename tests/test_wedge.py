@@ -33,6 +33,7 @@ from hurwitz.wedge import (
     SigmaProduct,
     SumMismatch,
     Wall,
+    _numerator,
     _space_for,
     chamber_of,
     chamber_polynomial,
@@ -429,6 +430,56 @@ def test_parity_invalid_signature_gives_zero(monkeypatch):
             assert poly.is_zero() and poly.ring.names[0] == "mu1"
             if sum(mu) <= MAX_DEGREE:
                 assert evaluate(poly, mu, nu) == count_factorizations(FactorizationSpec(mu, nu, *pqr)).value
+
+
+def test_swapping_mu_and_nu_reads_the_same_polynomial():
+    # each side is extracted directly, the given chamber at its point and the
+    # swapped chamber at the swapped point, whatever orientation
+    # `chamber_polynomial` would choose
+    sigs = [(kind, g) for kind in ("simple", "monotone", "strict") for g in (0, 1)]
+    sigs += [("mixed", (p, q, b - p - q)) for b in range(4) for p in range(b + 1) for q in range(b - p + 1)]
+    checked = 0
+    for m, n in [(m, s - m) for s in range(2, 6) for m in range(1, s)]:
+        for ch in _chambers(m, n):
+            swap = Chamber(ch.sample[::-1])
+            for kind, signature in sigs:
+                sig = Signature.of(kind, signature, m, n)
+                if sig.degenerate(m, n):
+                    continue
+                poly = chamber_polynomial(kind, signature, ch)
+                ring = poly.ring
+                nus = [ring.var(f"nu{j}") for j in range(1, n + 1)]
+                mus = [ring.var(f"mu{i}") for i in range(2, m + 1)]
+                point = ((sum(nus) - sum(mus), *mus), nus)
+                straight = _numerator(sig, ch, point)
+                assert straight == _numerator(sig, swap, point[::-1]), (kind, signature, ch.sample)
+                assert straight == poly * prod(point[0]) * prod(point[1]), (kind, signature, ch.sample)
+                checked += 1
+    assert checked == 1218
+
+
+def test_chamber_polynomial_walks_its_cheaper_orientation(monkeypatch):
+    # more parts in nu than in mu, or a tie with more patterns than the swap:
+    # the swap is walked; the output is the same either way
+    walked = []
+
+    def recording(chamber, *args, **kwargs):
+        walked.append(chamber.sample)
+        return generating_series(chamber, *args, **kwargs)
+
+    monkeypatch.setattr(wedge, "_POLY_CACHE", {})
+    monkeypatch.setattr(wedge, "generating_series", recording)
+    cases = [
+        (((10,), (1, 2, 7)), ((1, 2, 7), (10,))),
+        (((4, 1, 1), (3, 3)), ((4, 1, 1), (3, 3))),
+        (((3, 1), (2, 2)), ((2, 2), (3, 1))),
+        (((1, 3), (2, 2)), ((1, 3), (2, 2))),
+    ]
+    for sample, want in cases:
+        walked.clear()
+        chamber_polynomial("monotone", 1, chamber_of(*sample))
+        assert walked == [want], sample
+    assert [len(commutation_patterns(chamber_of(*s))) for s in [((3, 1), (2, 2)), ((2, 2), (3, 1))]] == [2, 1]
 
 
 def test_pure_kind_is_a_spelling_of_its_budgets():
