@@ -10,6 +10,7 @@ from .algebra import (
     MultiPoly,
     NotDivisible,
     PolyRing,
+    Space,
     TruncSeries,
     bernoulli,
     s_power_series,
@@ -41,7 +42,6 @@ from .wedge import (
     DegenerateSignature,
     OnWall,
     SigmaProduct,
-    SumMismatch,
     Wall,
     ZeroEnergyIntermediate,
     chamber_of,
@@ -72,7 +72,7 @@ __all__ = [
     "SigmaProduct",
     "Signature",
     "SizeMismatch",
-    "SumMismatch",
+    "Space",
     "TruncSeries",
     "Wall",
     "WallCrossingProblem",

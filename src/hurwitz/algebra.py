@@ -6,13 +6,16 @@ one denominator, keyed by monomials packed into ints (see `FIELD_BITS`), and
 so does every `TruncSeries`, whose keys pack the series exponents above the
 coefficient ring's monomial key; `Fraction` is the public form of a single
 number.  Nothing in this module (or this package) ever touches floating
-point.  `TruncSeries` implements the quotient ring
+point.  A `Space` is one truncated series space, the quotient ring
 Q[c][[v1, ..., vk]] / (v1^(cap1+1), ..., vk^(capk+1)), where c are the
-variables of the coefficient ring (none for numeric coefficients): every
-retained coefficient of a sum, product, or inverse is exact, and one code
-path serves numeric and symbolic evaluations alike.  A product only
-multiplies the term pairs it keeps: the terms are bucketed by grade (see
-`_layout`), and only bucket pairs whose grades fit together are visited.
+variables of the coefficient ring (none for numeric coefficients), with
+total degrees bounded on blocks of variables.  It is interned, it fixes
+the packed keys, and every `TruncSeries` holds its space and is built
+through it: every retained coefficient of a sum, product, or inverse is
+exact, and one code path serves numeric and symbolic evaluations alike.
+A product only multiplies the term pairs it keeps: the terms are bucketed
+by grade (see `Space`), and only bucket pairs whose grades fit together
+are visited.
 
 The special series used throughout are the odd exponential difference
 
@@ -42,6 +45,7 @@ __all__ = [
     "EXPONENT_LIMIT",
     "PolyRing",
     "MultiPoly",
+    "Space",
     "TruncSeries",
     "sigma_of",
     "s_of",
@@ -117,10 +121,11 @@ def _sum_over(n1: dict, d1: int, n2: dict, d2: int) -> tuple:
 
 
 def _over_terms(terms: list) -> tuple:
-    """(numerators, denominator) in lowest terms of a sum of terms (series
-    key, numerators keyed by coefficient monomial keys, denominator)."""
+    """(nonzero numerators, denominator) of a sum of terms (series key,
+    numerators keyed by coefficient monomial keys, denominator), not yet
+    reduced."""
     den = lcm(*(d for _, _, d in terms))
-    return _reduced({hi + lo: a * (den // d) for hi, coeff, d in terms for lo, a in coeff.items()}, den)
+    return {hi + lo: a * (den // d) for hi, coeff, d in terms for lo, a in coeff.items()}, den
 
 
 def _mul_into(out: dict, left, right: list) -> dict:
@@ -475,42 +480,113 @@ class MultiPoly:
     __repr__ = __str__
 
 
-class TruncSeries:
-    """A truncated power series with per-variable caps and exact coefficients.
+class Space:
+    """A truncated series space: variables `vars`, each exponent at most its
+    entry of `caps`, and the total degree of each block at most its cap
+    (`blocks`, a tuple of (variable index tuple, cap) pairs); every cap is in
+    [0, EXPONENT_LIMIT).  Coefficients are numbers, or elements of `ring`
+    when one is given.  `Space.of` interns a space, so the series of one
+    space share it; spaces compare by those four fields, with identity as
+    the fast path.  Every `TruncSeries` is built through its space:
+    `series`, `linear`, `zero`, `one`, or `TruncSeries.lift`.
 
-    Monomials whose exponent exceeds a cap are discarded by every operation,
-    which is exactly multiplication in the quotient ring, so all retained
-    coefficients are exact.  `blocks` optionally bounds the total degree
-    across groups of variables: a tuple of (variable index tuple, cap)
-    pairs, enforced alongside the per-variable caps.  Every cap is in
-    [0, EXPONENT_LIMIT).
+    The space also fixes the packed keys of its series: `low`, the bits of
+    the coefficient ring's monomial key; `guard`, its guard bits; `shifts`,
+    the offset of each series variable's field; `index`, each series
+    variable's position; `grades`, a (mask, ones, top) reader per grade;
+    `gcaps`, the cap of each grade; and `top`, the largest total degree of
+    an admissible exponent: the caps of the variables in no block plus, per
+    block, the lesser of its cap and its variables' caps (an upper bound
+    when blocks overlap).
 
-    Coefficients are numbers, or elements of `ring` when one is given.
-    Either way the series is one sparse polynomial, as a `MultiPoly` is:
-    `num` maps packed keys to nonzero integer numerators over the one
-    positive denominator `den`, in canonical form (`den` and all the
-    numerators have gcd 1, and the zero series has `den == 1`), so equal
-    series have equal `(num, den)`.  A key holds the coefficient ring's
-    monomial key in its low bits and a FIELD_BITS field per series variable
-    above them, variable 0 highest; a numeric series has no low bits.  The
-    constructor takes int/Fraction (or `ring` element) coefficients, and
-    `data` and `coeff` give them back exactly, as Fractions or MultiPolys.
+    A grade is the degree sum of a block, or the exponent of a variable
+    whose own cap is below every block holding it (or that sits in no
+    block).  Any other variable's cap is implied by a block's, so an
+    exponent is admissible exactly when every grade is within its cap.
+    A key masked to a grade's fields and multiplied by `ones`, a 1 at the
+    distance of each field below the highest, `top`, holds the grade in
+    the field at `top`: every sum of fields of a stored key is at most a
+    cap, below EXPONENT_LIMIT, so nothing carries.  A pure kind's space,
+    or one of X alone, has a single grade: `_graded` reads it as one int
+    per key.
     """
 
-    __slots__ = ("vars", "caps", "ring", "blocks", "num", "den", "_layout")
+    __slots__ = ("vars", "caps", "blocks", "ring", "low", "guard", "shifts", "index", "grades", "gcaps", "top")
 
-    def __init__(self, vars, caps, ring=None, data=None, blocks=()):
-        self.vars, self.caps, self.ring = tuple(vars), tuple(caps), ring
-        self.blocks = tuple((tuple(ix), cap) for ix, cap in blocks)
-        self._layout = _layout(self.vars, self.caps, self.blocks, ring)
+    def __init__(self, vars: tuple, caps: tuple, blocks: tuple, ring):
+        coeffs = PolyRing(()) if ring is None else ring
+        n = len(vars)
+        if (
+            len(caps) != n
+            or not all(0 <= cap < EXPONENT_LIMIT for cap in caps + tuple(cap for _, cap in blocks))
+            or any(len(set(ix)) != len(ix) for ix, _ in blocks)
+            or set(vars) & set(coeffs.names)
+        ):
+            raise ValueError(
+                f"need one cap in [0, {EXPONENT_LIMIT}) per variable, blocks of distinct variables,"
+                f" and no series variable in the ring: {vars}, {caps}, {blocks}, {ring}"
+            )
+        self.vars, self.caps, self.blocks, self.ring = vars, caps, blocks, ring
+        self.low = FIELD_BITS * len(coeffs.names)
+        self.guard = coeffs.guard
+        self.shifts = shifts = tuple(self.low + FIELD_BITS * (n - 1 - i) for i in range(n))
+        self.index = {v: i for i, v in enumerate(vars)}
+        grades = [ix for ix, _ in blocks]
+        gcaps = [cap for _, cap in blocks]
+        for i, cap in enumerate(caps):
+            if all(cap < bcap for ix, bcap in blocks if i in ix):
+                grades.append((i,))
+                gcaps.append(cap)
+        readers = []
+        for ix in grades:
+            top = max((shifts[i] for i in ix), default=0)
+            mask = sum(_EXP_MASK << shifts[i] for i in ix)
+            readers.append((mask, sum(1 << top - shifts[i] for i in ix), top))
+        self.grades, self.gcaps = tuple(readers), tuple(gcaps)
+        blocked = {i for ix, _ in blocks for i in ix}
+        self.top = sum(cap for i, cap in enumerate(caps) if i not in blocked)
+        self.top += sum(min(bcap, sum(caps[i] for i in ix)) for ix, bcap in blocks)
+
+    @staticmethod
+    def of(vars, caps, blocks=(), ring=None) -> "Space":
+        """The interned space of these variables, caps, blocks and ring."""
+        return _space(tuple(vars), tuple(caps), tuple((tuple(ix), cap) for ix, cap in blocks), ring)
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, Space)
+            and (self.vars, self.caps, self.blocks, self.ring) == (other.vars, other.caps, other.blocks, other.ring)
+        )
+
+    def __hash__(self):
+        return hash((self.vars, self.caps, self.blocks, self.ring))
+
+    # -- building series -------------------------------------------------------
+
+    def series(self, data: dict) -> "TruncSeries":
+        """The series of {exponent tuple: coefficient}, each coefficient an
+        int/Fraction or an element of `ring`; a term the caps or blocks do
+        not admit drops out."""
         terms = []
-        for e, c in (data or {}).items():
+        for e, c in data.items():
             e = tuple(e)
             if len(e) != len(self.vars) or min(e, default=0) < 0:
                 raise ValueError(f"expected {len(self.vars)} exponents of at least 0, got {e}")
             if self._admissible(e):
                 terms.append((self._pack(e), *self._terms_of(c)))
-        self.num, self.den = _over_terms(terms)
+        return TruncSeries(self, *_over_terms(terms))
+
+    def linear(self, argmap: dict) -> "TruncSeries":
+        """The series sum_v argmap[v] * v (each argument variable to power 1)."""
+        return self.series({tuple(self._exponents({v: 1})): c for v, c in argmap.items()})
+
+    def zero(self) -> "TruncSeries":
+        return TruncSeries(self, {})
+
+    def one(self) -> "TruncSeries":
+        return TruncSeries(self, {0: 1})
+
+    # -- keys and coefficients ---------------------------------------------------
 
     def _admissible(self, e) -> bool:
         if not all(map(le, e, self.caps)):
@@ -522,15 +598,15 @@ class TruncSeries:
 
     def _pack(self, e) -> int:
         """The series part of the key of an exponent tuple."""
-        return sum([k << s for k, s in zip(e, self._layout.shifts)])
+        return sum([k << s for k, s in zip(e, self.shifts)])
 
     def _unpack(self, key: int) -> tuple:
         """The exponent tuple of a key."""
-        return tuple([key >> s & _EXP_MASK for s in self._layout.shifts])
+        return tuple([key >> s & _EXP_MASK for s in self.shifts])
 
     def _index(self, v) -> int:
         """The position of a series variable."""
-        i = self._layout.index.get(v)
+        i = self.index.get(v)
         if i is None:
             raise ValueError(f"{v!r} is not a variable of the series space {self.vars}")
         return i
@@ -552,79 +628,65 @@ class TruncSeries:
         c = _frac(c)
         return ({0: c.numerator} if c else {}), c.denominator
 
-    def _read(self, terms: dict):
+    def _read(self, terms: dict, den: int):
         """The coefficient whose numerators over `den` are `terms`: a
         Fraction, or an element of `ring`."""
         if self.ring is None:
-            return Fraction(terms.get(0, 0), self.den)
-        return MultiPoly._make(self.ring, terms, self.den)
+            return Fraction(terms.get(0, 0), den)
+        return MultiPoly._make(self.ring, terms, den)
 
-    def _with(self, num, den=1) -> "TruncSeries":
-        """A series of this space holding `num` over `den`, whose keys are all
-        admissible and whose numerators are all nonzero and in lowest terms
-        over `den` (none of it re-checked)."""
-        out = object.__new__(TruncSeries)
-        out.vars, out.caps, out.ring, out.blocks = self.vars, self.caps, self.ring, self.blocks
-        out._layout = self._layout
-        out.num, out.den = num, den
-        return out
 
-    def _reduce(self, num, den) -> "TruncSeries":
-        """`_with` for nonzero integer numerators over den, reduced once."""
-        return self._with(*_reduced(num, den))
+# the interned spaces, by their four fields
+_space = lru_cache(maxsize=256)(Space)
+
+
+class TruncSeries:
+    """A truncated power series of a `Space`, with exact coefficients.
+
+    Monomials whose exponent exceeds a cap are discarded by every operation,
+    which is exactly multiplication in the quotient ring, so all retained
+    coefficients are exact.  The series is one sparse polynomial, as a
+    `MultiPoly` is: `num` maps packed keys to nonzero integer numerators
+    over the one positive denominator `den`, in canonical form (`den` and
+    all the numerators have gcd 1, and the zero series has `den == 1`), so
+    equal series have equal `(space, num, den)`.  A key holds the coefficient
+    ring's monomial key in its low bits and a FIELD_BITS field per series
+    variable above them, variable 0 highest.  The constructor takes nonzero
+    numerators over den > 0 at admissible keys and only reduces them once:
+    a series is built through its space, or by `lift`.  `data` and `coeff`
+    give the coefficients back exactly.
+    """
+
+    __slots__ = ("space", "num", "den")
+
+    def __init__(self, space: Space, num: dict, den: int = 1):
+        self.space = space
+        self.num, self.den = _reduced(num, den)
 
     @property
     def data(self) -> dict:
         """Exponent tuple -> exact coefficient, a Fraction or an element of
-        `ring` (a fresh dict)."""
-        lows = (1 << self._layout.low) - 1
+        the space's ring (a fresh dict)."""
+        space = self.space
+        lows = (1 << space.low) - 1
         groups = {}
         for k, c in self.num.items():
             lo = k & lows
             groups.setdefault(k - lo, {})[lo] = c
-        return {self._unpack(hi): self._read(terms) for hi, terms in groups.items()}
+        return {space._unpack(hi): space._read(terms, self.den) for hi, terms in groups.items()}
 
     def _same_space(self, other: "TruncSeries"):
-        if (
-            self.vars != other.vars
-            or self.caps != other.caps
-            or self.blocks != other.blocks
-            or self.ring != other.ring
-        ):
+        if self.space is not other.space and self.space != other.space:
             raise ValueError("series live in different truncated rings")
-
-    def one_like(self) -> "TruncSeries":
-        return self._with({0: 1})
-
-    @classmethod
-    def zero(cls, vars, caps, ring=None, blocks=()) -> "TruncSeries":
-        return cls(vars, caps, ring, {}, blocks)
-
-    @classmethod
-    def one(cls, vars, caps, ring=None, blocks=()) -> "TruncSeries":
-        return cls(vars, caps, ring, {}, blocks).one_like()
-
-    @classmethod
-    def from_linear(cls, vars, caps, argmap: dict, ring=None, blocks=()) -> "TruncSeries":
-        """The series sum_v argmap[v] * v (each argument variable to power 1),
-        keyed directly; a term the caps or blocks do not admit drops out."""
-        out = cls(vars, caps, ring, None, blocks)
-        terms = []
-        for v, c in argmap.items():
-            e = out._exponents({v: 1})
-            if out._admissible(e):
-                terms.append((out._pack(e), *out._terms_of(c)))
-        out.num, out.den = _over_terms(terms)
-        return out
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         self._same_space(other)
-        return self._reduce(*_sum_over(self.num, self.den, other.num, other.den))
+        return TruncSeries(self.space, *_sum_over(self.num, self.den, other.num, other.den))
 
     def __neg__(self):
-        return self._with({e: -c for e, c in self.num.items()}, self.den)
+        return TruncSeries(self.space, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -638,7 +700,7 @@ class TruncSeries:
         smaller factor's terms are listed as pairs; the larger one's are
         read in place."""
         self._same_space(other)
-        grades, gcaps = self._layout.grades, self._layout.gcaps
+        grades, gcaps = self.space.grades, self.space.gcaps
         small, big = sorted((self.num, other.num), key=len)
         right = [(g, [(k, small[k]) for k in keys]) for g, keys in _graded(small, grades).items()]
         out = {}
@@ -647,58 +709,56 @@ class TruncSeries:
             for g2, terms2 in right:
                 if all(map(le, g2, room)):
                     _mul_into(out, zip(keys, map(big.__getitem__, keys)), terms2)
-        return self._reduce(_settled(out, self._layout.guard), self.den * other.den)
+        return TruncSeries(self.space, _settled(out, self.space.guard), self.den * other.den)
 
     def grade_sum(self, other, monomial: dict, weight):
         """sum of weight(e) * [v^e](self * other) over the exponents e whose
-        grades (see `_layout`) are those of `monomial` {variable: exponent}:
-        a number, or an element of `ring`.
+        grades (see `Space`) are those of `monomial` {variable: exponent}:
+        a number, or an element of the space's ring.
 
         Only the bucket pairs whose grades add up to the target are
-        multiplied.  `weight` maps an exponent tuple to a number or a `ring`
+        multiplied.  `weight` maps an exponent tuple to a number or a ring
         element and is called once per exponent that occurs; the weighted
         numerators add up in one dict, reduced once."""
         self._same_space(other)
-        layout = self._layout
-        e = self._exponents(monomial)
-        if not self._admissible(e):
-            return self._read({})  # the truncated product has no term there
-        (target,) = _graded((self._pack(e),), layout.grades)
+        space = self.space
+        e = space._exponents(monomial)
+        if not space._admissible(e):
+            return space._read({}, 1)  # the truncated product has no term there
+        (target,) = _graded((space._pack(e),), space.grades)
         small, big = sorted((self.num, other.num), key=len)
-        right = _graded(small, layout.grades)
+        right = _graded(small, space.grades)
         out = {}
-        for g1, keys in _graded(big, layout.grades).items():
+        for g1, keys in _graded(big, space.grades).items():
             keys2 = right.get(tuple(map(sub, target, g1)))
             if keys2:
                 _mul_into(out, zip(keys, map(big.__getitem__, keys)), [(k, small[k]) for k in keys2])
-        lows = (1 << layout.low) - 1
+        lows = (1 << space.low) - 1
         groups = {}
-        for k, c in _settled(out, layout.guard).items():
+        for k, c in _settled(out, space.guard).items():
             groups.setdefault(k - (k & lows), {})[k & lows] = c
-        weighted = [(terms, *self._terms_of(weight(self._unpack(hi)))) for hi, terms in groups.items()]
+        weighted = [(terms, *space._terms_of(weight(space._unpack(hi)))) for hi, terms in groups.items()]
         wden = lcm(*(d for _, _, d in weighted))
         total = {}
         for terms, wnum, d in weighted:
             _mul_into(total, terms.items(), [(lo, a * (wden // d)) for lo, a in wnum.items()])
-        den = self.den * other.den * wden
-        if self.ring is None:
-            return Fraction(total.get(0, 0), den)
-        return MultiPoly._make(self.ring, _settled(total, self.ring.guard), den)
+        return space._read(_settled(total, space.guard), self.den * other.den * wden)
 
     def scalar_mul(self, c) -> "TruncSeries":
-        """The series times a coefficient: a number or an element of `ring`."""
-        num, den = self._terms_of(c)
-        return self._reduce(_product(num, self.num, self._layout.guard), self.den * den)
+        """The series times a coefficient: a number or an element of the
+        space's ring."""
+        num, den = self.space._terms_of(c)
+        return TruncSeries(self.space, _product(num, self.num, self.space.guard), self.den * den)
 
     def inverse(self) -> "TruncSeries":
         """Inverse of a unit series whose constant term is exactly 1, by
         repeated products; the S-series have the closed form `s_inverse_of`."""
         if self.coeff({}) != 1:
             raise ValueError("inverse requires constant term 1")
-        u = self.one_like() - self  # no constant term
-        out = self.one_like()
-        p = self.one_like()
-        for _ in range(sum(self.caps)):
+        one = self.space.one()
+        u = one - self  # no constant term
+        out = p = one
+        for _ in range(sum(self.space.caps)):
             p = p * u
             if not p.num:
                 break
@@ -709,25 +769,28 @@ class TruncSeries:
 
     def coeff(self, monomial: dict):
         """The exact coefficient of a monomial {variable: exponent}."""
-        e = self._exponents(monomial)
+        space = self.space
+        e = space._exponents(monomial)
         # a key below 0 matches no term: an exponent past its cap has none
-        hi = self._pack(e) if all(0 <= k <= cap for k, cap in zip(e, self.caps)) else -1
-        low = self._layout.low
-        return self._read({k - hi: c for k, c in self.num.items() if k >> low << low == hi})
+        hi = space._pack(e) if all(0 <= k <= cap for k, cap in zip(e, space.caps)) else -1
+        low = space.low
+        return space._read({k - hi: c for k, c in self.num.items() if k >> low << low == hi}, self.den)
 
-    def lift(self, vars, caps, blocks=()) -> "TruncSeries":
-        """The same series inside a larger space whose variables include ours."""
-        out = TruncSeries(vars, caps, self.ring, None, blocks)
-        pos = [out._index(v) for v in self.vars]
-        lows = (1 << self._layout.low) - 1
+    def lift(self, space: Space) -> "TruncSeries":
+        """The same series inside a larger space over the same ring, whose
+        variables include ours."""
+        if space.ring != self.space.ring:
+            raise ValueError(f"a series over {self.space.ring} lifted into a space over {space.ring}")
+        pos = [space._index(v) for v in self.space.vars]
+        lows = (1 << self.space.low) - 1
         num = {}
         for k, c in self.num.items():
-            e = [0] * len(out.vars)
-            for i, x in zip(pos, self._unpack(k)):
+            e = [0] * len(space.vars)
+            for i, x in zip(pos, self.space._unpack(k)):
                 e[i] = x
-            if out._admissible(e):
-                num[out._pack(e) + (k & lows)] = c
-        return out._reduce(num, self.den)
+            if space._admissible(e):
+                num[space._pack(e) + (k & lows)] = c
+        return TruncSeries(space, num, self.den)
 
     def is_zero(self) -> bool:
         return not self.num
@@ -735,82 +798,17 @@ class TruncSeries:
     def __eq__(self, other):
         return (
             isinstance(other, TruncSeries)
-            and self.vars == other.vars
-            and self.caps == other.caps
-            and self.blocks == other.blocks
-            and self.ring == other.ring
+            and self.space == other.space
             and self.den == other.den
             and self.num == other.num
         )
 
     def __repr__(self):
-        n = len(self.num)
-        return f"TruncSeries({self.vars}, caps={self.caps}, {n} terms)"
-
-
-@lru_cache(maxsize=256)
-def _layout(vars: tuple, caps: tuple, blocks: tuple, ring) -> SimpleNamespace:
-    """The packed keys of a truncated space (see `TruncSeries`), after
-    checking the space: `low`, the bits of the coefficient ring's monomial
-    key; `guard`, its guard bits; `shifts`, the offset of each series
-    variable's field; `index`, each series variable's position; `grades`,
-    a (mask, ones, top) reader per grade; `gcaps`, the cap of each grade;
-    and `top`, the largest total degree of an admissible exponent: the caps
-    of the variables in no block plus, per block, the lesser of its cap and
-    its variables' caps (an upper bound when blocks overlap).
-
-    A grade is the degree sum of a block, or the exponent of a variable
-    whose own cap is below every block holding it (or that sits in no
-    block).  Any other variable's cap is implied by a block's, so an
-    exponent is admissible exactly when every grade is within its cap.
-    A key masked to a grade's fields and multiplied by `ones`, a 1 at the
-    distance of each field below the highest, `top`, holds the grade in
-    the field at `top`: every sum of fields of a stored key is at most a
-    cap, below EXPONENT_LIMIT, so nothing carries.  A pure kind's space,
-    or one of X alone, has a single grade: `_graded` reads it as one int
-    per key.
-    """
-    coeffs = PolyRing(()) if ring is None else ring
-    n = len(vars)
-    if (
-        len(caps) != n
-        or not all(0 <= cap < EXPONENT_LIMIT for cap in caps + tuple(cap for _, cap in blocks))
-        or any(len(set(ix)) != len(ix) for ix, _ in blocks)
-        or set(vars) & set(coeffs.names)
-    ):
-        raise ValueError(
-            f"need one cap in [0, {EXPONENT_LIMIT}) per variable, blocks of distinct variables,"
-            f" and no series variable in the ring: {vars}, {caps}, {blocks}, {ring}"
-        )
-    low = FIELD_BITS * len(coeffs.names)
-    shifts = tuple(low + FIELD_BITS * (n - 1 - i) for i in range(n))
-    grades = [ix for ix, _ in blocks]
-    gcaps = [cap for _, cap in blocks]
-    for i, cap in enumerate(caps):
-        if all(cap < bcap for ix, bcap in blocks if i in ix):
-            grades.append((i,))
-            gcaps.append(cap)
-    readers = []
-    for ix in grades:
-        top = max((shifts[i] for i in ix), default=0)
-        mask = sum(_EXP_MASK << shifts[i] for i in ix)
-        readers.append((mask, sum(1 << top - shifts[i] for i in ix), top))
-    blocked = {i for ix, _ in blocks for i in ix}
-    top = sum(cap for i, cap in enumerate(caps) if i not in blocked)
-    top += sum(min(bcap, sum(caps[i] for i in ix)) for ix, bcap in blocks)
-    return SimpleNamespace(
-        low=low,
-        guard=coeffs.guard,
-        shifts=shifts,
-        index={v: i for i, v in enumerate(vars)},
-        grades=tuple(readers),
-        gcaps=tuple(gcaps),
-        top=top,
-    )
+        return f"TruncSeries({self.space.vars}, caps={self.space.caps}, {len(self.num)} terms)"
 
 
 def _graded(keys, grades: tuple) -> dict:
-    """grade -> the keys of that grade, read by the `_layout` grades.  A
+    """grade -> the keys of that grade, read by a `Space`'s grades.  A
     space of one grade reads one int per key, and makes one tuple per grade."""
     if len(grades) == 1:
         ((mask, ones, top),) = grades
@@ -857,9 +855,9 @@ def _half_exp_sum(arg: TruncSeries, parity: int, weight, factors: int = 1) -> Tr
     top - (s - 1) cannot reach an admissible key of the product, so it is
     not built.
     """
-    layout = arg._layout
-    lows = (1 << layout.low) - 1
-    units = {1 << s: i for i, s in enumerate(layout.shifts)}
+    space = arg.space
+    lows = (1 << space.low) - 1
+    units = {1 << s: i for i, s in enumerate(space.shifts)}
     linear = {}
     for k, c in arg.num.items():
         i = units.get(k - (k & lows))
@@ -870,11 +868,11 @@ def _half_exp_sum(arg: TruncSeries, parity: int, weight, factors: int = 1) -> Tr
     for i in sorted(linear):
         groups.setdefault(frozenset(linear[i].items()), []).append(i)
     plan = _exp_plan(
-        layout.shifts, arg.caps, arg.blocks, tuple(map(tuple, groups.values())), parity, layout.top - factors + 1
+        space.shifts, space.caps, space.blocks, tuple(map(tuple, groups.values())), parity, space.top - factors + 1
     )
     if not plan.leaves:
-        return arg._with({})
-    guard = layout.guard
+        return space.zero()
+    guard = space.guard
     powers = []
     for members, top in zip(groups.values(), plan.powers):
         table = [{0: 1}, linear[members[0]]]
@@ -893,7 +891,7 @@ def _half_exp_sum(arg: TruncSeries, parity: int, weight, factors: int = 1) -> Tr
         if f:
             for lo, c in products[at].items():
                 out[key + lo] = c * f
-    return arg._reduce(out, den * B**K)
+    return TruncSeries(space, out, den * B**K)
 
 
 @lru_cache(maxsize=256)
@@ -1012,8 +1010,8 @@ def s_power_series(c, var: str, order: int) -> TruncSeries:
     as exp(c log S) with log S(v) = sum_{k>=1} B_{2k} v^{2k} / (2k (2k)!)."""
     ring = c.ring if isinstance(c, MultiPoly) else None
     terms = {(k,): bernoulli(k) / (k * factorial(k)) for k in range(2, order + 1, 2)}
-    log_s = TruncSeries((var,), (order,), ring, terms)
-    out = power = log_s.one_like()
+    log_s = Space.of((var,), (order,), (), ring).series(terms)
+    out = power = log_s.space.one()
     cpow = 1
     for k in range(1, order // 2 + 1):
         power = power * log_s

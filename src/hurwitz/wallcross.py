@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import prod
 from typing import Optional, Union
 
-from .algebra import TruncSeries, factorial_column, s_inverse_of, s_of
+from .algebra import Space, TruncSeries, factorial_column, s_inverse_of, s_of
 from .partitions import PURE_KINDS, Signature, check_integer, check_profiles
 from .wedge import ArityMismatch, Chamber, Wall, chamber_of, chamber_polynomial, generating_series, walls
 from .wedge import BLOCKS, FREE, expansion_parts
@@ -72,12 +72,12 @@ def wallcrossing_polynomial(problem: WallCrossingProblem):
 # -- refined generating series ----------------------------------------------------
 
 
-def _space(blocks, n: int, order: int):
-    """The markers of the opened blocks, then their expansion variables, all
-    under one total order."""
+def _space(blocks, n: int, order: int) -> Space:
+    """The numeric space of the markers of the opened blocks, then their
+    expansion variables, all under one total order."""
     names = [f"{b.marker}{j}" for b in blocks if b.marker for j in range(1, n + 1)]
     names += dict.fromkeys(b.var(j) for b in blocks for j in range(1, n + 1))  # X once
-    return tuple(names), (order,) * len(names), ((tuple(range(len(names))), order),)
+    return Space.of(names, (order,) * len(names), ((tuple(range(len(names))), order),))
 
 
 def _markers(blocks, nu, index, space, order) -> TruncSeries:
@@ -87,7 +87,7 @@ def _markers(blocks, nu, index, space, order) -> TruncSeries:
     value, so the coefficient at e is the product of the columns at e's
     exponents, kept while the total order stays within `order`.
     """
-    names, caps, groups = space
+    names = space.vars
     terms = {(0,) * len(names): 1}
     for v, j in zip(nu, index):
         if j is None:
@@ -102,7 +102,7 @@ def _markers(blocks, nu, index, space, order) -> TruncSeries:
                         break  # a falling factorial stays zero past v
                     grown[e[:ix] + (k,) + e[ix + 1 :]] = c * col[k]
             terms = grown
-    return TruncSeries(names, caps, None, terms, groups)
+    return space.series(terms)
 
 
 def _h_series(blocks, mu, nu, index, space, order, chamber=None, minus=None):
@@ -170,16 +170,13 @@ def _crossing_prefactor(blocks, J, nu, delta, space) -> TruncSeries:
             out[FREE.letter] = (xshift + sum(nu[j - 1] for j in ixs)) * scale
         return out
 
-    def series(args):
-        return TruncSeries.from_linear(*space[:2], args, None, space[2])
-
     return (
-        s_of(series(argmap(J, 1, delta)))
-        * s_of(series(argmap(Jc, 1)))
-        * s_of(series(argmap(range(1, n + 1), delta)))
-        * s_inverse_of(series(argmap(J, delta, delta)))
-        * s_inverse_of(series(argmap(Jc, delta)))
-        * s_inverse_of(series(argmap(range(1, n + 1), 1)))
+        s_of(space.linear(argmap(J, 1, delta)))
+        * s_of(space.linear(argmap(Jc, 1)))
+        * s_of(space.linear(argmap(range(1, n + 1), delta)))
+        * s_inverse_of(space.linear(argmap(J, delta, delta)))
+        * s_inverse_of(space.linear(argmap(Jc, delta)))
+        * s_inverse_of(space.linear(argmap(range(1, n + 1), 1)))
     ).scalar_mul(delta)
 
 
@@ -232,7 +229,7 @@ def verify_wallcrossing(problem: WallCrossingProblem, samples) -> dict:
         }
         if not entry["equal"]:
             e = min((lhs - rhs).data, key=lambda e: (sum(e), e))
-            monomial = dict(zip(space[0], e))
+            monomial = dict(zip(space.vars, e))
             entry["first_mismatch"] = {
                 "monomial": monomial,
                 "left": str(lhs.coeff(monomial)),

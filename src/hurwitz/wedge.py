@@ -45,17 +45,14 @@ from typing import NamedTuple, Optional
 from .algebra import (
     MultiPoly,
     PolyRing,
-    TruncSeries,
+    Space,
     factorial_column,
     s_inverse_of,
     s_power_series,
     sigma_of,
     s_of,
 )
-from .partitions import Signature, SizeMismatch, check_profiles
-
-# the older name of the size check, kept for callers that catch it
-SumMismatch = SizeMismatch
+from .partitions import Signature, check_profiles
 
 
 class OnWall(ValueError):
@@ -331,7 +328,7 @@ def _space_for(sig: Signature, n: int):
             groups.append((tuple(range(len(names), len(names) + n)), budget))
         names += got
         caps += [budget] * len(got)
-    return (tuple(names), tuple(caps), tuple(groups)), expansion_parts([b for b, _ in opened], range(1, n + 1))
+    return Space.of(names, caps, groups), expansion_parts([b for b, _ in opened], range(1, n + 1))
 
 
 def materialize(products, args, space, values, signs=None):
@@ -346,8 +343,7 @@ def materialize(products, args, space, values, signs=None):
     when given, holds one integer multiplicity per product (a jump across a
     wall subtracts the far chamber's products).
     """
-    vars_, caps, blocks = space
-    ring = getattr(values[1][0], "ring", None)
+    space = Space.of(space.vars, space.caps, space.blocks, getattr(values[1][0], "ring", None))
     read = {}
 
     def label(lab):
@@ -360,12 +356,9 @@ def materialize(products, args, space, values, signs=None):
             got = read[lab] = _form(lab, *values), arg
         return got
 
-    def series(argmap):
-        return TruncSeries.from_linear(vars_, caps, argmap, ring, blocks)
-
-    total = series(label((frozenset(), frozenset(range(1, len(args) + 1))))[1])
+    total = space.linear(label((frozenset(), frozenset(range(1, len(args) + 1))))[1])
     inv_s_total = s_inverse_of(total)
-    acc = TruncSeries.zero(vars_, caps, ring, blocks)
+    acc = space.zero()
     for k, prod in enumerate(products):
         # sigma(eF * total) / sigma(total) = eF * S(eF * total) / S(total);
         # eF (times the sign) scales the first sigma factor (or the tail when
@@ -381,7 +374,7 @@ def materialize(products, args, space, values, signs=None):
             for v, c in argA.items():
                 t = -eB * c
                 combo[v] = combo[v] + t if v in combo else t
-            fac = sigma_of(series(combo), len(prod.factors))
+            fac = sigma_of(space.linear(combo), len(prod.factors))
             term = fac.scalar_mul(lead) if term is None else term * fac
         # no sigma factor has a constant term, so neither has their product
         # below the number of factors: it meets the two S-series one at a
@@ -412,8 +405,7 @@ def generating_series(chamber: Chamber, parts, space, values, minus: Optional[Ch
     """
     if (len(values[0]), len(values[1])) != (chamber.m, chamber.n):
         raise ArityMismatch(f"expected profiles of lengths {chamber.m}, {chamber.n}")
-    vars_, caps, blocks = space
-    args = [{FREE.letter: nu} if FREE.letter in vars_ else {} for nu in values[1]]
+    args = [{FREE.letter: nu} if FREE.letter in space.vars else {} for nu in values[1]]
     for arg, signs in zip(args, parts):
         arg.update(dict.fromkeys(signs, 1))
     products = commutation_patterns(chamber)
@@ -431,9 +423,9 @@ def generating_series(chamber: Chamber, parts, space, values, minus: Optional[Ch
     for nu, signs in zip(values[1], parts):
         for x, sign in signs.items():
             c = (nu if sign > 0 else -nu) - 1
-            fac = s_power_series(c, x, caps[vars_.index(x)]).lift(*space)
+            fac = s_power_series(c, x, space.caps[space.vars.index(x)]).lift(corr.space)
             pref = fac if pref is None else pref * fac
-    return corr, corr.one_like() if pref is None else pref
+    return corr, corr.space.one() if pref is None else pref
 
 
 def _numerator(sig: Signature, chamber: Chamber, values):
@@ -447,7 +439,7 @@ def _numerator(sig: Signature, chamber: Chamber, values):
     # column, rising or falling by its block's sign; the free block has none
     signed = [(b, budget) for b, budget in zip(BLOCKS, sig) if budget and b.sign]
     column = {b.var(j): factorial_column(nu, budget, b.sign) for b, budget in signed for j, nu in enumerate(values[1], 1)}
-    columns = [column.get(v) for v in space[0]]
+    columns = [column.get(v) for v in space.vars]
 
     def weight(e):
         w = 1
@@ -460,7 +452,12 @@ def _numerator(sig: Signature, chamber: Chamber, values):
     return corr.grade_sum(pref, target, weight) * factorial(sig.p)
 
 
+# Chamber polynomials by (signature, chamber key), a plain dict that drops its
+# oldest key once full.  All of Tier-1 in one process fills 1,831 entries,
+# `suite_equality(6, 5)` 721, and one seed-0 bench round of `routes` 20 and
+# of `chamber` 67, so none of them evicts.
 _POLY_CACHE: dict = {}
+_POLY_CACHE_BOUND = 2048
 
 
 def chamber_polynomial(kind: str, signature, chamber: Chamber) -> MultiPoly:
@@ -490,6 +487,8 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber) -> MultiPoly:
     got = _POLY_CACHE.get(key)
     if got is not None:
         return got
+    if len(_POLY_CACHE) >= _POLY_CACHE_BOUND:
+        del _POLY_CACHE[next(iter(_POLY_CACHE))]  # the oldest inserted key
 
     # the ring keeps mu1, so that `evaluate` reads the arity off its names
     ring = PolyRing([f"mu{i}" for i in range(1, m + 1)] + [f"nu{j}" for j in range(1, n + 1)])

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hurwitz import algebra
 from hurwitz.algebra import (
     EXPONENT_LIMIT,
     ExponentOverflow,
     MultiPoly,
     NotDivisible,
     PolyRing,
-    TruncSeries,
+    Space,
     bernoulli,
     factorial_column,
     s_inverse_of,
@@ -50,29 +51,30 @@ def test_sorted_terms_deterministic():
 
 
 def test_series_inverse_roundtrip():
-    t = TruncSeries.from_linear(("v",), (6,), {"v": 1})
-    s = TruncSeries.one(("v",), (6,)) + t + t * t
-    assert s * s.inverse() == TruncSeries.one(("v",), (6,))
+    space = Space.of(("v",), (6,))
+    t = space.linear({"v": 1})
+    s = space.one() + t + t * t
+    assert s * s.inverse() == space.one()
 
 
 def test_series_block_truncation():
     # joint total degree in (a, b) capped at 2 even though each cap is 4
     names, caps = ("a", "b"), (4, 4)
     blocks = (((0, 1), 2),)
-    a = TruncSeries.from_linear(names, caps, {"a": 1}, None, blocks)
-    b = TruncSeries.from_linear(names, caps, {"b": 1}, None, blocks)
+    a = Space.of(names, caps, blocks).linear({"a": 1})
+    b = Space.of(names, caps, blocks).linear({"b": 1})
     prod = (a + b) * (a + b) * (a + b)
     assert prod.data == {}  # all degree-3 monomials fall outside the block
     sq = (a + b) * (a + b)
     assert sq.coeff({"a": 1, "b": 1}) == 2
     # a zero cap or a zero block cap admits no term of its variables
-    assert TruncSeries.from_linear(names, (4, 0), {"a": 1, "b": 1}, None, blocks).data == {(1, 0): 1}
-    assert TruncSeries.from_linear(names, caps, {"a": 1, "b": 1}, None, (((0, 1), 0),)).data == {}
+    assert Space.of(names, (4, 0), blocks).linear({"a": 1, "b": 1}).data == {(1, 0): 1}
+    assert Space.of(names, caps, (((0, 1), 0),)).linear({"a": 1, "b": 1}).data == {}
 
 
 def test_sigma_of_matches_exponential_difference():
     # sigma(t) = e^{t/2} - e^{-t/2}; check via the defining odd-term series
-    t = TruncSeries.from_linear(("t",), (7,), {"t": 1})
+    t = Space.of(("t",), (7,)).linear({"t": 1})
     s = sigma_of(t)
     from math import factorial
 
@@ -145,8 +147,8 @@ def test_factorial_helpers():
 @settings(max_examples=60, deadline=None)
 def test_series_product_commutes(acoef, bcoef):
     names, caps = ("v",), (5,)
-    a = TruncSeries(names, caps, None, {(k,): Fraction(c) for k, c in enumerate(acoef)})
-    b = TruncSeries(names, caps, None, {(k,): Fraction(c) for k, c in enumerate(bcoef)})
+    a = Space.of(names, caps).series({(k,): Fraction(c) for k, c in enumerate(acoef)})
+    b = Space.of(names, caps).series({(k,): Fraction(c) for k, c in enumerate(bcoef)})
     assert a * b == b * a
 
 
@@ -292,9 +294,9 @@ def test_zero_is_canonical():
 
 
 def _ref_half_exp_sum(arg, parity):
-    out = arg - arg if parity else arg.one_like()
-    power = arg.one_like()
-    for k in range(1, sum(arg.caps) + 1):
+    out = arg.space.zero() if parity else arg.space.one()
+    power = arg.space.one()
+    for k in range(1, sum(arg.space.caps) + 1):
         power = power * arg
         if k % 2 == parity:
             out = out + power.scalar_mul(Fraction(1, 2 ** (k - parity) * math.factorial(k + 1 - parity)))
@@ -328,9 +330,9 @@ def test_closed_form_sigma_and_s_match_the_defining_sum(data):
     else:
         ring = None
         coeffs = _linear_coeffs(data, nvars, COEFFS)
-    arg = TruncSeries.from_linear(names, caps, dict(zip(names, coeffs)), ring, blocks)
+    arg = Space.of(names, caps, blocks, ring).linear(dict(zip(names, coeffs)))
     units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
-    assert arg == TruncSeries(names, caps, ring, dict(zip(units, coeffs)), blocks)
+    assert arg == Space.of(names, caps, blocks, ring).series(dict(zip(units, coeffs)))
     # the same argument where only the caps or the blocks differ (the caps
     # reversed, the block moved onto the first variable), each built at both
     # parities and, for sigma, cut to each top degree a product of up to
@@ -338,7 +340,7 @@ def test_closed_form_sigma_and_s_match_the_defining_sum(data):
     # hand back the wrong series
     moved = (((0,), blocks[0][1] if blocks else 1),)
     for caps2, blocks2 in ((caps, blocks), (caps[::-1], blocks), (caps, moved)):
-        arg2 = TruncSeries.from_linear(names, caps2, dict(zip(names, coeffs)), ring, blocks2)
+        arg2 = Space.of(names, caps2, blocks2, ring).linear(dict(zip(names, coeffs)))
         sigma = _ref_half_exp_sum(arg2, 1)
         assert s_of(arg2) == _ref_half_exp_sum(arg2, 0)
         assert sigma_of(arg2) == sigma
@@ -348,7 +350,7 @@ def test_closed_form_sigma_and_s_match_the_defining_sum(data):
     if ring is None:
         # the same numbers as constants of a ring: the same shape at other key shifts
         consts = {v: COEFF_RING.const(c) for v, c in zip(names, coeffs)}
-        arg2 = TruncSeries.from_linear(names, caps, consts, COEFF_RING, blocks)
+        arg2 = Space.of(names, caps, blocks, COEFF_RING).linear(consts)
         assert sigma_of(arg2) == _ref_half_exp_sum(arg2, 1)
 
 
@@ -361,14 +363,14 @@ def _top_degree(caps, blocks) -> int:
 def _up_to_degree(series, most):
     """The terms of the series of total degree at most `most`."""
     data = {e: c for e, c in series.data.items() if sum(e) <= most}
-    return TruncSeries(series.vars, series.caps, series.ring, data, series.blocks)
+    return series.space.series(data)
 
 
 @pytest.mark.parametrize("data", [{(0, 0): 1, (1, 0): 1}, {(1, 0): 1, (1, 1): 2}])
 @pytest.mark.parametrize("fn", [sigma_of, s_of])
 def test_sigma_and_s_need_a_linear_argument(data, fn):
     with pytest.raises(ValueError):
-        fn(TruncSeries(("a", "b"), (3, 3), None, data))
+        fn(Space.of(("a", "b"), (3, 3)).series(data))
 
 
 # -- the graded product against a pair-by-pair reference ------------------------
@@ -380,9 +382,9 @@ def _ref_series_mul(x, y):
     for e1, c1 in x.data.items():
         for e2, c2 in y.data.items():
             e = tuple(a + b for a, b in zip(e1, e2))
-            if any(k > cap for k, cap in zip(e, x.caps)):
+            if any(k > cap for k, cap in zip(e, x.space.caps)):
                 continue
-            if any(sum(e[i] for i in ix) > cap for ix, cap in x.blocks):
+            if any(sum(e[i] for i in ix) > cap for ix, cap in x.space.blocks):
                 continue
             out[e] = out[e] + c1 * c2 if e in out else c1 * c2
     return {e: c for e, c in out.items() if c}
@@ -409,7 +411,7 @@ def test_graded_product_matches_the_pairwise_product(data):
     if data.draw(st.booleans()):
         # one block over every variable, capped at most at each own cap: one grade
         blocks = ((tuple(range(len(names))), data.draw(st.integers(0, min(caps)))),)
-        assert len(TruncSeries.zero(names, caps, None, blocks)._layout.gcaps) == 1
+        assert len(Space.of(names, caps, blocks).gcaps) == 1
     if data.draw(st.booleans()):
         ring = COEFF_RING
         s, t = ring.var("s"), ring.var("t")
@@ -417,14 +419,12 @@ def test_graded_product_matches_the_pairwise_product(data):
     else:
         ring, coeff = None, COEFFS
     exps = st.tuples(*[st.integers(0, 3)] * len(names))
-    x, y = (
-        TruncSeries(names, caps, ring, data.draw(st.dictionaries(exps, coeff, max_size=12)), blocks)
-        for _ in range(2)
-    )
+    space = Space.of(names, caps, blocks, ring)
+    x, y = (space.series(data.draw(st.dictionaries(exps, coeff, max_size=12))) for _ in range(2))
     got = x * y
     assert got.data == _ref_series_mul(x, y)
     assert all(c for c in got.data.values())
-    assert (got.vars, got.caps, got.blocks, got.ring) == (x.vars, x.caps, x.blocks, x.ring)
+    assert got.space is x.space
 
 
 def _ref_grade(e, caps, blocks):
@@ -459,7 +459,7 @@ def test_grade_sum_matches_the_filtered_weighted_product(data):
     for pad in sorted({0, pad}):
         pcaps = tuple(cap + pad for cap in caps)
         pblocks = tuple((ix, cap + pad) for ix, cap in blocks)
-        x, y = (TruncSeries(names, pcaps, ring, d, pblocks) for d in terms)
+        x, y = (Space.of(names, pcaps, pblocks, ring).series(d) for d in terms)
         grade = _ref_grade(tuple(target.values()), pcaps, pblocks)
         want = sum(
             (c * weight(e) for e, c in _ref_series_mul(x, y).items() if _ref_grade(e, pcaps, pblocks) == grade),
@@ -481,13 +481,12 @@ def test_graded_product_in_a_space_with_every_kind_of_grade():
     # in no block
     names, caps = ("a", "b", "c", "d", "e"), (1, 4, 4, 4, 2)
     blocks = (((0, 1, 2), 3), ((2, 3), 2))
-    x = TruncSeries.one(names, caps, None, blocks) + TruncSeries.from_linear(
-        names, caps, {v: Fraction(k + 1, 2) for k, v in enumerate(names)}, None, blocks
-    )
+    space = Space.of(names, caps, blocks)
+    x = space.one() + space.linear({v: Fraction(k + 1, 2) for k, v in enumerate(names)})
     y, ref = x, x
     for _ in range(4):
         y = y * x
-        ref = TruncSeries(names, caps, None, _ref_series_mul(ref, x), blocks)
+        ref = space.series(_ref_series_mul(ref, x))
         assert y == ref
     assert y.coeff({"a": 2}) == 0 and y.coeff({"e": 2}) != 0 and y.coeff({"e": 3}) == 0
 
@@ -498,12 +497,12 @@ def test_graded_product_in_a_space_with_every_kind_of_grade():
 def _ref_inverse(x):
     """1/x term by term: the coefficients of y with x * y = 1, solved in
     increasing total degree over every exponent the space admits."""
-    zero = (0,) * len(x.vars)
+    zero = (0,) * len(x.space.vars)
     lead, rest = x.data[zero], [(e, c) for e, c in x.data.items() if e != zero]
     exps = [
         e
-        for e in product(*(range(cap + 1) for cap in x.caps))
-        if not any(sum(e[i] for i in ix) > cap for ix, cap in x.blocks)
+        for e in product(*(range(cap + 1) for cap in x.space.caps))
+        if not any(sum(e[i] for i in ix) > cap for ix, cap in x.space.blocks)
     ]
     y = {}
     for e in sorted(exps, key=sum):
@@ -514,7 +513,7 @@ def _ref_inverse(x):
                 acc -= c1 * y[e2]
         if acc:
             y[e] = acc / lead
-    return TruncSeries(x.vars, x.caps, x.ring, y, x.blocks)
+    return x.space.series(y)
 
 
 @given(st.data())
@@ -534,15 +533,15 @@ def test_s_inverse_of_inverts_s(data):
         )
     )
     coeffs = _linear_coeffs(data, nvars, COEFFS.filter(bool))
-    arg = TruncSeries.from_linear(names, caps, dict(zip(names, coeffs)), None, blocks)
+    arg = Space.of(names, caps, blocks).linear(dict(zip(names, coeffs)))
     inv = s_inverse_of(arg)
-    assert s_of(arg) * inv == arg.one_like()
+    assert s_of(arg) * inv == arg.space.one()
     assert inv == _ref_inverse(s_of(arg))
 
 
 def test_s_inverse_of_has_the_bernoulli_coefficients():
     # 1/S(v) = v / sigma(v) = sum_k B_k(1/2) v^k / k!, B_k(1/2) = (2^(1-k) - 1) B_k
-    inv = s_inverse_of(TruncSeries.from_linear(("v",), (8,), {"v": 1}))
+    inv = s_inverse_of(Space.of(("v",), (8,)).linear({"v": 1}))
     want = [Fraction(1), 0, Fraction(-1, 24), 0, Fraction(7, 5760), 0, Fraction(-31, 967680), 0]
     assert [inv.coeff({"v": k}) for k in range(8)] == want
 
@@ -633,7 +632,7 @@ def _assert_series_canonical(series):
         assert math.gcd(series.den, *series.num.values()) == 1
     else:
         assert series.den == 1
-    built = TruncSeries(series.vars, series.caps, series.ring, series.data, series.blocks)
+    built = series.space.series(series.data)
     assert (built.num, built.den) == (series.num, series.den)
 
 
@@ -642,7 +641,7 @@ def _ref_lift(x, names, caps, blocks):
     the admissible exponents only."""
     out = {}
     for e, c in x.data.items():
-        key = tuple(e[x.vars.index(v)] if v in x.vars else 0 for v in names)
+        key = tuple(e[x.space.vars.index(v)] if v in x.space.vars else 0 for v in names)
         if all(k <= cap for k, cap in zip(key, caps)) and all(sum(key[i] for i in ix) <= cap for ix, cap in blocks):
             out[key] = c
     return out
@@ -659,10 +658,8 @@ def test_numeric_series_stay_canonical(data):
     else:
         ring, coeff = None, COEFFS
     exps = st.tuples(*[st.integers(0, 3)] * len(names))
-    x, y = (
-        TruncSeries(names, caps, ring, data.draw(st.dictionaries(exps, coeff, max_size=12)), blocks)
-        for _ in range(2)
-    )
+    space = Space.of(names, caps, blocks, ring)
+    x, y = (space.series(data.draw(st.dictionaries(exps, coeff, max_size=12))) for _ in range(2))
     c = data.draw(coeff)
     cases = [
         (x + y, _ref_add(x.data, y.data)),
@@ -677,7 +674,7 @@ def test_numeric_series_stay_canonical(data):
     wcaps = tuple(data.draw(st.integers(0, cap)) for cap in caps) + (2,)
     wblocks = tuple((ix, data.draw(st.integers(0, cap))) for ix, cap in blocks)
     wblocks += ((tuple(range(len(wide))), data.draw(st.integers(0, 6))),)
-    cases.append((x.lift(wide, wcaps, wblocks), _ref_lift(x, wide, wcaps, wblocks)))
+    cases.append((x.lift(Space.of(wide, wcaps, wblocks, ring)), _ref_lift(x, wide, wcaps, wblocks)))
     for got, want in cases:
         _assert_series_canonical(got)
         assert got.data == want
@@ -723,7 +720,7 @@ def test_numeric_sigma_s_and_inverse_match_the_fraction_closed_form(fn, parity, 
         )
     )
     coeffs = _linear_coeffs(data, nvars, COEFFS)
-    got = fn(TruncSeries.from_linear(names, caps, dict(zip(names, coeffs)), None, blocks))
+    got = fn(Space.of(names, caps, blocks).linear(dict(zip(names, coeffs))))
     _assert_series_canonical(got)
     assert got.data == _ref_closed_form(names, caps, blocks, coeffs, parity, weight)
 
@@ -753,32 +750,48 @@ def test_numeric_s_power_series_is_the_ring_series_at_a_point(a, b, n, order):
 )
 def test_malformed_series_are_rejected(vars, caps, ring, data):
     with pytest.raises(ValueError):
-        TruncSeries(vars, caps, ring, data)
+        Space.of(vars, caps, (), ring).series(data)
 
 
 def test_an_unknown_variable_is_named():
-    x = TruncSeries.from_linear(("a", "b"), (2, 2), {"a": 1})
+    x = Space.of(("a", "b"), (2, 2)).linear({"a": 1})
     for call in (
-        lambda: TruncSeries.from_linear(("a", "b"), (2, 2), {"c": 1}),
+        lambda: x.space.linear({"c": 1}),
         lambda: x.coeff({"c": 1}),
         lambda: x.grade_sum(x, {"a": 1, "c": 1}, lambda e: 1),
     ):
         with pytest.raises(ValueError, match=r"'c' is not a variable of the series space \('a', 'b'\)"):
             call()
     with pytest.raises(ValueError, match=r"'b' is not a variable of the series space \('a',\)"):
-        x.lift(("a",), (2,))
+        x.lift(Space.of(("a",), (2,)))
 
 
 def test_series_over_different_rings_differ():
-    numeric = TruncSeries.one(("v",), (2,))
-    over_s = TruncSeries.one(("v",), (2,), PolyRing(("s",)))
-    over_t = TruncSeries.one(("v",), (2,), PolyRing(("t",)))
+    numeric = Space.of(("v",), (2,)).one()
+    over_s = Space.of(("v",), (2,), (), PolyRing(("s",))).one()
+    over_t = Space.of(("v",), (2,), (), PolyRing(("t",))).one()
     assert numeric != over_s and over_s != over_t
-    assert over_s == TruncSeries.one(("v",), (2,), PolyRing(("s",)))
+    assert over_s == Space.of(("v",), (2,), (), PolyRing(("s",))).one()
     for x, y in [(numeric, over_s), (over_s, over_t)]:
         for op in (lambda: x + y, lambda: x * y):
             with pytest.raises(ValueError, match="different truncated rings"):
                 op()
+    with pytest.raises(ValueError, match="lifted into a space over"):
+        numeric.lift(over_s.space)
+
+
+def test_equal_spaces_are_interned_and_compare_by_their_fields():
+    names, caps, blocks = ("a", "b"), (3, 2), (((0, 1), 3),)
+    space = Space.of(names, caps, blocks, COEFF_RING)
+    assert Space.of(list(names), list(caps), [([0, 1], 3)], COEFF_RING) is space
+    x = space.linear({"a": COEFF_RING.var("s"), "b": 1})
+    algebra._space.cache_clear()
+    again = Space.of(names, caps, blocks, COEFF_RING)
+    assert again is not space and again == space and hash(again) == hash(space)
+    y = again.linear({"a": COEFF_RING.var("s"), "b": 1})
+    assert x == y and x * y == y * x and (x + y).data == (y + y).data
+    assert (x * y).space == again and x - y == space.zero()
+    assert again != Space.of(names, caps, (), COEFF_RING) and again != Space.of(names, caps, blocks)
 
 
 @pytest.mark.parametrize("name", ["s", "t"])
@@ -787,9 +800,10 @@ def test_a_coefficient_exponent_at_the_field_limit_raises(name):
     at = {"s": lambda k: (k, 0), "t": lambda k: (0, k)}[name]
     top = MultiPoly(COEFF_RING, {at(EXPONENT_LIMIT - 1): 1})
     names, caps = ("v", "w"), (2, 2)
-    x = TruncSeries(names, caps, COEFF_RING, {(1, 0): top, (0, 1): 1})
-    assert (x * TruncSeries.one(names, caps, COEFF_RING)).data == x.data
-    var = TruncSeries(names, caps, COEFF_RING, {(0, 1): COEFF_RING.var(name)})
+    space = Space.of(names, caps, (), COEFF_RING)
+    x = space.series({(1, 0): top, (0, 1): 1})
+    assert (x * space.one()).data == x.data
+    var = space.series({(0, 1): COEFF_RING.var(name)})
     with pytest.raises(ExponentOverflow):
         x * var
     with pytest.raises(ExponentOverflow):

@@ -11,12 +11,13 @@ Every module-level function and class is used somewhere in the package
 outside its own definition, or is public API named in `hurwitz.__all__`.
 Only `algebra` reads a polynomial's packed monomial keys (`.num`) or builds
 one from them (`MultiPoly._make`), so the key encoding has one home.  Likewise
-only `algebra` reads a series' packed numerators, denominator or key layout
-(`.num`, `.den`, `._layout`) or builds a series from them
-(`TruncSeries._with`, `_reduce`); every other module reads exact
-coefficients through `TruncSeries.data` or `coeff`.  The CLI calls no route
-for a count: `verify.count` is the one place that picks a route by method
-name.
+only `algebra` reads a series' packed numerators or denominator (`.num`,
+`.den`) or a space's packing fields (`.low`, `.shifts`, `.guard`, `.grades`,
+`.gcaps`), or builds a series from them (a direct `TruncSeries(...)`
+call); every other module builds a series through its `Space` and reads
+exact coefficients through `TruncSeries.data` or `coeff`.  The CLI calls
+no route for a count: `verify.count` is the one place that picks a route
+by method name.
 """
 
 import ast
@@ -147,12 +148,20 @@ def test_only_algebra_touches_packed_monomials(module):
     assert not touched
 
 
+SERIES_INTERNALS = ("num", "den", "low", "shifts", "guard", "grades", "gcaps")
+
+
 @pytest.mark.parametrize("module", [m for m in _modules() if m != "algebra"])
 def test_only_algebra_reads_series_numerators(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     touched = [
         f"line {node.lineno}: .{node.attr}"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in ("num", "den", "_layout", "_with", "_reduce")
+        if isinstance(node, ast.Attribute) and node.attr in SERIES_INTERNALS
+    ]
+    touched += [
+        f"line {node.lineno}: TruncSeries(...)"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _references(node.func) & {"TruncSeries"}
     ]
     assert not touched

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitz import wallcross, wedge
-from hurwitz.algebra import TruncSeries
 from hurwitz.charactereval import hurwitz_disconnected
 from hurwitz.partitions import PURE_KINDS, Signature, SizeMismatch
 from hurwitz.verify import _WC_SAMPLES, _chambers
@@ -161,7 +161,7 @@ def _terms_in(series, names):
     variables are all among `names`: the series at 0 in every other variable."""
     out = {}
     for e, c in series.data.items():
-        mono = tuple((v, k) for v, k in zip(series.vars, e) if k)
+        mono = tuple((v, k) for v, k in zip(series.space.vars, e) if k)
         if all(v in names for v, _ in mono):
             out[mono] = c
     return out
@@ -175,8 +175,21 @@ def test_a_pure_series_is_the_mixed_one_at_zero_in_the_other_blocks(kind, mu, nu
     for order in range(5):
         pure = refined_series(kind, mu, nu, order)
         mixed = refined_series("mixed", mu, nu, order)
-        assert _terms_in(mixed, pure.vars) == _terms_in(pure, pure.vars), order
+        assert _terms_in(mixed, pure.space.vars) == _terms_in(pure, pure.space.vars), order
     assert len(pure.data) > 1
+
+
+def test_refined_series_are_pinned():
+    # every coefficient of twelve refined series, pinned by the sha256 of
+    # their lines: an error that moved both sides of the product formula
+    # alike would pass the wall-crossing checks, but not this
+    lines = []
+    for kind in ("simple", "monotone", "strict", "mixed"):
+        for mu, nu in [((3, 1), (2, 2)), ((5, 1), (3, 3)), ((4,), (2, 1, 1))]:
+            s = refined_series(kind, mu, nu, 4)
+            lines.append(f"{kind} {mu} {nu} {s.space.vars} {sorted(s.data.items())}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "ad0692b2633e2ab2aac451e935e7dde8a8d5bbf0dcfce8043e8c371d477171b8"
 
 
 def test_wallcrossing_on_every_sampled_wall_of_m_n_2_3():
@@ -317,9 +330,7 @@ def test_wallcrossing_mismatch_skips_the_coefficients_that_agree(monkeypatch):
     # a prefactor times (1 + t2) leaves the jump's lowest term y1 y2 (1/4)
     # alone and adds it to the next one, t2 y1 y2 (1/2)
     def change(pref, space):
-        names, caps, blocks = space
-        bump = TruncSeries.one(names, caps, None, blocks) + TruncSeries.from_linear(names, caps, {"t2": 1}, None, blocks)
-        return pref * bump
+        return pref * (space.one() + space.linear({"t2": 1}))
 
     _with_prefactor(monkeypatch, change)
     prob = WallCrossingProblem(WALL, C1, C2, "monotone", 1)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hurwitz import wedge
 from hurwitz.algebra import (
     PolyRing,
-    TruncSeries,
+    Space,
     factorial_column,
     s_inverse_of,
     s_of,
@@ -31,7 +31,6 @@ from hurwitz.wedge import (
     DegenerateSignature,
     OnWall,
     SigmaProduct,
-    SumMismatch,
     Wall,
     _numerator,
     _space_for,
@@ -75,9 +74,8 @@ def test_chamber_of_basics():
     assert ch.sign(Wall((1,), (1,), 2, 2)) == 1
     with pytest.raises(OnWall):
         chamber_of((2, 2), (2, 2))
-    with pytest.raises(SumMismatch):
+    with pytest.raises(SizeMismatch):
         chamber_of((3,), (2, 2))
-    assert SumMismatch is SizeMismatch
 
 
 def test_chamber_signs_are_read_off_the_sample():
@@ -317,14 +315,14 @@ def _full_product_reference(kind, signature, ch, pad):
     sig = Signature.of(kind, signature, m, n)
     p, q, r = sig
     ring = PolyRing([f"mu{i}" for i in range(1, m + 1)] + [f"nu{j}" for j in range(1, n + 1)])
-    (names, caps, blocks), parts = _space_for(sig, n)
-    space = names, tuple(cap + pad for cap in caps), tuple((ix, cap + pad) for ix, cap in blocks)
+    tight, parts = _space_for(sig, n)
+    space = Space.of(tight.vars, [cap + pad for cap in tight.caps], [(ix, cap + pad) for ix, cap in tight.blocks])
     symbols = tuple(map(ring.var, ring.names))
     corr, pref = generating_series(ch, parts, space, (symbols[:m], symbols[m:]))
     signs = {x: (symbols[m + j], sign) for j, part in enumerate(parts) for x, sign in part.items()}
     total = ring.zero()
     for e, c in (corr * pref).data.items():
-        mono = dict(zip(space[0], e))
+        mono = dict(zip(space.vars, e))
         grade = [sum(k for v, k in mono.items() if v[0] == letter) for letter in "Xyz"]
         if grade != [p, q, r]:
             continue
@@ -410,6 +408,18 @@ def test_evaluate_arity_checks():
     # the right arity at unequal sizes used to read the polynomial off its shell
     with pytest.raises(SizeMismatch):
         evaluate(chamber_polynomial("monotone", 1, ch), (99, 1), (2, 2))
+
+
+def test_the_polynomial_cache_drops_its_oldest_key(monkeypatch):
+    monkeypatch.setattr(wedge, "_POLY_CACHE", {})
+    monkeypatch.setattr(wedge, "_POLY_CACHE_BOUND", 2)
+    ch = chamber_of((3, 1), (2, 2))
+    first = chamber_polynomial("monotone", 0, ch)
+    chamber_polynomial("monotone", 1, ch)
+    chamber_polynomial("simple", 1, ch)
+    assert len(wedge._POLY_CACHE) == 2
+    again = chamber_polynomial("monotone", 0, ch)
+    assert again == first and again is not first
 
 
 def test_parity_invalid_signature_gives_zero(monkeypatch):
@@ -512,24 +522,25 @@ def test_johnson_expand_permuted_word_with_merged_operator():
     # the same two formulas at mu = (3, 3), nu = (4, 1, 1), built by hand:
     # sigma(eF * W) / sigma(W) = eF * S(eF * W) / S(W), nu_j has the
     # argument z_j, and the label (mu1, nu2 nu3) carries the sum z2 + z3
-    names, caps, blocks = ("z1", "z2", "z3"), (4, 4, 4), (((0, 1, 2), 4),)
+    names = ("z1", "z2", "z3")
+    space = Space.of(names, (4, 4, 4), (((0, 1, 2), 4),))
     args = [{"z1": 1}, {"z2": 1}, {"z3": 1}]
 
     def lin(*coeffs):
-        return TruncSeries.from_linear(names, caps, dict(zip(names, coeffs)), None, blocks)
+        return space.linear(dict(zip(names, coeffs)))
 
     W = lin(1, 1, 1)
     want = [
         sigma_of(lin(0, 1, 2)) * sigma_of(lin(1, 4, 4)) * s_of(lin(3, 3, 3)).scalar_mul(3) * s_inverse_of(W),
         sigma_of(lin(0, 0, 3)) * sigma_of(lin(2, 4, 0)) * s_of(lin(2, 2, 2)).scalar_mul(2) * s_inverse_of(W),
     ]
-    got = [wedge.materialize([prod], args, (names, caps, blocks), ((3, 3), (4, 1, 1))) for prod in prods]
+    got = [wedge.materialize([prod], args, space, ((3, 3), (4, 1, 1))) for prod in prods]
     assert got == want
     assert all(not w.is_zero() for w in want)
     # m + n = 5, so three sigma factors, in a space of top degree 3: each
     # factor is built to degree 1 only, and the product is unchanged
     mu, nu = (5, 2), (1, 3, 3)
-    space = names, (3, 3, 3), (((0, 1, 2), 3),)
+    space = Space.of(names, (3, 3, 3), (((0, 1, 2), 3),))
 
     def energy(lab):
         return sum(mu[i - 1] for i in lab[0]) - sum(nu[j - 1] for j in lab[1])
@@ -539,9 +550,9 @@ def test_johnson_expand_permuted_word_with_merged_operator():
         combo = {f"z{j}": energy(A) for j in B[1]}
         for j in A[1]:
             combo[f"z{j}"] = combo.get(f"z{j}", 0) - energy(B)
-        return TruncSeries.from_linear(*space[:2], combo, None, space[2])
+        return space.linear(combo)
 
-    W = TruncSeries.from_linear(*space[:2], {v: 1 for v in names}, None, space[2])
+    W = space.linear({v: 1 for v in names})
     dropped = nonzero = 0
     for pattern in commutation_patterns(chamber_of(mu, nu)):
         assert len(pattern.factors) == 3
