@@ -26,10 +26,12 @@ the patterns that differ across the wall):
 the refined series of `wallcross` multiply the two, and chamber polynomials
 read one grade of their product (`TruncSeries.grade_sum`), with mu1 valued
 on the weight shell so that nothing is substituted after.  The count is
-symmetric under (mu, nu) <-> (nu, mu), and each part of nu opens its own
-expansion variables, so a chamber with more parts in nu than in mu (or as
-many, and more patterns than its swap) has its polynomial read off the
-swapped chamber at the swapped point: the same polynomial, built cheaper.
+symmetric under (mu, nu) <-> (nu, mu) and under permuting the parts of mu
+and of nu, but the walk's pattern count is not, and each part of nu opens
+its own expansion variables.  So a chamber polynomial is read off the
+member of that orbit on the side with fewer parts of nu, mu ascending and
+nu descending, at the same permutation of the point: the same polynomial,
+built from fewer variables and patterns.
 """
 
 from __future__ import annotations
@@ -133,22 +135,37 @@ def walls(m: int, n: int) -> tuple:
     return tuple(sorted(out, key=lambda w: (w.I, w.J)))
 
 
+@lru_cache(maxsize=64)
+def _wall_masks(m: int, n: int) -> tuple:
+    """Each wall of `walls(m, n)` as its (I, J) bit masks, bit i - 1 for index i."""
+    return tuple((sum(1 << (i - 1) for i in w.I), sum(1 << (j - 1) for j in w.J)) for w in walls(m, n))
+
+
+def _subset_sums(parts) -> list:
+    """The sum of every subset of the parts, indexed by its bit mask."""
+    sums = [0]
+    for part in parts:
+        sums += [s + part for s in sums]
+    return sums
+
+
 @dataclass
 class Chamber:
     """A chamber of the arrangement, held by an interior sample point (mu, nu).
 
     The sample is read through `check_profiles`, and (m, n) and every sign
-    off it; a sample on a wall raises `OnWall`.
+    off it, from the subset sums of mu and of nu; a sample on a wall raises
+    `OnWall`, naming the first such wall in `walls(m, n)` order.
     """
 
     sample: tuple
 
     def __post_init__(self):
-        self.sample = check_profiles(*self.sample)
-        ws = walls(self.m, self.n)
-        signs = tuple(self.sign(w) for w in ws)
+        self.sample = mu, nu = check_profiles(*self.sample)
+        mus, nus = _subset_sums(mu), _subset_sums(nu)
+        signs = tuple((v > 0) - (v < 0) for v in [mus[I] - nus[J] for I, J in _wall_masks(self.m, self.n)])
         if 0 in signs:
-            raise OnWall(ws[signs.index(0)])
+            raise OnWall(walls(self.m, self.n)[signs.index(0)])
         self._key = (self.m, self.n, signs)
 
     @property
@@ -282,9 +299,10 @@ def commutation_patterns(chamber: Chamber) -> tuple:
     """The sigma-products of `standard_word` on this chamber: the one walk
     every generating series reads, since the walk sees only the signs.
 
-    The bound of 128 is kept: all of Tier-1 in one process fills 59
-    entries, `suite_equality(6, 5)` 16, and one bench round of `routes` or
-    `chamber` 9 or 19, with a chamber and its swap counted apart."""
+    The bound of 128 is kept: all of Tier-1 in one process fills 53
+    entries, `suite_equality(6, 5)` 11, and one seed-0 bench round of
+    `routes` or `chamber` 6 or 9, with the members of a chamber's orbit
+    under part permutations and the swap counted apart."""
     return tuple(johnson_expand(chamber, standard_word(chamber.m, chamber.n)))
 
 
@@ -452,6 +470,12 @@ def _numerator(sig: Signature, chamber: Chamber, values):
     return corr.grade_sum(pref, target, weight) * factorial(sig.p)
 
 
+def _sorted_parts(parts, values, descending: bool) -> tuple:
+    """The parts in order, and the values (one per part) permuted with them."""
+    order = sorted(range(len(parts)), key=parts.__getitem__, reverse=descending)
+    return tuple(parts[k] for k in order), [values[k] for k in order]
+
+
 # Chamber polynomials by (signature, chamber key), a plain dict that drops its
 # oldest key once full.  All of Tier-1 in one process fills 1,831 entries,
 # `suite_equality(6, 5)` 721, and one seed-0 bench round of `routes` 20 and
@@ -472,11 +496,17 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber) -> MultiPoly:
     building a series: off the walls every cover is connected, so no cover
     has that many transpositions.
 
-    The count at (nu, mu) is the count at (mu, nu), and every part of nu
-    opens its own expansion variables.  So a chamber with more parts in nu
-    than in mu, or as many and more `commutation_patterns` than its swap
-    `Chamber(sample[::-1])`, is walked as that swap at the swapped point
-    (nu, mu): the same polynomial, built from fewer variables or patterns.
+    The count at (nu, mu) is the count at (mu, nu), it is the same under
+    any permutation of the parts of mu and of nu, and every part of nu opens
+    its own expansion variables.  So the chamber is walked on the side with
+    fewer parts of nu (its own side on a tie, which keeps mu1 out of the
+    S-power exponents and the factorial columns), with the parts of mu
+    ascending and those of nu descending, at the same permutation of the
+    point: the same polynomial, built from fewer variables and patterns.
+    That sorted member has the fewest `commutation_patterns` of the orbit,
+    and its swap as many, on every chamber with m + n <= 5 sampled by
+    `verify._chambers` (at (2, 4) and (4, 2) it misses the least on 8 of 76
+    chambers sampled to d = 12).
     """
     m, n = chamber.m, chamber.n
     sig = Signature.of(kind, signature, m, n)
@@ -499,12 +529,12 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber) -> MultiPoly:
     mus = [ring.var(f"mu{i}") for i in range(2, m + 1)]
     image = sum(nus) - sum(mus)
 
-    walked, point = chamber, ((image, *mus), nus)
-    if n >= m:
-        swap = Chamber(chamber.sample[::-1])
-        if n > m or len(commutation_patterns(swap)) < len(commutation_patterns(chamber)):
-            walked, point = swap, point[::-1]
-    total = _numerator(sig, walked, point)
+    sample, point = chamber.sample, ((image, *mus), nus)
+    if n > m:
+        sample, point = sample[::-1], point[::-1]
+    mu, mu_at = _sorted_parts(sample[0], point[0], descending=False)
+    nu, nu_at = _sorted_parts(sample[1], point[1], descending=True)
+    total = _numerator(sig, Chamber((mu, nu)), (mu_at, nu_at))
     # strip the product of parts: the monomial of every part but mu1, then mu1 = image
     total = total.exact_divide(MultiPoly(ring, {(0,) + (1,) * (m + n - 1): 1})).exact_divide(image)
 

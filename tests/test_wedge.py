@@ -6,6 +6,7 @@ symmetric-group enumeration) before being pinned.
 """
 
 from fractions import Fraction
+from itertools import permutations
 from math import factorial, prod
 
 import pytest
@@ -91,6 +92,33 @@ def test_chamber_signs_are_read_off_the_sample():
     for sample in [((3, 1), (2, 1)), ((5, 1), (2, 2))]:
         with pytest.raises(SizeMismatch):
             Chamber(sample)
+
+
+# every (m, n) with m + n <= 5
+_SMALL_SHAPES = [(m, s - m) for s in range(2, 6) for m in range(1, s)]
+
+
+def test_chamber_signs_from_subset_sums_are_the_walls_signs():
+    # every composition pair with d <= 7 and m + n <= 5: the sign vector read
+    # off the subset sums is each wall's own sign in `walls(m, n)` order, and
+    # a pair on a wall raises OnWall naming the first zero wall
+    checked = on_wall = 0
+    for d in range(1, 8):
+        for m, n in _SMALL_SHAPES:
+            ws = walls(m, n)
+            for mu in compositions(d, m):
+                for nu in compositions(d, n):
+                    values = [w.value(mu, nu) for w in ws]
+                    if 0 in values:
+                        with pytest.raises(OnWall) as err:
+                            Chamber((mu, nu))
+                        assert err.value.wall == ws[values.index(0)], (mu, nu)
+                        on_wall += 1
+                    else:
+                        ch = Chamber((mu, nu))
+                        assert ch.key()[2] == tuple(ch.sign(w) for w in ws), (mu, nu)
+                    checked += 1
+    assert (checked, on_wall) == (630, 341)
 
 
 def test_four_chambers_at_2_2():
@@ -442,25 +470,43 @@ def test_parity_invalid_signature_gives_zero(monkeypatch):
                 assert evaluate(poly, mu, nu) == count_factorizations(FactorizationSpec(mu, nu, *pqr)).value
 
 
+# the signatures of the swap and permutation tests: every pure kind at g <= 1
+# and every mixed (p, q, r) with p + q + r <= 3
+_SYMMETRY_SIGS = [(kind, g) for kind in ("simple", "monotone", "strict") for g in (0, 1)]
+_SYMMETRY_SIGS += [("mixed", (p, q, b - p - q)) for b in range(4) for p in range(b + 1) for q in range(b - p + 1)]
+
+
+def _shell_point(ring, m: int, n: int) -> tuple:
+    """The point `chamber_polynomial` reads its chamber at: mu1 on the weight shell."""
+    nus = [ring.var(f"nu{j}") for j in range(1, n + 1)]
+    mus = [ring.var(f"mu{i}") for i in range(2, m + 1)]
+    return (sum(nus) - sum(mus), *mus), tuple(nus)
+
+
+def _orbit(pair) -> list:
+    """The pair (mu, nu) under every permutation of the parts of mu and of
+    nu, each followed by its swap (nu, mu), in a fixed order."""
+    out = []
+    for a in permutations(pair[0]):
+        for b in permutations(pair[1]):
+            out += [(a, b), (b, a)]
+    return out
+
+
 def test_swapping_mu_and_nu_reads_the_same_polynomial():
     # each side is extracted directly, the given chamber at its point and the
     # swapped chamber at the swapped point, whatever orientation
     # `chamber_polynomial` would choose
-    sigs = [(kind, g) for kind in ("simple", "monotone", "strict") for g in (0, 1)]
-    sigs += [("mixed", (p, q, b - p - q)) for b in range(4) for p in range(b + 1) for q in range(b - p + 1)]
     checked = 0
-    for m, n in [(m, s - m) for s in range(2, 6) for m in range(1, s)]:
+    for m, n in _SMALL_SHAPES:
         for ch in _chambers(m, n):
             swap = Chamber(ch.sample[::-1])
-            for kind, signature in sigs:
+            for kind, signature in _SYMMETRY_SIGS:
                 sig = Signature.of(kind, signature, m, n)
                 if sig.degenerate(m, n):
                     continue
                 poly = chamber_polynomial(kind, signature, ch)
-                ring = poly.ring
-                nus = [ring.var(f"nu{j}") for j in range(1, n + 1)]
-                mus = [ring.var(f"mu{i}") for i in range(2, m + 1)]
-                point = ((sum(nus) - sum(mus), *mus), nus)
+                point = _shell_point(poly.ring, m, n)
                 straight = _numerator(sig, ch, point)
                 assert straight == _numerator(sig, swap, point[::-1]), (kind, signature, ch.sample)
                 assert straight == poly * prod(point[0]) * prod(point[1]), (kind, signature, ch.sample)
@@ -468,9 +514,50 @@ def test_swapping_mu_and_nu_reads_the_same_polynomial():
     assert checked == 1218
 
 
+def test_permuting_the_parts_reads_the_same_polynomial():
+    # every member of the chamber's orbit under S_m x S_n and the swap is
+    # extracted directly, its permuted chamber at the same permutation of the
+    # point, whatever member `chamber_polynomial` would walk; m + n = 5 is
+    # taken at monotone g = 0 only, which keeps the test to about 3 s
+    checked = 0
+    for m, n in _SMALL_SHAPES:
+        sigs = _SYMMETRY_SIGS if m + n <= 4 else [("monotone", 0)]
+        for ch in _chambers(m, n):
+            for kind, signature in sigs:
+                sig = Signature.of(kind, signature, m, n)
+                if sig.degenerate(m, n):
+                    continue
+                poly = chamber_polynomial(kind, signature, ch)
+                point = _shell_point(poly.ring, m, n)
+                want = poly * prod(point[0]) * prod(point[1])
+                for sample, at in zip(_orbit(ch.sample), _orbit(point)):
+                    assert _numerator(sig, Chamber(sample), at) == want, (kind, signature, ch.sample, sample)
+                    checked += 1
+    assert checked == 2668
+
+
+def test_sorted_parts_walk_the_fewest_patterns_of_the_orbit():
+    # the two facts `chamber_polynomial`'s rule rests on, on the walk alone:
+    # mu ascending and nu descending attains the least pattern count of the
+    # chamber's orbit under S_m x S_n and the swap, and so does the sorted
+    # swap, so a tie in the number of parts can walk either side
+    def count(sample):
+        return len(commutation_patterns(Chamber(sample)))
+
+    checked = 0
+    for m, n in _SMALL_SHAPES:
+        for ch in _chambers(m, n):
+            mu, nu = ch.sample
+            least = min(map(count, _orbit(ch.sample)))
+            assert count((sorted(mu), sorted(nu, reverse=True))) == least, ch.sample
+            assert count((sorted(nu), sorted(mu, reverse=True))) == least, ch.sample
+            checked += 1
+    assert checked == 47
+
+
 def test_chamber_polynomial_walks_its_cheaper_orientation(monkeypatch):
-    # more parts in nu than in mu, or a tie with more patterns than the swap:
-    # the swap is walked; the output is the same either way
+    # the side with fewer parts of nu (the chamber's own side on a tie), with
+    # mu ascending and nu descending; the output is the same either way
     walked = []
 
     def recording(chamber, *args, **kwargs):
@@ -481,15 +568,16 @@ def test_chamber_polynomial_walks_its_cheaper_orientation(monkeypatch):
     monkeypatch.setattr(wedge, "generating_series", recording)
     cases = [
         (((10,), (1, 2, 7)), ((1, 2, 7), (10,))),
-        (((4, 1, 1), (3, 3)), ((4, 1, 1), (3, 3))),
-        (((3, 1), (2, 2)), ((2, 2), (3, 1))),
+        (((4, 1, 1), (3, 3)), ((1, 1, 4), (3, 3))),
+        (((3, 1), (2, 2)), ((1, 3), (2, 2))),
         (((1, 3), (2, 2)), ((1, 3), (2, 2))),
     ]
     for sample, want in cases:
         walked.clear()
         chamber_polynomial("monotone", 1, chamber_of(*sample))
         assert walked == [want], sample
-    assert [len(commutation_patterns(chamber_of(*s))) for s in [((3, 1), (2, 2)), ((2, 2), (3, 1))]] == [2, 1]
+    # the member walked on the tie has as few patterns as the swap
+    assert [len(commutation_patterns(chamber_of(*s))) for s in [((1, 3), (2, 2)), ((2, 2), (3, 1))]] == [1, 1]
 
 
 def test_pure_kind_is_a_spelling_of_its_budgets():
