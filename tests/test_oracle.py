@@ -12,10 +12,13 @@ from math import factorial, prod
 import pytest
 
 from hurwitz.oracle import (
+    CONVENTIONS,
     BoundExceeded,
     FactorizationSpec,
     MAX_DEGREE,
-    _product_types,
+    _class_step,
+    _segment_words,
+    _segments,
     _tuple_classes,
     count_factorizations,
     compose,
@@ -223,24 +226,90 @@ def test_counts_match_the_definition():
 
 
 def test_walk_without_blocks_keeps_each_products_count():
-    # disconnected counts read the walk that drops the joined blocks; it must
-    # give each product, hence each cycle type, the count of the (product,
-    # blocks) table summed over blocks, also at b = 4 and at d = 5, b = 3,
-    # where test_counts_match_the_definition stops short
+    # the walk that drops the joined blocks must give each product the count
+    # of the (product, blocks) table summed over blocks, also at b = 4 and at
+    # d = 5, b = 3, where test_counts_match_the_definition stops short
     for d, b in itertools.product(range(1, 6), range(5)):
         for p, q in itertools.product(range(b + 1), repeat=2):
             if p + q > b:
                 continue
-            for convention in ("smaller", "larger"):
-                by_word, by_type = {}, {}
+            for convention in CONVENTIONS:
+                by_word = {}
                 for (word, _), cnt in _tuple_classes(d, p, q, b - p - q, convention):
                     by_word[word] = by_word.get(word, 0) + cnt
-                    by_type[cycle_type(word)] = by_type.get(cycle_type(word), 0) + cnt
                 bare = _tuple_classes(d, p, q, b - p - q, convention, blocks=False)
                 assert {word: cnt for (word, _), cnt in bare} == by_word
                 assert all(joined is None for (_, joined), _ in bare)
-                types = _product_types(d, p, q, b - p - q, convention)
-                assert {cycle_type(rep): cnt for rep, cnt in types} == by_type
+
+
+def test_disconnected_counts_match_the_tuple_table():
+    # the class walk against a reference that walks whole permutations: the
+    # (product, blocks) table summed by the cycle type of the product, one
+    # word of each type scanned against every sigma1 (the number of sigma1
+    # of type mu with w sigma1 of type nu is the same for every w of one
+    # type, by conjugation).  Scope: every partition pair with d <= 6, every
+    # (p, q, r) with b <= 4, both conventions; 14,630 counts, past
+    # test_counts_match_the_definition at b = 4 and at d = 5, 6
+    scans = {}  # (d, type of w) -> {(type of sigma1, type of w sigma1): number of sigma1}
+    checked = 0
+    for d, b in itertools.product(range(1, 7), range(5)):
+        for p, q in itertools.product(range(b + 1), repeat=2):
+            if p + q > b:
+                continue
+            r = b - p - q
+            for convention in CONVENTIONS:
+                by_type = {}
+                for (word, _), cnt in _tuple_classes(d, p, q, r, convention):
+                    lam = cycle_type(word)
+                    if (d, lam) not in scans:
+                        tally = scans[d, lam] = {}
+                        for sigma in itertools.permutations(range(d)):
+                            key = (cycle_type(sigma), cycle_type(compose(word, sigma)))
+                            tally[key] = tally.get(key, 0) + 1
+                    by_type[lam] = by_type.get(lam, 0) + cnt
+                for mu, nu in itertools.product(partitions(d), repeat=2):
+                    spec = FactorizationSpec(mu, nu, p, q, r)
+                    want = 0
+                    if spec.genus() is not None:
+                        want = sum(cnt * scans[d, lam].get((mu, nu), 0) for lam, cnt in by_type.items())
+                    got = count_factorizations(spec, convention=convention).raw
+                    assert got == want * _labelings(mu) * _labelings(nu), (spec, convention)
+                    checked += 1
+    assert checked == 14630
+
+
+def test_the_class_walk_rests_on_central_segments():
+    # every member of a class gives the representative's distribution of
+    # product types, for one free step and for every weak and strict block
+    # length up to 4: each segment's tuple sum is central
+    segments = [(1, 0, 0)] + [(0, k, 0) for k in range(1, 5)] + [(0, 0, k) for k in range(1, 5)]
+    for d, segment, convention in itertools.product(range(1, 6), segments, CONVENTIONS):
+        words = _segment_words(d, *segment, convention)
+        for lam in partitions(d):
+            want = dict(_class_step(d, *segment, convention, lam))
+            for sigma in permutations_of_type(d, lam):
+                got = {}
+                for (word, _), cnt in words:
+                    nu = cycle_type(compose(word, sigma))
+                    got[nu] = got.get(nu, 0) + cnt
+                assert got == want, (d, segment, convention, lam, sigma)
+    # and the segments the walk cuts (p, q, r) into multiply out to the
+    # whole tuple, product by product: a weak or strict block is never cut
+    for d, b in itertools.product(range(1, 6), range(5)):
+        for p, q in itertools.product(range(b + 1), repeat=2):
+            if p + q > b:
+                continue
+            for convention in CONVENTIONS:
+                words = {identity(d): 1}
+                for segment in _segments(p, q, b - p - q):
+                    nxt = {}
+                    for w, cnt in words.items():
+                        for (word, _), k in _segment_words(d, *segment, convention):
+                            x = compose(word, w)
+                            nxt[x] = nxt.get(x, 0) + cnt * k
+                    words = nxt
+                whole = _tuple_classes(d, p, q, b - p - q, convention, blocks=False)
+                assert words == {word: cnt for (word, _), cnt in whole}, (d, (p, q, b - p - q), convention)
 
 
 def test_connected_equals_disconnected_off_walls():
