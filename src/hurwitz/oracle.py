@@ -10,32 +10,39 @@ consecutive positions and s_i < s_{i+1} on the final block of r positions
 the labeled-parts normalization: the raw tally is multiplied by the number
 of ways to assign labels to equal parts of mu and of nu, then divided by d!.
 
-Everything is enumerated, with two pieces of bookkeeping.  The constrained
-transposition tuples are counted prefix by prefix, since tuples that agree
-on the walk's state are never told apart again.  Connected counts walk them
-once per (d, p, q, r) from the identity, grouped by (product permutation,
-blocks of points the tuple joins), since transitivity reads only which
-points the tuple joins, and scan the class of mu against every product.
+Nothing walks S_d.  The constrained transposition tuples are counted
+prefix by prefix, since tuples that agree on the walk's state are never
+told apart again, and every count is walked on cycle types: the number of
+ways to finish a factorization from sigma1 depends on sigma1 only through
+its cycle type, so each class is read at one representative.
 
-Disconnected counts read only cycle types, and walk classes instead.  The
-tuple is cut into segments whose tuple sums are central elements of the
-group algebra: each free transposition alone (its sum is the class sum of
-transpositions), then the whole weak block and the whole strict block
-(complete and elementary symmetric functions of the Jucys-Murphy
-elements).  For a central sum S, conjugating w by c conjugates every
-product S w by c, so the number of tuples of a segment taking w to a
+Disconnected counts cut the tuple into segments whose tuple sums are
+central elements of the group algebra: each free transposition alone (its
+sum is the class sum of transpositions), then the whole weak block and the
+whole strict block (complete and elementary symmetric functions of the
+Jucys-Murphy elements).  For a central sum S, conjugating w by c conjugates
+every product S w by c, so the number of tuples of a segment taking w to a
 permutation of type nu is the same for every w of one cycle type.  The
 walk starts from {mu: size of the class of mu} and maps each class through
-each segment, at one representative, so the final distribution gives the
-count for every nu at once and no sigma1 is scanned.  A weak or strict
-block is never cut: its later steps depend on the earlier keys, and a
-prefix of it has no central sum.  Neither grouping changes what is counted.
+each segment, so the final distribution gives the count for every nu at
+once.  A weak or strict block is never cut: its later steps depend on the
+earlier keys, and a prefix of it has no central sum.
 
-The tuple table itself is not cached: counts read it through
-`_product_words` and `_segment_words`, which are.  The caches are bounded.
-Their sizes hold every key that the test suite, run in one process,
-touches, so none is evicted there; in a longer run they cap how many tables
-stay in memory.
+Connected counts walk the whole tuple as one segment, grouped by (product,
+blocks of points the tuple joins), and keep the entries whose blocks,
+joined by the cycles of the representative, connect every point.  The
+transitive count is a class function of sigma1 too.  The orbits of a
+factorization cut it into pieces on disjoint point sets, each counted by a
+class function; the pieces interleave in a way fixed by the budgets
+(binomially for free steps, and in one order inside a weak or strict block,
+since keys on disjoint points differ), and Moebius inversion over the set
+partitions coarser than sigma1's cycles gives the transitive part (cf.
+Goulden, Guay-Paquet and Novak on monotone Hurwitz numbers as Jucys-Murphy
+sums).  No grouping changes what is counted.
+
+The caches are bounded.  Their sizes hold every key that the test suite,
+run in one process, touches, so none is evicted there; in a longer run they
+cap how many tables stay in memory.
 """
 
 from __future__ import annotations
@@ -43,10 +50,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, permutations as _all_perms
+from itertools import accumulate
 from math import factorial
 
-from .partitions import SizeMismatch, Signature, centralizer_size, check_composition, check_profiles, multiplicity_factor
+from .partitions import Signature, centralizer_size, check_profiles, multiplicity_factor
 
 
 class BoundExceeded(ValueError):
@@ -67,11 +74,6 @@ def identity(d: int) -> tuple:
     return tuple(range(d))
 
 
-def compose(p: tuple, q: tuple) -> tuple:
-    """p after q: (p*q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
 def cycle_type(p: tuple) -> tuple:
     seen = [False] * len(p)
     lens = []
@@ -86,19 +88,6 @@ def cycle_type(p: tuple) -> tuple:
             l += 1
         lens.append(l)
     return tuple(sorted(lens, reverse=True))
-
-
-@lru_cache(maxsize=64)
-def permutations_of_type(d: int, lam: tuple) -> tuple:
-    """Every permutation of range(d) with cycle type lam, in any part order.
-
-    A part below 1 raises ValueError, and parts not summing to d raise
-    SizeMismatch.
-    """
-    lam = tuple(sorted(check_composition(lam), reverse=True))
-    if sum(lam) != d:
-        raise SizeMismatch(f"|lam|={sum(lam)} != d={d}")
-    return tuple(p for p in _all_perms(range(d)) if cycle_type(p) == lam)
 
 
 # -- factorization specs --------------------------------------------------------
@@ -142,6 +131,7 @@ def _transpositions(d: int) -> list:
     return [(s, r) for s in range(d - 1) for r in range(s + 1, d)]
 
 
+@lru_cache(maxsize=1024)
 def _tuple_classes(d: int, p: int, q: int, r: int, convention: str, blocks: bool = True):
     """All constrained transposition tuples, grouped.
 
@@ -157,6 +147,9 @@ def _tuple_classes(d: int, p: int, q: int, r: int, convention: str, blocks: bool
     any: a state is (product, None, last key) and the table is keyed on
     (product, None).  Disconnected counts read no more than that, and the
     walk visits far fewer states.
+
+    Distinct keys measured: 788 for the test suite in one process, 62 for
+    `suite_equality(6, 5)`, 27 for one seed-0 `routes` round.
     """
     keyidx = CONVENTIONS.index(convention)
     steps = []
@@ -174,7 +167,7 @@ def _tuple_classes(d: int, p: int, q: int, r: int, convention: str, blocks: bool
                 for (s, rr), k, tau in steps:
                     if i and (mode == "weak" and k < last or mode == "strict" and k <= last):
                         continue
-                    # tau after word, i.e. compose(tau, word)
+                    # tau after word: x -> tau(word(x))
                     key = (
                         tuple([tau[x] for x in word]),
                         _join(joined, s, rr) if blocks else None,
@@ -196,19 +189,6 @@ def _join(blocks: tuple, a: int, b: int) -> tuple:
     return tuple(lo if x == hi else x for x in blocks)
 
 
-@lru_cache(maxsize=512)
-def _product_words(d: int, p: int, q: int, r: int, convention: str):
-    """The tuple table grouped by product word.
-
-    Returns ((product, ((blocks, count), ...)), ...) with one entry per
-    distinct product: 60 words for the 199 classes at d = 5, b = 4.
-    """
-    groups: dict = {}
-    for (word, blocks), cnt in _tuple_classes(d, p, q, r, convention):
-        groups.setdefault(word, []).append((blocks, cnt))
-    return tuple((word, tuple(blocks)) for word, blocks in groups.items())
-
-
 def _segments(p: int, q: int, r: int) -> tuple:
     """(p, q, r) cut into the (p, q, r) of segments with central tuple sums:
     one per free transposition, then the weak block and the strict block whole."""
@@ -220,42 +200,38 @@ def _class_representative(lam: tuple) -> tuple:
     return tuple(start + (i + 1) % part for start, part in zip(accumulate((0,) + lam), lam) for i in range(part))
 
 
-@lru_cache(maxsize=128)
-def _segment_words(d: int, p: int, q: int, r: int, convention: str):
-    """The tuple table of one segment, without blocks: ((product, None), count), ....
-
-    Distinct keys measured: 108 for the test suite in one process, 62 for
-    `suite_equality(6, 5)`, 27 for one seed-0 `routes` round.
-    """
-    return _tuple_classes(d, p, q, r, convention, blocks=False)
-
-
-@lru_cache(maxsize=1024)
-def _class_step(d: int, p: int, q: int, r: int, convention: str, lam: tuple):
+@lru_cache(maxsize=2048)
+def _class_step(d: int, p: int, q: int, r: int, convention: str, lam: tuple, connected: bool):
     """((nu, count), ...): how many tuples of the segment (p, q, r) take a
-    permutation of cycle type lam to one of cycle type nu.
+    permutation of cycle type lam to one of cycle type nu, counting, when
+    connected, only the tuples transitive once joined to its cycles.
 
-    The segment's tuple sum is central, so this is the same for every
-    permutation of type lam, and it is read at one representative.
-    Distinct keys measured: 518 for the test suite in one process, 315 for
-    `suite_equality(6, 5)`, 79 for one seed-0 `routes` round.
+    Both counts are the same for every permutation of type lam, so they are
+    read at one representative: a connected count keeps the entries of the
+    (product, blocks) table that its cycles make transitive.
+    Distinct keys measured: 1,561 for the test suite in one process, 315
+    for `suite_equality(6, 5)`, 79 for one seed-0 `routes` round.
     """
     rep = _class_representative(lam)
+    table = _tuple_classes(d, p, q, r, convention, blocks=connected)
+    if connected:
+        table = [(key, cnt) for key, cnt in table if _is_transitive(rep, key[1])]
     out: dict = {}
-    for (word, _), cnt in _segment_words(d, p, q, r, convention):
+    for (word, _), cnt in table:
         nu = cycle_type([word[x] for x in rep])
         out[nu] = out.get(nu, 0) + cnt
     return tuple(out.items())
 
 
-def _class_counts(d: int, mu: tuple, p: int, q: int, r: int, convention: str) -> dict:
+def _class_counts(d: int, mu: tuple, p: int, q: int, r: int, convention: str, connected: bool) -> dict:
     """{nu: number of (sigma1, tuple) pairs with sigma1 of type mu and the
-    product of type nu}, walked on cycle types one segment at a time."""
+    product of type nu, transitive when connected}, walked on cycle types:
+    one segment at a time, or the whole tuple as one segment when connected."""
     dist = {mu: factorial(d) // centralizer_size(mu)}
-    for segment in _segments(p, q, r):
+    for segment in ((p, q, r),) if connected else _segments(p, q, r):
         nxt: dict = {}
         for lam, weight in dist.items():
-            for nu, cnt in _class_step(d, *segment, convention, lam):
+            for nu, cnt in _class_step(d, *segment, convention, lam, connected):
                 nxt[nu] = nxt.get(nu, 0) + weight * cnt
         dist = nxt
     return dist
@@ -278,12 +254,11 @@ def count_factorizations(spec: FactorizationSpec, convention: str = "smaller") -
     convention other than "smaller" or "larger" raises ValueError, whatever
     the signature.
 
-    Disconnected counts walk the class of mu, weighted by its size,
-    through the segments of the tuple on cycle types and read nu off the
-    final distribution; connected counts scan the class of mu once per
-    distinct product word of the (product, blocks) table and, where the
-    type matches, keep the classes whose blocks, joined by the cycles of
-    sigma1, are transitive.
+    Both kinds walk the class of mu, weighted by its size, on cycle types
+    and read nu off the final distribution: disconnected counts through the
+    segments of the tuple, connected counts through the whole tuple at once,
+    keeping the tuples whose blocks, joined by the cycles of the class
+    representative, are transitive.
     Both tally exactly the (sigma1, tuple) pairs of the definition.
     """
     if convention not in CONVENTIONS:
@@ -295,15 +270,7 @@ def count_factorizations(spec: FactorizationSpec, convention: str = "smaller") -
         return FactorizationCount(0, Fraction(0))
     mu_sorted = tuple(sorted(spec.mu, reverse=True))
     nu_sorted = tuple(sorted(spec.nu, reverse=True))
-    raw_unlabeled = 0
-    if spec.connected:
-        words = _product_words(d, spec.p, spec.q, spec.r, convention)
-        for sigma1 in permutations_of_type(d, mu_sorted):
-            for w, classes in words:
-                if cycle_type(compose(w, sigma1)) == nu_sorted:
-                    raw_unlabeled += sum(cnt for blocks, cnt in classes if _is_transitive(sigma1, blocks))
-    else:
-        raw_unlabeled = _class_counts(d, mu_sorted, spec.p, spec.q, spec.r, convention).get(nu_sorted, 0)
+    raw_unlabeled = _class_counts(d, mu_sorted, spec.p, spec.q, spec.r, convention, spec.connected).get(nu_sorted, 0)
     raw = raw_unlabeled * multiplicity_factor(spec.mu) * multiplicity_factor(spec.nu)
     return FactorizationCount(raw, Fraction(raw, factorial(d)))
 

@@ -17,17 +17,24 @@ from hurwitz.oracle import (
     FactorizationSpec,
     MAX_DEGREE,
     _class_step,
-    _segment_words,
     _segments,
     _tuple_classes,
     count_factorizations,
-    compose,
     cycle_type,
     identity,
-    permutations_of_type,
 )
 from hurwitz.partitions import SizeMismatch, partitions
 from hurwitz.wedge import OnWall, chamber_of
+
+
+def _compose(p, q):
+    """p after q: (p*q)(i) = p(q(i))."""
+    return tuple(p[x] for x in q)
+
+
+def _of_type(d, lam):
+    """Every permutation of range(d) with cycle type lam."""
+    return [s for s in itertools.permutations(range(d)) if cycle_type(s) == lam]
 
 
 def test_permutation_helpers():
@@ -35,30 +42,22 @@ def test_permutation_helpers():
     q = (1, 0, 2)  # the transposition (0 1)
     assert cycle_type(p) == (3,)
     assert cycle_type(identity(3)) == (1, 1, 1)
-    assert compose(p, q) != compose(q, p)
-    # (p*q)(i) = p(q(i))
-    assert compose(p, q) == tuple(p[q[i]] for i in range(3))
-
-
-def test_permutations_of_type_counts():
-    assert len(permutations_of_type(4, (2, 1, 1))) == 6
-    assert len(permutations_of_type(4, (4,))) == 6
-    assert len(permutations_of_type(5, (3, 2))) == 20
-
-
-@pytest.mark.parametrize("lam,error", [((2, 2), SizeMismatch), ((3, 0), ValueError)])
-def test_permutations_of_type_rejects_a_bad_type(lam, error):
-    with pytest.raises(error):
-        permutations_of_type(3, lam)
+    assert cycle_type((0, 2, 1, 4, 3)) == (2, 2, 1)
+    assert _compose(p, q) == (2, 1, 0) != _compose(q, p)
 
 
 def test_both_part_orders_share_one_class_of_sigma1():
-    # (3,1) and (1,3) name one conjugacy class, so they fill one cache entry
-    permutations_of_type.cache_clear()
-    for mu in ((3, 1), (1, 3)):
-        for connected in (False, True):
+    # (3,1) and (1,3) name one conjugacy class, so the second order reads
+    # only the class steps the first one filled, for both kinds of count
+    for connected in (False, True):
+        _class_step.cache_clear()
+        for mu in ((3, 1), (1, 3)):
             count_factorizations(FactorizationSpec(mu, (2, 2), 2, 0, 0, connected=connected))
-    assert permutations_of_type.cache_info().currsize == 1
+            if mu == (3, 1):
+                filled = _class_step.cache_info()
+        info = _class_step.cache_info()
+        assert filled.currsize > 0 and info.hits > filled.hits
+        assert (info.misses, info.currsize) == (filled.misses, filled.currsize), connected
 
 
 def test_spec_validation():
@@ -235,7 +234,7 @@ def test_walk_without_blocks_keeps_each_products_count():
                 continue
             for convention in CONVENTIONS:
                 by_word = {}
-                for (word, _), cnt in _tuple_classes(d, p, q, b - p - q, convention):
+                for (word, _), cnt in _tuple_classes(d, p, q, b - p - q, convention, blocks=True):
                     by_word[word] = by_word.get(word, 0) + cnt
                 bare = _tuple_classes(d, p, q, b - p - q, convention, blocks=False)
                 assert {word: cnt for (word, _), cnt in bare} == by_word
@@ -259,12 +258,12 @@ def test_disconnected_counts_match_the_tuple_table():
             r = b - p - q
             for convention in CONVENTIONS:
                 by_type = {}
-                for (word, _), cnt in _tuple_classes(d, p, q, r, convention):
+                for (word, _), cnt in _tuple_classes(d, p, q, r, convention, blocks=True):
                     lam = cycle_type(word)
                     if (d, lam) not in scans:
                         tally = scans[d, lam] = {}
                         for sigma in itertools.permutations(range(d)):
-                            key = (cycle_type(sigma), cycle_type(compose(word, sigma)))
+                            key = (cycle_type(sigma), cycle_type(_compose(word, sigma)))
                             tally[key] = tally.get(key, 0) + 1
                     by_type[lam] = by_type.get(lam, 0) + cnt
                 for mu, nu in itertools.product(partitions(d), repeat=2):
@@ -284,15 +283,35 @@ def test_the_class_walk_rests_on_central_segments():
     # length up to 4: each segment's tuple sum is central
     segments = [(1, 0, 0)] + [(0, k, 0) for k in range(1, 5)] + [(0, 0, k) for k in range(1, 5)]
     for d, segment, convention in itertools.product(range(1, 6), segments, CONVENTIONS):
-        words = _segment_words(d, *segment, convention)
+        words = _tuple_classes(d, *segment, convention, blocks=False)
         for lam in partitions(d):
-            want = dict(_class_step(d, *segment, convention, lam))
-            for sigma in permutations_of_type(d, lam):
+            want = dict(_class_step(d, *segment, convention, lam, False))
+            for sigma in _of_type(d, lam):
                 got = {}
                 for (word, _), cnt in words:
-                    nu = cycle_type(compose(word, sigma))
+                    nu = cycle_type(_compose(word, sigma))
                     got[nu] = got.get(nu, 0) + cnt
                 assert got == want, (d, segment, convention, lam, sigma)
+    # the transitive count is a class function of sigma1 too: every member
+    # of a class, joining the tuple's blocks with its own cycles, tallies
+    # what the connected step reads at the representative, for every whole
+    # tuple with b <= 4 (b <= 2 at d = 5)
+    for d, convention in itertools.product(range(1, 6), CONVENTIONS):
+        for b in range(3 if d == 5 else 5):
+            for p, q in itertools.product(range(b + 1), repeat=2):
+                if p + q > b:
+                    continue
+                pqr = (p, q, b - p - q)
+                table = _tuple_classes(d, *pqr, convention, blocks=True)
+                for lam in partitions(d):
+                    want = dict(_class_step(d, *pqr, convention, lam, True))
+                    for sigma in _of_type(d, lam):
+                        got = {}
+                        for (word, joined), cnt in table:
+                            if not any(_join_all(joined, enumerate(sigma))):
+                                nu = cycle_type(_compose(word, sigma))
+                                got[nu] = got.get(nu, 0) + cnt
+                        assert got == want, (d, pqr, convention, lam, sigma)
     # and the segments the walk cuts (p, q, r) into multiply out to the
     # whole tuple, product by product: a weak or strict block is never cut
     for d, b in itertools.product(range(1, 6), range(5)):
@@ -304,8 +323,8 @@ def test_the_class_walk_rests_on_central_segments():
                 for segment in _segments(p, q, b - p - q):
                     nxt = {}
                     for w, cnt in words.items():
-                        for (word, _), k in _segment_words(d, *segment, convention):
-                            x = compose(word, w)
+                        for (word, _), k in _tuple_classes(d, *segment, convention, blocks=False):
+                            x = _compose(word, w)
                             nxt[x] = nxt.get(x, 0) + cnt * k
                     words = nxt
                 whole = _tuple_classes(d, p, q, b - p - q, convention, blocks=False)
