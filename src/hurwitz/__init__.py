@@ -1,6 +1,6 @@
 """Exact arithmetic for double Hurwitz numbers of four flavours (simple,
 monotone, strictly monotone, triply mixed), computed three independent ways:
-direct enumeration over the symmetric group, character/content sums, and
+direct enumeration of transposition tuples, character/content sums, and
 commutation-pattern expansion of operator correlators.  Plus the piecewise
 polynomial structure: chambers, walls, chamber polynomials, wall crossing.
 """
