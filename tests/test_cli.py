@@ -110,6 +110,18 @@ def test_compute_connected_character_route(capsys):
     assert code == 2 and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("kind,method,want", [
+    ("simple", "oracle", "5888/1"),
+    ("simple", "character", "5888/1"),
+    ("monotone", "oracle", "1325/2"),
+])
+def test_compute_connected_at_degree_eight(capsys, kind, method, want):
+    # connected oracle counts at MAX_DEGREE walk the class of mu's representative
+    code, doc, _ = run_json(capsys, ["compute", "--connected", "--method", method, "--type", kind,
+                                     "--g", "1", "--mu", "4,4", "--nu", "4,4"])
+    assert (code, doc["value"]) == (0, want)
+
+
 def test_count_has_no_route_for_other_connected_queries():
     spec = FactorizationSpec((3, 1), (2, 2), 2, 0, 0, connected=True)
     with pytest.raises(verify.Unsupported):

@@ -70,6 +70,15 @@ def test_spec_validation():
     assert spec.genus() == 0
 
 
+@pytest.mark.parametrize("lam,error", [((2, 2), SizeMismatch), ((3, 0), ValueError)])
+def test_spec_rejects_a_bad_type(lam, error):
+    # the class walk reads sigma1 only through mu, so the profile checks live
+    # on the spec, for both kinds of count
+    for connected in (False, True):
+        with pytest.raises(error):
+            FactorizationSpec(lam, (3,), 0, 0, 0, connected=connected)
+
+
 def test_genus_gate():
     # parity mismatch: b and m+n disagree mod 2
     assert FactorizationSpec((2,), (2,), 1, 0, 0).genus() is None
