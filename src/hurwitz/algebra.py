@@ -15,7 +15,10 @@ through it: every retained coefficient of a sum, product, or inverse is
 exact, and one code path serves numeric and symbolic evaluations alike.
 A product only multiplies the term pairs it keeps: the terms are bucketed
 by grade (see `Space`), and only bucket pairs whose grades fit together
-are visited.
+are visited.  A product of one-variable columns, such as the S-power
+prefactor and the marker series, needs no series product at all:
+`Space.columns` writes each admissible exponent's product of column
+entries straight into its packed key.
 
 The special series used throughout are the odd exponential difference
 
@@ -27,7 +30,9 @@ arbitrary exponent c, rational or polynomial, via exp(c * log S(w)).  Its
 inverse is w/sigma(w) = sum_{k even} B_k(1/2) w^k / k!, and its logarithm
 log S(w) = sum_{k>=1} B_{2k} w^{2k} / (2k (2k)!).  sigma, S and 1/S take a
 linear series w, whose powers have a closed form built on integers (see
-`_half_exp_sum`).
+`_half_exp_sum`).  [v^k] S(v)^c is a polynomial in c, sum_j a_kj c^j with
+a_kj = [v^k] (log S)^j / j!: the a_kj are one cached table per order, so
+an S-power column is read off the powers of c (`s_power_column`).
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ __all__ = [
     "s_of",
     "s_inverse_of",
     "s_power_series",
+    "s_power_column",
     "factorial_column",
     "bernoulli",
 ]
@@ -488,7 +494,9 @@ class Space:
     when one is given.  `Space.of` interns a space, so the series of one
     space share it; spaces compare by those four fields, with identity as
     the fast path.  Every `TruncSeries` is built through its space:
-    `series`, `linear`, `zero`, `one`, or `TruncSeries.lift`.
+    `series`, `linear`, `columns`, `zero`, `one`, or `TruncSeries.lift`;
+    `linear` and `columns` write packed keys directly, and `series` reads
+    exponent tuples.
 
     The space also fixes the packed keys of its series: `low`, the bits of
     the coefficient ring's monomial key; `guard`, its guard bits; `shifts`,
@@ -577,8 +585,59 @@ class Space:
         return TruncSeries(self, *_over_terms(terms))
 
     def linear(self, argmap: dict) -> "TruncSeries":
-        """The series sum_v argmap[v] * v (each argument variable to power 1)."""
-        return self.series({tuple(self._exponents({v: 1})): c for v, c in argmap.items()})
+        """The series sum_v argmap[v] * v (each argument variable to power
+        1), written straight into packed keys; a variable whose cap or block
+        cap is 0 adds no term."""
+        terms = []
+        for v, c in argmap.items():
+            i = self._index(v)
+            num, den = self._terms_of(c)
+            if self.caps[i] and all(cap for ix, cap in self.blocks if i in ix):
+                terms.append((1 << self.shifts[i], num, den))
+        return TruncSeries(self, *_over_terms(terms))
+
+    def columns(self, cols: dict) -> "TruncSeries":
+        """The series prod_v sum_k cols[v][k] v^k over the variables v of
+        `cols`, each entry a number or an element of `ring`, written
+        straight into packed keys: only the exponents the caps and blocks
+        admit are built, a zero entry adds no term, and the entries past a
+        variable's cap are not read.  `{}` gives `one()`.
+
+        Each column is scaled to integers over the lcm of its denominators;
+        a term's numerator is an int in a numeric space, else numerators
+        keyed by the ring's monomial keys."""
+        blocks, guard, numeric = self.blocks, self.guard, self.ring is None
+        terms = [(0, 1 if numeric else {0: 1}, tuple(cap for _, cap in blocks))]  # key, numerator, room per block
+        den = 1
+        for v, col in cols.items():
+            i = self._index(v)
+            s = self.shifts[i]
+            inside = [b for b, (ix, _) in enumerate(blocks) if i in ix]
+            entries = [self._terms_of(c) for c in col[: self.caps[i] + 1]]
+            d = lcm(*(e for _, e in entries))
+            den *= d
+            scaled = [
+                (k, num[0] * (d // e) if numeric else {lo: a * (d // e) for lo, a in num.items()})
+                for k, (num, e) in enumerate(entries)
+                if num
+            ]
+            grown = []
+            for key, num, room in terms:
+                most = min([room[b] for b in inside], default=len(entries))
+                for k, part in scaled:
+                    if k > most:
+                        break
+                    left = room
+                    if inside:
+                        left = list(room)
+                        for b in inside:
+                            left[b] -= k
+                        left = tuple(left)
+                    grown.append((key + (k << s), num * part if numeric else _product(num, part, guard), left))
+            terms = grown
+        if numeric:
+            return TruncSeries(self, {key: c for key, c, _ in terms}, den)
+        return TruncSeries(self, {key + lo: c for key, num, _ in terms for lo, c in num.items()}, den)
 
     def zero(self) -> "TruncSeries":
         return TruncSeries(self, {})
@@ -625,6 +684,8 @@ class Space:
             if c.ring != self.ring:
                 raise ValueError(f"a coefficient of {c.ring} in a series over {self.ring}")
             return c.num, c.den
+        if type(c) is int:  # the common case, read without building a Fraction
+            return ({0: c} if c else {}), 1
         c = _frac(c)
         return ({0: c.numerator} if c else {}), c.denominator
 
@@ -1005,21 +1066,39 @@ def s_inverse_of(arg: TruncSeries) -> TruncSeries:
     return _half_exp_sum(arg, 0, _s_inverse_weight)
 
 
+@lru_cache(maxsize=64)
+def _s_power_table(order: int) -> tuple:
+    """Row k, for k = 0..order, holds a_kj = [v^k] (log S(v))^j / j! for
+    j = 0..k/2, so that [v^k] S(v)^c = sum_j a_kj c^j; (log S)^j starts at
+    v^(2j), so no other j reaches v^k.  Odd rows are all 0."""
+    log_s = [Fraction(0)] * (order + 1)
+    for k in range(2, order + 1, 2):
+        log_s[k] = bernoulli(k) / (k * factorial(k))
+    rows = [[Fraction(0)] * (k // 2 + 1) for k in range(order + 1)]
+    power = [Fraction(1)] + [Fraction(0)] * order  # (log S)^j / j!
+    for j in range(order // 2 + 1):
+        for k in range(2 * j, order + 1):
+            rows[k][j] = power[k]
+        power = [sum([power[i] * log_s[k - i] for i in range(k - 1)], Fraction(0)) / (j + 1) for k in range(order + 1)]
+    return tuple(map(tuple, rows))
+
+
+def s_power_column(c, order: int) -> list:
+    """[[v^k] S(v)^c for k = 0..order], c rational or polynomial: each entry
+    is read off the powers of c with the cached table of `_s_power_table`."""
+    powers = [1]
+    for _ in range(order // 2):
+        powers.append(powers[-1] * c)
+    return [sum([a * p for a, p in zip(row, powers) if a], 0) for row in _s_power_table(order)]
+
+
 def s_power_series(c, var: str, order: int) -> TruncSeries:
-    """S(v)^c truncated at v^order, c rational or polynomial (over c's ring),
-    as exp(c log S) with log S(v) = sum_{k>=1} B_{2k} v^{2k} / (2k (2k)!)."""
+    """S(v)^c truncated at v^order, c rational or polynomial (over c's ring):
+    the one-variable case of `Space.columns`, on `s_power_column`, whose
+    entries are the polynomials in c of exp(c log S), with
+    log S(v) = sum_{k>=1} B_{2k} v^{2k} / (2k (2k)!)."""
     ring = c.ring if isinstance(c, MultiPoly) else None
-    terms = {(k,): bernoulli(k) / (k * factorial(k)) for k in range(2, order + 1, 2)}
-    log_s = Space.of((var,), (order,), (), ring).series(terms)
-    out = power = log_s.space.one()
-    cpow = 1
-    for k in range(1, order // 2 + 1):
-        power = power * log_s
-        if power.is_zero():
-            break
-        cpow = cpow * c
-        out = out + power.scalar_mul(cpow * Fraction(1, factorial(k)))
-    return out
+    return Space.of((var,), (order,), (), ring).columns({var: s_power_column(c, order)})
 
 
 # -- factorial-type helpers ----------------------------------------------------
@@ -1027,8 +1106,10 @@ def s_power_series(c, var: str, order: int) -> TruncSeries:
 
 def factorial_column(x, top: int, step: int) -> list:
     """[x (x + step) ... (x + (k-1) step) for k = 0..top]: the rising
-    factorials of x for step 1, the falling ones for step -1; exact, for
-    numbers or polynomials."""
+    factorials of x for step 1, the falling ones for step -1; exact, for an
+    int, a Fraction or a polynomial (anything else raises TypeError)."""
+    if not isinstance(x, (int, Fraction, MultiPoly)):
+        raise TypeError(f"expected int, Fraction or MultiPoly, got {type(x).__name__}")
     col = [x.ring.one() if isinstance(x, MultiPoly) else 1]
     for i in range(top):
         col.append(col[-1] * (x + step * i))

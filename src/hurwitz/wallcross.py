@@ -87,22 +87,11 @@ def _markers(blocks, nu, index, space, order) -> TruncSeries:
     value, so the coefficient at e is the product of the columns at e's
     exponents, kept while the total order stays within `order`.
     """
-    names = space.vars
-    terms = {(0,) * len(names): 1}
-    for v, j in zip(nu, index):
-        if j is None:
-            continue  # extraction at marker power 0 with zero argument
-        for b in [b for b in blocks if b.marker]:
-            ix = names.index(f"{b.marker}{j}")
-            col = factorial_column(v, order, b.sign)
-            grown = {}
-            for e, c in terms.items():
-                for k in range(order - sum(e) + 1):
-                    if not col[k]:
-                        break  # a falling factorial stays zero past v
-                    grown[e[:ix] + (k,) + e[ix + 1 :]] = c * col[k]
-            terms = grown
-    return space.series(terms)
+    markers = [b for b in blocks if b.marker]
+    # the delta part (index None) is extracted at marker power 0: no column
+    return space.columns(
+        {f"{b.marker}{j}": factorial_column(v, order, b.sign) for v, j in zip(nu, index) if j is not None for b in markers}
+    )
 
 
 def _h_series(blocks, mu, nu, index, space, order, chamber=None, minus=None):

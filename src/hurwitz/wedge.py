@@ -50,7 +50,7 @@ from .algebra import (
     Space,
     factorial_column,
     s_inverse_of,
-    s_power_series,
+    s_power_column,
     sigma_of,
     s_of,
 )
@@ -437,13 +437,12 @@ def generating_series(chamber: Chamber, parts, space, values, minus: Optional[Ch
         changed = [prod for prod, k in jump.items() if k]
         corr = materialize(changed, args, space, values, [jump[prod] for prod in changed])
 
-    pref = None
-    for nu, signs in zip(values[1], parts):
-        for x, sign in signs.items():
-            c = (nu if sign > 0 else -nu) - 1
-            fac = s_power_series(c, x, space.caps[space.vars.index(x)]).lift(corr.space)
-            pref = fac if pref is None else pref * fac
-    return corr, corr.space.one() if pref is None else pref
+    cols = {
+        x: s_power_column((nu if sign > 0 else -nu) - 1, space.caps[space.index[x]])
+        for nu, signs in zip(values[1], parts)
+        for x, sign in signs.items()
+    }
+    return corr, corr.space.columns(cols)
 
 
 def _numerator(sig: Signature, chamber: Chamber, values):

@@ -140,6 +140,12 @@ def test_factorial_helpers():
     assert factorial_column(x, 2, -1) == [ring.one(), x, x * (x - 1)]
 
 
+@pytest.mark.parametrize("x", [2.5, 0.0, "3", None], ids=repr)
+def test_factorial_column_rejects_what_is_not_exact(x):
+    with pytest.raises(TypeError, match="expected int, Fraction or MultiPoly"):
+        factorial_column(x, 3, 1)
+
+
 @given(
     st.lists(st.integers(-4, 4), min_size=1, max_size=4),
     st.lists(st.integers(-4, 4), min_size=1, max_size=4),
@@ -808,3 +814,79 @@ def test_a_coefficient_exponent_at_the_field_limit_raises(name):
         x * var
     with pytest.raises(ExponentOverflow):
         x.scalar_mul(COEFF_RING.var(name))
+
+
+# -- products of closed-form columns ---------------------------------------------------
+
+
+def _one_variable_series(v, col, ring):
+    """sum_k col[k] v^k in the space of v alone, capped at the column's length."""
+    return Space.of((v,), (max(len(col) - 1, 0),), (), ring).series({(k,): c for k, c in enumerate(col)})
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_columns_are_the_product_of_lifted_one_variable_series(data):
+    names, caps, blocks = data.draw(_graded_space())
+    if data.draw(st.booleans()):
+        ring = COEFF_RING
+        s, t = ring.var("s"), ring.var("t")
+        # ring elements and plain numbers side by side
+        coeff = st.one_of(COEFFS, st.builds(lambda a, b, c: s * a + t * b + c, COEFFS, COEFFS, COEFFS))
+    else:
+        ring, coeff = None, st.one_of(COEFFS, st.integers(-9, 9))
+    # zero entries inside a column, and columns longer than their caps (at most 4)
+    entry = st.one_of(st.just(0), coeff)
+    chosen = data.draw(st.lists(st.sampled_from(names), unique=True, max_size=len(names)))
+    cols = {v: data.draw(st.lists(entry, max_size=7)) for v in chosen}
+    space = Space.of(names, caps, blocks, ring)
+    got = space.columns(cols)
+    want = space.one()
+    for v, col in cols.items():
+        want = want * _one_variable_series(v, col, ring).lift(space)
+    _assert_series_canonical(got)
+    assert got == want
+
+
+def test_columns_of_nothing_and_of_unknown_variables():
+    space = Space.of(("a", "b"), (2, 3), (((0, 1), 3),), COEFF_RING)
+    assert space.columns({}) == space.one()
+    assert Space.of(("a",), (0,)).columns({}) == Space.of(("a",), (0,)).one()
+    # a column longer than the cap, and a zero column
+    assert Space.of(("a",), (1,)).columns({"a": [1, 2, 3, 4]}).data == {(0,): 1, (1,): 2}
+    assert space.columns({"a": [0, 0, 0]}).is_zero()
+    with pytest.raises(ValueError, match=r"'c' is not a variable of the series space \('a', 'b'\)"):
+        space.columns({"a": [1], "c": [1, 1]})
+    with pytest.raises(TypeError):
+        space.columns({"a": [1, 0.5]})
+
+
+def _ref_s_power(c, order):
+    """S(v)^c as exp(c log S) by repeated series products, the construction
+    the cached table replaced."""
+    ring = c.ring if isinstance(c, MultiPoly) else None
+    terms = {(k,): bernoulli(k) / (k * math.factorial(k)) for k in range(2, order + 1, 2)}
+    log_s = Space.of(("v",), (order,), (), ring).series(terms)
+    out = power = log_s.space.one()
+    cpow = 1
+    for k in range(1, order // 2 + 1):
+        power = power * log_s
+        if power.is_zero():
+            break
+        cpow = cpow * c
+        out = out + power.scalar_mul(cpow * Fraction(1, math.factorial(k)))
+    return out
+
+
+@pytest.mark.parametrize("order", range(13))
+def test_s_power_series_is_the_repeated_product_exponential(order):
+    ring = PolyRing(("n", "m"))
+    n, m = ring.var("n"), ring.var("m")
+    for c in (0, 1, -3, 7, Fraction(5, 2), Fraction(-7, 3), n - 2, n * Fraction(1, 2) - m + 3):
+        got = s_power_series(c, "v", order)
+        _assert_series_canonical(got)
+        assert got == _ref_s_power(c, order), c
+    for c in (2.5, 0.0):
+        if order >= 2:
+            with pytest.raises(TypeError):
+                s_power_series(c, "v", order)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitz import wallcross, wedge
+from hurwitz.algebra import Space, factorial_column
 from hurwitz.charactereval import hurwitz_disconnected
 from hurwitz.partitions import PURE_KINDS, Signature, SizeMismatch
 from hurwitz.verify import _WC_SAMPLES, _chambers
@@ -290,6 +291,22 @@ def test_the_jump_materializes_only_the_patterns_that_change(monkeypatch, kind):
             sizes.clear()
             refined_series(kind, mu, nu, 2, chamber=chamber)
             assert sizes == [count]
+
+
+@pytest.mark.parametrize("kind", ["simple", "monotone", "strict", "mixed"])
+def test_the_marker_series_is_the_product_of_factorial_column_series(kind):
+    # falling columns run into zeros past small parts; None marks the delta part
+    blocks = wallcross._OPENS[kind]
+    for nu, index, order in [((2, 2), (1, 2), 3), ((3, 1), (1, None), 4), ((1, 5, 2), (1, 2, 3), 5), ((4,), (None,), 2)]:
+        space = wallcross._space(blocks, len(nu), order)
+        want = space.one()
+        for v, j in zip(nu, index):
+            for b in blocks:
+                if b.marker and j is not None:
+                    col = factorial_column(v, order, b.sign)
+                    one = Space.of((f"{b.marker}{j}",), (order,)).series({(k,): c for k, c in enumerate(col)})
+                    want = want * one.lift(space)
+        assert wallcross._markers(blocks, nu, index, space, order) == want
 
 
 def _with_prefactor(monkeypatch, change):

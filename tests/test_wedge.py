@@ -20,6 +20,7 @@ from hurwitz.algebra import (
     factorial_column,
     s_inverse_of,
     s_of,
+    s_power_series,
     sigma_of,
 )
 from hurwitz.charactereval import hurwitz_disconnected
@@ -311,6 +312,25 @@ def test_number_values_give_the_ring_series_at_the_point(kind, signature):
                 assert got.data == {e: c for e, c in want.items() if c}, (mu, nu)
             checked += 1
     assert checked == 9  # every chamber with m + n <= 4
+
+
+@pytest.mark.parametrize("kind,signature", [("simple", 1), ("monotone", 1), ("strict", 2), ("mixed", (1, 2, 2))])
+def test_the_prefactor_is_the_product_of_lifted_s_powers(kind, signature):
+    # one product of closed-form columns against one lifted S-power series
+    # per expansion variable, with numeric and with polynomial values
+    for m, n in ((1, 2), (2, 2), (3, 1)):
+        space, parts = _space_for(Signature.of(kind, signature, m, n), n)
+        ring = PolyRing([f"mu{i}" for i in range(1, m + 1)] + [f"nu{j}" for j in range(1, n + 1)])
+        symbols = tuple(map(ring.var, ring.names))
+        for ch in _chambers(m, n, dmax=6):
+            for values in (ch.sample, (symbols[:m], symbols[m:])):
+                corr, pref = generating_series(ch, parts, space, values)
+                want = corr.space.one()
+                for nu, signs in zip(values[1], parts):
+                    for x, sign in signs.items():
+                        cap = corr.space.caps[corr.space.vars.index(x)]
+                        want = want * s_power_series((nu if sign > 0 else -nu) - 1, x, cap).lift(corr.space)
+                assert pref == want, (ch.sample, values)
 
 
 def test_the_jump_correlator_is_the_difference_of_two_chambers():
