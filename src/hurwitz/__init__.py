@@ -13,7 +13,10 @@ from .algebra import (
     Space,
     TruncSeries,
     bernoulli,
+    s_inverse_of,
+    s_of,
     s_power_series,
+    s_ratio_of,
 )
 from .charactereval import (
     hurwitz_connected_simple,
@@ -90,7 +93,10 @@ __all__ = [
     "johnson_expand",
     "partitions",
     "refined_series",
+    "s_inverse_of",
+    "s_of",
     "s_power_series",
+    "s_ratio_of",
     "standard_word",
     "tau_coefficient",
     "tau_dictionary_value",

@@ -28,11 +28,18 @@ and its normalization S(w) = sigma(w)/w = sum_{k even} w^k / (2^k (k+1)!),
 which is a unit (constant term 1) and so admits powers S(w)^c with an
 arbitrary exponent c, rational or polynomial, via exp(c * log S(w)).  Its
 inverse is w/sigma(w) = sum_{k even} B_k(1/2) w^k / k!, and its logarithm
-log S(w) = sum_{k>=1} B_{2k} w^{2k} / (2k (2k)!).  sigma, S and 1/S take a
-linear series w, whose powers have a closed form built on integers (see
-`_half_exp_sum`).  [v^k] S(v)^c is a polynomial in c, sum_j a_kj c^j with
-a_kj = [v^k] (log S)^j / j!: the a_kj are one cached table per order, so
-an S-power column is read off the powers of c (`s_power_column`).
+log S(w) = sum_{k>=1} B_{2k} w^{2k} / (2k (2k)!).  S, 1/S and their
+quotients are one closed form, S(aW)/S(bW) of a linear series W
+(`s_ratio_of`), a and b numbers or ring elements, so nothing is inverted:
+S(W) is (a, b) = (1, 0) and 1/S(W) is (0, 1).  Its coefficient of W^k
+is sum_j s_j t_(k-j) a^j b^(k-j), with s_j = [w^j] S(w) and
+t_j = [w^j] 1/S(w); sigma(aW)'s is a^k [w^k] sigma(w).  Both are read off
+one integer table per order (`_s_table`), and the powers of W have a
+closed form built on integers (see `_half_exp_sum`).  [v^k] S(v)^c is a
+polynomial in c, sum_j a_kj c^j with a_kj = [v^k] (log S)^j / j!: the
+a_kj are ints over one denominator in one cached table per order, so an
+S-power column is read off the powers of c (`s_power_column`), with int
+arithmetic at an int c.
 """
 
 from __future__ import annotations
@@ -40,8 +47,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import comb, factorial, gcd, lcm
-from operator import le, or_, sub
+from operator import le, mul, or_, sub
 from types import SimpleNamespace
 
 __all__ = [
@@ -55,6 +63,7 @@ __all__ = [
     "sigma_of",
     "s_of",
     "s_inverse_of",
+    "s_ratio_of",
     "s_power_series",
     "s_power_column",
     "factorial_column",
@@ -893,23 +902,25 @@ def _buckets(keys, grades: list) -> dict:
 # -- the odd/even exponential series ------------------------------------------
 
 
-def _half_exp_sum(arg: TruncSeries, parity: int, weight, factors: int = 1) -> TruncSeries:
-    """sum over k = parity mod 2, k <= top - (factors - 1), of weight(k) W^k / k!,
-    for a linear series W = sum_v L_v v, where top is the largest total
-    degree of the space.
+def _half_exp_sum(arg: TruncSeries, parity: int, a, b, factors: int = 1) -> TruncSeries:
+    """sum over k = parity mod 2, k <= top - (factors - 1), of c_k W^k, for a
+    linear series W = sum_v L_v v, where top is the largest total degree of
+    the space: sigma(aW) at odd parity, S(aW)/S(bW) at even parity, each c_k
+    read off `_s_table` at a and b, numbers or elements of the space's ring.
 
     W is A_v / B with numerator polynomials A_v over its one denominator B
     (an A_v of a numeric W is one integer), so the coefficient at v^e, with
-    k = |e| of the right parity, is weight(k) / (k! B^k) * multinomial(k; e) *
+    k = |e| of the right parity, is c_k / B^k * multinomial(k; e) *
     prod_v A_v^(e_v).  Variables that share a numerator A_g form a group g
     with one power table, and the product is prod_g A_g^(d_g) over the
     group degrees d_g.  Which exponents occur, with their multinomials and
     group degrees, and how the products are built depend on the space and
     the grouping alone, not on the A_g: that is the plan (`_exp_plan`),
     built once per shape.  A call reads the numerators, builds the power
-    tables and the products, and scales each product by an int: its
-    multinomial times n_k B^(K - k), for weight(k) / k! = n_k / D, over
-    D B^K with K the plan's top degree.
+    tables and the products, and scales each product by its multinomial
+    and by c_k B^(K - k) over one denominator (`_scales`), K the plan's
+    top degree: by an int where c_k is a number, else by a product with
+    c_k's numerators.
 
     With `factors` = s > 1 the series is one of s factors of a product
     whose other s - 1 factors have no constant term: a degree above
@@ -943,16 +954,15 @@ def _half_exp_sum(arg: TruncSeries, parity: int, weight, factors: int = 1) -> Tr
     products = [{0: 1}]
     for parent, g, d in plan.steps:
         products.append(_product(products[parent], powers[g][d], guard) if parent else powers[g][d])
-    nums, den = plan.scales.get(weight) or _scales(plan, weight)
-    B, K = arg.den, len(nums) - 1
-    scale = [n * B ** (K - k) for k, n in enumerate(nums)]
+    scale, den = _scales(_s_table, plan.top, a, b, arg.den)
     out = {}
     for key, k, multinomial, at in plan.leaves:
-        f = scale[k] * multinomial
+        f, n = scale[k]
+        f *= multinomial
         if f:
-            for lo, c in products[at].items():
+            for lo, c in (products[at] if n is None else _product(n, products[at], guard)).items():
                 out[key + lo] = c * f
-    return TruncSeries(space, out, den * B**K)
+    return TruncSeries(space, out, den)
 
 
 @lru_cache(maxsize=256)
@@ -967,9 +977,7 @@ def _exp_plan(shifts: tuple, caps: tuple, blocks: tuple, groups: tuple, parity: 
     the products prod_g A_g^(d_g), one per tuple of group degrees, built in
     the order of `steps`: (parent, g, d) multiplies product `parent` (0 is
     the empty product) by A_g^d, so tuples share their prefixes.  `powers`
-    is the top degree of each group's power table, and `scales` caches,
-    per weight, the ints n_k over one D with weight(k) / k! = n_k / D
-    (see `_scales`).
+    is the top degree of each group's power table, and `top` the largest k.
     """
     # the variables, group by group, each with its group and its blocks
     slots = [
@@ -983,7 +991,7 @@ def _exp_plan(shifts: tuple, caps: tuple, blocks: tuple, groups: tuple, parity: 
 
     def fill(t, key, k, multinomial):
         if t == len(slots):
-            if k % 2 == parity:
+            if k % 2 == parity and k <= top:  # k > top only with no variables and top < 0
                 found.append((key, k, multinomial, tuple(degrees)))
             return
         s, g, cap, ix = slots[t]
@@ -1015,33 +1023,44 @@ def _exp_plan(shifts: tuple, caps: tuple, blocks: tuple, groups: tuple, parity: 
         leaves=[(key, k, multinomial, at[degs]) for key, k, multinomial, degs in found],
         steps=steps,
         powers=[max([degs[g] for *_, degs in found], default=0) for g in range(len(groups))],
-        degrees=sorted({k for _, k, _, _ in found}),
-        scales={},
+        top=max([k for _, k, _, _ in found], default=0),
     )
 
 
-def _scales(plan: SimpleNamespace, weight) -> tuple:
-    """([n_k for k = 0..K], D) with weight(k) / k! = n_k / D for every degree
-    k of the plan (0 for any other k), K its top degree; kept in the plan."""
-    fracs = {k: weight(k) / factorial(k) for k in plan.degrees}
-    den = lcm(*(f.denominator for f in fracs.values()))
-    nums = [0] * (plan.degrees[-1] + 1)
-    for k, f in fracs.items():
-        nums[k] = f.numerator * (den // f.denominator)
-    plan.scales[weight] = got = nums, den
-    return got
+@lru_cache(maxsize=64)
+def _s_table(order: int) -> tuple:
+    """(r, den): the nonzero ints r_kj, keyed by (k, j) for k <= order, with
+    sum_j r_kj a^j b^(k-j) / den = [w^k] S(aw)/S(bw) at even k and
+    [w^k] sigma(aw) at odd k.  With s_j = [w^j] S(w) and t_j = [w^j] 1/S(w),
+    both 0 at odd j, r_kj / den is s_j t_(k-j) at even k, and r_kk / den is
+    [w^k] sigma(w) = s_(k-1) at odd k."""
+    s = {j: Fraction(1, 2**j * factorial(j + 1)) for j in range(0, order + 1, 2)}
+    t = {j: (Fraction(2, 2**j) - 1) * bernoulli(j) / factorial(j) for j in s}
+    sigma = {(k + 1, k + 1): s[k] for k in s if k < order}
+    return _over_lcm({(k, j): s[j] * t[k - j] for k in s for j in s if j <= k} | sigma)
 
 
-def _sigma_weight(k: int) -> Fraction:
-    return Fraction(1, 2 ** (k - 1))
+def _table_at(table, top: int, a, b, B: int = 1) -> tuple:
+    """The integer table (r, den) = table(top), its nonzero ints r_kj keyed
+    by (k, j), read at a and b, numbers or ring elements, as
+    c_k = sum_j r_kj a^j b^(k-j) / den: ([(f_k, n_k) for k = 0..top], D)
+    with c_k / B^k = f_k / D where c_k is a number (n_k is None), else
+    f_k n_k / D with n_k the numerators of c_k, keyed by ring monomial keys."""
+    entries, den = table(top)
+    apow, bpow = (list(accumulate([x] * top, mul, initial=1)) for x in (a, b))
+    values = [0] * (top + 1)
+    for (k, j), r in entries.items():
+        values[k] += r * bpow[k - j] * apow[j]
+    ring = [isinstance(c, MultiPoly) for c in values]
+    D = lcm(*(c.den if r else c.denominator for c, r in zip(values, ring)))
+    return [
+        (D // c.den * B ** (top - k), c.num) if r else (D // c.denominator * c.numerator * B ** (top - k), None)
+        for k, (c, r) in enumerate(zip(values, ring))
+    ], den * D * B**top
 
 
-def _s_weight(k: int) -> Fraction:
-    return Fraction(1, 2**k * (k + 1))
-
-
-def _s_inverse_weight(k: int) -> Fraction:
-    return (Fraction(2, 2**k) - 1) * bernoulli(k)
+# `_half_exp_sum` reads `_s_table` at the same few (a, b, B) over and over
+_scales = lru_cache(maxsize=256)(_table_at)
 
 
 def sigma_of(arg: TruncSeries, factors: int = 1) -> TruncSeries:
@@ -1051,45 +1070,56 @@ def sigma_of(arg: TruncSeries, factors: int = 1) -> TruncSeries:
     `factors` is the number of sigma factors in the product the result
     enters.  The others have no constant term, so a degree above the
     space's top degree less (factors - 1) is not built (see `_half_exp_sum`)."""
-    return _half_exp_sum(arg, 1, _sigma_weight, factors)
+    return _half_exp_sum(arg, 1, 1, 0, factors)
+
+
+def s_ratio_of(arg: TruncSeries, a, b, factors: int = 1) -> TruncSeries:
+    """S(aW)/S(bW) for a linear series W, a and b each a number or an element
+    of the space's ring: [W^k] = sum_j s_j t_(k-j) a^j b^(k-j), read off
+    `_s_table`.  Nothing is inverted, so a or b may be 0.  `factors` cuts
+    the degrees as it does for `sigma_of`."""
+    # TypeError or ValueError unless each is a number or an element of the space's ring
+    arg.space._terms_of(a), arg.space._terms_of(b)
+    return _half_exp_sum(arg, 0, a, b, factors)
 
 
 def s_of(arg: TruncSeries) -> TruncSeries:
     """S(W) = sigma(W)/W = sum over even k of W^k / (2^k (k+1)!), for a linear
-    series W; a unit."""
-    return _half_exp_sum(arg, 0, _s_weight)
+    series W; a unit: the quotient at (a, b) = (1, 0)."""
+    return s_ratio_of(arg, 1, 0)
 
 
 def s_inverse_of(arg: TruncSeries) -> TruncSeries:
     """1/S(W) = W/sigma(W) = sum over even k of B_k(1/2) W^k / k!, for a
-    linear series W, with B_k(1/2) = (2^(1-k) - 1) B_k."""
-    return _half_exp_sum(arg, 0, _s_inverse_weight)
+    linear series W, with B_k(1/2) = (2^(1-k) - 1) B_k: the quotient at
+    (a, b) = (0, 1)."""
+    return s_ratio_of(arg, 0, 1)
 
 
 @lru_cache(maxsize=64)
 def _s_power_table(order: int) -> tuple:
-    """Row k, for k = 0..order, holds a_kj = [v^k] (log S(v))^j / j! for
-    j = 0..k/2, so that [v^k] S(v)^c = sum_j a_kj c^j; (log S)^j starts at
-    v^(2j), so no other j reaches v^k.  Odd rows are all 0."""
-    log_s = [Fraction(0)] * (order + 1)
-    for k in range(2, order + 1, 2):
-        log_s[k] = bernoulli(k) / (k * factorial(k))
-    rows = [[Fraction(0)] * (k // 2 + 1) for k in range(order + 1)]
-    power = [Fraction(1)] + [Fraction(0)] * order  # (log S)^j / j!
+    """(A, den): the nonzero ints A_kj, keyed by (k, j) for k <= order, with
+    A_kj / den = [v^k] (log S(v))^j / j!, so that
+    [v^k] S(v)^c = sum_j A_kj c^j / den; (log S)^j starts at v^(2j), so
+    j <= k/2, and odd k have none."""
+    log_s = {k: bernoulli(k) / (k * factorial(k)) for k in range(2, order + 1, 2)}
+    table = {}
+    power = [1] + [0] * order  # (log S)^j / j!
     for j in range(order // 2 + 1):
-        for k in range(2 * j, order + 1):
-            rows[k][j] = power[k]
-        power = [sum([power[i] * log_s[k - i] for i in range(k - 1)], Fraction(0)) / (j + 1) for k in range(order + 1)]
-    return tuple(map(tuple, rows))
+        table.update({(k, j): power[k] for k in range(order + 1)})
+        power = [sum([power[i] * log_s.get(k - i, 0) for i in range(k)], Fraction(0)) / (j + 1) for k in range(order + 1)]
+    return _over_lcm(table)
 
 
 def s_power_column(c, order: int) -> list:
-    """[[v^k] S(v)^c for k = 0..order], c rational or polynomial: each entry
-    is read off the powers of c with the cached table of `_s_power_table`."""
-    powers = [1]
-    for _ in range(order // 2):
-        powers.append(powers[-1] * c)
-    return [sum([a * p for a, p in zip(row, powers) if a], 0) for row in _s_power_table(order)]
+    """[[v^k] S(v)^c for k = 0..order], c an int, a Fraction or a polynomial
+    (anything else raises TypeError): each entry is read off the powers of
+    c with the integer table of `_s_power_table`, over its one denominator."""
+    scale, den = _table_at(_s_power_table, order, _exact(c), 1)
+    return [
+        Fraction(f, den) if n is None else MultiPoly._make(c.ring, {lo: x * f for lo, x in n.items()}, den)
+        for f, n in scale
+    ]
 
 
 def s_power_series(c, var: str, order: int) -> TruncSeries:
@@ -1104,13 +1134,18 @@ def s_power_series(c, var: str, order: int) -> TruncSeries:
 # -- factorial-type helpers ----------------------------------------------------
 
 
+def _exact(x):
+    """x, an int, a Fraction or a polynomial; anything else raises TypeError."""
+    if not isinstance(x, (int, Fraction, MultiPoly)):
+        raise TypeError(f"expected int, Fraction or MultiPoly, got {type(x).__name__}")
+    return x
+
+
 def factorial_column(x, top: int, step: int) -> list:
     """[x (x + step) ... (x + (k-1) step) for k = 0..top]: the rising
     factorials of x for step 1, the falling ones for step -1; exact, for an
     int, a Fraction or a polynomial (anything else raises TypeError)."""
-    if not isinstance(x, (int, Fraction, MultiPoly)):
-        raise TypeError(f"expected int, Fraction or MultiPoly, got {type(x).__name__}")
-    col = [x.ring.one() if isinstance(x, MultiPoly) else 1]
+    col = [x.ring.one() if isinstance(_exact(x), MultiPoly) else 1]
     for i in range(top):
         col.append(col[-1] * (x + step * i))
     return col

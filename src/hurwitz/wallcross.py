@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import prod
 from typing import Optional, Union
 
-from .algebra import Space, TruncSeries, factorial_column, s_inverse_of, s_of
+from .algebra import Space, TruncSeries, factorial_column, s_ratio_of
 from .partitions import PURE_KINDS, Signature, check_integer, check_profiles
 from .wedge import ArityMismatch, Chamber, Wall, chamber_of, chamber_polynomial, generating_series, walls
 from .wedge import BLOCKS, FREE, expansion_parts
@@ -147,25 +147,23 @@ def _crossing_prefactor(blocks, J, nu, delta, space) -> TruncSeries:
 
     Every sigma(L) is L * S(L); the linear forms of numerator and denominator
     cancel exactly up to one factor of delta, which combines with delta^2.
-    Each S of the denominator is inverted in closed form (`s_inverse_of`).
-    J is the wall's nu-side index tuple.
+    What is left is three quotients S(aL)/S(bL) (`s_ratio_of`), on
+    L_J = the J-side form shifted by delta in X, L_Jc and L_all, with no
+    series inverted.  J is the wall's nu-side index tuple.
     """
     n = len(nu)
     Jc = [j for j in range(1, n + 1) if j not in J]
 
-    def argmap(ixs, scale=1, xshift=0):
-        out = {b.var(j): scale for j in ixs for b in blocks if b.sign}
+    def form(ixs, xshift=0):
+        out = dict.fromkeys((b.var(j) for j in ixs for b in blocks if b.sign), 1)
         if FREE in blocks:
-            out[FREE.letter] = (xshift + sum(nu[j - 1] for j in ixs)) * scale
-        return out
+            out[FREE.letter] = xshift + sum(nu[j - 1] for j in ixs)
+        return space.linear(out)
 
     return (
-        s_of(space.linear(argmap(J, 1, delta)))
-        * s_of(space.linear(argmap(Jc, 1)))
-        * s_of(space.linear(argmap(range(1, n + 1), delta)))
-        * s_inverse_of(space.linear(argmap(J, delta, delta)))
-        * s_inverse_of(space.linear(argmap(Jc, delta)))
-        * s_inverse_of(space.linear(argmap(range(1, n + 1), 1)))
+        s_ratio_of(form(range(1, n + 1)), delta, 1)
+        * s_ratio_of(form(J, delta), 1, delta)
+        * s_ratio_of(form(Jc), 1, delta)
     ).scalar_mul(delta)
 
 

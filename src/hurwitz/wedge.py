@@ -49,10 +49,9 @@ from .algebra import (
     PolyRing,
     Space,
     factorial_column,
-    s_inverse_of,
     s_power_column,
+    s_ratio_of,
     sigma_of,
-    s_of,
 )
 from .partitions import Signature, check_profiles
 
@@ -356,7 +355,8 @@ def materialize(products, args, space, values, signs=None):
     each label (I, J)'s energy mu_I - nu_J and argument (the sum of args
     over J) are read once per call, at `values` = (mu, nu): numbers, or
     elements of one ring, which is then the series' coefficient ring.  The
-    total argument W and 1/S(W) are built once.  This is where every
+    total argument W is built once, and each pattern's tail
+    S(eF * W) / S(W) is one quotient (`s_ratio_of`).  This is where every
     chamber polynomial and every refined series gets its numbers.  `signs`,
     when given, holds one integer multiplicity per product (a jump across a
     wall subtracts the far chamber's products).
@@ -375,12 +375,11 @@ def materialize(products, args, space, values, signs=None):
         return got
 
     total = space.linear(label((frozenset(), frozenset(range(1, len(args) + 1))))[1])
-    inv_s_total = s_inverse_of(total)
     acc = space.zero()
     for k, prod in enumerate(products):
-        # sigma(eF * total) / sigma(total) = eF * S(eF * total) / S(total);
-        # eF (times the sign) scales the first sigma factor (or the tail when
-        # there is none), not every coefficient of the S-series
+        # sigma(eF * total) / sigma(total) = eF * S(eF * total) / S(total), one
+        # quotient; eF (times the sign) scales the first sigma factor (or the
+        # tail when there is none), not every coefficient of the quotient
         eF = label(prod.final)[0]
         lead = eF if signs is None else eF * signs[k]
         # every sigma factor meets the others, none with a constant term, so
@@ -394,11 +393,11 @@ def materialize(products, args, space, values, signs=None):
                 combo[v] = combo[v] + t if v in combo else t
             fac = sigma_of(space.linear(combo), len(prod.factors))
             term = fac.scalar_mul(lead) if term is None else term * fac
-        # no sigma factor has a constant term, so neither has their product
-        # below the number of factors: it meets the two S-series one at a
-        # time, which keeps only their low-degree terms
-        tail = s_of(total.scalar_mul(eF))
-        term = (tail * inv_s_total).scalar_mul(lead) if term is None else term * tail * inv_s_total
+        # no sigma factor has a constant term, so their product has none below
+        # the number of factors: the quotient is built only up to the degree
+        # that leaves them
+        tail = s_ratio_of(total, eF, 1, len(prod.factors) + 1)
+        term = tail.scalar_mul(lead) if term is None else term * tail
         acc = acc + term
     return acc
 

@@ -20,7 +20,9 @@ from hurwitz.algebra import (
     factorial_column,
     s_inverse_of,
     s_of,
+    s_power_column,
     s_power_series,
+    s_ratio_of,
     sigma_of,
 )
 
@@ -552,6 +554,77 @@ def test_s_inverse_of_has_the_bernoulli_coefficients():
     assert [inv.coeff({"v": k}) for k in range(8)] == want
 
 
+# -- the quotient S(aW)/S(bW) against its two-factor form ---------------------
+
+
+def _ratio_scalar(data, ring):
+    """A scale factor a or b of the quotient: 0, a negative or positive int, a
+    Fraction, or, over a ring, also a polynomial."""
+    number = st.one_of(st.sampled_from([0, 1, -1, 2, -3]), COEFFS)
+    if ring is None:
+        return data.draw(number)
+    s, t = ring.var("s"), ring.var("t")
+    return data.draw(st.one_of(number, st.builds(lambda a, b, c: s * a + t * b + c, COEFFS, COEFFS, COEFFS)))
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_s_ratio_is_s_times_the_inverse_of_s(data):
+    # caps and overlapping blocks from `_graded_space`, numeric or ring-valued
+    # W, a and b, each cut at every number of factors up to three
+    names, caps, blocks = data.draw(_graded_space())
+    ring = data.draw(st.sampled_from([None, COEFF_RING]))
+    if ring is None:
+        coeffs = _linear_coeffs(data, len(names), COEFFS)
+    else:
+        s, t = ring.var("s"), ring.var("t")
+        coeffs = _linear_coeffs(data, len(names), st.builds(lambda a, b, c: s * a + t * b + c, COEFFS, COEFFS, COEFFS))
+    W = Space.of(names, caps, blocks, ring).linear(dict(zip(names, coeffs)))
+    a, b = _ratio_scalar(data, ring), _ratio_scalar(data, ring)
+    want = s_of(W.scalar_mul(a)) * s_inverse_of(W.scalar_mul(b))
+    got = s_ratio_of(W, a, b)
+    _assert_series_canonical(got)
+    assert got == want
+    top = _top_degree(caps, blocks)
+    for factors in (2, 3):
+        cut = s_ratio_of(W, a, b, factors)
+        _assert_series_canonical(cut)
+        assert _up_to_degree(cut, top - factors + 1) == _up_to_degree(want, top - factors + 1)
+        assert all(sum(e) <= W.space.top - factors + 1 for e in cut.data)
+
+
+def test_s_ratio_at_zero_is_s_or_its_inverse():
+    # S(2v)/S(v) by hand: [v^2] = 4 s_2 + t_2 = 4/24 - 1/24, and
+    # [v^4] = 16 s_4 + 4 s_2 t_2 + t_4 = 16/1920 - 4/576 + 7/5760
+    v = Space.of(("v",), (5,)).linear({"v": 1})
+    assert s_ratio_of(v, 2, 1).data == {(0,): 1, (2,): Fraction(1, 8), (4,): Fraction(1, 384)}
+    W = Space.of(("a", "b"), (4, 3), (((0, 1), 5),)).linear({"a": Fraction(3, 2), "b": -2})
+    assert s_ratio_of(W, 1, 0) == s_of(W)
+    assert s_ratio_of(W, 0, 1) == s_inverse_of(W)
+    assert s_ratio_of(W, 0, 0) == s_ratio_of(W, 3, 3) == W.space.one()
+
+
+@pytest.mark.parametrize("data", [{(0, 0): 1, (1, 0): 1}, {(1, 0): 1, (1, 1): 2}])
+def test_s_ratio_needs_a_linear_argument(data):
+    with pytest.raises(ValueError):
+        s_ratio_of(Space.of(("a", "b"), (3, 3)).series(data), 2, 1)
+
+
+def test_s_ratio_takes_numbers_or_elements_of_the_space_ring():
+    W = Space.of(("a",), (4,)).linear({"a": 1})
+    with pytest.raises(TypeError):
+        s_ratio_of(W, 0.5, 1)
+    with pytest.raises(ValueError, match="a coefficient of"):
+        s_ratio_of(W, 1, COEFF_RING.var("s"))
+
+
+@pytest.mark.parametrize("order", [0, 1, 4])
+@pytest.mark.parametrize("c", [2.5, "2", None], ids=["float", "str", "None"])
+def test_s_power_column_takes_only_exact_exponents(c, order):
+    with pytest.raises(TypeError, match="expected int, Fraction or MultiPoly"):
+        s_power_column(c, order)
+
+
 # -- the packed monomial keys ----------------------------------------------------
 
 
@@ -876,6 +949,15 @@ def _ref_s_power(c, order):
         cpow = cpow * c
         out = out + power.scalar_mul(cpow * Fraction(1, math.factorial(k)))
     return out
+
+
+@pytest.mark.parametrize("order", range(13))
+def test_s_power_column_is_the_repeated_product_exponential(order):
+    ring = PolyRing(("n", "m"))
+    n, m = ring.var("n"), ring.var("m")
+    for c in (0, 1, -3, 7, Fraction(5, 2), Fraction(-7, 3), n - 2, n * Fraction(1, 2) - m + 3):
+        want = _ref_s_power(c, order)
+        assert s_power_column(c, order) == [want.coeff({"v": k}) for k in range(order + 1)], c
 
 
 @pytest.mark.parametrize("order", range(13))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitz import wallcross, wedge
-from hurwitz.algebra import Space, factorial_column
+from hurwitz.algebra import PolyRing, Space, factorial_column, s_inverse_of, s_of
 from hurwitz.charactereval import hurwitz_disconnected
 from hurwitz.partitions import PURE_KINDS, Signature, SizeMismatch
 from hurwitz.verify import _WC_SAMPLES, _chambers
@@ -307,6 +307,62 @@ def test_the_marker_series_is_the_product_of_factorial_column_series(kind):
                     one = Space.of((f"{b.marker}{j}",), (order,)).series({(k,): c for k, c in enumerate(col)})
                     want = want * one.lift(space)
         assert wallcross._markers(blocks, nu, index, space, order) == want
+
+
+def _six_factor_prefactor(blocks, J, nu, delta, space):
+    """The crossing prefactor as six S-series, three of them inverted, the
+    reference for the three quotients of `_crossing_prefactor`."""
+    n = len(nu)
+    Jc = [j for j in range(1, n + 1) if j not in J]
+
+    def argmap(ixs, scale=1, xshift=0):
+        out = {b.var(j): scale for j in ixs for b in blocks if b.sign}
+        if wedge.FREE in blocks:
+            out[wedge.FREE.letter] = (xshift + sum(nu[j - 1] for j in ixs)) * scale
+        return space.linear(out)
+
+    every = range(1, n + 1)
+    return (
+        s_of(argmap(J, 1, delta))
+        * s_of(argmap(Jc, 1))
+        * s_of(argmap(every, delta))
+        * s_inverse_of(argmap(J, delta, delta))
+        * s_inverse_of(argmap(Jc, delta))
+        * s_inverse_of(argmap(every, 1))
+    ).scalar_mul(delta)
+
+
+@pytest.mark.parametrize("kind", ["simple", "monotone", "strict", "mixed"])
+def test_crossing_prefactor_is_the_six_factor_product(kind):
+    # every wall of (2, 2), (2, 3) and (3, 2), at the sample of a chamber of
+    # `verify._chambers` on its positive side (or, where none is sampled, of
+    # the first chamber), with that sample's |delta| and two larger ones
+    blocks = wallcross._OPENS[kind]
+    for m, n in ((2, 2), (2, 3), (3, 2)):
+        chambers = _chambers(m, n)
+        space = wallcross._space(blocks, n, 4)
+        for wall in walls(m, n):
+            mu, nu = next((ch.sample for ch in chambers if ch.sign(wall) == 1), chambers[0].sample)
+            d = abs(wall.value(mu, nu))
+            for delta in (d, d + 1, d + 3):
+                got = wallcross._crossing_prefactor(blocks, wall.J, nu, delta, space)
+                assert got == _six_factor_prefactor(blocks, wall.J, nu, delta, space), (wall, nu, delta)
+
+
+@pytest.mark.parametrize("kind", ["monotone", "mixed"])
+def test_crossing_prefactor_takes_a_polynomial_delta(kind):
+    # no quotient inverts anything, so delta may be a ring element; read at
+    # a number it is the prefactor at that number
+    ring = PolyRing(("d",))
+    blocks = wallcross._OPENS[kind]
+    space = wallcross._space(blocks, 3, 4)
+    symbolic = wallcross._crossing_prefactor(
+        blocks, (1, 3), (2, 3, 1), ring.var("d"), Space.of(space.vars, space.caps, space.blocks, ring)
+    )
+    for delta in (1, 2, 7):
+        at = {e: c.evaluate({"d": delta}) for e, c in symbolic.data.items()}
+        numeric = wallcross._crossing_prefactor(blocks, (1, 3), (2, 3, 1), delta, space)
+        assert numeric.data == {e: c for e, c in at.items() if c}
 
 
 def _with_prefactor(monkeypatch, change):

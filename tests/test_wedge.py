@@ -5,6 +5,7 @@ cross-checked against the character-sum route (and, transitively, the
 symmetric-group enumeration) before being pinned.
 """
 
+import hashlib
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, prod
@@ -432,6 +433,24 @@ def test_chamber_polynomials_at_six_parts_match_the_character_sum(m, n):
         for kind in ("simple", "monotone", "strict"):
             pqr = tuple(Signature.of(kind, 0, m, n))
             assert evaluate(chamber_polynomial(kind, 0, ch), mu, nu) == hurwitz_disconnected(mu, nu, *pqr), (kind, mu, nu)
+
+
+def test_mixed_chamber_polynomials_of_few_parts_are_pinned():
+    # every chamber of `verify._chambers(m, n)` with m + n <= 4 at every
+    # (p, q, r) with b <= 5 (but the degenerate b = 0 at m + n = 2), pinned
+    # by the sha256 of their strings: a kernel change that moves any
+    # coefficient of any of these 503 polynomials fails here
+    lines = []
+    for m, n in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]:
+        for ch in _chambers(m, n):
+            for b in range(int(m + n == 2), 6):
+                for p in range(b + 1):
+                    for q in range(b - p + 1):
+                        sig = (p, q, b - p - q)
+                        lines.append(f"{m} {n} {ch.sample} {sig} {chamber_polynomial('mixed', sig, ch)}")
+    assert len(lines) == 503
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "dcc54aac6e344653a1b3d98a79b9a7d0585babeaf55656ef2082d3c0bc359742"
 
 
 def test_degenerate_signature():
