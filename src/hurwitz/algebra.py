@@ -18,7 +18,9 @@ by grade (see `Space`), and only bucket pairs whose grades fit together
 are visited.  A product of one-variable columns, such as the S-power
 prefactor and the marker series, needs no series product at all:
 `Space.columns` writes each admissible exponent's product of column
-entries straight into its packed key.
+entries straight into its packed key.  A change of variables, a rename
+into another ring plus at most one substitution, is likewise done on the
+packed keys (`MultiPoly.change_variables`).
 
 The special series used throughout are the odd exponential difference
 
@@ -375,23 +377,61 @@ class MultiPoly:
     # -- structural operations ----------------------------------------------
 
     def substitute(self, name: str, replacement) -> "MultiPoly":
-        """Replace a variable by a polynomial (Horner in that variable)."""
-        repl = self._coerce(replacement)
-        if repl is None:
-            raise TypeError("replacement must be a polynomial or number")
-        s = self.ring.shifts[self.ring.index[name]]
+        """Replace a variable by a polynomial or number of this ring."""
+        return self.change_variables(self.ring, {name: replacement})
+
+    def change_variables(self, ring: PolyRing, images: dict) -> "MultiPoly":
+        """This polynomial over `ring`, each of our variables replaced by its
+        entry of `images`: a variable name of `ring` (a rename), or, for at
+        most one variable, a polynomial of `ring` or a number.  A variable
+        with no entry keeps its name, which `ring` must have.
+
+        Every key's renamed fields move into `ring`'s packing, and the keys
+        are bucketed by the exponent k of the substituted variable, B_k.  For
+        the replacement R / r, the buckets sum in one integer Horner loop to
+        sum_k B_k R^k r^(K-k), over den * r^K with K the top k, reduced once.
+        """
+        src, guard = self.ring, ring.guard
+        if not set(images) <= set(src.index):
+            raise ValueError(f"{sorted(set(images) - set(src.index))} are not variables of {src}")
+        moves, at, repl = [], None, None
+        for name, s in zip(src.names, src.shifts):
+            image = images.get(name, name)
+            if isinstance(image, str):
+                if image not in ring.index:
+                    raise ValueError(f"{image!r} is not a variable of {ring}")
+                moves.append((s, ring.shifts[ring.index[image]]))
+            elif at is not None:
+                raise ValueError("only one variable can be replaced by a polynomial")
+            else:
+                at, repl = s, ring.zero()._coerce(image)
+                if repl is None:
+                    raise TypeError("replacement must be a name, a polynomial or a number")
+        # fields that stay in place are kept by one mask
+        keep = sum(_EXP_MASK << s for s, t in moves if s == t)
+        moved = [(s, t) for s, t in moves if s != t]
         buckets: dict[int, dict] = {}
         for e, c in self.num.items():
-            k = e >> s & _EXP_MASK
-            bucket = buckets.setdefault(k, {})
-            stripped = e - (k << s)
-            bucket[stripped] = bucket.get(stripped, 0) + c
-        if not buckets:
-            return self.ring.zero()
-        acc = self.ring.zero()
-        for k in range(max(buckets), -1, -1):
-            acc = acc * repl + MultiPoly._make(self.ring, buckets.get(k, {}), self.den)
-        return acc
+            key = e & keep
+            for s, t in moved:
+                key += (e >> s & _EXP_MASK) << t
+            bucket = buckets.setdefault(0 if at is None else e >> at & _EXP_MASK, {})
+            bucket[key] = bucket.get(key, 0) + c
+        for bucket in buckets.values():
+            _settled(bucket, guard)  # two variables renamed alike add their exponents
+        R, r = (repl.num, repl.den) if repl is not None else ({}, 1)
+        top = max(buckets, default=0)
+        acc: dict = {}
+        for k in range(top, -1, -1):
+            if acc:
+                acc = _product(acc, R, guard)
+            bucket = buckets.get(k)
+            if bucket:
+                f, get = r ** (top - k), acc.get
+                for e, c in bucket.items():
+                    acc[e] = get(e, 0) + c * f
+        # a fresh dict, sized to the terms that survive the cancellations
+        return MultiPoly._make(ring, {e: c for e, c in acc.items() if c}, self.den * r**top)
 
     def exact_divide(self, divisor) -> "MultiPoly":
         """Exact division; raises NotDivisible if a remainder survives.
@@ -1029,25 +1069,28 @@ def _exp_plan(shifts: tuple, caps: tuple, blocks: tuple, groups: tuple, parity: 
 
 @lru_cache(maxsize=64)
 def _s_table(order: int) -> tuple:
-    """(r, den): the nonzero ints r_kj, keyed by (k, j) for k <= order, with
-    sum_j r_kj a^j b^(k-j) / den = [w^k] S(aw)/S(bw) at even k and
-    [w^k] sigma(aw) at odd k.  With s_j = [w^j] S(w) and t_j = [w^j] 1/S(w),
-    both 0 at odd j, r_kj / den is s_j t_(k-j) at even k, and r_kk / den is
+    """(r, den, order, order): the nonzero ints r_kj, keyed by (k, j) for
+    k <= order, with sum_j r_kj a^j b^(k-j) / den = [w^k] S(aw)/S(bw) at
+    even k and [w^k] sigma(aw) at odd k, and the top powers of a and of b
+    that they read.  With s_j = [w^j] S(w) and t_j = [w^j] 1/S(w), both 0 at
+    odd j, r_kj / den is s_j t_(k-j) at even k, and r_kk / den is
     [w^k] sigma(w) = s_(k-1) at odd k."""
     s = {j: Fraction(1, 2**j * factorial(j + 1)) for j in range(0, order + 1, 2)}
     t = {j: (Fraction(2, 2**j) - 1) * bernoulli(j) / factorial(j) for j in s}
     sigma = {(k + 1, k + 1): s[k] for k in s if k < order}
-    return _over_lcm({(k, j): s[j] * t[k - j] for k in s for j in s if j <= k} | sigma)
+    return (*_over_lcm({(k, j): s[j] * t[k - j] for k in s for j in s if j <= k} | sigma), order, order)
 
 
 def _table_at(table, top: int, a, b, B: int = 1) -> tuple:
-    """The integer table (r, den) = table(top), its nonzero ints r_kj keyed
-    by (k, j), read at a and b, numbers or ring elements, as
+    """The integer table (r, den, top_a, top_b) = table(top), its nonzero
+    ints r_kj keyed by (k, j), read at a and b, numbers or ring elements, as
     c_k = sum_j r_kj a^j b^(k-j) / den: ([(f_k, n_k) for k = 0..top], D)
     with c_k / B^k = f_k / D where c_k is a number (n_k is None), else
-    f_k n_k / D with n_k the numerators of c_k, keyed by ring monomial keys."""
-    entries, den = table(top)
-    apow, bpow = (list(accumulate([x] * top, mul, initial=1)) for x in (a, b))
+    f_k n_k / D with n_k the numerators of c_k, keyed by ring monomial keys.
+    The powers of a and of b are built only up to top_a and top_b, the
+    largest the table reads."""
+    entries, den, top_a, top_b = table(top)
+    apow, bpow = (list(accumulate([x] * most, mul, initial=1)) for x, most in ((a, top_a), (b, top_b)))
     values = [0] * (top + 1)
     for (k, j), r in entries.items():
         values[k] += r * bpow[k - j] * apow[j]
@@ -1098,17 +1141,18 @@ def s_inverse_of(arg: TruncSeries) -> TruncSeries:
 
 @lru_cache(maxsize=64)
 def _s_power_table(order: int) -> tuple:
-    """(A, den): the nonzero ints A_kj, keyed by (k, j) for k <= order, with
-    A_kj / den = [v^k] (log S(v))^j / j!, so that
-    [v^k] S(v)^c = sum_j A_kj c^j / den; (log S)^j starts at v^(2j), so
-    j <= k/2, and odd k have none."""
+    """(A, den, order // 2, order): the nonzero ints A_kj, keyed by (k, j)
+    for k <= order, with A_kj / den = [v^k] (log S(v))^j / j!, so that
+    [v^k] S(v)^c = sum_j A_kj c^j / den, and the top powers of c and of 1
+    that they read; (log S)^j starts at v^(2j), so j <= k/2, and odd k have
+    none."""
     log_s = {k: bernoulli(k) / (k * factorial(k)) for k in range(2, order + 1, 2)}
     table = {}
     power = [1] + [0] * order  # (log S)^j / j!
     for j in range(order // 2 + 1):
         table.update({(k, j): power[k] for k in range(order + 1)})
         power = [sum([power[i] * log_s.get(k - i, 0) for i in range(k)], Fraction(0)) / (j + 1) for k in range(order + 1)]
-    return _over_lcm(table)
+    return (*_over_lcm(table), order // 2, order)
 
 
 def s_power_column(c, order: int) -> list:

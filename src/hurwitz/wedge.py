@@ -24,14 +24,16 @@ ones).  `generating_series` hands out that correlator with its S-power
 prefactor (or, given a second chamber, the jump of the correlator, from
 the patterns that differ across the wall):
 the refined series of `wallcross` multiply the two, and chamber polynomials
-read one grade of their product (`TruncSeries.grade_sum`), with mu1 valued
-on the weight shell so that nothing is substituted after.  The count is
-symmetric under (mu, nu) <-> (nu, mu) and under permuting the parts of mu
-and of nu, but the walk's pattern count is not, and each part of nu opens
-its own expansion variables.  So a chamber polynomial is read off the
-member of that orbit on the side with fewer parts of nu, mu ascending and
-nu descending, at the same permutation of the point: the same polynomial,
-built from fewer variables and patterns.
+read one grade of their product (`TruncSeries.grade_sum`), with one part of
+mu valued on the weight shell.  The count is symmetric under
+(mu, nu) <-> (nu, mu) and under permuting the parts of mu and of nu, but
+the walk's pattern count is not, and each part of nu opens its own
+expansion variables.  So each orbit's polynomial is built once, on its
+member on the side with fewer parts of nu, mu ascending and nu descending,
+in that member's own parts with its last part of mu on the shell; every
+chamber of the orbit reads its own off by one change of variables
+(`MultiPoly.change_variables`): the same polynomial, built once, from
+fewer variables and patterns.
 """
 
 from __future__ import annotations
@@ -468,18 +470,66 @@ def _numerator(sig: Signature, chamber: Chamber, values):
     return corr.grade_sum(pref, target, weight) * factorial(sig.p)
 
 
-def _sorted_parts(parts, values, descending: bool) -> tuple:
-    """The parts in order, and the values (one per part) permuted with them."""
-    order = sorted(range(len(parts)), key=parts.__getitem__, reverse=descending)
-    return tuple(parts[k] for k in order), [values[k] for k in order]
+def _sorted_parts(parts, names, descending: bool) -> tuple:
+    """The parts in order, and the names (one per part) permuted with them;
+    among equal parts the first comes last, so that the caller's mu1 takes
+    the slot `_orbit_polynomial` eliminates whenever it can."""
+    sign = -1 if descending else 1
+    order = sorted(range(len(parts)), key=lambda k: (sign * parts[k], k == 0))
+    return tuple(parts[k] for k in order), [names[k] for k in order]
+
+
+def _orbit_member(sample, names) -> tuple:
+    """The member of the sample's orbit under S_m x S_n and the swap that
+    `chamber_polynomial` builds, and the names of the caller's parts in its
+    order: the side with fewer parts of nu, or on a tie the side whose
+    sorted parts of mu come later in lex order, with mu ascending and nu
+    descending."""
+    if (len(sample[0]), sorted(sample[0])) < (len(sample[1]), sorted(sample[1])):
+        sample, names = sample[::-1], names[::-1]
+    mu, mu_names = _sorted_parts(sample[0], names[0], descending=False)
+    nu, nu_names = _sorted_parts(sample[1], names[1], descending=True)
+    return (mu, nu), tuple(mu_names + nu_names)
 
 
 # Chamber polynomials by (signature, chamber key), a plain dict that drops its
-# oldest key once full.  All of Tier-1 in one process fills 1,831 entries,
+# oldest key once full.  All of Tier-1 in one process fills 2,017 entries,
 # `suite_equality(6, 5)` 721, and one seed-0 bench round of `routes` 20 and
 # of `chamber` 67, so none of them evicts.
 _POLY_CACHE: dict = {}
 _POLY_CACHE_BOUND = 2048
+
+# The first chamber of each orbit whose polynomial was built, by (signature,
+# key of the orbit's sorted member): its chamber key, under which
+# `_POLY_CACHE` holds its polynomial, and the names of its parts in the sorted
+# member's order.  A plain dict that drops its oldest key once full.  Each
+# entry points at an entry of `_POLY_CACHE`, so the bound is the same.  The
+# 257 orbits of `suite_equality(6, 5)` hold 114 kB (tracemalloc), so a full
+# index holds about 1 MB; all of Tier-1 in one process fills 217 entries,
+# and one seed-0 bench round of `routes` 18 and of `chamber` 46.
+_ORBITS: dict = {}
+_ORBITS_BOUND = 2048
+
+
+@lru_cache(maxsize=64)
+def _ring(m: int, n: int) -> PolyRing:
+    """The ring of mu1..mum, nu1..nun, one object shared by every polynomial
+    of that shape."""
+    return PolyRing([f"mu{i}" for i in range(1, m + 1)] + [f"nu{j}" for j in range(1, n + 1)])
+
+
+def _orbit_polynomial(sig: Signature, chamber: Chamber) -> MultiPoly:
+    """The count on a sorted chamber (see `_orbit_member`) as a polynomial in
+    its own parts mu1..mum, nu1..nun, with its last part of mu eliminated
+    through mum = sum(nu) - (mu1 + ... + mu(m-1)): the numerator read there,
+    over the product of parts."""
+    m, n = chamber.m, chamber.n
+    ring = _ring(m, n)
+    mus, nus = [ring.var(v) for v in ring.names[: m - 1]], [ring.var(v) for v in ring.names[m:]]
+    image = sum(nus) - sum(mus)
+    total = _numerator(sig, chamber, ((*mus, image), nus))
+    # strip the product of parts: the monomial of every part but mum, then mum = image
+    return total.exact_divide(MultiPoly(ring, {(1,) * (m - 1) + (0,) + (1,) * n: 1})).exact_divide(image)
 
 
 def chamber_polynomial(kind: str, signature, chamber: Chamber) -> MultiPoly:
@@ -488,23 +538,27 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber) -> MultiPoly:
     `signature` is the genus g for the pure kinds, or a triple (p, q, r) for
     kind "mixed"; a pure kind is the same polynomial as its budgets spelt as
     a mixed triple.  The returned polynomial lives in mu2..mum, nu1..nun; the
-    first part is eliminated through mu1 = sum(nu) - (mu2 + ... + mum), which
-    is its value at the point every energy and argument is read at.  A
+    first part is eliminated through mu1 = sum(nu) - (mu2 + ... + mum).  A
     signature with no integer genus gives the zero polynomial without
     building a series: off the walls every cover is connected, so no cover
     has that many transpositions.
 
     The count at (nu, mu) is the count at (mu, nu), it is the same under
     any permutation of the parts of mu and of nu, and every part of nu opens
-    its own expansion variables.  So the chamber is walked on the side with
-    fewer parts of nu (its own side on a tie, which keeps mu1 out of the
-    S-power exponents and the factorial columns), with the parts of mu
-    ascending and those of nu descending, at the same permutation of the
-    point: the same polynomial, built from fewer variables and patterns.
-    That sorted member has the fewest `commutation_patterns` of the orbit,
-    and its swap as many, on every chamber with m + n <= 5 sampled by
-    `verify._chambers` (at (2, 4) and (4, 2) it misses the least on 8 of 76
-    chambers sampled to d = 12).
+    its own expansion variables.  So a polynomial is built once per orbit,
+    on its sorted member (`_orbit_member`): the side with fewer parts of nu,
+    with the parts of mu ascending and those of nu descending.  That member
+    has the fewest `commutation_patterns` of the orbit, and its swap as
+    many, on every chamber with m + n <= 5 sampled by `verify._chambers`
+    (at (2, 4) and (4, 2) it misses the least on 8 of 76 chambers sampled
+    to d = 12).  It is built in the member's own parts with its last part
+    of mu eliminated (`_orbit_polynomial`), the cheap slot, and every
+    chamber's polynomial is one change of variables away: from that form
+    for the first chamber of the orbit, from the first chamber's polynomial
+    for the others (`_ORBITS`).  Each part is renamed to the caller's part
+    of the same sorted slot, and the caller's mu1 is valued on the weight
+    shell unless its slot is the one eliminated (among equal parts it sorts
+    last, so that it takes the eliminated slot whenever it can).
     """
     m, n = chamber.m, chamber.n
     sig = Signature.of(kind, signature, m, n)
@@ -519,23 +573,29 @@ def chamber_polynomial(kind: str, signature, chamber: Chamber) -> MultiPoly:
         del _POLY_CACHE[next(iter(_POLY_CACHE))]  # the oldest inserted key
 
     # the ring keeps mu1, so that `evaluate` reads the arity off its names
-    ring = PolyRing([f"mu{i}" for i in range(1, m + 1)] + [f"nu{j}" for j in range(1, n + 1)])
+    ring = _ring(m, n)
+    names = ring.names[:m], ring.names[m:]
     if sig.genus(m, n) is None:
         _POLY_CACHE[key] = total = ring.zero()
         return total
-    nus = [ring.var(f"nu{j}") for j in range(1, n + 1)]
-    mus = [ring.var(f"mu{i}") for i in range(2, m + 1)]
-    image = sum(nus) - sum(mus)
-
-    sample, point = chamber.sample, ((image, *mus), nus)
-    if n > m:
-        sample, point = sample[::-1], point[::-1]
-    mu, mu_at = _sorted_parts(sample[0], point[0], descending=False)
-    nu, nu_at = _sorted_parts(sample[1], point[1], descending=True)
-    total = _numerator(sig, Chamber((mu, nu)), (mu_at, nu_at))
-    # strip the product of parts: the monomial of every part but mu1, then mu1 = image
-    total = total.exact_divide(MultiPoly(ring, {(0,) + (1,) * (m + n - 1): 1})).exact_divide(image)
-
+    sample, renamed = _orbit_member(chamber.sample, names)
+    member = Chamber(sample)
+    first = _ORBITS.get((sig, member.key()))
+    source = first and _POLY_CACHE.get((sig, first[0]))
+    if source is None:
+        source = _orbit_polynomial(sig, member)
+        order, gone = source.ring.names, f"mu{member.m}"
+        if len(_ORBITS) >= _ORBITS_BOUND:
+            del _ORBITS[next(iter(_ORBITS))]  # the oldest inserted key
+        _ORBITS[(sig, member.key())] = chamber.key(), renamed
+    else:
+        order, gone = first[1], "mu1"
+    # the source's part in each sorted slot becomes the caller's part there
+    images = dict(zip(order, renamed))
+    at = order[renamed.index("mu1")]
+    if at != gone:
+        images[at] = sum(map(ring.var, names[1])) - sum(map(ring.var, names[0][1:]))
+    total = source.change_variables(ring, images)
     _POLY_CACHE[key] = total
     return total
 

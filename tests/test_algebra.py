@@ -270,6 +270,68 @@ def test_integer_kernel_matches_fraction_reference(data):
     assert x.evaluate(dict(zip(NAMES, point))) == _ref_evaluate(tx, point)
 
 
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_change_of_variables_matches_fraction_reference(data):
+    # a permutation of the names and at most one substitution, against the
+    # permuted exponents and `_ref_substitute`; then names of a larger ring,
+    # two of ours possibly onto one, against numeric evaluation
+    nvars = data.draw(st.integers(2, 3))
+    ring = PolyRing(NAMES[:nvars])
+    tx, ty = data.draw(_terms(nvars)), data.draw(_terms(nvars))
+    x = MultiPoly(ring, tx)
+    perm = data.draw(st.permutations(range(nvars)))
+    i = data.draw(st.one_of(st.none(), st.integers(0, nvars - 1)))
+    images = {NAMES[k]: NAMES[perm[k]] for k in range(nvars)}
+    want = {}
+    for e, c in tx.items():
+        moved = [0] * nvars
+        for k in range(nvars):
+            moved[perm[k]] = e[k]
+        want[tuple(moved)] = c
+    if i is not None:
+        images[NAMES[i]] = MultiPoly(ring, ty)
+        want = _ref_substitute(want, perm[i], ty)
+    got = x.change_variables(ring, images)
+    _assert_canonical(got)
+    assert got.terms == want
+
+    big = PolyRing(("p", "q", "r", "s"))
+    images = dict(zip(NAMES, data.draw(st.lists(st.sampled_from(big.names), min_size=nvars, max_size=nvars))))
+    if i is not None:
+        images[NAMES[i]] = data.draw(st.one_of(COEFFS, st.builds(lambda t: MultiPoly(big, t), _terms(4))))
+    got = x.change_variables(big, images)
+    _assert_canonical(got)
+    point = dict(zip(big.names, data.draw(st.tuples(*[COEFFS] * 4))))
+
+    def value(image):
+        if isinstance(image, str):
+            return point[image]
+        return image.evaluate(point) if isinstance(image, MultiPoly) else image
+
+    assert got.evaluate(point) == _ref_evaluate(tx, [value(images[v]) for v in NAMES[:nvars]])
+
+
+def test_change_of_variables_rejects_bad_images():
+    x, y = R.var("x"), R.var("y")
+    with pytest.raises(ValueError):
+        x.change_variables(R, {"w": "x"})  # not a variable of ours
+    with pytest.raises(ValueError):
+        x.change_variables(R, {"x": "w"})  # not a variable of the target
+    with pytest.raises(ValueError):
+        x.change_variables(PolyRing(("x",)), {})  # y keeps a name the target lacks
+    with pytest.raises(ValueError):
+        (x * y).change_variables(R, {"x": y, "y": x})  # two replaced by polynomials
+    with pytest.raises(ValueError):
+        x.change_variables(R, {"x": PolyRing(("u",)).var("u")})  # a polynomial of another ring
+    with pytest.raises(TypeError):
+        x.change_variables(R, {"x": 1.5})
+    # two variables renamed alike add their exponents, and overflow as products do
+    assert (x * y).change_variables(R, {"y": "x"}) == x * x
+    with pytest.raises(ExponentOverflow):
+        MultiPoly(R, {(EXPONENT_LIMIT - 1, EXPONENT_LIMIT - 1): 1}).change_variables(R, {"y": "x"})
+
+
 @pytest.mark.parametrize("lead", [Fraction(1), Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2)])
 @given(st.data())
 @settings(max_examples=25, deadline=None)

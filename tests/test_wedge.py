@@ -595,8 +595,10 @@ def test_sorted_parts_walk_the_fewest_patterns_of_the_orbit():
 
 
 def test_chamber_polynomial_walks_its_cheaper_orientation(monkeypatch):
-    # the side with fewer parts of nu (the chamber's own side on a tie), with
-    # mu ascending and nu descending; the output is the same either way
+    # the side with fewer parts of nu (on a tie, the side whose sorted parts
+    # of mu come later in lex order), with mu ascending and nu descending;
+    # the output is the same either way.  The orbit index is cleared for
+    # each case, since the last two samples share an orbit.
     walked = []
 
     def recording(chamber, *args, **kwargs):
@@ -604,19 +606,82 @@ def test_chamber_polynomial_walks_its_cheaper_orientation(monkeypatch):
         return generating_series(chamber, *args, **kwargs)
 
     monkeypatch.setattr(wedge, "_POLY_CACHE", {})
+    monkeypatch.setattr(wedge, "_ORBITS", {})
     monkeypatch.setattr(wedge, "generating_series", recording)
     cases = [
         (((10,), (1, 2, 7)), ((1, 2, 7), (10,))),
         (((4, 1, 1), (3, 3)), ((1, 1, 4), (3, 3))),
-        (((3, 1), (2, 2)), ((1, 3), (2, 2))),
-        (((1, 3), (2, 2)), ((1, 3), (2, 2))),
+        (((3, 1), (2, 2)), ((2, 2), (3, 1))),
+        (((1, 3), (2, 2)), ((2, 2), (3, 1))),
     ]
     for sample, want in cases:
+        wedge._ORBITS.clear()
         walked.clear()
         chamber_polynomial("monotone", 1, chamber_of(*sample))
         assert walked == [want], sample
-    # the member walked on the tie has as few patterns as the swap
-    assert [len(commutation_patterns(chamber_of(*s))) for s in [((1, 3), (2, 2)), ((2, 2), (3, 1))]] == [1, 1]
+    # the member walked on the tie has as few patterns as its swap
+    assert [len(commutation_patterns(chamber_of(*s))) for s in [((2, 2), (3, 1)), ((1, 3), (2, 2))]] == [1, 1]
+
+
+@pytest.fixture
+def numerator_calls(monkeypatch):
+    """The sample of every chamber `wedge._numerator` is called on."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1].sample)
+        return _numerator(*args)
+
+    monkeypatch.setattr(wedge, "_numerator", counting)
+    return calls
+
+
+def test_the_orbit_index_drops_its_oldest_key(monkeypatch, numerator_calls):
+    calls = numerator_calls
+    monkeypatch.setattr(wedge, "_POLY_CACHE", {})
+    monkeypatch.setattr(wedge, "_ORBITS", {})
+    monkeypatch.setattr(wedge, "_ORBITS_BOUND", 2)
+    ch = chamber_of((3, 1), (2, 2))
+    chamber_polynomial("monotone", 0, ch)
+    chamber_polynomial("monotone", 1, ch)
+    chamber_polynomial("simple", 1, ch)
+    assert len(wedge._ORBITS) == 2 and len(calls) == 3
+    # the first orbit was dropped, so another of its members builds again
+    other = chamber_of((2, 2), (1, 3))
+    chamber_polynomial("monotone", 0, other)
+    assert len(calls) == 4 and len(wedge._ORBITS) == 2
+    # a kept orbit serves another member with no build
+    chamber_polynomial("simple", 1, other)
+    assert len(calls) == 4
+
+
+def test_an_orbit_costs_one_numerator(monkeypatch, numerator_calls):
+    # every member of a chamber's orbit under S_m x S_n and the swap reads
+    # its polynomial off the first one built, by a change of variables: one
+    # `_numerator` call for the whole orbit, and each member the polynomial
+    # extracted directly at its own shell point; m + n = 5 at monotone g = 0
+    # only
+    calls = numerator_calls
+    checked = 0
+    for m, n in _SMALL_SHAPES:
+        sigs = [("monotone", 1), ("mixed", (1, 1, m + n - 2))] if m + n <= 4 else [("monotone", 0)]
+        for ch in _chambers(m, n):
+            for kind, signature in sigs:
+                sig = Signature.of(kind, signature, m, n)
+                if sig.degenerate(m, n):
+                    continue
+                monkeypatch.setattr(wedge, "_POLY_CACHE", {})
+                monkeypatch.setattr(wedge, "_ORBITS", {})
+                calls.clear()
+                members = _orbit(ch.sample)
+                got = [chamber_polynomial(kind, signature, Chamber(sample)) for sample in members]
+                assert len(calls) == 1, (kind, signature, ch.sample)
+                for sample, poly in zip(members, got):
+                    point = _shell_point(poly.ring, len(sample[0]), len(sample[1]))
+                    want = _numerator(sig, Chamber(sample), point)
+                    assert want == poly * prod(point[0]) * prod(point[1]), (kind, signature, sample)
+                    checked += 1
+    assert checked == 1092
 
 
 def test_pure_kind_is_a_spelling_of_its_budgets():
