@@ -16,8 +16,8 @@ the peeling recursion are kept multiplied by prod(mu) * prod(nu), and each
 public count divides by that product once.  The characters come from one
 cached column per profile (`partitions.character_column`) and the f2
 values from one cached column per degree, so a pair of profiles costs
-three column lookups; the sub-multisets of each profile that the splits
-are built from are cached per profile too.
+three column lookups; the splits come from `partitions.profile_splits`,
+which the oracle's peeling reads too.
 
 For simple counts the sum is an exponential sum in b = p over the f2
 values of the shapes (`_spectrum`).  The peeling identity holds value by
@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import prod
 
 from .partitions import (
     Signature,
@@ -53,6 +53,7 @@ from .partitions import (
     f2_eigenvalue,
     multiplicity_factor,
     partitions,
+    profile_splits,
 )
 
 
@@ -97,39 +98,6 @@ def hurwitz_disconnected(mu, nu, p: int = 0, q: int = 0, r: int = 0) -> Fraction
     return Fraction(_disc_sum(mu, nu, p, q, r), prod(mu) * prod(nu))
 
 
-@lru_cache(maxsize=512)
-def _sub_multisets(parts: tuple) -> tuple:
-    """(chosen, rest, ways) for each sub-multiset of the weakly decreasing
-    `parts`: both sorted, and `ways` index subsets that pick it."""
-    out = [((), (), 1)]
-    for v in sorted(set(parts), reverse=True):
-        k = parts.count(v)
-        out = [(ch + (v,) * c, rest + (v,) * (k - c), w * comb(k, c)) for ch, rest, w in out for c in range(k + 1)]
-    return tuple(out)
-
-
-def _splits(mu: tuple, nu: tuple) -> list:
-    """Proper splits of (mu, nu) whose first block holds part 0 of mu.
-
-    Entries are (muI, nuJ, muC, nuC, mult): the block (muI, nuJ), its
-    complement, each sorted, and the number of index pairs (I, J) with
-    0 in I and sum mu_I = sum nu_J that sort to them.  A full I forces a
-    full J (all parts are positive), so dropping an empty muC drops the one
-    improper split.
-    """
-    blocks = {}
-    for nuJ, nuC, ways in _sub_multisets(nu):
-        blocks.setdefault(sum(nuJ), []).append((nuJ, nuC, ways))
-    out = []
-    for rest, muC, ways in _sub_multisets(mu[1:]):
-        if not muC:
-            continue
-        muI = (mu[0],) + rest
-        for nuJ, nuC, ways_nu in blocks.get(sum(muI), ()):
-            out.append((muI, nuJ, muC, nuC, ways * ways_nu))
-    return out
-
-
 def _packed(acc: dict) -> tuple:
     """A spectrum {value: weight} as (values, weights), zero weights dropped."""
     values = tuple(filter(acc.__getitem__, acc))
@@ -161,7 +129,7 @@ def _connected_spectrum(mu: tuple, nu: tuple) -> tuple:
     where (*) adds the values and multiplies the weights.
     """
     acc = defaultdict(int, zip(*_spectrum(mu, nu)))
-    for muI, nuJ, muC, nuC, mult in _splits(mu, nu):
+    for muI, nuJ, muC, nuC, mult in profile_splits(mu, nu):
         sv, sw = _spectrum(muC, nuC)
         for v1, w1 in zip(*_connected_spectrum(muI, nuJ)):
             w1 *= mult

@@ -28,17 +28,21 @@ each segment, so the final distribution gives the count for every nu at
 once.  A weak or strict block is never cut: its later steps depend on the
 earlier keys, and a prefix of it has no central sum.
 
-Connected counts walk the whole tuple as one segment, grouped by (product,
-blocks of points the tuple joins), and keep the entries whose blocks,
-joined by the cycles of the representative, connect every point.  The
-transitive count is a class function of sigma1 too.  The orbits of a
-factorization cut it into pieces on disjoint point sets, each counted by a
-class function; the pieces interleave in a way fixed by the budgets
-(binomially for free steps, and in one order inside a weak or strict block,
-since keys on disjoint points differ), and Moebius inversion over the set
-partitions coarser than sigma1's cycles gives the transitive part (cf.
-Goulden, Guay-Paquet and Novak on monotone Hurwitz numbers as Jucys-Murphy
-sums).  No grouping changes what is counted.
+Connected counts are peeled off disconnected ones (the exponential
+formula, as in Goulden, Jackson and Vakil, and in Goulden, Guay-Paquet and
+Novak on monotone Hurwitz numbers).  A factorization splits uniquely into
+the orbit that holds mu's first part and the rest, on disjoint point sets.
+In the count / d! normalization the disconnected count A of
+(mu, nu, p, q, r) is the sum, over the splits (mu_I, nu_J) of the profiles
+(`partitions.profile_splits`, with the number of index pairs that give
+each) and the budgets (p1, q1, r1) of the orbit, of
+binom(p, p1) * C(mu_I, nu_J, p1, q1, r1) * A(rest, p-p1, q-q1, r-r1): the
+free steps interleave binomially, and a weak or strict block in one order
+only, since keys on disjoint points differ.  The improper split is the
+connected count C itself, so C is A less the proper splits, recursively.
+C vanishes where the genus is not a non-negative integer; the rest is read
+ungated, since it may have negative genus and a nonzero count
+((1,1)/(1,1) at b = 0 is 2).
 
 The caches are bounded.  Their sizes hold every key that the test suite,
 run in one process, touches, so none is evicted there; in a longer run they
@@ -50,10 +54,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import factorial
+from itertools import accumulate, product
+from math import comb, factorial
 
-from .partitions import Signature, centralizer_size, check_profiles, multiplicity_factor
+from .partitions import Signature, centralizer_size, check_profiles, multiplicity_factor, profile_splits
 
 
 class BoundExceeded(ValueError):
@@ -132,23 +136,17 @@ def _transpositions(d: int) -> list:
 
 
 @lru_cache(maxsize=1024)
-def _tuple_classes(d: int, p: int, q: int, r: int, convention: str, blocks: bool = True):
-    """All constrained transposition tuples, grouped.
+def _tuple_classes(d: int, p: int, q: int, r: int, convention: str):
+    """All constrained transposition tuples, grouped by their product.
 
-    Returns a tuple of ((product, blocks), count) where the product is
-    tau_b ... tau_1 as a permutation, blocks labels each point by the least
-    point the tuple's transpositions join it to, and count is how many
-    constrained tuples produce that pair.  The tuples are counted prefix by
-    prefix: a state is (product, blocks, last key) with a multiplicity, and
-    each position extends every state by every transposition its block rule
-    allows, so tuples that agree on the state are never told apart again.
+    Returns a tuple of (product, count) where the product is tau_b ... tau_1
+    as a permutation and count is how many constrained tuples produce it.
+    The tuples are counted prefix by prefix: a state is (product, last key)
+    with a multiplicity, and each position extends every state by every
+    transposition its block rule allows, so tuples that agree on the state
+    are never told apart again.
 
-    With blocks=False the walk does not track joined blocks and never joins
-    any: a state is (product, None, last key) and the table is keyed on
-    (product, None).  Disconnected counts read no more than that, and the
-    walk visits far fewer states.
-
-    Distinct keys measured: 788 for the test suite in one process, 62 for
+    Distinct keys measured: 423 for the test suite in one process, 62 for
     `suite_equality(6, 5)`, 27 for one seed-0 `routes` round.
     """
     keyidx = CONVENTIONS.index(convention)
@@ -156,37 +154,25 @@ def _tuple_classes(d: int, p: int, q: int, r: int, convention: str, blocks: bool
     for sr in _transpositions(d):
         img = list(range(d))
         img[sr[0]], img[sr[1]] = img[sr[1]], img[sr[0]]
-        steps.append((sr, sr[keyidx], tuple(img)))
+        steps.append((sr[keyidx], tuple(img)))
 
-    states = {(identity(d), identity(d) if blocks else None, None): 1}
+    states = {(identity(d), None): 1}
     for count, mode in ((p, "free"), (q, "weak"), (r, "strict")):
         # no constraint couples the blocks: each one's first key is free
         for i in range(count):
             nxt: dict = {}
-            for (word, joined, last), cnt in states.items():
-                for (s, rr), k, tau in steps:
+            for (word, last), cnt in states.items():
+                for k, tau in steps:
                     if i and (mode == "weak" and k < last or mode == "strict" and k <= last):
                         continue
                     # tau after word: x -> tau(word(x))
-                    key = (
-                        tuple([tau[x] for x in word]),
-                        _join(joined, s, rr) if blocks else None,
-                        None if mode == "free" else k,
-                    )
+                    key = (tuple([tau[x] for x in word]), None if mode == "free" else k)
                     nxt[key] = nxt.get(key, 0) + cnt
             states = nxt
     table: dict = {}
-    for (word, joined, _), cnt in states.items():
-        table[word, joined] = table.get((word, joined), 0) + cnt
+    for (word, _), cnt in states.items():
+        table[word] = table.get(word, 0) + cnt
     return tuple(table.items())
-
-
-def _join(blocks: tuple, a: int, b: int) -> tuple:
-    """Blocks with the blocks of a and b merged, still labeled by least point."""
-    lo, hi = sorted((blocks[a], blocks[b]))
-    if lo == hi:
-        return blocks
-    return tuple(lo if x == hi else x for x in blocks)
 
 
 def _segments(p: int, q: int, r: int) -> tuple:
@@ -201,47 +187,55 @@ def _class_representative(lam: tuple) -> tuple:
 
 
 @lru_cache(maxsize=2048)
-def _class_step(d: int, p: int, q: int, r: int, convention: str, lam: tuple, connected: bool):
+def _class_step(d: int, p: int, q: int, r: int, convention: str, lam: tuple):
     """((nu, count), ...): how many tuples of the segment (p, q, r) take a
-    permutation of cycle type lam to one of cycle type nu, counting, when
-    connected, only the tuples transitive once joined to its cycles.
+    permutation of cycle type lam to one of cycle type nu.
 
-    Both counts are the same for every permutation of type lam, so they are
-    read at one representative: a connected count keeps the entries of the
-    (product, blocks) table that its cycles make transitive.
-    Distinct keys measured: 1,561 for the test suite in one process, 315
+    The count is the same for every permutation of type lam, so it is read
+    at one representative.
+    Distinct keys measured: 537 for the test suite in one process, 315
     for `suite_equality(6, 5)`, 79 for one seed-0 `routes` round.
     """
     rep = _class_representative(lam)
-    table = _tuple_classes(d, p, q, r, convention, blocks=connected)
-    if connected:
-        table = [(key, cnt) for key, cnt in table if _is_transitive(rep, key[1])]
     out: dict = {}
-    for (word, _), cnt in table:
+    for word, cnt in _tuple_classes(d, p, q, r, convention):
         nu = cycle_type([word[x] for x in rep])
         out[nu] = out.get(nu, 0) + cnt
     return tuple(out.items())
 
 
-def _class_counts(d: int, mu: tuple, p: int, q: int, r: int, convention: str, connected: bool) -> dict:
+def _class_counts(d: int, mu: tuple, p: int, q: int, r: int, convention: str) -> dict:
     """{nu: number of (sigma1, tuple) pairs with sigma1 of type mu and the
-    product of type nu, transitive when connected}, walked on cycle types:
-    one segment at a time, or the whole tuple as one segment when connected."""
+    product of type nu}, walked on cycle types one segment at a time."""
     dist = {mu: factorial(d) // centralizer_size(mu)}
-    for segment in ((p, q, r),) if connected else _segments(p, q, r):
+    for segment in _segments(p, q, r):
         nxt: dict = {}
         for lam, weight in dist.items():
-            for nu, cnt in _class_step(d, *segment, convention, lam, connected):
+            for nu, cnt in _class_step(d, *segment, convention, lam):
                 nxt[nu] = nxt.get(nu, 0) + weight * cnt
         dist = nxt
     return dist
 
 
-def _is_transitive(sigma1: tuple, blocks: tuple) -> bool:
-    """Whether sigma1's cycles, joined to the tuple's blocks, connect every point."""
-    for x, y in enumerate(sigma1):  # joining x to sigma1[x] joins each cycle
-        blocks = _join(blocks, x, y)
-    return not any(blocks)
+def _disconnected(mu: tuple, nu: tuple, p: int, q: int, r: int, convention: str) -> Fraction:
+    """The labeled disconnected count / d! of sorted (mu, nu), not gated on
+    the genus."""
+    d = sum(mu)
+    raw = _class_counts(d, mu, p, q, r, convention).get(nu, 0)
+    return Fraction(raw * multiplicity_factor(mu) * multiplicity_factor(nu), factorial(d))
+
+
+def _connected(mu: tuple, nu: tuple, p: int, q: int, r: int, convention: str) -> Fraction:
+    """The labeled transitive count / d! of sorted (mu, nu): the
+    disconnected count less every proper split, peeled recursively."""
+    if Signature(p, q, r).genus(len(mu), len(nu)) is None:
+        return Fraction(0)
+    value = _disconnected(mu, nu, p, q, r, convention)
+    for muI, nuJ, muC, nuC, mult in profile_splits(mu, nu):
+        for p1, q1, r1 in product(range(p + 1), range(q + 1), range(r + 1)):
+            if c := _connected(muI, nuJ, p1, q1, r1, convention):
+                value -= mult * comb(p, p1) * c * _disconnected(muC, nuC, p - p1, q - q1, r - r1, convention)
+    return value
 
 
 def count_factorizations(spec: FactorizationSpec, convention: str = "smaller") -> FactorizationCount:
@@ -254,12 +248,9 @@ def count_factorizations(spec: FactorizationSpec, convention: str = "smaller") -
     convention other than "smaller" or "larger" raises ValueError, whatever
     the signature.
 
-    Both kinds walk the class of mu, weighted by its size, on cycle types
-    and read nu off the final distribution: disconnected counts through the
-    segments of the tuple, connected counts through the whole tuple at once,
-    keeping the tuples whose blocks, joined by the cycles of the class
-    representative, are transitive.
-    Both tally exactly the (sigma1, tuple) pairs of the definition.
+    Disconnected counts walk the class of mu, weighted by its size, on
+    cycle types through the segments of the tuple and read nu off the final
+    distribution; connected counts peel the proper splits off that count.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
@@ -270,7 +261,5 @@ def count_factorizations(spec: FactorizationSpec, convention: str = "smaller") -
         return FactorizationCount(0, Fraction(0))
     mu_sorted = tuple(sorted(spec.mu, reverse=True))
     nu_sorted = tuple(sorted(spec.nu, reverse=True))
-    raw_unlabeled = _class_counts(d, mu_sorted, spec.p, spec.q, spec.r, convention, spec.connected).get(nu_sorted, 0)
-    raw = raw_unlabeled * multiplicity_factor(spec.mu) * multiplicity_factor(spec.nu)
-    return FactorizationCount(raw, Fraction(raw, factorial(d)))
-
+    value = (_connected if spec.connected else _disconnected)(mu_sorted, nu_sorted, spec.p, spec.q, spec.r, convention)
+    return FactorizationCount(int(value * factorial(d)), value)

@@ -18,7 +18,9 @@ b = p + q + r = 2g - 2 + m + n.  A genus or budget must be an int
 (`check_integer`), and a profile part a whole number (`check_composition`);
 anything else raises ValueError rather than being truncated.  A profile pair
 (mu, nu) is read through `check_profiles`, the one place where unequal sizes
-raise SizeMismatch.
+raise SizeMismatch.  `profile_splits` is the one home of the splits of a
+profile pair into the block that holds mu's first part and the rest, which
+both routes that peel connected counts off disconnected ones read.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 
 
 class SizeMismatch(ValueError):
@@ -209,6 +211,40 @@ def multiplicity_factor(mu) -> int:
 def centralizer_size(mu) -> int:
     """z_mu = prod over part values l of l^(m_l) * (m_l)!"""
     return prod(mu) * multiplicity_factor(mu)
+
+
+@lru_cache(maxsize=512)
+def _sub_multisets(parts: tuple) -> tuple:
+    """(chosen, rest, ways) for each sub-multiset of the weakly decreasing
+    `parts`: both sorted, and `ways` index subsets that pick it."""
+    out = [((), (), 1)]
+    for v in sorted(set(parts), reverse=True):
+        k = parts.count(v)
+        out = [(ch + (v,) * c, rest + (v,) * (k - c), w * comb(k, c)) for ch, rest, w in out for c in range(k + 1)]
+    return tuple(out)
+
+
+def profile_splits(mu: tuple, nu: tuple) -> list:
+    """Proper splits of the weakly decreasing (mu, nu) whose first block
+    holds part 0 of mu.
+
+    Entries are (muI, nuJ, muC, nuC, mult): the block (muI, nuJ), its
+    complement, each sorted, and the number of index pairs (I, J) with
+    0 in I and sum mu_I = sum nu_J that sort to them.  A full I forces a
+    full J (all parts are positive), so dropping an empty muC drops the one
+    improper split.
+    """
+    blocks = {}
+    for nuJ, nuC, ways in _sub_multisets(nu):
+        blocks.setdefault(sum(nuJ), []).append((nuJ, nuC, ways))
+    out = []
+    for rest, muC, ways in _sub_multisets(mu[1:]):
+        if not muC:
+            continue
+        muI = (mu[0],) + rest
+        for nuJ, nuC, ways_nu in blocks.get(sum(muI), ()):
+            out.append((muI, nuJ, muC, nuC, ways * ways_nu))
+    return out
 
 
 @lru_cache(maxsize=512)

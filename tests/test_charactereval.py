@@ -13,7 +13,6 @@ import pytest
 
 from hurwitz.charactereval import (
     _connected_simple,
-    _sub_multisets,
     box_product,
     hurwitz_connected_simple,
     hurwitz_disconnected,
@@ -24,6 +23,7 @@ from hurwitz.charactereval import (
 from hurwitz.oracle import FactorizationSpec, count_factorizations
 from hurwitz.partitions import (
     SizeMismatch,
+    _sub_multisets,
     character,
     complete_homogeneous_at_contents,
     compositions,

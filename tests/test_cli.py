@@ -114,9 +114,10 @@ def test_compute_connected_character_route(capsys):
     ("simple", "oracle", "5888/1"),
     ("simple", "character", "5888/1"),
     ("monotone", "oracle", "1325/2"),
+    ("strict", "oracle", "111/2"),
 ])
 def test_compute_connected_at_degree_eight(capsys, kind, method, want):
-    # connected oracle counts at MAX_DEGREE walk the class of mu's representative
+    # connected oracle counts at MAX_DEGREE, peeled off the disconnected class walk
     code, doc, _ = run_json(capsys, ["compute", "--connected", "--method", method, "--type", kind,
                                      "--g", "1", "--mu", "4,4", "--nu", "4,4"])
     assert (code, doc["value"]) == (0, want)

@@ -233,26 +233,39 @@ def test_counts_match_the_definition():
                     assert got == want * _labelings(mu) * _labelings(nu), (spec, convention)
 
 
-def test_walk_without_blocks_keeps_each_products_count():
-    # the walk that drops the joined blocks must give each product the count
-    # of the (product, blocks) table summed over blocks, also at b = 4 and at
-    # d = 5, b = 3, where test_counts_match_the_definition stops short
+def test_the_product_table_tallies_every_constrained_tuple():
+    # the prefix walk against a tally of every transposition tuple that the
+    # block rules admit, by product, for every (p, q, r) with b <= 4 at
+    # d <= 5, both conventions, where test_counts_match_the_definition
+    # stops at b = 3 and at d = 5, b = 2
     for d, b in itertools.product(range(1, 6), range(5)):
+        # per convention, {keys of the tuple: {product: number of tuples}}:
+        # the block rules read only the keys
+        by_keys = ({}, {})
+        for taus in itertools.product(itertools.combinations(range(d), 2), repeat=b):
+            word = identity(d)
+            for s, rr in taus:  # tau_b ... tau_1, tau_1 applied first
+                word = tuple(rr if x == s else s if x == rr else x for x in word)
+            for key, tally in enumerate(by_keys):
+                words = tally.setdefault(tuple(t[key] for t in taus), {})
+                words[word] = words.get(word, 0) + 1
         for p, q in itertools.product(range(b + 1), repeat=2):
             if p + q > b:
                 continue
-            for convention in CONVENTIONS:
-                by_word = {}
-                for (word, _), cnt in _tuple_classes(d, p, q, b - p - q, convention, blocks=True):
-                    by_word[word] = by_word.get(word, 0) + cnt
-                bare = _tuple_classes(d, p, q, b - p - q, convention, blocks=False)
-                assert {word: cnt for (word, _), cnt in bare} == by_word
-                assert all(joined is None for (_, joined), _ in bare)
+            for key, convention in enumerate(CONVENTIONS):
+                want = {}
+                for keys, words in by_keys[key].items():
+                    weak, strict = keys[p : p + q], keys[p + q :]
+                    if any(x > y for x, y in zip(weak, weak[1:])) or any(x >= y for x, y in zip(strict, strict[1:])):
+                        continue
+                    for word, cnt in words.items():
+                        want[word] = want.get(word, 0) + cnt
+                assert dict(_tuple_classes(d, p, q, b - p - q, convention)) == want, (d, (p, q), convention)
 
 
 def test_disconnected_counts_match_the_tuple_table():
     # the class walk against a reference that walks whole permutations: the
-    # (product, blocks) table summed by the cycle type of the product, one
+    # product table summed by the cycle type of the product, one
     # word of each type scanned against every sigma1 (the number of sigma1
     # of type mu with w sigma1 of type nu is the same for every w of one
     # type, by conjugation).  Scope: every partition pair with d <= 6, every
@@ -267,7 +280,7 @@ def test_disconnected_counts_match_the_tuple_table():
             r = b - p - q
             for convention in CONVENTIONS:
                 by_type = {}
-                for (word, _), cnt in _tuple_classes(d, p, q, r, convention, blocks=True):
+                for word, cnt in _tuple_classes(d, p, q, r, convention):
                     lam = cycle_type(word)
                     if (d, lam) not in scans:
                         tally = scans[d, lam] = {}
@@ -292,35 +305,15 @@ def test_the_class_walk_rests_on_central_segments():
     # length up to 4: each segment's tuple sum is central
     segments = [(1, 0, 0)] + [(0, k, 0) for k in range(1, 5)] + [(0, 0, k) for k in range(1, 5)]
     for d, segment, convention in itertools.product(range(1, 6), segments, CONVENTIONS):
-        words = _tuple_classes(d, *segment, convention, blocks=False)
+        words = _tuple_classes(d, *segment, convention)
         for lam in partitions(d):
-            want = dict(_class_step(d, *segment, convention, lam, False))
+            want = dict(_class_step(d, *segment, convention, lam))
             for sigma in _of_type(d, lam):
                 got = {}
-                for (word, _), cnt in words:
+                for word, cnt in words:
                     nu = cycle_type(_compose(word, sigma))
                     got[nu] = got.get(nu, 0) + cnt
                 assert got == want, (d, segment, convention, lam, sigma)
-    # the transitive count is a class function of sigma1 too: every member
-    # of a class, joining the tuple's blocks with its own cycles, tallies
-    # what the connected step reads at the representative, for every whole
-    # tuple with b <= 4 (b <= 2 at d = 5)
-    for d, convention in itertools.product(range(1, 6), CONVENTIONS):
-        for b in range(3 if d == 5 else 5):
-            for p, q in itertools.product(range(b + 1), repeat=2):
-                if p + q > b:
-                    continue
-                pqr = (p, q, b - p - q)
-                table = _tuple_classes(d, *pqr, convention, blocks=True)
-                for lam in partitions(d):
-                    want = dict(_class_step(d, *pqr, convention, lam, True))
-                    for sigma in _of_type(d, lam):
-                        got = {}
-                        for (word, joined), cnt in table:
-                            if not any(_join_all(joined, enumerate(sigma))):
-                                nu = cycle_type(_compose(word, sigma))
-                                got[nu] = got.get(nu, 0) + cnt
-                        assert got == want, (d, pqr, convention, lam, sigma)
     # and the segments the walk cuts (p, q, r) into multiply out to the
     # whole tuple, product by product: a weak or strict block is never cut
     for d, b in itertools.product(range(1, 6), range(5)):
@@ -332,12 +325,86 @@ def test_the_class_walk_rests_on_central_segments():
                 for segment in _segments(p, q, b - p - q):
                     nxt = {}
                     for w, cnt in words.items():
-                        for (word, _), k in _tuple_classes(d, *segment, convention, blocks=False):
+                        for word, k in _tuple_classes(d, *segment, convention):
                             x = _compose(word, w)
                             nxt[x] = nxt.get(x, 0) + cnt * k
                     words = nxt
-                whole = _tuple_classes(d, p, q, b - p - q, convention, blocks=False)
-                assert words == {word: cnt for (word, _), cnt in whole}, (d, (p, q, b - p - q), convention)
+                whole = _tuple_classes(d, p, q, b - p - q, convention)
+                assert words == dict(whole), (d, (p, q, b - p - q), convention)
+
+
+def _blocked_table(d, p, q, r, convention):
+    """{(product, blocks): number of constrained tuples}, walked prefix by
+    prefix as `_tuple_classes` walks them, where blocks labels each point
+    by the least point the tuple's transpositions join it to."""
+    key = CONVENTIONS.index(convention)
+    states = {(identity(d), identity(d), None): 1}
+    for count, mode in ((p, "free"), (q, "weak"), (r, "strict")):
+        for i in range(count):
+            nxt = {}
+            for (word, joined, last), cnt in states.items():
+                for s, rr in itertools.combinations(range(d), 2):
+                    k = (s, rr)[key]
+                    if i and (mode == "weak" and k < last or mode == "strict" and k <= last):
+                        continue
+                    state = (
+                        tuple(rr if x == s else s if x == rr else x for x in word),
+                        tuple(_join_all(joined, [(s, rr)])),
+                        None if mode == "free" else k,
+                    )
+                    nxt[state] = nxt.get(state, 0) + cnt
+            states = nxt
+    table = {}
+    for (word, joined, _), cnt in states.items():
+        table[word, joined] = table.get((word, joined), 0) + cnt
+    return table
+
+
+def test_peeled_connected_counts_match_a_transitive_walk():
+    # a connected count is defined by transitivity: against a reference that
+    # keys the tuples by (product, joined blocks) and keeps those that
+    # sigma1's cycles make transitive, with no genus gate (a transitive
+    # factorization has genus >= 0 by Riemann-Hurwitz).  Every sigma1 of
+    # each class at d <= 5, b <= 4 (b <= 2 at d = 5), and the first member
+    # of each class at d = 6, b <= 3; every (p, q, r), both conventions,
+    # walls included
+    checked = split = 0
+    for d in range(1, 7):
+        classes = {}
+        for sigma in itertools.permutations(range(d)):
+            classes.setdefault(cycle_type(sigma), []).append(sigma)
+        if d == 6:
+            classes = {lam: members[:1] for lam, members in classes.items()}
+        for b in range({5: 3, 6: 4}.get(d, 5)):
+            for p, q in itertools.product(range(b + 1), repeat=2):
+                if p + q > b:
+                    continue
+                for convention in CONVENTIONS:
+                    by_blocks = {}
+                    for (word, joined), cnt in _blocked_table(d, p, q, b - p - q, convention).items():
+                        by_blocks.setdefault(joined, []).append((word, cnt))
+                    for mu, members in classes.items():
+                        size = factorial(d) // prod(mu) // _labelings(mu)
+                        tallies = []
+                        for sigma in members:
+                            tally = {}
+                            for joined, entries in by_blocks.items():
+                                if any(_join_all(joined, enumerate(sigma))):
+                                    continue
+                                for word, cnt in entries:
+                                    nu = cycle_type(_compose(word, sigma))
+                                    tally[nu] = tally.get(nu, 0) + cnt
+                            tallies.append(tally)
+                        for nu in partitions(d):
+                            spec = FactorizationSpec(mu, nu, p, q, b - p - q, connected=True)
+                            got = count_factorizations(spec, convention=convention).raw
+                            for tally in tallies:
+                                want = tally.get(nu, 0) * size * _labelings(mu) * _labelings(nu)
+                                assert got == want, (spec, convention)
+                            disc = count_factorizations(FactorizationSpec(mu, nu, p, q, b - p - q), convention=convention)
+                            split += got != disc.raw
+                            checked += 1
+    assert checked == 8550 and split > 0
 
 
 def test_connected_equals_disconnected_off_walls():
