@@ -12,8 +12,12 @@ mu_I - nu_J joining one profile on each side.
 
 The series is linear in its correlator, so the jump is one series: the
 commutation patterns both chambers share give the same sigma-products and
-cancel, and only those that differ across the wall are materialized, then
-multiplied once by the prefactor, the marker series and the norm.
+cancel, and only those that differ across the wall are materialized.  The
+rest of a refined series is its unit, the S-power prefactor times the
+marker series (constant term 1), and the norm 1/(prod mu prod nu).  The
+jump's unit is the product of the two split sides' units, so the formula
+is checked on correlators and norms alone; the unit is multiplied in only
+to report a mismatch.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Optional, Union
 
 from .algebra import Space, TruncSeries, factorial_column, s_ratio_of
 from .partitions import PURE_KINDS, Signature, check_integer, check_profiles
-from .wedge import ArityMismatch, Chamber, Wall, chamber_of, chamber_polynomial, generating_series, walls
+from .wedge import ArityMismatch, Chamber, Wall, chamber_of, chamber_polynomial, correlator, prefactor, walls
 from .wedge import BLOCKS, FREE, expansion_parts
 
 
@@ -94,24 +98,28 @@ def _markers(blocks, nu, index, space, order) -> TruncSeries:
     )
 
 
-def _h_series(blocks, mu, nu, index, space, order, chamber=None, minus=None):
-    """The refined series of one (possibly split) profile, in ambient vars.
+def _unit(blocks, mu, nu, index, space, order) -> TruncSeries:
+    """The S-power prefactor (`wedge.prefactor`) times the marker series of
+    the indexed parts of nu: the factor of a refined series that no chamber
+    changes.  Its constant term is 1, so it is a unit of the truncated
+    ring, and on the parts of a split it is the product of the two sides'
+    (the delta part, index None, has no columns in either)."""
+    return prefactor(space, expansion_parts(blocks, index), (mu, nu)) * _markers(blocks, nu, index, space, order)
+
+
+def _h_series(blocks, mu, nu, index, space, chamber=None):
+    """The refined series of one (possibly split) profile, in ambient vars,
+    without its unit (`_unit`): the correlator (`wedge.correlator`) over
+    prod mu prod nu.
 
     mu, nu: the parts, the delta part included on a split side.
     index: each nu-part's parent index j (vars tj/uj/yj/zj), in profile
     order; None marks the delta part, which carries no markers and no
     expansion variables of its own.
-    The generating series comes from `wedge.generating_series`, with the
-    opened blocks' expansion variables on each indexed part; its two
-    factors, the marker series and 1/(prod mu prod nu) are multiplied in
-    here.  With `minus`, the series is linear in its correlator, so this is
-    the jump (series on `chamber`) - (series on `minus`) from the one
-    correlator difference that `generating_series` materializes.
     """
     ch = chamber if chamber is not None else chamber_of(mu, nu)
-    corr, pref = generating_series(ch, expansion_parts(blocks, index), space, (mu, nu), minus)
-    out = corr * pref * _markers(blocks, nu, index, space, order)
-    return out.scalar_mul(Fraction(1, prod(mu) * prod(nu)))
+    corr = correlator(ch, expansion_parts(blocks, index), space, (mu, nu))
+    return corr.scalar_mul(Fraction(1, prod(mu) * prod(nu)))
 
 
 def refined_series(kind: str, mu, nu, order: int, chamber: Optional[Chamber] = None) -> TruncSeries:
@@ -136,7 +144,8 @@ def refined_series(kind: str, mu, nu, order: int, chamber: Optional[Chamber] = N
     if chamber is not None and (chamber.m, chamber.n) != (len(mu), len(nu)):
         raise ArityMismatch(f"expected profiles of lengths {chamber.m}, {chamber.n}")
     space = _space(blocks, len(nu), order)
-    return _h_series(blocks, mu, nu, range(1, len(nu) + 1), space, order, chamber=chamber)
+    index = range(1, len(nu) + 1)
+    return _h_series(blocks, mu, nu, index, space, chamber) * _unit(blocks, mu, nu, index, space, order)
 
 
 # -- the recursive product formula -------------------------------------------------
@@ -173,11 +182,20 @@ def verify_wallcrossing(problem: WallCrossingProblem, samples) -> dict:
     The left side is the jump of the refined series across the wall — the
     c2-chamber series minus the c1-chamber continuation at the same profile
     — built as one series from the sigma-products that differ across the
-    wall (`wedge.generating_series` with `minus=c1`).  A problem whose two
+    wall (`wedge.correlator` with `minus=c1`).  A problem whose two
     chambers coincide crosses no wall and raises `InvalidSplit`.
     The right side multiplies the two split refined series (with the delta
     slot's markers extracted at power zero and its arguments set to zero)
     by the pole-free prefactor, truncated at total order b = p + q + r.
+
+    Each refined series is its correlator over its parts times its unit
+    (`_unit`: the S-power prefactor and the markers), and the left side's
+    unit is the product of the two split sides' (the same parts of nu; the
+    delta part has none).  A unit's constant term is 1, and multiplying by
+    a unit of the truncated ring is injective, so both sides are compared
+    with it cancelled: on correlators alone, with the same verdict.  Only
+    an unequal sample multiplies both sides by the unit, so that its first
+    mismatch reads the refined series' own coefficients.
     """
     if problem.c1.key() == problem.c2.key():
         raise InvalidSplit("the problem crosses no wall")
@@ -187,6 +205,12 @@ def verify_wallcrossing(problem: WallCrossingProblem, samples) -> dict:
     samples = list(samples)
     if not samples:
         raise ValueError("verify_wallcrossing needs at least one sample")
+    m, n = problem.c2.m, problem.c2.n
+    space = _space(blocks, n, order)
+    full = tuple(range(1, n + 1))
+    Ic = tuple(i for i in range(1, m + 1) if i not in wall.I)
+    Jc = tuple(j for j in full if j not in wall.J)
+    parts = expansion_parts(blocks, full)
     report = {"wall": str(wall), "kind": problem.kind, "order": order, "samples": [], "ok": True}
     for mu, nu in samples:
         ch = chamber_of(mu, nu)  # checks the profiles; raises OnWall on a wall
@@ -196,15 +220,12 @@ def verify_wallcrossing(problem: WallCrossingProblem, samples) -> dict:
         delta = wall.value(mu, nu)
         if delta <= 0:
             raise InvalidSplit(f"delta = {delta} at {(mu, nu)}")
-        space = _space(blocks, len(nu), order)
 
-        lhs = _h_series(blocks, mu, nu, range(1, len(nu) + 1), space, order, chamber=problem.c2, minus=problem.c1)
-
-        Ic = [i for i in range(1, len(mu) + 1) if i not in wall.I]
-        Jc = tuple(j for j in range(1, len(nu) + 1) if j not in wall.J)
+        jump = correlator(problem.c2, parts, space, (mu, nu), minus=problem.c1)
+        lhs = jump.scalar_mul(Fraction(1, prod(mu) * prod(nu)))
         nu_J = [nu[j - 1] for j in wall.J] + [delta]
-        f1 = _h_series(blocks, [mu[i - 1] for i in wall.I], nu_J, wall.J + (None,), space, order)
-        f2 = _h_series(blocks, [mu[i - 1] for i in Ic] + [delta], [nu[j - 1] for j in Jc], Jc, space, order)
+        f1 = _h_series(blocks, [mu[i - 1] for i in wall.I], nu_J, wall.J + (None,), space)
+        f2 = _h_series(blocks, [mu[i - 1] for i in Ic] + [delta], [nu[j - 1] for j in Jc], Jc, space)
         rhs = _crossing_prefactor(blocks, wall.J, nu, delta, space) * f1 * f2
 
         entry = {
@@ -215,6 +236,8 @@ def verify_wallcrossing(problem: WallCrossingProblem, samples) -> dict:
             "first_mismatch": None,
         }
         if not entry["equal"]:
+            unit = _unit(blocks, mu, nu, full, space, order)
+            lhs, rhs = lhs * unit, rhs * unit
             e = min((lhs - rhs).data, key=lambda e: (sum(e), e))
             monomial = dict(zip(space.vars, e))
             entry["first_mismatch"] = {

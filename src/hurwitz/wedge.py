@@ -20,15 +20,17 @@ chamber's signs) and returns its patterns as sigma-products on walk labels;
 `materialize` turns those into a series, reading each label's energy and
 argument (the sum of the per-part arguments of nu_J) once at one point
 (mu, nu) (ring elements for polynomial coefficients, parts for numeric
-ones).  `generating_series` hands out that correlator with its S-power
-prefactor (or, given a second chamber, the jump of the correlator, from
-the patterns that differ across the wall):
-the refined series of `wallcross` multiply the two, and chamber polynomials
-read one grade of their product (`TruncSeries.grade_sum`), with one part of
-mu valued on the weight shell.  The count is symmetric under
-(mu, nu) <-> (nu, mu) and under permuting the parts of mu and of nu, but
-the walk's pattern count is not, and each part of nu opens its own
-expansion variables.  So each orbit's polynomial is built once, on its
+ones).  The mixed generating series is two factors, each with one home:
+`correlator`, the chamber's sum of those patterns (or, given a second
+chamber, the jump of the correlator, from the patterns that differ across
+the wall), and `prefactor`, the S-power columns of the parts of nu, which
+no chamber changes and whose constant term is 1.  Chamber polynomials read
+one grade of their product (`TruncSeries.grade_sum`), with one part of mu
+valued on the weight shell; the refined series of `wallcross` multiply
+the two, and its wall-crossing check reads the correlators alone.  The
+count is symmetric under (mu, nu) <-> (nu, mu) and under permuting the
+parts of mu and of nu, but the walk's pattern count is not, and each part
+of nu opens its own expansion variables.  So each orbit's polynomial is built once, on its
 member on the side with fewer parts of nu, mu ascending and nu descending,
 in that member's own parts with its last part of mu on the shell; every
 chamber of the orbit reads its own off by one change of variables
@@ -350,6 +352,12 @@ def _space_for(sig: Signature, n: int):
     return Space.of(names, caps, groups), expansion_parts([b for b, _ in opened], range(1, n + 1))
 
 
+def _over_ring(space, values):
+    """The numeric space taken over the ring of `values` = (mu, nu), or
+    itself when they are numbers."""
+    return Space.of(space.vars, space.caps, space.blocks, getattr(values[1][0], "ring", None))
+
+
 def materialize(products, args, space, values, signs=None):
     """Sum the sigma-products of `johnson_expand` in the given series space.
 
@@ -363,7 +371,7 @@ def materialize(products, args, space, values, signs=None):
     when given, holds one integer multiplicity per product (a jump across a
     wall subtracts the far chamber's products).
     """
-    space = Space.of(space.vars, space.caps, space.blocks, getattr(values[1][0], "ring", None))
+    space = _over_ring(space, values)
     read = {}
 
     def label(lab):
@@ -404,11 +412,10 @@ def materialize(products, args, space, values, signs=None):
     return acc
 
 
-def generating_series(chamber: Chamber, parts, space, values, minus: Optional[Chamber] = None) -> tuple:
-    """The mixed generating series of the chamber, as its two factors: the
-    correlator of E(mu_1) ... E(mu_m) E(-nu_1) ... E(-nu_n), summed over
-    the chamber's `commutation_patterns`, and the prefactor
-    prod_j prod_x S(x)^(sign * nu_j - 1).
+def correlator(chamber: Chamber, parts, space, values, minus: Optional[Chamber] = None):
+    """The correlator of E(mu_1) ... E(mu_m) E(-nu_1) ... E(-nu_n), summed
+    over the chamber's `commutation_patterns`: the factor of the mixed
+    generating series that the chamber decides (`prefactor` is the other).
 
     `parts[j-1]` maps nu_j's expansion variables x to their signs; nu_j's
     argument is X * nu_j when the space has X, plus 1 on each of its
@@ -416,11 +423,11 @@ def generating_series(chamber: Chamber, parts, space, values, minus: Optional[Ch
     numbers or ring elements (see `materialize`), whose arity must be the
     chamber's (`ArityMismatch`).
 
-    With a second chamber `minus` of the same arrangement, the correlator is
-    the jump corr(chamber) - corr(minus) at the same values: the
-    sigma-products both chambers give cancel as multisets before anything
-    is materialized, and only the patterns that differ across the wall are
-    summed, with their signs.  The prefactor is the same on both sides.
+    With a second chamber `minus` of the same arrangement, this is the jump
+    corr(chamber) - corr(minus) at the same values: the sigma-products both
+    chambers give cancel as multisets before anything is materialized, and
+    only the patterns that differ across the wall are summed, with their
+    signs.
     """
     if (len(values[0]), len(values[1])) != (chamber.m, chamber.n):
         raise ArityMismatch(f"expected profiles of lengths {chamber.m}, {chamber.n}")
@@ -429,21 +436,29 @@ def generating_series(chamber: Chamber, parts, space, values, minus: Optional[Ch
         arg.update(dict.fromkeys(signs, 1))
     products = commutation_patterns(chamber)
     if minus is None:
-        corr = materialize(products, args, space, values)
-    else:
-        if (minus.m, minus.n) != (chamber.m, chamber.n):
-            raise ValueError("chambers live in different arrangements")
-        jump = Counter(products)
-        jump.subtract(commutation_patterns(minus))
-        changed = [prod for prod, k in jump.items() if k]
-        corr = materialize(changed, args, space, values, [jump[prod] for prod in changed])
+        return materialize(products, args, space, values)
+    if (minus.m, minus.n) != (chamber.m, chamber.n):
+        raise ValueError("chambers live in different arrangements")
+    jump = Counter(products)
+    jump.subtract(commutation_patterns(minus))
+    changed = [prod for prod, k in jump.items() if k]
+    return materialize(changed, args, space, values, [jump[prod] for prod in changed])
 
-    cols = {
-        x: s_power_column((nu if sign > 0 else -nu) - 1, space.caps[space.index[x]])
-        for nu, signs in zip(values[1], parts)
-        for x, sign in signs.items()
-    }
-    return corr, corr.space.columns(cols)
+
+def prefactor(space, parts, values):
+    """The S-power prefactor prod_j prod_x S(x)^(sign * nu_j - 1) of the
+    mixed generating series, over the expansion variables x of each part of
+    nu (`parts`, as for `correlator`), read at `values` = (mu, nu) in the
+    space taken over their ring: one `Space.columns` call.  It depends on
+    nu alone, not on the chamber, and its constant term is 1."""
+    space = _over_ring(space, values)
+    return space.columns(
+        {
+            x: s_power_column((nu if sign > 0 else -nu) - 1, space.caps[space.index[x]])
+            for nu, signs in zip(values[1], parts)
+            for x, sign in signs.items()
+        }
+    )
 
 
 def _numerator(sig: Signature, chamber: Chamber, values):
@@ -451,7 +466,7 @@ def _numerator(sig: Signature, chamber: Chamber, values):
     = (mu, nu) (see `materialize`): one grade of the generating series,
     each expansion variable weighed by its part's factorial column."""
     space, parts = _space_for(sig, chamber.n)
-    corr, pref = generating_series(chamber, parts, space, values)
+    corr, pref = correlator(chamber, parts, space, values), prefactor(space, parts, values)
 
     # each expansion variable weighs its exponent by its part's factorial
     # column, rising or falling by its block's sign; the free block has none

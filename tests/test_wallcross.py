@@ -3,7 +3,7 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -68,7 +68,7 @@ def test_verify_rejects_a_problem_that_crosses_no_wall(monkeypatch):
     def no_series(*args, **kwargs):
         raise AssertionError("a series was built")
 
-    monkeypatch.setattr(wallcross, "generating_series", no_series)
+    monkeypatch.setattr(wallcross, "correlator", no_series)
     prob = WallCrossingProblem(WALL, C2, C2, "strict", 1)
     with pytest.raises(InvalidSplit, match="crosses no wall"):
         verify_wallcrossing(prob, [((3, 1), (2, 2))])
@@ -193,11 +193,12 @@ def test_refined_series_are_pinned():
     assert digest == "ad0692b2633e2ab2aac451e935e7dde8a8d5bbf0dcfce8043e8c371d477171b8"
 
 
-def test_wallcrossing_on_every_sampled_wall_of_m_n_2_3():
-    # one chamber c2 on the positive side of each wall of (2, 3) and (3, 2)
-    # whose neighbour across that wall alone is sampled too, with d <= 8
+def _sampled_walls():
+    """(wall, c1, c2) for one chamber c2 on the positive side of each wall
+    of (2, 2), (2, 3) and (3, 2) whose neighbour c1 across that wall alone
+    is sampled too, with d <= 8."""
     problems = []
-    for m, n in ((2, 3), (3, 2)):
+    for m, n in ((2, 2), (2, 3), (3, 2)):
         chambers = _chambers(m, n, dmax=8)
         by_signs = {ch.key()[2]: ch for ch in chambers}
         for k, wall in enumerate(walls(m, n)):
@@ -207,11 +208,41 @@ def test_wallcrossing_on_every_sampled_wall_of_m_n_2_3():
                 if c1 is not None:
                     problems.append((wall, c1, c2))
                     break
-    assert len(problems) == 12
+    return problems
+
+
+def test_wallcrossing_on_every_sampled_wall_of_m_n_2_3():
+    # every sampled wall of (2, 2), (2, 3) and (3, 2): 2 + 6 + 6 problems,
+    # each kind at g <= 1 or at mixed (1, 1, 1)
+    problems = _sampled_walls()
+    assert len(problems) == 14
+    cases = [("simple", 0), ("simple", 1), ("monotone", 1), ("strict", 0), ("strict", 1), ("mixed", (1, 1, 1))]
     for wall, c1, c2 in problems:
-        for kind, signature in (("monotone", 1), ("mixed", (1, 1, 1))):
+        for kind, signature in cases:
             rep = verify_wallcrossing(WallCrossingProblem(wall, c1, c2, kind, signature), [c2.sample])
             assert rep["ok"], rep
+
+
+@pytest.mark.parametrize("kind", ["simple", "monotone", "strict", "mixed"])
+def test_the_unit_of_a_refined_series_splits_across_every_sampled_wall(kind):
+    # the S-power prefactor times the markers has constant term 1, and the
+    # full profile's is the J side's times the Jc + {delta} side's (the
+    # delta part has no columns): so it cancels from the product formula
+    blocks = wallcross._OPENS[kind]
+    order = 4
+    for wall, _, c2 in _sampled_walls():
+        mu, nu = c2.sample
+        delta = wall.value(mu, nu)
+        space = wallcross._space(blocks, len(nu), order)
+        Ic = tuple(i for i in range(1, len(mu) + 1) if i not in wall.I)
+        Jc = tuple(j for j in range(1, len(nu) + 1) if j not in wall.J)
+        unit = wallcross._unit(blocks, mu, nu, range(1, len(nu) + 1), space, order)
+        mu_I, nu_J = [mu[i - 1] for i in wall.I], [nu[j - 1] for j in wall.J] + [delta]
+        u1 = wallcross._unit(blocks, mu_I, nu_J, wall.J + (None,), space, order)
+        u2 = wallcross._unit(blocks, [mu[i - 1] for i in Ic] + [delta], [nu[j - 1] for j in Jc], Jc, space, order)
+        assert unit.coeff({}) == 1, wall
+        assert unit == u1 * u2, wall
+        assert (len(unit.data) > 1) == (kind != "simple")  # simple has no markers and no S-powers
 
 
 def test_wallcrossing_identity_monotone_g0():
@@ -231,11 +262,14 @@ _JUMP_SAMPLES = [((3, 1), (2, 2)), ((5, 1), (3, 3)), ((5, 2), (4, 3))]
 
 
 def _jump(kind, mu, nu, order, chamber=C2, minus=C1):
-    """One series of the jump from `minus` to `chamber`: by default the left
-    side of the product formula, corr(C2) - corr(C1)."""
+    """One series of the jump from `minus` to `chamber`, from the one
+    correlator difference `wedge.correlator` materializes, times the unit
+    and the norm: by default the left side of the product formula."""
     blocks = wallcross._OPENS[kind]
     space = wallcross._space(blocks, len(nu), order)
-    return wallcross._h_series(blocks, mu, nu, (1, 2), space, order, chamber=chamber, minus=minus)
+    corr = wedge.correlator(chamber, wedge.expansion_parts(blocks, (1, 2)), space, (mu, nu), minus=minus)
+    unit = wallcross._unit(blocks, mu, nu, (1, 2), space, order)
+    return (corr * unit).scalar_mul(Fraction(1, prod(mu) * prod(nu)))
 
 
 @pytest.mark.parametrize("g", [0, 1, 2])

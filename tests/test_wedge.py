@@ -40,9 +40,10 @@ from hurwitz.wedge import (
     chamber_of,
     chamber_polynomial,
     commutation_patterns,
+    correlator,
     evaluate,
-    generating_series,
     johnson_expand,
+    prefactor,
     standard_word,
     walls,
 )
@@ -187,12 +188,12 @@ def test_every_series_of_a_chamber_reads_one_cached_walk():
     commutation_patterns.cache_clear()
     for sig in (Signature(1, 1, 0), Signature(0, 2, 0)):
         space, parts = _space_for(sig, 2)
-        generating_series(c2, parts, space, c2.sample)
-    generating_series(c2, parts, space, c2.sample, minus=c1)
+        correlator(c2, parts, space, c2.sample)
+    correlator(c2, parts, space, c2.sample, minus=c1)
     info = commutation_patterns.cache_info()
     assert (info.misses, info.hits) == (2, 2)
     with pytest.raises(ArityMismatch):
-        generating_series(c2, parts, space, ((3, 1), (1, 1, 2)))
+        correlator(c2, parts, space, ((3, 1), (1, 1, 2)))
 
 
 def test_monotone_torus_one_one_polynomial():
@@ -306,8 +307,9 @@ def test_number_values_give_the_ring_series_at_the_point(kind, signature):
         for ch in _chambers(m, n, dmax=6):
             mu, nu = ch.sample
             point = dict(zip(ring.names, mu + nu))
-            exact = generating_series(ch, parts, space, (symbols[:m], symbols[m:]))
-            at_point = generating_series(ch, parts, space, ch.sample)
+            ring_values = (symbols[:m], symbols[m:])
+            exact = correlator(ch, parts, space, ring_values), prefactor(space, parts, ring_values)
+            at_point = correlator(ch, parts, space, ch.sample), prefactor(space, parts, ch.sample)
             for got, factor in zip(at_point, exact):
                 want = {e: c.evaluate(point) for e, c in factor.data.items()}
                 assert got.data == {e: c for e, c in want.items() if c}, (mu, nu)
@@ -325,19 +327,19 @@ def test_the_prefactor_is_the_product_of_lifted_s_powers(kind, signature):
         symbols = tuple(map(ring.var, ring.names))
         for ch in _chambers(m, n, dmax=6):
             for values in (ch.sample, (symbols[:m], symbols[m:])):
-                corr, pref = generating_series(ch, parts, space, values)
-                want = corr.space.one()
+                pref = prefactor(space, parts, values)
+                want = pref.space.one()
                 for nu, signs in zip(values[1], parts):
                     for x, sign in signs.items():
-                        cap = corr.space.caps[corr.space.vars.index(x)]
-                        want = want * s_power_series((nu if sign > 0 else -nu) - 1, x, cap).lift(corr.space)
+                        cap = pref.space.caps[pref.space.vars.index(x)]
+                        want = want * s_power_series((nu if sign > 0 else -nu) - 1, x, cap).lift(pref.space)
                 assert pref == want, (ch.sample, values)
 
 
 def test_the_jump_correlator_is_the_difference_of_two_chambers():
     # every ordered pair of the four chambers of m = n = 2, read with
     # polynomial coefficients: only the differing sigma-products are
-    # materialized, with their signs, and the prefactor is either chamber's
+    # materialized, with their signs
     space, parts = _space_for(Signature(1, 1, 1), 2)
     ring = PolyRing(["mu1", "mu2", "nu1", "nu2"])
     symbols = tuple(map(ring.var, ring.names))
@@ -345,14 +347,13 @@ def test_the_jump_correlator_is_the_difference_of_two_chambers():
     chambers = list(_chambers(2, 2, dmax=6))
     assert len(chambers) == 4
     for ch in chambers:
-        corr, pref = generating_series(ch, parts, space, values)
+        corr = correlator(ch, parts, space, values)
         for other in chambers:
             if other != ch:
-                jump, same = generating_series(ch, parts, space, values, minus=other)
-                assert jump == corr - generating_series(other, parts, space, values)[0]
-                assert same == pref
+                jump = correlator(ch, parts, space, values, minus=other)
+                assert jump == corr - correlator(other, parts, space, values)
     with pytest.raises(ValueError, match="different arrangements"):
-        generating_series(chambers[0], parts, space, values, minus=chamber_of((3,), (1, 2)))
+        correlator(chambers[0], parts, space, values, minus=chamber_of((3,), (1, 2)))
 
 
 def _full_product_reference(kind, signature, ch, pad):
@@ -367,7 +368,8 @@ def _full_product_reference(kind, signature, ch, pad):
     tight, parts = _space_for(sig, n)
     space = Space.of(tight.vars, [cap + pad for cap in tight.caps], [(ix, cap + pad) for ix, cap in tight.blocks])
     symbols = tuple(map(ring.var, ring.names))
-    corr, pref = generating_series(ch, parts, space, (symbols[:m], symbols[m:]))
+    corr = correlator(ch, parts, space, (symbols[:m], symbols[m:]))
+    pref = prefactor(space, parts, (symbols[:m], symbols[m:]))
     signs = {x: (symbols[m + j], sign) for j, part in enumerate(parts) for x, sign in part.items()}
     total = ring.zero()
     for e, c in (corr * pref).data.items():
@@ -603,11 +605,11 @@ def test_chamber_polynomial_walks_its_cheaper_orientation(monkeypatch):
 
     def recording(chamber, *args, **kwargs):
         walked.append(chamber.sample)
-        return generating_series(chamber, *args, **kwargs)
+        return correlator(chamber, *args, **kwargs)
 
     monkeypatch.setattr(wedge, "_POLY_CACHE", {})
     monkeypatch.setattr(wedge, "_ORBITS", {})
-    monkeypatch.setattr(wedge, "generating_series", recording)
+    monkeypatch.setattr(wedge, "correlator", recording)
     cases = [
         (((10,), (1, 2, 7)), ((1, 2, 7), (10,))),
         (((4, 1, 1), (3, 3)), ((1, 1, 4), (3, 3))),
