@@ -37,7 +37,6 @@ from .wallcross import (
     WallCrossingProblem,
     refined_series,
     verify_wallcrossing,
-    wallcrossing_polynomial,
 )
 from .wedge import (
     ArityMismatch,
@@ -101,6 +100,5 @@ __all__ = [
     "tau_coefficient",
     "tau_dictionary_value",
     "verify_wallcrossing",
-    "wallcrossing_polynomial",
     "walls",
 ]

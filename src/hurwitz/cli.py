@@ -16,7 +16,6 @@ the exit code as it is.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -122,8 +121,8 @@ def cmd_chamber_poly(args) -> int:
         "chamber": {
             "sample": {"mu": list(mu), "nu": list(nu)},
             "signs": [
-                {"I": list(w.I), "J": list(w.J), "sign": ch.sign(w)}
-                for w in walls(ch.m, ch.n)
+                {"I": list(w.I), "J": list(w.J), "sign": sign}
+                for w, sign in zip(walls(ch.m, ch.n), ch.key()[2])
             ],
         },
         "polynomial": _poly_json(poly),
@@ -136,7 +135,8 @@ def cmd_chamber_poly(args) -> int:
 def cmd_verify(args) -> int:
     # a suite reads the flags named by its parameters; any other flag is an error
     suite = verify_mod.SUITES[args.suite]
-    takes = inspect.signature(suite).parameters
+    code = suite.__code__
+    takes = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
     given = {f: getattr(args, f) for f in ("dmax", "bmax", "g") if getattr(args, f) is not None}
     ignored = [f"--{f}" for f in given if f not in takes]
     if ignored:

@@ -51,7 +51,7 @@ cap how many tables stay in memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
@@ -97,20 +97,13 @@ def cycle_type(p: tuple) -> tuple:
 # -- factorization specs --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorizationSpec:
-    mu: tuple
-    nu: tuple
-    p: int
-    q: int
-    r: int
-    connected: bool = False
+class FactorizationSpec(namedtuple("FactorizationSpec", "mu nu p q r connected")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        mu, nu = check_profiles(self.mu, self.nu)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "nu", nu)
-        Signature.of("mixed", (self.p, self.q, self.r), len(self.mu), len(self.nu))
+    def __new__(cls, mu, nu, p, q, r, connected=False):
+        mu, nu = check_profiles(mu, nu)
+        Signature.of("mixed", (p, q, r), len(mu), len(nu))
+        return tuple.__new__(cls, (mu, nu, p, q, r, connected))
 
     @property
     def d(self) -> int:
@@ -125,10 +118,7 @@ class FactorizationSpec:
         return Signature(self.p, self.q, self.r).genus(len(self.mu), len(self.nu))
 
 
-@dataclass(frozen=True)
-class FactorizationCount:
-    raw: int
-    value: Fraction
+FactorizationCount = namedtuple("FactorizationCount", "raw value")
 
 
 def _transpositions(d: int) -> list:

@@ -26,7 +26,7 @@ both routes that peel connected counts off disconnected ones read.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb, factorial, prod
 
@@ -38,14 +38,11 @@ class SizeMismatch(ValueError):
 PURE_KINDS = ("simple", "monotone", "strict")
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(namedtuple("Signature", "p q r")):
     """Budgets of free (p), weakly monotone (q) and strictly monotone (r)
     transpositions.  The pure kinds are the triples with one nonzero budget."""
 
-    p: int
-    q: int
-    r: int
+    __slots__ = ()
 
     @classmethod
     def of(cls, kind: str, signature, m: int, n: int) -> "Signature":
@@ -62,9 +59,6 @@ class Signature:
             raise ValueError("genus must be >= 0")
         b = 2 * signature - 2 + m + n
         return cls(*(b if k == kind else 0 for k in PURE_KINDS))
-
-    def __iter__(self):
-        return iter((self.p, self.q, self.r))
 
     @property
     def b(self) -> int:

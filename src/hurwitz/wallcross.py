@@ -1,5 +1,5 @@
-"""Wall-crossing: chamber-polynomial differences and the recursive product
-formula for the refined generating series.
+"""Wall-crossing: the recursive product formula for the refined generating
+series.
 
 The refined series for a numeric profile pair (mu, nu) keeps one marker
 variable per part of nu and per monotone or strict block, grading how
@@ -22,14 +22,12 @@ to report a mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
-from typing import Optional, Union
 
 from .algebra import Space, TruncSeries, factorial_column, s_ratio_of
 from .partitions import PURE_KINDS, Signature, check_integer, check_profiles
-from .wedge import ArityMismatch, Chamber, Wall, chamber_of, chamber_polynomial, correlator, prefactor, walls
+from .wedge import ArityMismatch, Chamber, Wall, chamber_of, correlator, prefactor, walls
 from .wedge import BLOCKS, FREE, expansion_parts
 
 
@@ -41,36 +39,45 @@ class InvalidSplit(ValueError):
 _OPENS = dict(zip(PURE_KINDS, zip(BLOCKS)), mixed=BLOCKS)
 
 
-@dataclass
 class WallCrossingProblem:
-    wall: Wall
-    c1: Chamber
-    c2: Chamber
-    kind: str  # simple | monotone | strict | mixed
-    signature: Union[int, tuple]  # genus, or (p, q, r) for mixed
-    budgets: Signature = field(init=False)
-    blocks: tuple = field(init=False)
+    """A wall and the chambers c1, c2 on either side of it, for one kind
+    (simple | monotone | strict | mixed) and its signature: a genus, or
+    (p, q, r) for mixed.  `budgets` is that signature as a `Signature`, and
+    `blocks` the `wedge.BLOCKS` the kind opens.
 
-    def __post_init__(self):
-        self.budgets = Signature.of(self.kind, self.signature, self.c1.m, self.c1.n)
-        self.blocks = _OPENS[self.kind]
-        if (self.c1.m, self.c1.n) != (self.c2.m, self.c2.n):
+    The chambers' signs (`Chamber.key`) may differ at `wall` only, and when
+    they do, the wall's form is negative on c1 and positive on c2.
+    """
+
+    __slots__ = ("wall", "c1", "c2", "kind", "signature", "budgets", "blocks")
+
+    def __init__(self, wall: Wall, c1: Chamber, c2: Chamber, kind: str, signature: int | tuple):
+        self.wall, self.c1, self.c2, self.kind, self.signature = wall, c1, c2, kind, signature
+        self.budgets = Signature.of(kind, signature, c1.m, c1.n)
+        self.blocks = _OPENS[kind]
+        if (c1.m, c1.n) != (c2.m, c2.n):
             raise ValueError("chambers live in different arrangements")
-        if (self.wall.m, self.wall.n) != (self.c1.m, self.c1.n):
+        if (wall.m, wall.n) != (c1.m, c1.n):
             raise ValueError("wall belongs to a different arrangement")
-        for w in walls(self.c1.m, self.c1.n):
-            if w != self.wall and self.c1.sign(w) != self.c2.sign(w):
-                raise ValueError("chambers are not adjacent across the wall")
-        if self.c1.key() != self.c2.key():
-            if self.c2.sign(self.wall) != 1 or self.c1.sign(self.wall) != -1:
-                raise InvalidSplit("need delta < 0 on c1 and delta > 0 on c2")
+        at = walls(c1.m, c1.n).index(wall)
+        signs1, signs2 = c1.key()[2], c2.key()[2]
+        differ = [k for k, (a, b) in enumerate(zip(signs1, signs2)) if a != b]
+        if differ not in ([], [at]):
+            raise ValueError("chambers are not adjacent across the wall")
+        if differ and (signs1[at], signs2[at]) != (-1, 1):
+            raise InvalidSplit("need delta < 0 on c1 and delta > 0 on c2")
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
 
-def wallcrossing_polynomial(problem: WallCrossingProblem):
-    """P_{c2} - P_{c1} for the problem's kind and signature."""
-    p2 = chamber_polynomial(problem.kind, problem.signature, problem.c2)
-    p1 = chamber_polynomial(problem.kind, problem.signature, problem.c1)
-    return p2 - p1
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._values()))
+        return f"WallCrossingProblem({fields})"
 
 
 # -- refined generating series ----------------------------------------------------
@@ -122,7 +129,7 @@ def _h_series(blocks, mu, nu, index, space, chamber=None):
     return corr.scalar_mul(Fraction(1, prod(mu) * prod(nu)))
 
 
-def refined_series(kind: str, mu, nu, order: int, chamber: Optional[Chamber] = None) -> TruncSeries:
+def refined_series(kind: str, mu, nu, order: int, chamber: Chamber | None = None) -> TruncSeries:
     """The refined generating series of (mu, nu), truncated at total order.
 
     Variables, by the blocks of `wedge.BLOCKS` the kind opens: X alone for

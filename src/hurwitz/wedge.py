@@ -40,13 +40,11 @@ fewer variables and patterns.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
-from typing import NamedTuple, Optional
 
 from .algebra import (
     MultiPoly,
@@ -88,8 +86,7 @@ def _form(label, mu, nu):
     return sum(mu[i - 1] for i in label[0]) - sum(nu[j - 1] for j in label[1])
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(namedtuple("Wall", "I J m n")):
     """The hyperplane mu_I = nu_J, canonicalized so that 1 is in I.
 
     A pair and its complement cut the same hyperplane (on the subspace of
@@ -97,23 +94,19 @@ class Wall:
     pair / the full pair is no wall at all.
     """
 
-    I: tuple
-    J: tuple
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        I = tuple(sorted(set(self.I)))
-        J = tuple(sorted(set(self.J)))
-        if any(i < 1 or i > self.m for i in I) or any(j < 1 or j > self.n for j in J):
+    def __new__(cls, I, J, m, n):
+        I = tuple(sorted(set(I)))
+        J = tuple(sorted(set(J)))
+        if any(i < 1 or i > m for i in I) or any(j < 1 or j > n for j in J):
             raise ValueError("wall indices out of range")
         if 1 not in I:
-            I = tuple(i for i in range(1, self.m + 1) if i not in I)
-            J = tuple(j for j in range(1, self.n + 1) if j not in J)
-        if len(I) == self.m and len(J) == self.n:
+            I = tuple(i for i in range(1, m + 1) if i not in I)
+            J = tuple(j for j in range(1, n + 1) if j not in J)
+        if len(I) == m and len(J) == n:
             raise ValueError("the full/empty pair is not a wall")
-        object.__setattr__(self, "I", I)
-        object.__setattr__(self, "J", J)
+        return tuple.__new__(cls, (I, J, m, n))
 
     def value(self, mu, nu) -> int:
         return _form((self.I, self.J), mu, nu)
@@ -152,19 +145,19 @@ def _subset_sums(parts) -> list:
     return sums
 
 
-@dataclass
 class Chamber:
     """A chamber of the arrangement, held by an interior sample point (mu, nu).
 
     The sample is read through `check_profiles`, and (m, n) and every sign
     off it, from the subset sums of mu and of nu; a sample on a wall raises
-    `OnWall`, naming the first such wall in `walls(m, n)` order.
+    `OnWall`, naming the first such wall in `walls(m, n)` order.  `key()`
+    is (m, n, the signs in that order).
     """
 
-    sample: tuple
+    __slots__ = ("sample", "_key")
 
-    def __post_init__(self):
-        self.sample = mu, nu = check_profiles(*self.sample)
+    def __init__(self, sample):
+        self.sample = mu, nu = check_profiles(*sample)
         mus, nus = _subset_sums(mu), _subset_sums(nu)
         signs = tuple((v > 0) - (v < 0) for v in [mus[I] - nus[J] for I, J in _wall_masks(self.m, self.n)])
         if 0 in signs:
@@ -195,6 +188,9 @@ class Chamber:
 
     def __hash__(self):
         return hash(self.key())
+
+    def __repr__(self):
+        return f"Chamber(sample={self.sample!r})"
 
 
 def chamber_of(mu, nu) -> Chamber:
@@ -253,8 +249,7 @@ def standard_word(m: int, n: int) -> tuple:
     return tuple(word + [(frozenset(), frozenset([j])) for j in range(1, n + 1)])
 
 
-@dataclass(frozen=True)
-class SigmaProduct:
+class SigmaProduct(namedtuple("SigmaProduct", "factors final")):
     """One commutation pattern of a word, on its walk labels (see `materialize`).
 
     A label (I, J) stands for the operator that absorbed mu_I and nu_J: its
@@ -264,8 +259,7 @@ class SigmaProduct:
     the word's total argument W as sigma(energy(final) * W) / sigma(W).
     """
 
-    factors: tuple
-    final: tuple
+    __slots__ = ()
 
 
 def johnson_expand(chamber: Chamber, word) -> list:
@@ -312,16 +306,14 @@ def commutation_patterns(chamber: Chamber) -> tuple:
 # -- series assembly --------------------------------------------------------------
 
 
-class Block(NamedTuple):
+class Block(namedtuple("Block", "letter marker sign")):
     """One kind of transposition: the free block has the one variable X, on
     which nu_j's operator carries the argument nu_j, and sign 0; any other
     has a variable letter + j per part nu_j, with argument 1 and the prefactor
     S^(sign * nu_j - 1), and its factorial column steps by its sign.  The
     refined series grades a signed block by its markers, marker + j."""
 
-    letter: str
-    marker: str
-    sign: int
+    __slots__ = ()
 
     def var(self, j: int) -> str:
         return f"{self.letter}{j}" if self.sign else self.letter
@@ -412,7 +404,7 @@ def materialize(products, args, space, values, signs=None):
     return acc
 
 
-def correlator(chamber: Chamber, parts, space, values, minus: Optional[Chamber] = None):
+def correlator(chamber: Chamber, parts, space, values, minus: Chamber | None = None):
     """The correlator of E(mu_1) ... E(mu_m) E(-nu_1) ... E(-nu_n), summed
     over the chamber's `commutation_patterns`: the factor of the mixed
     generating series that the chamber decides (`prefactor` is the other).

@@ -17,10 +17,15 @@ only `algebra` reads a series' packed numerators or denominator (`.num`,
 call); every other module builds a series through its `Space` and reads
 exact coefficients through `TruncSeries.data` or `coeff`.  The CLI calls
 no route for a count: `verify.count` is the one place that picks a route
-by method name.
+by method name.  Importing the package or its CLI loads none of
+`dataclasses`, `inspect` or `typing`, which would cost every fresh process
+more than most single counts do.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -165,3 +170,27 @@ def test_only_algebra_reads_series_numerators(module):
         if isinstance(node, ast.Call) and _references(node.func) & {"TruncSeries"}
     ]
     assert not touched
+
+
+# what `import hurwitz` and then `import hurwitz.cli` add to `sys.modules`,
+# each against the set loaded just before it (a `site` hook may already
+# have loaded `typing`)
+_IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, {src!r})
+before = set(sys.modules)
+import hurwitz
+after = set(sys.modules)
+import hurwitz.cli
+print(json.dumps([sorted(after - before), sorted(set(sys.modules) - after)]))
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-I",), ("-S",)], ids=["default", "isolated", "no-site"])
+def test_import_loads_no_heavy_standard_modules(flags):
+    probe = _IMPORT_PROBE.format(src=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, *flags, "-c", probe], capture_output=True, text=True, check=True).stdout
+    package, cli = json.loads(out)
+    assert "hurwitz.wedge" in package and "hurwitz.cli" in cli
+    for added in (package, cli):
+        assert not {"dataclasses", "inspect", "typing"} & set(added)

@@ -14,6 +14,7 @@ import pytest
 from hurwitz.oracle import (
     CONVENTIONS,
     BoundExceeded,
+    FactorizationCount,
     FactorizationSpec,
     MAX_DEGREE,
     _class_step,
@@ -77,6 +78,24 @@ def test_spec_rejects_a_bad_type(lam, error):
     for connected in (False, True):
         with pytest.raises(error):
             FactorizationSpec(lam, (3,), 0, 0, 0, connected=connected)
+
+
+def test_spec_and_count_are_frozen_values():
+    # positional, as the benchmark builds a spec: the profiles become tuples
+    spec = FactorizationSpec([2, 2], (3, 1), 1, 0, 0)
+    assert repr(spec) == "FactorizationSpec(mu=(2, 2), nu=(3, 1), p=1, q=0, r=0, connected=False)"
+    flagged = FactorizationSpec((2,), (2,), 0, 1, 0, True)
+    assert flagged == FactorizationSpec(mu=(2,), nu=(2,), p=0, q=1, r=0, connected=True)
+    assert repr(flagged) == "FactorizationSpec(mu=(2,), nu=(2,), p=0, q=1, r=0, connected=True)"
+    assert spec == FactorizationSpec((2, 2), (3, 1), 1, 0, 0) != FactorizationSpec((2, 2), (3, 1), 1, 0, 0, True)
+    assert hash(spec) == hash(FactorizationSpec((2, 2), [3, 1], 1, 0, 0))
+    count = count_factorizations(FactorizationSpec((3,), (3,), 0, 0, 0))
+    assert repr(count) == "FactorizationCount(raw=2, value=Fraction(1, 3))"
+    assert count == FactorizationCount(2, Fraction(1, 3)) and hash(count) == hash(FactorizationCount(2, Fraction(1, 3)))
+    for record, fields in ((spec, ("mu", "nu", "p", "q", "r", "connected")), (count, ("raw", "value"))):
+        for field in fields + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
 
 
 def test_genus_gate():

@@ -371,3 +371,16 @@ def test_signature_of_rejects():
     for kind, signature in [("simple", 1.5), ("monotone", 1.0), ("strict", Fraction(1)), ("mixed", (0, 2.0, 0))]:
         with pytest.raises(ValueError, match="must be an integer"):
             Signature.of(kind, signature, 2, 1)
+
+
+def test_signature_is_a_frozen_value():
+    sig = Signature(1, 2, 3)
+    assert repr(sig) == "Signature(p=1, q=2, r=3)"
+    assert Signature(p=1, q=2, r=3) == sig and (sig.p, sig.q, sig.r) == (1, 2, 3)
+    assert sig != Signature(3, 2, 1) and sig != Signature(1, 2, 4)
+    assert hash(sig) == hash(Signature(1, 2, 3))
+    assert len({sig, Signature(1, 2, 3), Signature(0, 2, 3)}) == 2
+    for field in ("p", "q", "r", "other"):
+        with pytest.raises(AttributeError):
+            setattr(sig, field, 0)
+    assert sig == Signature(1, 2, 3)

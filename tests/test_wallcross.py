@@ -19,7 +19,6 @@ from hurwitz.wallcross import (
     WallCrossingProblem,
     refined_series,
     verify_wallcrossing,
-    wallcrossing_polynomial,
 )
 from hurwitz.wedge import ArityMismatch, OnWall, Wall, chamber_of, chamber_polynomial, evaluate, walls
 
@@ -57,9 +56,24 @@ def test_problem_validation():
         WallCrossingProblem(WALL, C1, C2, "nonsense", 0)
 
 
+def test_problem_record():
+    # positional, as the benchmark builds one; compared by every field, unhashable
+    prob = WallCrossingProblem(WALL, chamber_of((2, 2), (3, 1)), chamber_of((3, 1), (2, 2)), "monotone", 0)
+    assert repr(prob) == (
+        "WallCrossingProblem(wall=Wall(I=(1,), J=(1,), m=2, n=2), c1=Chamber(sample=((2, 2), (3, 1))), "
+        "c2=Chamber(sample=((3, 1), (2, 2))), kind='monotone', signature=0, budgets=Signature(p=0, q=2, r=0), "
+        "blocks=(Block(letter='y', marker='t', sign=1),))"
+    )
+    assert prob == WallCrossingProblem(wall=WALL, c1=C1, c2=C2, kind="monotone", signature=0)
+    assert prob != WallCrossingProblem(WALL, C1, C2, "monotone", 1)
+    assert prob != WallCrossingProblem(WALL, C1, C2, "mixed", (0, 2, 0))  # same budgets, other kind
+    with pytest.raises(TypeError):
+        hash(prob)
+
+
 def test_degenerate_problem_gives_zero():
     prob = WallCrossingProblem(WALL, C2, C2, "strict", 1)
-    assert wallcrossing_polynomial(prob).is_zero()
+    assert (chamber_polynomial("strict", 1, prob.c2) - chamber_polynomial("strict", 1, prob.c1)).is_zero()
 
 
 def test_verify_rejects_a_problem_that_crosses_no_wall(monkeypatch):
@@ -76,10 +90,10 @@ def test_verify_rejects_a_problem_that_crosses_no_wall(monkeypatch):
 
 def test_crossing_polynomial_is_signed_difference():
     prob = WallCrossingProblem(WALL, C1, C2, "monotone", 1)
-    wc = wallcrossing_polynomial(prob)
-    p1 = chamber_polynomial("monotone", 1, C1)
-    p2 = chamber_polynomial("monotone", 1, C2)
-    assert wc == p2 - p1
+    p1 = chamber_polynomial("monotone", 1, prob.c1)
+    p2 = chamber_polynomial("monotone", 1, prob.c2)
+    wc = p2 - p1
+    assert not wc.is_zero()
     assert wc == -(p1 - p2)
     # degree bound 4g - 3 + m + n
     assert wc.total_degree() <= 4 * 1 - 3 + 2 + 2
@@ -281,7 +295,7 @@ def test_simple_wallcrossing_at_the_m_n_2_wall(g):
     assert problem.budgets == Signature(b, 0, 0)
     rep = verify_wallcrossing(problem, _WC_SAMPLES)
     assert rep["ok"] and len(rep["samples"]) == len(_WC_SAMPLES)
-    poly = wallcrossing_polynomial(problem)
+    poly = chamber_polynomial("simple", g, problem.c2) - chamber_polynomial("simple", g, problem.c1)
     for mu, nu in _WC_SAMPLES:
         want = evaluate(poly, mu, nu)
         assert want != 0
@@ -487,4 +501,4 @@ def test_series_jump_matches_polynomial_difference(problem):
     for v in product(range(b + 1), repeat=2):
         if sum(v) == b:
             tot += jump.coeff({f"{marker}1": v[0], f"{marker}2": v[1], var(1): v[0], var(2): v[1]})
-    assert tot == evaluate(wallcrossing_polynomial(prob), mu, nu)
+    assert tot == evaluate(chamber_polynomial(kind, g, C2) - chamber_polynomial(kind, g, C1), mu, nu)

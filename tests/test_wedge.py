@@ -66,6 +66,36 @@ def test_wall_canonicalization():
         Wall((1, 3), (1,), 2, 2)  # index out of range
 
 
+def test_wall_is_a_frozen_value():
+    # built positionally, canonicalized first: equal walls are the same hyperplane
+    w = Wall((2,), (2,), 2, 2)
+    assert repr(w) == "Wall(I=(1,), J=(1,), m=2, n=2)"
+    assert repr(Wall([3, 1, 1], {2}, 3, 2)) == "Wall(I=(1, 3), J=(2,), m=3, n=2)"
+    assert w == Wall((1,), (1,), 2, 2) == Wall(I=(1,), J=(1,), m=2, n=2)
+    assert w != Wall((1,), (2,), 2, 2) and w != Wall((1,), (1,), 2, 3)
+    assert hash(w) == hash(Wall((1,), (1,), 2, 2))
+    assert len(set(walls(2, 2)) | {w}) == 7
+    for field in ("I", "J", "m", "n", "other"):
+        with pytest.raises(AttributeError):
+            setattr(w, field, 1)
+
+
+def test_chamber_and_sigma_product_records():
+    ch = Chamber(([3, 1], (2, 2)))
+    assert repr(ch) == "Chamber(sample=((3, 1), (2, 2)))"
+    # equal and equally hashed exactly when the signs agree, whatever the sample
+    same, other = Chamber(sample=((5, 1), (3, 3))), chamber_of((1, 3), (2, 2))
+    assert ch == same and hash(ch) == hash(same) and ch != other
+    assert len({ch, same, other}) == 2
+    prod = SigmaProduct((), ((1,), ()))
+    assert repr(prod) == "SigmaProduct(factors=(), final=((1,), ()))"
+    assert prod == SigmaProduct(factors=(), final=((1,), ())) != SigmaProduct((), ((2,), ()))
+    assert hash(prod) == hash(SigmaProduct((), ((1,), ())))
+    for field in ("factors", "final", "other"):
+        with pytest.raises(AttributeError):
+            setattr(prod, field, ())
+
+
 def test_wall_value_and_form():
     w = Wall((1,), (2,), 2, 2)
     assert w.value((3, 1), (2, 2)) == 1
