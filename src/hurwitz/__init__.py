@@ -13,9 +13,7 @@ from .algebra import (
     Space,
     TruncSeries,
     bernoulli,
-    s_inverse_of,
     s_of,
-    s_power_series,
     s_ratio_of,
 )
 from .charactereval import (
@@ -92,9 +90,7 @@ __all__ = [
     "johnson_expand",
     "partitions",
     "refined_series",
-    "s_inverse_of",
     "s_of",
-    "s_power_series",
     "s_ratio_of",
     "standard_word",
     "tau_coefficient",

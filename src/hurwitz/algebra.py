@@ -42,6 +42,10 @@ polynomial in c, sum_j a_kj c^j with a_kj = [v^k] (log S)^j / j!: the
 a_kj are ints over one denominator in one cached table per order, so an
 S-power column is read off the powers of c (`s_power_column`), with int
 arithmetic at an int c.
+
+`s_of`, `TruncSeries.inverse` and `MultiPoly.substitute` have no library
+caller; they stay public because the benchmark's span table
+(`bench/spans.py`) wraps them.
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ from math import comb, factorial, gcd, lcm
 from operator import le, mul, or_, sub
 from types import SimpleNamespace
 
+from .partitions import check_integer
+
 __all__ = [
     "NotDivisible",
     "ExponentOverflow",
@@ -64,9 +70,7 @@ __all__ = [
     "TruncSeries",
     "sigma_of",
     "s_of",
-    "s_inverse_of",
     "s_ratio_of",
-    "s_power_series",
     "s_power_column",
     "factorial_column",
     "bernoulli",
@@ -135,14 +139,6 @@ def _sum_over(n1: dict, d1: int, n2: dict, d2: int) -> tuple:
         else:
             del out[e]
     return out, den
-
-
-def _over_terms(terms: list) -> tuple:
-    """(nonzero numerators, denominator) of a sum of terms (series key,
-    numerators keyed by coefficient monomial keys, denominator), not yet
-    reduced."""
-    den = lcm(*(d for _, _, d in terms))
-    return {hi + lo: a * (den // d) for hi, coeff, d in terms for lo, a in coeff.items()}, den
 
 
 def _mul_into(out: dict, left, right: list) -> dict:
@@ -284,9 +280,6 @@ class MultiPoly:
 
     def __bool__(self):
         return bool(self.num)
-
-    def is_zero(self) -> bool:
-        return not self.num
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -543,9 +536,8 @@ class Space:
     when one is given.  `Space.of` interns a space, so the series of one
     space share it; spaces compare by those four fields, with identity as
     the fast path.  Every `TruncSeries` is built through its space:
-    `series`, `linear`, `columns`, `zero`, `one`, or `TruncSeries.lift`;
-    `linear` and `columns` write packed keys directly, and `series` reads
-    exponent tuples.
+    `linear`, `columns`, `zero` or `one`, each writing packed keys directly;
+    a series of any other shape is a sum of `columns` monomials.
 
     The space also fixes the packed keys of its series: `low`, the bits of
     the coefficient ring's monomial key; `guard`, its guard bits; `shifts`,
@@ -620,19 +612,6 @@ class Space:
 
     # -- building series -------------------------------------------------------
 
-    def series(self, data: dict) -> "TruncSeries":
-        """The series of {exponent tuple: coefficient}, each coefficient an
-        int/Fraction or an element of `ring`; a term the caps or blocks do
-        not admit drops out."""
-        terms = []
-        for e, c in data.items():
-            e = tuple(e)
-            if len(e) != len(self.vars) or min(e, default=0) < 0:
-                raise ValueError(f"expected {len(self.vars)} exponents of at least 0, got {e}")
-            if self._admissible(e):
-                terms.append((self._pack(e), *self._terms_of(c)))
-        return TruncSeries(self, *_over_terms(terms))
-
     def linear(self, argmap: dict) -> "TruncSeries":
         """The series sum_v argmap[v] * v (each argument variable to power
         1), written straight into packed keys; a variable whose cap or block
@@ -643,7 +622,8 @@ class Space:
             num, den = self._terms_of(c)
             if self.caps[i] and all(cap for ix, cap in self.blocks if i in ix):
                 terms.append((1 << self.shifts[i], num, den))
-        return TruncSeries(self, *_over_terms(terms))
+        den = lcm(*(d for _, _, d in terms))
+        return TruncSeries(self, {hi + lo: a * (den // d) for hi, num, d in terms for lo, a in num.items()}, den)
 
     def columns(self, cols: dict) -> "TruncSeries":
         """The series prod_v sum_k cols[v][k] v^k over the variables v of
@@ -763,8 +743,8 @@ class TruncSeries:
     ring's monomial key in its low bits and a FIELD_BITS field per series
     variable above them, variable 0 highest.  The constructor takes nonzero
     numerators over den > 0 at admissible keys and only reduces them once:
-    a series is built through its space, or by `lift`.  `data` and `coeff`
-    give the coefficients back exactly.
+    a series is built through its space.  `data` and `coeff` give the
+    coefficients back exactly.
     """
 
     __slots__ = ("space", "num", "den")
@@ -862,7 +842,7 @@ class TruncSeries:
 
     def inverse(self) -> "TruncSeries":
         """Inverse of a unit series whose constant term is exactly 1, by
-        repeated products; the S-series have the closed form `s_inverse_of`."""
+        repeated products; 1/S has the closed form `s_ratio_of(W, 0, 1)`."""
         if self.coeff({}) != 1:
             raise ValueError("inverse requires constant term 1")
         one = self.space.one()
@@ -885,25 +865,6 @@ class TruncSeries:
         hi = space._pack(e) if all(0 <= k <= cap for k, cap in zip(e, space.caps)) else -1
         low = space.low
         return space._read({k - hi: c for k, c in self.num.items() if k >> low << low == hi}, self.den)
-
-    def lift(self, space: Space) -> "TruncSeries":
-        """The same series inside a larger space over the same ring, whose
-        variables include ours."""
-        if space.ring != self.space.ring:
-            raise ValueError(f"a series over {self.space.ring} lifted into a space over {space.ring}")
-        pos = [space._index(v) for v in self.space.vars]
-        lows = (1 << self.space.low) - 1
-        num = {}
-        for k, c in self.num.items():
-            e = [0] * len(space.vars)
-            for i, x in zip(pos, self.space._unpack(k)):
-                e[i] = x
-            if space._admissible(e):
-                num[space._pack(e) + (k & lows)] = c
-        return TruncSeries(space, num, self.den)
-
-    def is_zero(self) -> bool:
-        return not self.num
 
     def __eq__(self, other):
         return (
@@ -1132,13 +1093,6 @@ def s_of(arg: TruncSeries) -> TruncSeries:
     return s_ratio_of(arg, 1, 0)
 
 
-def s_inverse_of(arg: TruncSeries) -> TruncSeries:
-    """1/S(W) = W/sigma(W) = sum over even k of B_k(1/2) W^k / k!, for a
-    linear series W, with B_k(1/2) = (2^(1-k) - 1) B_k: the quotient at
-    (a, b) = (0, 1)."""
-    return s_ratio_of(arg, 0, 1)
-
-
 @lru_cache(maxsize=64)
 def _s_power_table(order: int) -> tuple:
     """(A, den, order // 2, order): the nonzero ints A_kj, keyed by (k, j)
@@ -1166,15 +1120,6 @@ def s_power_column(c, order: int) -> list:
     ]
 
 
-def s_power_series(c, var: str, order: int) -> TruncSeries:
-    """S(v)^c truncated at v^order, c rational or polynomial (over c's ring):
-    the one-variable case of `Space.columns`, on `s_power_column`, whose
-    entries are the polynomials in c of exp(c log S), with
-    log S(v) = sum_{k>=1} B_{2k} v^{2k} / (2k (2k)!)."""
-    ring = c.ring if isinstance(c, MultiPoly) else None
-    return Space.of((var,), (order,), (), ring).columns({var: s_power_column(c, order)})
-
-
 # -- factorial-type helpers ----------------------------------------------------
 
 
@@ -1199,7 +1144,9 @@ _BERNOULLI: list[Fraction] = [Fraction(1)]
 
 
 def bernoulli(k: int) -> Fraction:
-    """Bernoulli number B_k with B_1 = -1/2 (generating series t/(e^t - 1))."""
+    """Bernoulli number B_k with B_1 = -1/2 (generating series t/(e^t - 1));
+    a k that is not an integer, or below 0, raises ValueError."""
+    k = check_integer(k, "k")
     if k < 0:
         raise ValueError("Bernoulli numbers need k >= 0")
     while len(_BERNOULLI) <= k:

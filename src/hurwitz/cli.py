@@ -200,7 +200,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except OnWall as e:
-        print(f"error: sample lies on a wall: {e}", file=sys.stderr)
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_ON_WALL
     except (BoundExceeded, ExponentOverflow) as e:
         print(f"error: {e}", file=sys.stderr)

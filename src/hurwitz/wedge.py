@@ -172,9 +172,6 @@ class Chamber:
     def n(self) -> int:
         return len(self.sample[1])
 
-    def sign(self, wall: Wall) -> int:
-        return self.label_sign((wall.I, wall.J))
-
     def label_sign(self, label) -> int:
         """The sign of mu_I - nu_J at the sample, for a label (I, J)."""
         v = _form(label, *self.sample)

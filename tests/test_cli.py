@@ -217,11 +217,12 @@ def test_chamber_poly_round_trip(capsys):
 
 
 def test_chamber_poly_on_wall_exits_3(capsys):
-    code, _, _ = run(
+    code, _, err = run(
         capsys,
         ["chamber-poly", "--type", "monotone", "--g", "0", "--sample", "2,2:2,2"],
     )
     assert code == 3
+    assert err == "error: sample lies on wall mu{1} = nu{1}\n"
 
 
 def test_chamber_poly_degenerate_exits_5(capsys):

@@ -8,7 +8,12 @@ No module reaches into another module's private (underscore) names, and no
 module imports a name it never uses (the package's `__init__`, which
 re-exports, is exempt, and a name listed in `__all__` counts as used).
 Every module-level function and class is used somewhere in the package
-outside its own definition, or is public API named in `hurwitz.__all__`.
+outside its own definition, or is public API named in `hurwitz.__all__`;
+a public name that no module calls is documented in the README.  Every
+method but the dunders is read as an attribute (`x.name`) somewhere in the
+package outside its own body, or is a method of a public class that the
+README names as `Class.method`; the check goes by name alone, so a method
+passes when another attribute shares its name.
 Only `algebra` reads a polynomial's packed monomial keys (`.num`) or builds
 one from them (`MultiPoly._make`), so the key encoding has one home.  Likewise
 only `algebra` reads a series' packed numerators or denominator (`.num`,
@@ -24,13 +29,16 @@ more than most single counts do.
 
 import ast
 import json
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hurwitz"
+README = PACKAGE.parent.parent / "README.md"
 
 ROUTES = {
     "oracle": {"charactereval", "wedge", "wallcross"},
@@ -124,21 +132,42 @@ def _references(node) -> set:
     return out
 
 
+def _attributes(node) -> Counter:
+    """How often each attribute name is read anywhere inside `node`."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
 def test_every_definition_is_used_or_public():
     trees = {m: ast.parse((PACKAGE / f"{m}.py").read_text()) for m in _modules()}
+    readme = README.read_text()
     public = set()
     for node in trees["__init__"].body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
             public |= {elt.value for elt in node.value.elts}
     # the names read by each top-level statement of each module
     reads = {(m, i): _references(node) for m, tree in trees.items() for i, node in enumerate(tree.body)}
+    attributes = sum(map(_attributes, trees.values()), Counter())
+
+    def documented(name):
+        return re.search(rf"`{re.escape(name)}\b", readme)
+
     unused = []
     for module, tree in trees.items():
         for i, node in enumerate(tree.body):
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in public:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if not any(node.name in names for key, names in reads.items() if key != (module, i)):
+            called = any(node.name in names for key, names in reads.items() if key != (module, i))
+            if not called and not (node.name in public and documented(node.name)):
                 unused.append(f"{module}.{node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in node.body:
+                if not isinstance(method, ast.FunctionDef) or re.fullmatch(r"__\w+__", method.name):
+                    continue
+                name = f"{node.name}.{method.name}"
+                read = attributes[method.name] > _attributes(method)[method.name]
+                if not read and not (node.name in public and documented(name)):
+                    unused.append(f"{module}.{name}")
     assert not unused
 
 

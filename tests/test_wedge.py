@@ -19,9 +19,9 @@ from hurwitz.algebra import (
     PolyRing,
     Space,
     factorial_column,
-    s_inverse_of,
     s_of,
-    s_power_series,
+    s_power_column,
+    s_ratio_of,
     sigma_of,
 )
 from hurwitz.charactereval import hurwitz_disconnected
@@ -105,7 +105,7 @@ def test_wall_value_and_form():
 def test_chamber_of_basics():
     ch = chamber_of((3, 1), (2, 2))
     assert (ch.m, ch.n) == (2, 2)
-    assert ch.sign(Wall((1,), (1,), 2, 2)) == 1
+    assert ch.label_sign(((1,), (1,))) == 1
     with pytest.raises(OnWall):
         chamber_of((2, 2), (2, 2))
     with pytest.raises(SizeMismatch):
@@ -115,8 +115,7 @@ def test_chamber_of_basics():
 def test_chamber_signs_are_read_off_the_sample():
     ch = chamber_of((3, 1), (2, 2))
     assert ch == Chamber(((3, 1), (2, 2)))
-    assert [ch.sign(w) for w in walls(2, 2)] == [ch.label_sign((w.I, w.J)) for w in walls(2, 2)]
-    assert ch.key() == (2, 2, tuple(ch.sign(w) for w in walls(2, 2)))
+    assert ch.key() == (2, 2, tuple(ch.label_sign((w.I, w.J)) for w in walls(2, 2)))
     with pytest.raises(OnWall):
         Chamber(((2, 2), (2, 2)))
     # (m, n) is read off the sample, which goes through the one profile check
@@ -149,7 +148,7 @@ def test_chamber_signs_from_subset_sums_are_the_walls_signs():
                         on_wall += 1
                     else:
                         ch = Chamber((mu, nu))
-                        assert ch.key()[2] == tuple(ch.sign(w) for w in ws), (mu, nu)
+                        assert ch.key()[2] == tuple(ch.label_sign((w.I, w.J)) for w in ws), (mu, nu)
                     checked += 1
     assert (checked, on_wall) == (630, 341)
 
@@ -349,7 +348,7 @@ def test_number_values_give_the_ring_series_at_the_point(kind, signature):
 
 @pytest.mark.parametrize("kind,signature", [("simple", 1), ("monotone", 1), ("strict", 2), ("mixed", (1, 2, 2))])
 def test_the_prefactor_is_the_product_of_lifted_s_powers(kind, signature):
-    # one product of closed-form columns against one lifted S-power series
+    # one product of closed-form columns against one S-power column series
     # per expansion variable, with numeric and with polynomial values
     for m, n in ((1, 2), (2, 2), (3, 1)):
         space, parts = _space_for(Signature.of(kind, signature, m, n), n)
@@ -362,7 +361,7 @@ def test_the_prefactor_is_the_product_of_lifted_s_powers(kind, signature):
                 for nu, signs in zip(values[1], parts):
                     for x, sign in signs.items():
                         cap = pref.space.caps[pref.space.vars.index(x)]
-                        want = want * s_power_series((nu if sign > 0 else -nu) - 1, x, cap).lift(pref.space)
+                        want = want * pref.space.columns({x: s_power_column((nu if sign > 0 else -nu) - 1, cap)})
                 assert pref == want, (ch.sample, values)
 
 
@@ -536,7 +535,7 @@ def test_parity_invalid_signature_gives_zero(monkeypatch):
             if Signature(*pqr).genus(len(mu), len(nu)) is not None:
                 continue
             poly = chamber_polynomial("mixed", pqr, ch)
-            assert poly.is_zero() and poly.ring.names[0] == "mu1"
+            assert not poly and poly.ring.names[0] == "mu1"
             if sum(mu) <= MAX_DEGREE:
                 assert evaluate(poly, mu, nu) == count_factorizations(FactorizationSpec(mu, nu, *pqr)).value
 
@@ -687,6 +686,33 @@ def test_the_orbit_index_drops_its_oldest_key(monkeypatch, numerator_calls):
     assert len(calls) == 4
 
 
+def test_an_orbit_whose_source_was_dropped_builds_again(monkeypatch, numerator_calls):
+    # the orbit index still names the first chamber built, but the
+    # polynomial cache has dropped that chamber's polynomial: the next
+    # member builds once, becomes the orbit's source, and reads what a
+    # cold build reads
+    calls = numerator_calls
+    monkeypatch.setattr(wedge, "_POLY_CACHE", {})
+    monkeypatch.setattr(wedge, "_ORBITS", {})
+    monkeypatch.setattr(wedge, "_POLY_CACHE_BOUND", 2)
+    first, other, third = (chamber_of(*s) for s in [((3, 1), (2, 2)), ((2, 2), (1, 3)), ((1, 3), (2, 2))])
+    chamber_polynomial("monotone", 1, first)
+    chamber_polynomial("monotone", 0, first)
+    chamber_polynomial("simple", 1, first)
+    sig = Signature.of("monotone", 1, 2, 2)
+    (orbit,) = [key for key in wedge._ORBITS if key[0] == sig]
+    assert wedge._ORBITS[orbit][0] == first.key() and (sig, first.key()) not in wedge._POLY_CACHE
+    assert len(calls) == 3
+    got = chamber_polynomial("monotone", 1, other)
+    assert len(calls) == 4 and wedge._ORBITS[orbit][0] == other.key()
+    # the next member reads the new source with no build
+    chamber_polynomial("monotone", 1, third)
+    assert len(calls) == 4
+    monkeypatch.setattr(wedge, "_POLY_CACHE", {})
+    monkeypatch.setattr(wedge, "_ORBITS", {})
+    assert got == chamber_polynomial("monotone", 1, other)
+
+
 def test_an_orbit_costs_one_numerator(monkeypatch, numerator_calls):
     # every member of a chamber's orbit under S_m x S_n and the swap reads
     # its polynomial off the first one built, by a change of variables: one
@@ -755,12 +781,12 @@ def test_johnson_expand_permuted_word_with_merged_operator():
 
     W = lin(1, 1, 1)
     want = [
-        sigma_of(lin(0, 1, 2)) * sigma_of(lin(1, 4, 4)) * s_of(lin(3, 3, 3)).scalar_mul(3) * s_inverse_of(W),
-        sigma_of(lin(0, 0, 3)) * sigma_of(lin(2, 4, 0)) * s_of(lin(2, 2, 2)).scalar_mul(2) * s_inverse_of(W),
+        sigma_of(lin(0, 1, 2)) * sigma_of(lin(1, 4, 4)) * s_of(lin(3, 3, 3)).scalar_mul(3) * s_ratio_of(W, 0, 1),
+        sigma_of(lin(0, 0, 3)) * sigma_of(lin(2, 4, 0)) * s_of(lin(2, 2, 2)).scalar_mul(2) * s_ratio_of(W, 0, 1),
     ]
     got = [wedge.materialize([prod], args, space, ((3, 3), (4, 1, 1))) for prod in prods]
     assert got == want
-    assert all(not w.is_zero() for w in want)
+    assert all(w != space.zero() for w in want)
     # m + n = 5, so three sigma factors, in a space of top degree 3: each
     # factor is built to degree 1 only, and the product is unchanged
     mu, nu = (5, 2), (1, 3, 3)
@@ -783,10 +809,10 @@ def test_johnson_expand_permuted_word_with_merged_operator():
         sigmas = [sigma_arg(A, B) for A, B in pattern.factors]
         eF = energy(pattern.final)
         a, b, c = map(sigma_of, sigmas)
-        want = a * b * c * s_of(W.scalar_mul(eF)).scalar_mul(eF) * s_inverse_of(W)
+        want = a * b * c * s_of(W.scalar_mul(eF)).scalar_mul(eF) * s_ratio_of(W, 0, 1)
         assert wedge.materialize([pattern], args, space, (mu, nu)) == want
         dropped += sum(sigma_of(x, 3) != sigma_of(x) for x in sigmas)
-        nonzero += not want.is_zero()
+        nonzero += want != space.zero()
     assert dropped and nonzero
 
 
